@@ -24,20 +24,19 @@ from .channel import (BlockChannel, ChannelFormatError, CqEnsemble,
                       precompose_qq, reduced_channel, save_channel,
                       validate_channel)
 from .coding import (Codebook, Povm, SimReport, TenderInstrument,
-                     average_error, averaged_word_state, disturbance_check,
-                     pgm_decoder, run_simulation, sample_codebook,
-                     sequential_decode_exact, tender_apply,
+                     average_error, disturbance_check, pgm_decoder,
+                     run_simulation, sample_codebook, tender_apply,
                      tender_bound_check)
 from .config import CapExceeded
 from .entropy import (InfoReport, SubsystemSelector, check_subadditivity,
-                      conditional_channel_entropy, conditional_entropy,
-                      fano_bound_check, info_report, mutual_information,
-                      restrict, subsystem_entropy, subsystem_entropy_dense)
+                      conditional_entropy, fano_bound_check, info_report,
+                      mutual_information, restrict, subsystem_entropy,
+                      subsystem_entropy_dense)
 from .operators import (ValidationError, eig_hermitian, entropy_bits, op_sqrt,
                         partial_trace, tensor, trace_norm)
 from .region import (MixtureSpec, RateConstraintSet, RatePoint, all_corners,
-                     boundary_sweep, constraint_set, corner, corner_table,
-                     is_member, mixture_constraints, upper_boundary_2d)
+                     boundary_sweep, constraint_set, corner_table, is_member,
+                     mixture_constraints, upper_boundary_2d)
 
 __version__ = "0.1.0"
 
@@ -46,16 +45,14 @@ __all__ = [
     "CqEnsemble", "CqMacChannel", "InfoReport", "MixtureSpec", "Povm",
     "Prior", "RateConstraintSet", "RatePoint", "SimReport",
     "SubsystemSelector", "TenderInstrument", "ValidationError",
-    "all_corners", "average_error", "averaged_word_state", "block_channel",
-    "boundary_sweep", "channel_from_dict", "channel_state", "channel_to_dict",
-    "check_subadditivity", "conditional_channel_entropy",
-    "conditional_entropy", "constraint_set", "corner", "corner_table",
-    "disturbance_check", "eig_hermitian", "entropy_bits", "fano_bound_check",
-    "info_report", "is_member", "load_channel", "mixture_constraints",
-    "mutual_information", "op_sqrt", "partial_trace", "pgm_decoder",
-    "precompose_qq", "reduced_channel", "restrict", "run_simulation",
-    "sample_codebook", "save_channel", "sequential_decode_exact",
-    "subsystem_entropy", "subsystem_entropy_dense", "tender_apply",
-    "tender_bound_check", "tensor", "trace_norm", "upper_boundary_2d",
-    "validate_channel",
+    "all_corners", "average_error", "block_channel", "boundary_sweep",
+    "channel_from_dict", "channel_state", "channel_to_dict",
+    "check_subadditivity", "conditional_entropy", "constraint_set",
+    "corner_table", "disturbance_check", "eig_hermitian", "entropy_bits",
+    "fano_bound_check", "info_report", "is_member", "load_channel",
+    "mixture_constraints", "mutual_information", "op_sqrt", "partial_trace",
+    "pgm_decoder", "precompose_qq", "reduced_channel", "restrict",
+    "run_simulation", "sample_codebook", "save_channel", "subsystem_entropy",
+    "subsystem_entropy_dense", "tender_apply", "tender_bound_check", "tensor",
+    "trace_norm", "upper_boundary_2d", "validate_channel",
 ]

@@ -21,10 +21,6 @@ import json
 BUILTIN_CHANNELS = ("adder-classical", "qubit-pure-mac", "holevo-two-state")
 
 
-def builtin_channel_names() -> tuple[str, ...]:
-    return BUILTIN_CHANNELS
-
-
 def builtin_channel_text(name: str) -> str:
     """Raw JSON text of a bundled channel; accepts the name with or without .json."""
     stem = name[:-5] if name.endswith(".json") else name

@@ -44,18 +44,13 @@ def mask_members(mask: int) -> frozenset[int]:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def normalize_subset(members: Iterable[int], s: int, allow_empty: bool = False) -> frozenset[int]:
+def normalize_subset(members: Iterable[int], s: int) -> frozenset[int]:
     sub = frozenset(int(i) for i in members)
     if any(i < 0 or i >= s for i in sub):
         raise ValidationError(f"sender subset {sorted(sub)} not within 0..{s - 1}")
-    if not sub and not allow_empty:
+    if not sub:
         raise ValidationError("sender subset must be nonempty")
     return sub
-
-
-def nonempty_subsets(s: int) -> list[frozenset[int]]:
-    """All nonempty sender subsets, ordered by bitmask."""
-    return [mask_members(m) for m in range(1, 1 << s)]
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +69,8 @@ class Prior:
             v = np.asarray(v, dtype=float).ravel()
             if v.size < 1:
                 raise ValidationError(f"prior for sender {i} is empty")
+            if not np.all(np.isfinite(v)):
+                raise ValidationError(f"prior for sender {i} has non-finite entries")
             if np.any(v < 0):
                 raise ValidationError(f"prior for sender {i} has negative entries")
             if abs(v.sum() - 1.0) > PROB_TOL:
@@ -98,13 +95,6 @@ class Prior:
         out = 1.0
         for v, x in zip(self.per_sender, letters):
             out *= float(v[x])
-        return out
-
-    def subset_prob(self, members: Iterable[int], letters: Sequence[int]) -> float:
-        """Product probability of the letters of the given senders (ascending order)."""
-        out = 1.0
-        for i, x in zip(sorted(set(members)), letters):
-            out *= float(self.per_sender[i][x])
         return out
 
     @staticmethod
@@ -232,10 +222,10 @@ class CqEnsemble:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p, _ in self.atoms])
 
-    def dense_matrix(self, cap: int | None = None) -> np.ndarray:
+    def dense_matrix(self) -> np.ndarray:
         """Expand to the full block-diagonal matrix (verification oracle only)."""
         dim = self.num_labels * self.quantum_dim
-        require_dim(dim, cap, "dense ensemble expansion")
+        require_dim(dim, what="dense ensemble expansion")
         out = np.zeros((dim, dim), dtype=complex)
         d = self.quantum_dim
         for label, p, rho in self.atoms:
@@ -245,8 +235,7 @@ class CqEnsemble:
 
 
 def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
-                  atoms: Iterable[tuple[Sequence[int], float, np.ndarray]],
-                  check_states: bool = False) -> CqEnsemble:
+                  atoms: Iterable[tuple[Sequence[int], float, np.ndarray]]) -> CqEnsemble:
     """Normalize and validate an atom list into a CqEnsemble.
 
     Atoms with probability below 1e-15 are dropped (they contribute nothing
@@ -274,8 +263,6 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (d, d):
             raise ValidationError(f"atom {label_t}: state shape {rho.shape}, expected ({d}, {d})")
-        if check_states:
-            ops.check_density(rho, name=f"atom {label_t}")
         seen[label_t] = (p, rho)
     if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(f"atom probabilities sum to {total:.12g}, expected 1")
@@ -351,10 +338,6 @@ class BlockChannel:
     @property
     def output_dim(self) -> int:
         return self.base.output_dim ** self.n
-
-    @property
-    def word_counts(self) -> tuple[int, ...]:
-        return tuple(a ** self.n for a in self.base.sender_alphabets)
 
     def state_for_words(self, words: Sequence[Sequence[int]]) -> np.ndarray:
         """Output state of one word per sender (each word is n letters)."""

@@ -23,15 +23,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .catalog import BUILTIN_CHANNELS, builtin_channel_text
-from .channel import ChannelFormatError, CqMacChannel, Prior, channel_from_dict, load_channel
+from .catalog import BUILTIN_CHANNELS, load_builtin_channel
+from .channel import ChannelFormatError, CqMacChannel, Prior, load_channel
 from .coding import run_simulation, sizes_from_rates
 from .config import CapExceeded
 from .checks import run_suites
 from .operators import ValidationError
 from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
-                     corners_with_perms, corner_from_bounds, is_member,
-                     mixture_constraints, upper_boundary_2d)
+                     corners_with_perms, corner_from_bounds, dedup_points,
+                     is_member, mixture_constraints, upper_boundary_2d)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -53,7 +53,7 @@ def _load_channel_arg(spec: str) -> CqMacChannel:
     stem = os.path.basename(spec)
     stem = stem[:-5] if stem.endswith(".json") else stem
     if stem in BUILTIN_CHANNELS and os.sep not in spec:
-        return channel_from_dict(json.loads(builtin_channel_text(stem)))
+        return load_builtin_channel(stem)
     raise FileNotFoundError(
         f"no channel file {spec!r} (bundled names: {', '.join(BUILTIN_CHANNELS)})"
     )
@@ -224,15 +224,11 @@ def cmd_region(args) -> int:
         for mask in sorted(cs.bounds):
             bound_rows.append(("mix", mask, cs.bounds[mask]))
         if emit_corners:
-            seen: list[RatePoint] = []
-            for perm in sorted(itertools.permutations(range(s))):
-                point = corner_from_bounds(cs, perm)
-                if is_member(point, cs, args.tol) and not any(
-                    max(abs(a - b) for a, b in zip(point.rates, q.rates)) <= args.tol
-                    for q in seen
-                ):
-                    seen.append(point)
-                    corner_rows.append(("mix", perm, point))
+            pairs = ((perm, corner_from_bounds(cs, perm))
+                     for perm in sorted(itertools.permutations(range(s))))
+            members = [(perm, point) for perm, point in pairs if is_member(point, cs, args.tol)]
+            for perm, point in dedup_points(members, args.tol):
+                corner_rows.append(("mix", perm, point))
     else:
         prior = _parse_prior(args.prior, ch.sender_alphabets)
         priors_doc.append({

@@ -14,13 +14,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from . import operators as ops
-from .channel import (ATOM_FLOOR, CqEnsemble, CqMacChannel, Prior,
-                      block_channel, make_ensemble, reduced_channel)
+from .channel import CqMacChannel, Prior, block_channel, reduced_channel
 from .config import DEFAULT_MAX_MESSAGES, CapExceeded
 from .operators import ValidationError
 
@@ -84,6 +83,7 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 
 def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
                         sizes: Sequence[int], master_seed: int) -> list[Codebook]:
+    """One codebook per sender, seeded by the first s seeds split off the master."""
     if len(sizes) != ch.s:
         raise ValidationError(f"expected {ch.s} codebook sizes, got {len(sizes)}")
     seeds = derive_seeds(master_seed, ch.s + 1)[: ch.s]
@@ -96,22 +96,6 @@ def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
 def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list[int]:
     """Codebook sizes ceil(2^{n (R_i - delta)}), floored at one word."""
     return [max(1, int(np.ceil(2.0 ** (n * (float(r) - delta))))) for r in rates]
-
-
-def word_index(word: Sequence[int], alphabet: int) -> int:
-    """Mixed-radix index of a word (first letter most significant)."""
-    idx = 0
-    for x in word:
-        idx = idx * alphabet + int(x)
-    return idx
-
-
-def index_word(idx: int, alphabet: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        out.append(idx % alphabet)
-        idx //= alphabet
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +257,32 @@ class TenderCheck:
     avg_bound: float
 
 
+def _branch_disturbance(rho: np.ndarray, inst: TenderInstrument,
+                        b: Hashable) -> tuple[float, float]:
+    """(eps, dist) of state rho under the instrument when b is the right outcome.
+
+    eps = 1 - Tr(rho D_b); dist is the exact deviation of the branch map
+    output (with its classical outcome register) from the ideal b (x) rho:
+    ||rho - sqrt(D_b) rho sqrt(D_b)||_1 plus the leaked probability
+    sum_{b' != b} Tr(rho D_b').
+    """
+    root = inst.sqrt_element(b)
+    eps = max(0.0, 1.0 - float(np.trace(rho @ inst.povm.element(b)).real))
+    leak = sum(
+        float(np.trace(rho @ elem).real)
+        for lab, elem in inst.povm.elements if lab != b
+    )
+    return eps, ops.trace_norm(rho - root @ rho @ root) + leak
+
+
 def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
                        inst: TenderInstrument,
-                       assign: Mapping[Hashable, Hashable] | None = None,
                        weights: Sequence[float] | None = None) -> TenderCheck:
     """Disturbance of each labeled state under the instrument vs its bound.
 
-    For state a assigned to outcome b = assign[a], the exact deviation of the
-    branch map output (with its classical outcome register) from the ideal
-    b (x) rho_a is ||rho_a - sqrt(D_b) rho_a sqrt(D_b)||_1 plus the leaked
-    probability sum_{b' != b} Tr(rho_a D_b'); it obeys sqrt(8 eps_a) + eps_a
-    with eps_a = 1 - Tr(rho_a D_b), and on average sqrt(8 eps) + eps with the
+    State a counts as decoded correctly on the outcome labeled a.  Its
+    disturbance (see _branch_disturbance) obeys sqrt(8 eps_a) + eps_a with
+    eps_a = 1 - Tr(rho_a D_a), and on average sqrt(8 eps) + eps with the
     averaged eps.
     """
     if weights is None:
@@ -297,113 +296,13 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     avg_dist = 0.0
     for (a, rho), w in zip(states, wvec):
         rho = ops.check_density(rho, name=f"state {a!r}")
-        b = assign[a] if assign is not None else a
-        root = inst.sqrt_element(b)
-        eps = max(0.0, 1.0 - float(np.trace(rho @ inst.povm.element(b)).real))
-        leak = sum(
-            float(np.trace(rho @ elem).real)
-            for lab, elem in inst.povm.elements if lab != b
-        )
-        dist = ops.trace_norm(rho - root @ rho @ root) + leak
+        eps, dist = _branch_disturbance(rho, inst, a)
         bound = float(np.sqrt(8.0 * eps) + eps)
         rows.append((a, eps, dist, bound))
         eps_bar += w * eps
         avg_dist += w * dist
     avg_bound = float(np.sqrt(8.0 * eps_bar) + eps_bar)
     return TenderCheck(tuple(rows), eps_bar, avg_dist, avg_bound)
-
-
-# ---------------------------------------------------------------------------
-# averaged word states
-# ---------------------------------------------------------------------------
-
-def averaged_word_state(ch: CqMacChannel, sender: int, word: Sequence[int],
-                        prior: Prior, mode: str = "ensemble",
-                        codebooks: Mapping[int, Codebook] | None = None,
-                        max_block_dim: int | None = None,
-                        max_atoms: int = DEFAULT_MAX_MESSAGES) -> CqEnsemble:
-    """Effective channel state seen when decoding one sender's word.
-
-    Senders before `sender` (already decoded) remain as classical labels,
-    senders after it are averaged out.  In "empirical" mode both happen over
-    the supplied codebooks with uniform word weights; in "ensemble" mode over
-    the product priors, which factorizes into per-letter averages.  Labels
-    are the earlier senders' words, encoded as mixed-radix integers.
-
-    With codebooks that enumerate the full alphabet at the prior's weights,
-    the two modes coincide.
-    """
-    i = int(sender)
-    if i < 0 or i >= ch.s:
-        raise ValidationError(f"sender {i} out of range for {ch.s} senders")
-    word = tuple(int(x) for x in word)
-    n = len(word)
-    if any(x < 0 or x >= ch.sender_alphabets[i] for x in word):
-        raise ValidationError(f"word {word} outside alphabet of sender {i}")
-    block = block_channel(ch, n, max_block_dim)
-    dim = block.output_dim
-    before = list(range(i))
-    after = list(range(i + 1, ch.s))
-    spaces = tuple(ch.sender_alphabets[j] ** n for j in before)
-
-    if mode == "empirical":
-        if codebooks is None or any(j not in codebooks for j in before + after):
-            raise ValidationError("empirical mode needs a codebook for every other sender")
-        for j in before + after:
-            if codebooks[j].n != n:
-                raise ValidationError(f"codebook for sender {j} has block length "
-                                      f"{codebooks[j].n}, expected {n}")
-        label_combos = list(itertools.product(*(codebooks[j].words for j in before)))
-        if len(set(label_combos)) > max_atoms:
-            raise CapExceeded(
-                f"empirical word state would hold {len(set(label_combos))} atoms, cap is {max_atoms}"
-            )
-        after_combos = list(itertools.product(*(codebooks[j].words for j in after)))
-        acc: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
-        counts: dict[tuple[tuple[int, ...], ...], int] = {}
-        for combo in label_combos:
-            counts[combo] = counts.get(combo, 0) + 1
-            if combo not in acc:
-                total = np.zeros((dim, dim), dtype=complex)
-                for rest in after_combos:
-                    words = list(combo) + [word] + list(rest)
-                    total += block.state_for_words(words)
-                acc[combo] = total / len(after_combos)
-        n_combos = len(label_combos)
-        atoms = (
-            (tuple(word_index(w, ch.sender_alphabets[j]) for j, w in zip(before, combo)),
-             counts[combo] / n_combos,
-             ops.hermitize(acc[combo]))
-            for combo in acc
-        )
-        return make_ensemble(spaces, dim, atoms)
-
-    if mode != "ensemble":
-        raise ValidationError(f"mode must be 'ensemble' or 'empirical', got {mode!r}")
-    if int(np.prod(spaces)) > max_atoms:
-        raise CapExceeded(
-            f"ensemble word state would hold {int(np.prod(spaces))} atoms, cap is {max_atoms}"
-        )
-    reduced = reduced_channel(ch, prior, before + [i]) if after else None
-    atoms = []
-    for combo in itertools.product(
-            *(itertools.product(range(ch.sender_alphabets[j]), repeat=n) for j in before)):
-        p = 1.0
-        for j, w in zip(before, combo):
-            for x in w:
-                p *= float(prior.per_sender[j][x])
-        if p < ATOM_FLOOR:
-            continue
-        per_letter = []
-        for k in range(n):
-            letters = tuple(w[k] for w in combo) + (word[k],)
-            if after:
-                per_letter.append(reduced[letters])
-            else:
-                per_letter.append(ch.state(letters))
-        label = tuple(word_index(w, ch.sender_alphabets[j]) for j, w in zip(before, combo))
-        atoms.append((label, p, ops.tensor_all(per_letter)))
-    return make_ensemble(spaces, dim, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -471,38 +370,6 @@ class SequentialDecoder:
         return inst
 
 
-def sequential_decode_exact(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
-                            messages: Sequence[int],
-                            decoder: SequentialDecoder | None = None,
-                            max_block_dim: int | None = None
-                            ) -> tuple[float, list[float]]:
-    """Exact success probability of decoding every sender's message.
-
-    Runs the operator chain: start from the transmitted word state, and for
-    each stage conjugate by the square root of the correct outcome's POVM
-    element (conditioned on the true prefix, which is what the all-correct
-    branch has decoded).  Returns (success, cumulative branch weight after
-    each stage); the error probability is 1 - success.
-    """
-    if decoder is None:
-        decoder = SequentialDecoder(ch, codebooks, prior, max_block_dim)
-    if len(messages) != ch.s:
-        raise ValidationError(f"expected {ch.s} messages, got {len(messages)}")
-    words = []
-    for i, (m, cb) in enumerate(zip(messages, codebooks)):
-        if m < 0 or m >= cb.size:
-            raise ValidationError(f"message {m} out of range for sender {i}")
-        words.append(cb.words[m])
-    sigma = decoder.block.state_for_words(words)
-    weights = []
-    for i in range(ch.s):
-        inst = decoder.stage_instrument(i, words[:i])
-        root = inst.sqrt_element(int(messages[i]))
-        sigma = root @ sigma @ root
-        weights.append(float(np.trace(sigma).real))
-    return weights[-1], weights
-
-
 # ---------------------------------------------------------------------------
 # average error and reports
 # ---------------------------------------------------------------------------
@@ -561,32 +428,30 @@ class SimReport:
 def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
                   mode: str = "exhaustive", trials: int | None = None,
                   seed: int | None = None, max_block_dim: int | None = None,
-                  max_messages: int = DEFAULT_MAX_MESSAGES,
                   master_seed: int | None = None) -> SimReport:
     """Mean decoding error over message tuples, with per-stage gentleness stats.
 
     "exhaustive" enumerates every message tuple (product of codebook sizes
-    capped at `max_messages`); "monte_carlo" samples `trials` tuples
-    uniformly using `seed`.  For each stage the report carries the average
-    stage error on undisturbed inputs and the exact average disturbance the
-    gentle measurement inflicts, with its sqrt(8 eps) + eps bound.
+    capped at 4096); "monte_carlo" samples `trials` >= 1 tuples uniformly
+    using `seed`.  For each stage the report carries the average stage error
+    on undisturbed inputs and the exact average disturbance the gentle
+    measurement inflicts, with its sqrt(8 eps) + eps bound.
     """
     t0 = time.perf_counter()
     decoder = SequentialDecoder(ch, codebooks, prior, max_block_dim)
     sizes = tuple(cb.size for cb in codebooks)
     if mode == "exhaustive":
         count = int(np.prod(sizes))
-        if count > max_messages:
-            raise CapExceeded(
-                f"exhaustive decoding needs {count} message tuples, cap is {max_messages}"
-            )
+        if count > DEFAULT_MAX_MESSAGES:
+            raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
+                              f"cap is {DEFAULT_MAX_MESSAGES}")
         tuples = list(itertools.product(*(range(L) for L in sizes)))
         trial_seed = None
     elif mode == "monte_carlo":
         if trials is None or seed is None:
             raise ValidationError("monte_carlo mode needs trials= and seed=")
-        if trials < 0:
-            raise ValidationError(f"trials must be >= 0, got {trials}")
+        if trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {trials}")
         rng = np.random.default_rng(int(seed))
         tuples = [
             tuple(int(rng.integers(L)) for L in sizes) for _ in range(trials)
@@ -607,25 +472,20 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         sigma = sigma0
         for i in range(s):
             inst = decoder.stage_instrument(i, words[:i])
-            root = inst.sqrt_element(int(msg[i]))
             # gentleness accounting on the undisturbed word state
-            correct = float(np.trace(sigma0 @ inst.povm.element(int(msg[i]))).real)
-            leak = sum(
-                float(np.trace(sigma0 @ elem).real)
-                for lab, elem in inst.povm.elements if lab != int(msg[i])
-            )
-            stage_eps[i] += max(0.0, 1.0 - correct)
-            stage_dist[i] += ops.trace_norm(sigma0 - root @ sigma0 @ root) + leak
+            eps, dist = _branch_disturbance(sigma0, inst, msg[i])
+            stage_eps[i] += eps
+            stage_dist[i] += dist
+            root = inst.sqrt_element(msg[i])
             sigma = root @ sigma @ root
             stage_success[i] += float(np.trace(sigma).real)
         total_error += 1.0 - float(np.trace(sigma).real)
 
     count = len(tuples)
-    if count:
-        stage_success /= count
-        stage_eps /= count
-        stage_dist /= count
-        total_error /= count
+    stage_success /= count
+    stage_eps /= count
+    stage_dist /= count
+    total_error /= count
     bounds = tuple(float(np.sqrt(8.0 * e) + e) for e in stage_eps)
     return SimReport(
         n=n,
@@ -650,21 +510,16 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
 def run_simulation(ch: CqMacChannel, prior: Prior, n: int, sizes: Sequence[int],
                    master_seed: int, mode: str = "exhaustive",
                    trials: int | None = None,
-                   max_block_dim: int | None = None,
-                   max_messages: int = DEFAULT_MAX_MESSAGES) -> SimReport:
+                   max_block_dim: int | None = None) -> SimReport:
     """Sample codebooks from a master seed and evaluate the code.
 
     The master seed splits into one seed per codebook plus one for Monte
     Carlo message sampling, so reports are bit-exact replayable.
     """
-    seeds = derive_seeds(master_seed, ch.s + 1)
-    codebooks = [
-        sample_codebook(prior.per_sender[i], n, int(sizes[i]), seeds[i], sender=i)
-        for i in range(ch.s)
-    ]
+    codebooks = codebooks_from_seed(ch, prior, n, sizes, master_seed)
+    trial_seed = derive_seeds(master_seed, ch.s + 1)[ch.s]
     return average_error(
         ch, codebooks, prior, mode=mode, trials=trials,
-        seed=seeds[ch.s] if mode == "monte_carlo" else None,
-        max_block_dim=max_block_dim, max_messages=max_messages,
-        master_seed=int(master_seed),
+        seed=trial_seed if mode == "monte_carlo" else None,
+        max_block_dim=max_block_dim, master_seed=int(master_seed),
     )

@@ -10,12 +10,13 @@ and must agree; disagreement means the numerics are broken and raises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import operators as ops
-from .channel import CqEnsemble, make_ensemble, normalize_subset, subset_mask
+from .channel import (CqEnsemble, make_ensemble, mask_members, normalize_subset,
+                      subset_mask)
 from .operators import ValidationError, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
@@ -101,12 +102,26 @@ def subsystem_entropy(e: CqEnsemble, sel: SubsystemSelector) -> float:
     return h
 
 
-def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector,
-                            cap: int | None = None) -> float:
+def entropy_table(e: CqEnsemble) -> dict[tuple[int, bool], float]:
+    """H of every (label subset mask, include-quantum) block of the ensemble.
+
+    The empty block (0, False) is included with entropy 0, so that chain-rule
+    differences need no special case.
+    """
+    table: dict[tuple[int, bool], float] = {(0, False): 0.0}
+    for mask in range(1 << len(e.label_spaces)):
+        for quantum in (False, True):
+            if mask or quantum:
+                table[(mask, quantum)] = subsystem_entropy(
+                    e, SubsystemSelector.of(mask_members(mask), quantum))
+    return table
+
+
+def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Same quantity by the dense oracle: expand the whole ensemble to its
     block-diagonal matrix, partial-trace to the selector, diagonalize."""
     sel.validate(e)
-    gamma = e.dense_matrix(cap)
+    gamma = e.dense_matrix()
     dims = list(e.label_spaces) + [e.quantum_dim]
     keep = sorted(sel.classical) + ([len(e.label_spaces)] if sel.quantum else [])
     sigma = ops.partial_trace(gamma, dims, keep)
@@ -167,27 +182,6 @@ def mutual_information(e: CqEnsemble, members: Iterable[int]) -> float:
             f"conditional mutual information {form_b!r} below -1e-9 for J={sorted(sub)}"
         )
     return max(form_b, 0.0)
-
-
-def conditional_channel_entropy(states, q) -> float:
-    """Average output entropy sum_a q(a) S(V_a) in bits.
-
-    `states` may be a sequence of density matrices or a mapping from letters
-    to density matrices (aligned with q over sorted keys).
-    """
-    if isinstance(states, Mapping):
-        keys = sorted(states)
-        mats = [states[k] for k in keys]
-        if isinstance(q, Mapping):
-            q = [q[k] for k in keys]
-    else:
-        mats = list(states)
-    q = np.asarray(q, dtype=float).ravel()
-    if q.size != len(mats):
-        raise ValidationError(f"{len(mats)} states but {q.size} probabilities")
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-10:
-        raise ValidationError("q is not a probability vector")
-    return float(sum(p * ops.entropy_bits(m) for p, m in zip(q, mats) if p > 0))
 
 
 def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -> float:
@@ -283,19 +277,14 @@ class InfoReport:
 def info_report(e: CqEnsemble) -> InfoReport:
     """All subsystem entropies and all I(X(J) ^ Y | X(Jc)) of an ensemble."""
     arity = len(e.label_spaces)
-    entropies: dict[str, float] = {}
-    for mask in range(1 << arity):
-        members = [i for i in range(arity) if mask >> i & 1]
-        for quantum in (False, True):
-            if not members and not quantum:
-                continue
-            sel = SubsystemSelector.of(members, quantum)
-            entropies[sel.key()] = subsystem_entropy(e, sel)
+    entropies = {
+        SubsystemSelector.of(mask_members(mask), quantum).key(): h
+        for (mask, quantum), h in entropy_table(e).items() if mask or quantum
+    }
     cond: dict[str, float] = {}
     raw: dict[str, float] = {}
     for mask in range(1, 1 << arity):
-        members = frozenset(i for i in range(arity) if mask >> i & 1)
-        form_a, form_b = _mutual_information_forms(e, members)
+        form_a, form_b = _mutual_information_forms(e, mask_members(mask))
         if abs(form_a - form_b) > MI_FORM_TOL or form_b < -MI_CLAMP:
             raise ValidationError(f"inconsistent mutual information for mask {mask}")
         raw[str(mask)] = form_b

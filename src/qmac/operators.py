@@ -44,22 +44,22 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "operator") -> np.ndarray:
+def check_hermitian(a, name: str = "operator") -> np.ndarray:
     a = as_operator(a)
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if dev > tol:
+    if dev > HERMITIAN_TOL:
         raise ValidationError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return a
 
 
-def check_density(rho, tol: float = TRACE_TOL, name: str = "state") -> np.ndarray:
+def check_density(rho, name: str = "state") -> np.ndarray:
     """Validate a density matrix: Hermitian, eigenvalues >= -1e-10, trace 1."""
     rho = check_hermitian(rho, name=name)
     w = np.linalg.eigvalsh(hermitize(rho))
     if w[0] < -PSD_CLAMP:
         raise ValidationError(f"{name} has negative eigenvalue {w[0]:.3e}")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
     return rho
 
@@ -103,11 +103,10 @@ def op_sqrt(a) -> np.ndarray:
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
 
 
-def pinv_sqrt(a, support_floor: float = SUPPORT_FLOOR,
-              support_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def pinv_sqrt(a, support_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse square root of a PSD operator and its support projector.
 
-    Eigenvalues at or below max(support_floor, max_eig * support_rtol) are
+    Eigenvalues at or below max(1e-12, max_eig * support_rtol) are
     treated as null space; a nonzero relative cutoff keeps the inversion
     stable when the spectrum spans many orders of magnitude.  Returns
     (a^{-1/2} on supp, projector onto supp).
@@ -115,7 +114,7 @@ def pinv_sqrt(a, support_floor: float = SUPPORT_FLOOR,
     w, v = eig_hermitian(a)
     if w.size and w[0] < -PSD_HARD:
         raise ValidationError(f"operator is not PSD (eigenvalue {w[0]:.3e})")
-    cutoff = max(support_floor, float(w[-1]) * support_rtol) if w.size else support_floor
+    cutoff = max(SUPPORT_FLOOR, float(w[-1]) * support_rtol) if w.size else SUPPORT_FLOOR
     on = w > cutoff
     inv = np.where(on, 1.0 / np.sqrt(np.where(on, w, 1.0)), 0.0)
     root = hermitize((v * inv) @ v.conj().T)

@@ -22,7 +22,6 @@ from . import entropy as ent
 from .channel import (CqMacChannel, Prior, channel_state, mask_members,
                       normalize_subset, subset_mask)
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded
-from .entropy import SubsystemSelector, subsystem_entropy
 from .operators import ValidationError
 
 MEMBER_TOL = 1e-9
@@ -85,21 +84,6 @@ class MixtureSpec:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
-def _entropy_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, bool], float]:
-    """H over every (label subset mask, include-quantum) selector of the channel state."""
-    e = channel_state(ch, prior)
-    table: dict[tuple[int, bool], float] = {(0, False): 0.0}
-    for mask in range(1 << ch.s):
-        members = [i for i in range(ch.s) if mask >> i & 1]
-        for quantum in (False, True):
-            if not members and not quantum:
-                continue
-            table[(mask, quantum)] = subsystem_entropy(
-                e, SubsystemSelector.of(members, quantum)
-            )
-    return table
-
-
 def _clamp_mi(value: float, context: str) -> float:
     if value < -ent.MI_CLAMP:
         raise ValidationError(f"{context}: mutual information {value!r} below -1e-9")
@@ -141,32 +125,27 @@ def _corner_from_table(table: dict[tuple[int, bool], float], perm: tuple[int, ..
     return RatePoint(tuple(rates))
 
 
-def corner(ch: CqMacChannel, prior: Prior, perm: Sequence[int]) -> RatePoint:
-    """Rate tuple achieved by successive decoding in the given sender order.
+def corner_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, ...], RatePoint]:
+    """Corner for every decoding order, computed off one shared entropy table.
 
-    The rates telescope: their total equals the full-set bound.
+    The rates of each corner telescope: their total equals the full-set bound.
     """
-    perm = _check_perm(perm, ch.s)
-    return _corner_from_table(_entropy_table(ch, prior), perm, ch.s)
-
-
-def corner_table(ch: CqMacChannel, prior: Prior,
-                 max_senders: int = DEFAULT_MAX_PERM_SENDERS) -> dict[tuple[int, ...], RatePoint]:
-    """Corner for every decoding order, computed off one shared entropy table."""
-    if ch.s > max_senders:
+    if ch.s > DEFAULT_MAX_PERM_SENDERS:
         raise CapExceeded(
             f"corner enumeration needs {math.factorial(ch.s)} permutations for s={ch.s}, "
-            f"configured cap is s<={max_senders}"
+            f"configured cap is s<={DEFAULT_MAX_PERM_SENDERS}"
         )
-    table = _entropy_table(ch, prior)
+    table = ent.entropy_table(channel_state(ch, prior))
     return {
         perm: _corner_from_table(table, perm, ch.s)
         for perm in itertools.permutations(range(ch.s))
     }
 
 
-def _dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
-                  tol: float = CORNER_DEDUP_TOL) -> list[tuple[tuple[int, ...], RatePoint]]:
+def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
+                 tol: float = CORNER_DEDUP_TOL) -> list[tuple[tuple[int, ...], RatePoint]]:
+    """Keep each (perm, point) pair whose point is farther than tol (max-norm)
+    from every point kept before it."""
     kept: list[tuple[tuple[int, ...], RatePoint]] = []
     for perm, point in pairs:
         if not any(
@@ -176,19 +155,15 @@ def _dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
     return kept
 
 
-def all_corners(ch: CqMacChannel, prior: Prior,
-                max_senders: int = DEFAULT_MAX_PERM_SENDERS) -> list[RatePoint]:
+def corners_with_perms(ch: CqMacChannel,
+                       prior: Prior) -> list[tuple[tuple[int, ...], RatePoint]]:
+    """Distinct corners (within 1e-9), each with the first permutation achieving it."""
+    return dedup_points(sorted(corner_table(ch, prior).items()))
+
+
+def all_corners(ch: CqMacChannel, prior: Prior) -> list[RatePoint]:
     """Distinct corners (within 1e-9), ordered by first achieving permutation."""
-    pairs = sorted(corner_table(ch, prior, max_senders).items())
-    return [point for _, point in _dedup_points(pairs)]
-
-
-def corners_with_perms(ch: CqMacChannel, prior: Prior,
-                       max_senders: int = DEFAULT_MAX_PERM_SENDERS
-                       ) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """Like all_corners but keeps the first permutation achieving each point."""
-    pairs = sorted(corner_table(ch, prior, max_senders).items())
-    return _dedup_points(pairs)
+    return [point for _, point in corners_with_perms(ch, prior)]
 
 
 def corner_from_bounds(cs: RateConstraintSet, perm: Sequence[int]) -> RatePoint:
@@ -262,8 +237,7 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def grid_priors(alphabet_sizes: Sequence[int], resolution: int,
-                max_points: int = DEFAULT_MAX_GRID_POINTS) -> list[Prior]:
+def grid_priors(alphabet_sizes: Sequence[int], resolution: int) -> list[Prior]:
     """Product priors whose per-sender probabilities are numerators over `resolution`.
 
     Deterministic lexicographic enumeration; the grid refines as resolution
@@ -275,9 +249,9 @@ def grid_priors(alphabet_sizes: Sequence[int], resolution: int,
     count = 1
     for a in alphabet_sizes:
         count *= math.comb(k + a - 1, a - 1)
-    if count > max_points:
+    if count > DEFAULT_MAX_GRID_POINTS:
         raise CapExceeded(
-            f"grid would contain {count} priors, configured cap is {max_points}"
+            f"grid would contain {count} priors, configured cap is {DEFAULT_MAX_GRID_POINTS}"
         )
     per_sender = [
         [np.array(c, dtype=float) / k for c in _compositions(k, a)]
@@ -286,24 +260,22 @@ def grid_priors(alphabet_sizes: Sequence[int], resolution: int,
     return [Prior(tuple(vs)) for vs in itertools.product(*per_sender)]
 
 
-def boundary_sweep(ch: CqMacChannel, resolution: int,
-                   max_points: int = DEFAULT_MAX_GRID_POINTS,
-                   max_senders: int = DEFAULT_MAX_PERM_SENDERS) -> list[SweepPoint]:
+def boundary_sweep(ch: CqMacChannel, resolution: int) -> list[SweepPoint]:
     """Constraint sets and corners over the deterministic prior grid.
 
     The convex hull of all emitted corners plus the origin under-approximates
     the capacity region and grows monotonically under grid refinement.
     """
     out = []
-    for idx, prior in enumerate(grid_priors(ch.sender_alphabets, resolution, max_points)):
+    for idx, prior in enumerate(grid_priors(ch.sender_alphabets, resolution)):
         cs = constraint_set(ch, prior)
-        corners = tuple(corners_with_perms(ch, prior, max_senders))
+        corners = tuple(corners_with_perms(ch, prior))
         out.append(SweepPoint(idx, prior, cs, corners))
     return out
 
 
 # ---------------------------------------------------------------------------
-# two-sender hull helpers
+# two-sender hull
 # ---------------------------------------------------------------------------
 
 def upper_boundary_2d(points: Iterable[RatePoint]) -> list[RatePoint]:
@@ -313,11 +285,12 @@ def upper_boundary_2d(points: Iterable[RatePoint]) -> list[RatePoint]:
     points and the origin; the returned vertices are sorted by increasing
     first rate and decreasing second rate.
     """
-    pts = sorted({(p.rates[0], p.rates[1]) for p in points})
+    points = list(points)
+    if any(p.s != 2 for p in points):
+        raise ValidationError("upper_boundary_2d expects two-sender points")
+    pts = sorted({p.rates for p in points})
     if not pts:
         return []
-    if any(len(p) != 2 for p in pts):
-        raise ValidationError("upper_boundary_2d expects two-sender points")
     # upper-left anchor and lower-right anchor close the region along the axes
     x_max = max(x for x, _ in pts)
     y_max = max(y for _, y in pts)
@@ -336,36 +309,3 @@ def upper_boundary_2d(points: Iterable[RatePoint]) -> list[RatePoint]:
         if not any(x2 >= x - 1e-15 and y2 >= y - 1e-15 and (x2, y2) != (x, y) for x2, y2 in hull)
     ]
     return [RatePoint(p) for p in pareto] if pareto else [RatePoint(hull[0])]
-
-
-def hull_member_2d(point: RatePoint, vertices: Sequence[RatePoint],
-                   tol: float = MEMBER_TOL) -> bool:
-    """Membership of a point in the downward-closed convex hull of 2-D vertices."""
-    if point.s != 2:
-        raise ValidationError("hull_member_2d expects a two-sender point")
-    pts = sorted({(v.rates[0], v.rates[1]) for v in vertices})
-    x_max = max(x for x, _ in pts)
-    y_max = max(y for _, y in pts)
-    x, y = point.rates
-    if x > x_max + tol or y > y_max + tol:
-        return False
-    boundary = [(0.0, y_max)] + pts + [(x_max, 0.0)]
-    # point is inside iff it lies under every supporting segment of the envelope
-    envelope = []
-    for p in sorted(set(boundary)):
-        while len(envelope) >= 2:
-            (x1, y1), (x2, y2) = envelope[-2], envelope[-1]
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) >= -1e-15:
-                envelope.pop()
-            else:
-                break
-        envelope.append(p)
-    for (x1, y1), (x2, y2) in zip(envelope, envelope[1:]):
-        if x1 - tol <= x <= x2 + tol:
-            if x2 - x1 < 1e-15:
-                limit = max(y1, y2)
-            else:
-                limit = y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-            if y <= limit + tol:
-                return True
-    return False

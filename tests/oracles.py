@@ -3,8 +3,9 @@
 Everything here is written from scratch on plain probability arrays and
 scalar math so the library's entropy/region/decoding paths are checked
 against genuinely different computations: classical Shannon quantities for
-diagonal channels, 2x2 closed forms, maximum-posterior decoding, and a full
-outcome-tree enumeration of the sequential decoder.
+diagonal channels, 2x2 closed forms, maximum-posterior decoding, a full
+outcome-tree enumeration of the sequential decoder, and membership in a
+two-sender hull by interpolation along its vertices.
 """
 
 import itertools
@@ -138,3 +139,27 @@ def decode_tree(channel, codebooks, prior, messages, stage_instrument, word_stat
             stack.append((outcomes + (lab,), prob * p, post))
         total += prob * max(remaining, 0.0)
     return correct, total
+
+
+def hull_member_2d(point, vertices, tol=1e-9) -> bool:
+    """Membership of a two-sender point in the downward-closed region whose
+    upper boundary has the given vertices, sorted by increasing first rate
+    and decreasing second rate (as upper_boundary_2d returns them).
+
+    The boundary runs from (0, y_max) through the vertices down to
+    (x_max, 0); the point is inside iff it lies under that polyline.
+    """
+    x, y = point.rates
+    pts = [tuple(v.rates) for v in vertices]
+    x_max = max(px for px, _ in pts)
+    y_max = max(py for _, py in pts)
+    boundary = [(0.0, y_max)] + pts + [(x_max, 0.0)]
+    for (x1, y1), (x2, y2) in zip(boundary, boundary[1:]):
+        if x1 - tol <= x <= x2 + tol:
+            if x2 - x1 < 1e-15:
+                limit = max(y1, y2)
+            else:
+                limit = y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+            if y <= limit + tol:
+                return True
+    return False

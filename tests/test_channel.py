@@ -336,6 +336,9 @@ def test_prior_validation():
         Prior((np.array([0.5, 0.6]),))
     with pytest.raises(ValidationError):
         Prior((np.array([-0.1, 1.1]),))
+    for bad in ([np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Prior((np.array(bad),))
 
 
 def test_prior_degenerate_alphabet():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 from qmac.catalog import builtin_channel_text
 from qmac.cli import main
@@ -51,6 +52,20 @@ def test_missing_file_exit_2(capsys):
 
 
 # --- region ---------------------------------------------------------------------
+
+def test_region_nan_prior_exit_1(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "region", "--channel", "adder-classical",
+                             "--prior", "nan,0.5;0.5,0.5")
+    assert code == 1
+    assert out == ""
+    assert not caught
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: prior for sender 0")
+    assert "non-finite" in lines[0]
+
 
 def test_region_adder_csv(capsys):
     code, out, _ = run(capsys, "region", "--channel", "adder-classical", "--corners")
@@ -196,6 +211,15 @@ def test_simulate_cap_exceeded_exit_1(capsys):
                        "--max-block-dim", "64")
     assert code == 1
     assert "cap" in err
+
+
+def test_simulate_mc_zero_trials_exit_1(capsys):
+    code, out, err = run(capsys, "simulate", "--channel", "qubit-pure-mac",
+                         "--n", "2", "--sizes", "2,2", "--seed", "5",
+                         "--mode", "mc", "--trials", "0")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: trials must be >= 1, got 0"]
 
 
 def test_simulate_csv_format(capsys):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from qmac.catalog import load_builtin_channel
-from qmac.channel import Prior, validate_channel
+from qmac.channel import Prior, block_channel, validate_channel
 from qmac.coding import (Codebook, Povm, SequentialDecoder, TenderInstrument,
-                         average_error, averaged_word_state, codebooks_from_seed,
-                         disturbance_check, index_word, pgm_decoder,
-                         run_simulation, sample_codebook,
-                         sequential_decode_exact, sizes_from_rates,
-                         tender_apply, tender_bound_check, word_index)
+                         average_error, codebooks_from_seed, disturbance_check,
+                         pgm_decoder, run_simulation, sample_codebook,
+                         sizes_from_rates, tender_apply, tender_bound_check)
 from qmac.config import CapExceeded
 from qmac.operators import ValidationError
 from qmac.region import corner_table
@@ -89,64 +87,51 @@ def test_sizes_from_rates():
     assert sizes_from_rates([1.0], 2, delta=1.0) == [1]
 
 
-def test_word_index_roundtrip():
-    for word in itertools.product(range(3), repeat=4):
-        assert index_word(word_index(word, 3), 3, 4) == word
-
-
-# --- averaged word states ----------------------------------------------------------
+# --- stage word states ----------------------------------------------------------
 
 def test_single_sender_word_state_is_block_state():
     ch = load_builtin_channel("holevo-two-state")
-    e = averaged_word_state(ch, 0, (0, 1), Prior.uniform((2,)))
-    assert e.label_spaces == ()
-    assert len(e.atoms) == 1
+    decoder = SequentialDecoder(ch, [Codebook(0, 2, ((0, 1),))], Prior.uniform((2,)))
+    states = decoder.stage_states(0, [])
+    assert len(states) == 1
     want = np.kron(ch.state((0,)), ch.state((1,)))
-    assert np.max(np.abs(e.atoms[0][2] - want)) < 1e-12
+    assert np.max(np.abs(states[0][1] - want)) < 1e-12
 
 
 def test_adder_first_stage_hand_average():
     ch = load_builtin_channel("adder-classical")
-    e = averaged_word_state(ch, 0, (0,), Prior.uniform((2, 2)))
-    assert len(e.atoms) == 1
-    assert np.allclose(e.atoms[0][2], np.diag([0.5, 0.5, 0.0]))
+    books = [Codebook(0, 1, ((0,),)), Codebook(1, 1, ((1,),))]
+    decoder = SequentialDecoder(ch, books, Prior.uniform((2, 2)))
+    [(label, rho)] = decoder.stage_states(0, [])
+    assert label == 0
+    assert np.allclose(rho, np.diag([0.5, 0.5, 0.0]))
 
 
 def test_last_stage_with_singleton_codebooks():
     ch = orthogonal_channel()
-    books = {0: Codebook(0, 1, ((1,),))}
-    e = averaged_word_state(ch, 1, (0,), Prior.uniform((2, 2)), mode="empirical",
-                            codebooks=books)
-    assert len(e.atoms) == 1
-    label, p, rho = e.atoms[0]
-    assert label == (word_index((1,), 2),)
-    assert abs(p - 1.0) < 1e-12
+    books = [Codebook(0, 1, ((1,),)), Codebook(1, 1, ((0,),))]
+    decoder = SequentialDecoder(ch, books, Prior.uniform((2, 2)))
+    [(label, rho)] = decoder.stage_states(1, [(1,)])
+    assert label == 0
     assert np.allclose(rho, ch.state((1, 0)))
 
 
 def test_empirical_equals_ensemble_on_full_enumeration():
+    # with codebooks that enumerate every word, a uniform average over the
+    # later senders' codebooks is the average over their uniform priors
     ch = load_builtin_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     n = 2
-    words = tuple(itertools.product(range(2), repeat=n))
-    books = {0: Codebook(0, n, words), 1: Codebook(1, n, words)}
-    for sender in (0, 1):
-        word = (1, 0)
-        emp = averaged_word_state(ch, sender, word, prior, mode="empirical",
-                                  codebooks=books)
-        ens = averaged_word_state(ch, sender, word, prior, mode="ensemble")
-        assert emp.label_spaces == ens.label_spaces
-        assert len(emp.atoms) == len(ens.atoms)
-        for (l1, p1, r1), (l2, p2, r2) in zip(emp.atoms, ens.atoms):
-            assert l1 == l2
-            assert abs(p1 - p2) <= 1e-12
-            assert np.max(np.abs(r1 - r2)) <= 1e-12
-
-
-def test_averaged_word_state_rejects_bad_mode():
-    ch = load_builtin_channel("holevo-two-state")
-    with pytest.raises(ValidationError):
-        averaged_word_state(ch, 0, (0,), Prior.uniform((2,)), mode="echo")
+    books = full_binary_books(n)
+    decoder = SequentialDecoder(ch, books, prior)
+    block = block_channel(ch, n)
+    words = books[0].words
+    for m, rho in decoder.stage_states(0, []):
+        want = sum(block.state_for_words([words[m], w]) for w in words) / len(words)
+        assert np.max(np.abs(rho - want)) <= 1e-12
+    for prefix in words:
+        for m, rho in decoder.stage_states(1, [prefix]):
+            assert np.max(np.abs(rho - block.state_for_words([prefix, words[m]]))) <= 1e-12
 
 
 # --- pretty-good measurement ---------------------------------------------------------
@@ -299,12 +284,11 @@ def test_chain_weights_non_increasing():
     ch = load_builtin_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 3, (2, 2), master_seed=5)
-    decoder = SequentialDecoder(ch, books, prior)
-    for msg in itertools.product(range(2), range(2)):
-        success, weights = sequential_decode_exact(ch, books, prior, msg, decoder)
-        assert weights[0] <= 1.0 + 1e-12
-        assert all(b <= a + 1e-12 for a, b in zip(weights, weights[1:]))
-        assert abs(success - weights[-1]) < 1e-15
+    report = average_error(ch, books, prior)
+    weights = report.stage_success
+    assert weights[0] <= 1.0 + 1e-12
+    assert all(b <= a + 1e-12 for a, b in zip(weights, weights[1:]))
+    assert abs(report.avg_error - (1.0 - weights[-1])) < 1e-12
 
 
 def test_monte_carlo_reports_are_deterministic():
@@ -320,7 +304,7 @@ def test_exhaustive_cap():
     ch = constant_channel()
     books = [Codebook(0, 1, ((0,),) * 64), Codebook(1, 1, ((0,),) * 65)]
     with pytest.raises(CapExceeded):
-        average_error(ch, books, Prior.uniform((2, 2)), max_messages=4096)
+        average_error(ch, books, Prior.uniform((2, 2)))
 
 
 def test_adder_longer_blocks_decode_better():

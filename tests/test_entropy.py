@@ -7,8 +7,8 @@ import pytest
 from qmac.catalog import load_builtin_channel
 from qmac.channel import Prior, channel_state, make_ensemble, validate_channel
 from qmac.checks import random_channel, random_prior
-from qmac.entropy import (SubsystemSelector, check_subadditivity,
-                          conditional_channel_entropy, conditional_entropy,
+from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
+                          check_subadditivity, conditional_entropy,
                           fano_bound_check, info_report, mutual_information,
                           restrict, subsystem_entropy, subsystem_entropy_dense)
 from qmac.operators import ValidationError
@@ -185,12 +185,18 @@ def test_mi_empty_subset_rejected():
 
 # --- H(V|Q) ---------------------------------------------------------------------------
 
+def one_sender_entropy(states, q):
+    """H(V|Q) = sum_a q(a) S(V_a) of a one-sender channel state."""
+    ch = validate_channel((len(states),), 2, {(a,): m for a, m in enumerate(states)})
+    return average_conditional_entropy(channel_state(ch, Prior((np.asarray(q),))), (0,))
+
+
 def test_conditional_channel_entropy():
-    assert conditional_channel_entropy([Z0, Z1], [0.5, 0.5]) == 0.0
-    assert abs(conditional_channel_entropy([Z0, np.eye(2) / 2], [0.0, 1.0]) - 1.0) < 1e-12
-    assert abs(conditional_channel_entropy([np.eye(2) / 2, Z0], [0.5, 0.5]) - 0.5) < 1e-12
+    assert one_sender_entropy([Z0, Z1], [0.5, 0.5]) == 0.0
+    assert abs(one_sender_entropy([Z0, np.eye(2) / 2], [0.0, 1.0]) - 1.0) < 1e-12
+    assert abs(one_sender_entropy([np.eye(2) / 2, Z0], [0.5, 0.5]) - 0.5) < 1e-12
     with pytest.raises(ValidationError):
-        conditional_channel_entropy([Z0], [0.5, 0.5])
+        one_sender_entropy([Z0], [0.5, 0.5])
 
 
 # --- subadditivity ----------------------------------------------------------------------

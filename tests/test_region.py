@@ -9,12 +9,11 @@ from qmac.checks import random_channel, random_diagonal_channel, random_prior
 from qmac.config import CapExceeded
 from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
-                         all_corners, boundary_sweep, constraint_set, corner,
+                         all_corners, boundary_sweep, constraint_set,
                          corner_from_bounds, corner_table, grid_priors,
-                         hull_member_2d, is_member, mixture_constraints,
-                         upper_boundary_2d)
+                         is_member, mixture_constraints, upper_boundary_2d)
 
-from oracles import classical_bound, classical_corner, classical_joint
+from oracles import classical_bound, classical_corner, classical_joint, hull_member_2d
 
 TWO_STATE_CHI = 0.6008760366928562
 
@@ -70,8 +69,9 @@ def test_constraint_set_validation():
 def test_adder_corners_both_orders():
     ch = adder()
     p = Prior.uniform((2, 2))
-    assert np.allclose(corner(ch, p, (0, 1)).rates, (0.5, 1.0), atol=1e-9)
-    assert np.allclose(corner(ch, p, (1, 0)).rates, (1.0, 0.5), atol=1e-9)
+    table = corner_table(ch, p)
+    assert np.allclose(table[(0, 1)].rates, (0.5, 1.0), atol=1e-9)
+    assert np.allclose(table[(1, 0)].rates, (1.0, 0.5), atol=1e-9)
     points = all_corners(ch, p)
     assert len(points) == 2
     assert np.allclose(points[0].rates, (0.5, 1.0), atol=1e-9)
@@ -82,22 +82,22 @@ def test_corner_matches_classical_oracle():
     joint = adder_joint()
     want_01 = classical_corner(joint, (0, 1))
     want_10 = classical_corner(joint, (1, 0))
-    ch = adder()
-    p = Prior.uniform((2, 2))
-    assert np.allclose(corner(ch, p, (0, 1)).rates, want_01, atol=1e-9)
-    assert np.allclose(corner(ch, p, (1, 0)).rates, want_10, atol=1e-9)
+    table = corner_table(adder(), Prior.uniform((2, 2)))
+    assert np.allclose(table[(0, 1)].rates, want_01, atol=1e-9)
+    assert np.allclose(table[(1, 0)].rates, want_10, atol=1e-9)
 
 
 def test_single_sender_corner_is_the_bound():
     ch = load_builtin_channel("holevo-two-state")
     p = Prior.uniform((2,))
     cs = constraint_set(ch, p)
-    assert abs(corner(ch, p, (0,)).rates[0] - cs.bounds[1]) < 1e-12
+    assert abs(corner_table(ch, p)[(0,)].rates[0] - cs.bounds[1]) < 1e-12
 
 
 def test_corner_rejects_bad_permutation():
+    cs = constraint_set(adder(), Prior.uniform((2, 2)))
     with pytest.raises(ValidationError):
-        corner(adder(), Prior.uniform((2, 2)), (0, 0))
+        corner_from_bounds(cs, (0, 0))
 
 
 def test_corners_collapse_when_one_sender_is_silent():
@@ -125,10 +125,12 @@ def test_telescoping_and_membership_random():
 
 
 def test_corner_cap():
-    rng = np.random.default_rng(42)
-    ch = random_channel(rng, max_senders=2)
+    # 7 senders means 5040 decode orders, above the cap of 6 senders
+    alphabets = (2,) * 7
+    states = {k: np.eye(1) for k in itertools.product(*(range(a) for a in alphabets))}
+    ch = validate_channel(alphabets, 1, states)
     with pytest.raises(CapExceeded):
-        corner_table(ch, random_prior(rng, ch), max_senders=ch.s - 1)
+        corner_table(ch, Prior.uniform(alphabets))
 
 
 # --- membership --------------------------------------------------------------------
@@ -239,9 +241,10 @@ def test_sweep_refinement_nests():
 
 
 def test_sweep_grid_too_large():
-    ch = adder()
+    # 401**2 priors at resolution 400, above the cap of 100,000; the count is
+    # checked before any prior is built
     with pytest.raises(CapExceeded):
-        boundary_sweep(ch, 4, max_points=10)
+        boundary_sweep(adder(), 400)
 
 
 def test_single_sender_two_state_sweep_maximizer():
@@ -261,3 +264,8 @@ def test_upper_boundary_2d_adder():
     assert (1.0, 0.5) in [(round(a, 9), round(b, 9)) for a, b in coords]
     assert hull_member_2d(RatePoint((0.75, 0.75)), hull)
     assert not hull_member_2d(RatePoint((1.0, 1.0)), hull)
+
+
+def test_upper_boundary_2d_rejects_three_sender_points():
+    with pytest.raises(ValidationError):
+        upper_boundary_2d([RatePoint((0.1, 0.2, 0.3)), RatePoint((0.3, 0.1, 0.0))])
