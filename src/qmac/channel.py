@@ -240,7 +240,8 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
 
     Atoms with probability below 1e-15 are dropped (they contribute nothing
     to entropies but destabilize logarithms).  Labels must be unique and in
-    range; probabilities must be nonnegative and sum to 1 within 1e-10.
+    range; probabilities must be nonnegative and sum to 1 within 1e-10; each
+    kept state must pass `check_density`, the one check that entropies trust.
     """
     spaces = tuple(int(a) for a in label_spaces)
     d = int(quantum_dim)
@@ -263,7 +264,7 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (d, d):
             raise ValidationError(f"atom {label_t}: state shape {rho.shape}, expected ({d}, {d})")
-        seen[label_t] = (p, rho)
+        seen[label_t] = (p, ops.check_density(rho, name=f"atom {label_t}"))
     if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(f"atom probabilities sum to {total:.12g}, expected 1")
     ordered = tuple((label, p, rho) for label, (p, rho) in sorted(seen.items()))

@@ -37,12 +37,6 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def random_povm(rng: np.random.Generator, dim: int, outcomes: int) -> list[np.ndarray]:
     """Random POVM: normalize a family of random PSD operators by their sum."""
     mats = []

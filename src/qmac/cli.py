@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,7 @@ from . import __version__
 from .catalog import BUILTIN_CHANNELS, load_builtin_channel
 from .channel import ChannelFormatError, CqMacChannel, Prior, load_channel
 from .coding import run_simulation, sizes_from_rates
-from .config import CapExceeded
+from .config import CapExceeded, UsageError
 from .checks import run_suites
 from .operators import ValidationError
 from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
@@ -36,10 +37,6 @@ from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-
-class UsageError(ValueError):
-    """Bad command-line values (exit code 2)."""
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +102,18 @@ def _parse_int_list(spec: str, what: str) -> list[int]:
 
 def _parse_float_list(spec: str, what: str) -> list[float]:
     try:
-        return [float(x) for x in spec.split(",")]
+        values = [float(x) for x in spec.split(",")]
+        if all(math.isfinite(x) for x in values):
+            return values
     except ValueError:
-        raise UsageError(f"{what} must be a comma-joined float list, got {spec!r}")
+        pass
+    raise UsageError(f"{what} must be a comma-joined list of finite floats, got {spec!r}")
+
+
+def _check_finite(value: float, what: str, positive: bool = False) -> None:
+    if not math.isfinite(value) or (positive and value <= 0):
+        kind = "positive and finite" if positive else "finite"
+        raise UsageError(f"{what} must be {kind}, got {value}")
 
 
 def _parse_grid_spec(spec: str) -> int:
@@ -122,7 +128,10 @@ def _parse_grid_spec(spec: str) -> int:
         raise UsageError(f"grid spec must be an integer or JSON object, got {spec!r}")
     if not isinstance(doc, dict) or set(doc) != {"resolution"}:
         raise UsageError("grid spec object must have exactly the key 'resolution'")
-    return int(doc["resolution"])
+    k = doc["resolution"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise UsageError(f"grid resolution must be an integer, got {k!r}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +196,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_region(args) -> int:
-    if args.tol <= 0:
-        raise UsageError(f"tolerance must be positive, got {args.tol}")
+    _check_finite(args.tol, "tolerance", positive=True)
     ch = _load_channel_arg(args.channel)
     s = ch.s
     bound_rows: list[tuple] = []
@@ -277,6 +285,8 @@ def cmd_simulate(args) -> int:
     prior = _parse_prior(args.prior, ch.sender_alphabets)
     if args.n < 1:
         raise UsageError(f"block length must be >= 1, got {args.n}")
+    if args.seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     if (args.sizes is None) == (args.rates is None):
         raise UsageError("provide exactly one of --sizes or --rates")
     if args.sizes is not None:
@@ -285,6 +295,7 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"codebook sizes must be >= 1, got {sizes}")
     else:
         rates = _parse_float_list(args.rates, "--rates")
+        _check_finite(args.delta, "--delta")
         sizes = sizes_from_rates(rates, args.n, args.delta)
     if len(sizes) != ch.s:
         raise UsageError(f"channel has {ch.s} senders but {len(sizes)} sizes were given")
@@ -311,8 +322,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.tol <= 0:
-        raise UsageError(f"tolerance must be positive, got {args.tol}")
+    _check_finite(args.tol, "tolerance", positive=True)
+    if args.seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     if args.trials < 0:
         raise UsageError(f"trials must be >= 0, got {args.trials}")
     results = run_suites(args.suite, args.trials, args.seed, args.tol)

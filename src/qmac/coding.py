@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ from .channel import CqMacChannel, Prior, block_channel, reduced_channel
 from .config import DEFAULT_MAX_MESSAGES, CapExceeded
 from .operators import ValidationError
 
-SQRT_CONSISTENCY_TOL = 1e-9   # sqrt elements must square back to the POVM
 BRANCH_FLOOR = 1e-15          # measurement branches below this probability are dropped
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
 
@@ -69,6 +68,8 @@ def sample_codebook(prior_vec, n: int, size: int, seed: int,
     p = np.asarray(prior_vec, dtype=float).ravel()
     if size < 1 or n < 1:
         raise ValidationError("codebook size and block length must be >= 1")
+    if size > DEFAULT_MAX_MESSAGES:
+        raise CapExceeded(f"codebook of {size} words, cap is {DEFAULT_MAX_MESSAGES}")
     rng = np.random.default_rng(seed)
     letters = rng.choice(p.size, size=(size, n), p=p)
     return Codebook(sender, n, tuple(tuple(int(x) for x in row) for row in letters),
@@ -94,8 +95,13 @@ def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
 
 
 def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list[int]:
-    """Codebook sizes ceil(2^{n (R_i - delta)}), floored at one word."""
-    return [max(1, int(np.ceil(2.0 ** (n * (float(r) - delta))))) for r in rates]
+    """Codebook sizes ceil(2^{n (R_i - delta)}), floored at one word, capped like
+    `sample_codebook`; a size beyond the cap raises before it is computed."""
+    bits = [n * (float(r) - delta) for r in rates]
+    if any(b > np.log2(DEFAULT_MAX_MESSAGES) for b in bits):
+        raise CapExceeded(f"rates {list(rates)} at n={n} need codebooks of 2^{max(bits):.6g} "
+                          f"words, cap is {DEFAULT_MAX_MESSAGES}")
+    return [max(1, int(np.ceil(2.0 ** b))) for b in bits]
 
 
 # ---------------------------------------------------------------------------
@@ -128,27 +134,21 @@ class Povm:
 
 @dataclass(frozen=True)
 class TenderInstrument:
-    """A POVM implemented as the branch map rho -> sqrt(D_b) rho sqrt(D_b)."""
+    """A POVM implemented as the branch map rho -> sqrt(D_b) rho sqrt(D_b).
+
+    The roots are computed here from the POVM, so they square back by construction.
+    """
 
     povm: Povm
-    sqrt_elements: tuple[tuple[Hashable, np.ndarray], ...]
+    sqrt_elements: tuple[tuple[Hashable, np.ndarray], ...] = field(init=False)
 
     def __post_init__(self):
-        if len(self.sqrt_elements) != len(self.povm.elements):
-            raise ValidationError("sqrt_elements must match the POVM elements")
-        for (lab, root), (lab2, elem) in zip(self.sqrt_elements, self.povm.elements):
-            if lab != lab2:
-                raise ValidationError("sqrt_elements labels must match the POVM")
-            dev = float(np.max(np.abs(root @ root - elem)))
-            if dev > SQRT_CONSISTENCY_TOL:
-                raise ValidationError(
-                    f"sqrt element {lab!r} squared deviates from the POVM by {dev:.3e}"
-                )
+        roots = tuple((lab, ops.op_sqrt(m)) for lab, m in self.povm.elements)
+        object.__setattr__(self, "sqrt_elements", roots)
 
     @classmethod
     def from_povm(cls, povm: Povm) -> "TenderInstrument":
-        roots = tuple((lab, ops.op_sqrt(m)) for lab, m in povm.elements)
-        return cls(povm, roots)
+        return cls(povm)
 
     def sqrt_element(self, label: Hashable) -> np.ndarray:
         for lab, root in self.sqrt_elements:
@@ -163,6 +163,17 @@ FAIL = None  # outcome label of the PGM's residual (off-support) element
 # average state cannot be inverted stably in double precision; they count
 # as off-support and feed the residual outcome
 PGM_SUPPORT_RTOL = 1e-6
+
+
+def _state_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
+    """Uniform weights, or the given ones checked as a probability vector
+    (written so that NaN fails the check)."""
+    if weights is None:
+        return np.full(count, 1.0 / count)
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size != count or not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-10):
+        raise ValidationError("weights must be a probability vector over the states")
+    return w
 
 
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
@@ -181,12 +192,7 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValidationError("PGM states must share one dimension")
-    if weights is None:
-        w = np.full(len(mats), 1.0 / len(mats))
-    else:
-        w = np.asarray(weights, dtype=float).ravel()
-        if w.size != len(mats) or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-10:
-            raise ValidationError("weights must be a probability vector over the states")
+    w = _state_weights(weights, len(mats))
     avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
     inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
     elements = [
@@ -264,15 +270,12 @@ def _branch_disturbance(rho: np.ndarray, inst: TenderInstrument,
     eps = 1 - Tr(rho D_b); dist is the exact deviation of the branch map
     output (with its classical outcome register) from the ideal b (x) rho:
     ||rho - sqrt(D_b) rho sqrt(D_b)||_1 plus the leaked probability
-    sum_{b' != b} Tr(rho D_b').
+    sum_{b' != b} Tr(rho D_b'), which is 1 - Tr(rho D_b) because `Povm`
+    enforces completeness (to 1e-8 per entry).
     """
     root = inst.sqrt_element(b)
-    eps = max(0.0, 1.0 - float(np.trace(rho @ inst.povm.element(b)).real))
-    leak = sum(
-        float(np.trace(rho @ elem).real)
-        for lab, elem in inst.povm.elements if lab != b
-    )
-    return eps, ops.trace_norm(rho - root @ rho @ root) + leak
+    leak = 1.0 - float(np.trace(rho @ inst.povm.element(b)).real)
+    return max(0.0, leak), ops.trace_norm(rho - root @ rho @ root) + leak
 
 
 def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
@@ -285,12 +288,7 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     eps_a = 1 - Tr(rho_a D_a), and on average sqrt(8 eps) + eps with the
     averaged eps.
     """
-    if weights is None:
-        wvec = np.full(len(states), 1.0 / len(states))
-    else:
-        wvec = np.asarray(weights, dtype=float).ravel()
-        if wvec.size != len(states) or np.any(wvec < 0) or abs(wvec.sum() - 1.0) > 1e-10:
-            raise ValidationError("weights must be a probability vector over the states")
+    wvec = _state_weights(weights, len(states))
     rows = []
     eps_bar = 0.0
     avg_dist = 0.0

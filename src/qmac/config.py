@@ -12,7 +12,7 @@ import os
 # Largest dense matrix dimension (rows) we agree to materialize.
 DEFAULT_MAX_DIM = 4096
 
-# Exhaustive decoding enumerates |M_1| * ... * |M_s| message tuples.
+# Exhaustive decoding enumerates |M_1| * ... * |M_s| message tuples; no codebook is larger.
 DEFAULT_MAX_MESSAGES = 4096
 
 # Corner enumeration runs over s! permutations.
@@ -28,14 +28,24 @@ class CapExceeded(RuntimeError):
     """A computation would exceed a configured size cap."""
 
 
+class UsageError(ValueError):
+    """Bad command-line or environment values (exit code 2)."""
+
+
 def max_dim(override: int | None = None) -> int:
-    """Effective dense-dimension cap: explicit override, else QMAX env, else default."""
+    """Effective dense-dimension cap: explicit override, else QMAC_MAX_DIM, else default."""
     if override is not None:
         return int(override)
     env = os.environ.get(ENV_MAX_DIM)
-    if env is not None:
-        return int(env)
-    return DEFAULT_MAX_DIM
+    if env is None:
+        return DEFAULT_MAX_DIM
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise UsageError(f"{ENV_MAX_DIM} must be a positive integer, got {env!r}")
+    return value
 
 
 def require_dim(dim: int, cap: int | None = None, what: str = "matrix") -> None:

@@ -3,8 +3,9 @@
 Subsystem entropies are computed by the block formula
 H = H_Shannon(label marginal) + sum_l p(l) S(state_l), with an independent
 dense-matrix oracle (expand, partial-trace, diagonalize) for verification.
-Mutual informations are evaluated through two different entropy identities
-and must agree; disagreement means the numerics are broken and raises.
+Every conditional mutual information is a signed sum of entries of one
+entropy table (`table_mi`).  `mutual_information` is the oracle: it
+evaluates two different entropy identities, which must agree.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import operators as ops
-from .channel import (CqEnsemble, make_ensemble, mask_members, normalize_subset,
-                      subset_mask)
+from .channel import (ATOM_FLOOR, CqEnsemble, make_ensemble, mask_members,
+                      normalize_subset, subset_mask)
 from .operators import ValidationError, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
@@ -70,7 +71,8 @@ def restrict(e: CqEnsemble, sel: SubsystemSelector) -> CqEnsemble:
 
     Labels outside the selector are summed out (atoms merged, states
     probability-averaged); the quantum part is traced away when not selected,
-    leaving trivial one-dimensional states.
+    leaving trivial one-dimensional states.  Merged states are mixtures of
+    atoms `make_ensemble` checked, so they are not checked again.
     """
     sel.validate(e)
     kept = sorted(sel.classical)
@@ -85,20 +87,25 @@ def restrict(e: CqEnsemble, sel: SubsystemSelector) -> CqEnsemble:
             if sel.quantum:
                 entry[1] = entry[1] + p * rho
     spaces = tuple(e.label_spaces[i] for i in kept)
-    if sel.quantum:
-        atoms = ((k, p, ops.hermitize(acc / p)) for k, (p, acc) in groups.items())
-        return make_ensemble(spaces, e.quantum_dim, atoms)
     one = np.eye(1, dtype=complex)
-    return make_ensemble(spaces, 1, ((k, p, one) for k, (p, _) in groups.items()))
+    atoms = tuple(
+        (k, p, ops.hermitize(acc / p) if sel.quantum else one)
+        for k, (p, acc) in sorted(groups.items()) if p >= ATOM_FLOOR
+    )
+    return CqEnsemble(spaces, e.quantum_dim if sel.quantum else 1, atoms)
+
+
+def _state_entropy(r: CqEnsemble) -> float:
+    """sum_l p(l) S(state_l) in bits, one eigendecomposition per state."""
+    return sum(p * shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in r.atoms)
 
 
 def subsystem_entropy(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Entropy in bits of the ensemble restricted to the selected block."""
     r = restrict(e, sel)
-    probs = r.probabilities()
-    h = shannon_bits(probs)
+    h = shannon_bits(r.probabilities())
     if r.quantum_dim > 1:
-        h += sum(p * ops.entropy_bits(rho) for _, p, rho in r.atoms)
+        h += _state_entropy(r)
     return h
 
 
@@ -140,48 +147,42 @@ def conditional_entropy(e: CqEnsemble, b: SubsystemSelector, c: SubsystemSelecto
 def average_conditional_entropy(e: CqEnsemble, conditioner: Iterable[int]) -> float:
     """H(quantum | selected labels) as the probability-weighted average of the
     conditional states' entropies (valid because the conditioner is classical)."""
-    sel = SubsystemSelector.of(conditioner, quantum=True)
-    r = restrict(e, sel)
-    return sum(p * ops.entropy_bits(rho) for _, p, rho in r.atoms)
+    return _state_entropy(restrict(e, SubsystemSelector.of(conditioner, quantum=True)))
 
 
-def _mutual_information_forms(e: CqEnsemble, members: frozenset[int]) -> tuple[float, float]:
-    """I(labels in J ^ quantum | labels outside J) by two identities.
+def clamp_mi(value: float, context: str) -> float:
+    """Values in [-1e-9, 0) become 0; below that the numerics are broken and raise."""
+    if value < -MI_CLAMP:
+        raise ValidationError(f"{context}: mutual information {value!r} below -1e-9")
+    return max(value, 0.0)
 
-    Form A: difference of averaged conditional output entropies,
-    H(Y | X(Jc)) - H(Y | X(all)).  Form B: subsystem-entropy combination
-    H(X(J)) + H(X(Jc) Y) - H(X(all) Y).
-    """
-    arity = len(e.label_spaces)
-    comp = frozenset(range(arity)) - members
-    form_a = average_conditional_entropy(e, comp) - average_conditional_entropy(e, range(arity))
-    h_j = subsystem_entropy(e, SubsystemSelector.of(members))
-    h_rest = subsystem_entropy(e, SubsystemSelector.of(comp, quantum=True))
-    h_all = subsystem_entropy(e, SubsystemSelector.of(range(arity), quantum=True))
-    form_b = h_j + h_rest - h_all
-    return form_a, form_b
+
+def table_mi(table: dict[tuple[int, bool], float], mask: int, arity: int) -> float:
+    """Unclamped I(X(J) ^ Y | X(Jc)) = H(X(J)) + H(X(Jc) Y) - H(X(all) Y), J = mask."""
+    full = (1 << arity) - 1
+    return table[(mask, False)] + table[(full & ~mask, True)] - table[(full, True)]
 
 
 def mutual_information(e: CqEnsemble, members: Iterable[int]) -> float:
-    """I(X(J) ^ Y | X(Jc)) in bits for label-factor subset J.
+    """I(X(J) ^ Y | X(Jc)) in bits for label-factor subset J: the oracle of `table_mi`.
 
-    Computed via two independent identities which must agree within 1e-9;
-    values in [-1e-9, 0) are clamped to 0 so downstream region geometry
-    stays clean, more negative values raise (they would contradict strong
-    subadditivity and indicate broken numerics).
+    Form A, H(Y | X(Jc)) - H(Y | X(all)), and form B, H(X(J)) + H(X(Jc) Y)
+    - H(X(all) Y), must agree within 1e-9; form B is returned through `clamp_mi`.
     """
-    sub = normalize_subset(members, len(e.label_spaces))
-    form_a, form_b = _mutual_information_forms(e, sub)
+    arity = len(e.label_spaces)
+    sub = normalize_subset(members, arity)
+    comp = frozenset(range(arity)) - sub
+    form_a = average_conditional_entropy(e, comp) - average_conditional_entropy(e, range(arity))
+    h_j = subsystem_entropy(e, SubsystemSelector.of(sub))
+    h_rest = subsystem_entropy(e, SubsystemSelector.of(comp, quantum=True))
+    h_all = subsystem_entropy(e, SubsystemSelector.of(range(arity), quantum=True))
+    form_b = h_j + h_rest - h_all
     if abs(form_a - form_b) > MI_FORM_TOL:
         raise ValidationError(
             f"mutual information forms disagree for J={sorted(sub)}: "
             f"{form_a!r} vs {form_b!r}"
         )
-    if form_b < -MI_CLAMP:
-        raise ValidationError(
-            f"conditional mutual information {form_b!r} below -1e-9 for J={sorted(sub)}"
-        )
-    return max(form_b, 0.0)
+    return clamp_mi(form_b, f"J={sorted(sub)}")
 
 
 def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -> float:
@@ -277,16 +278,11 @@ class InfoReport:
 def info_report(e: CqEnsemble) -> InfoReport:
     """All subsystem entropies and all I(X(J) ^ Y | X(Jc)) of an ensemble."""
     arity = len(e.label_spaces)
+    table = entropy_table(e)
     entropies = {
         SubsystemSelector.of(mask_members(mask), quantum).key(): h
-        for (mask, quantum), h in entropy_table(e).items() if mask or quantum
+        for (mask, quantum), h in table.items() if mask or quantum
     }
-    cond: dict[str, float] = {}
-    raw: dict[str, float] = {}
-    for mask in range(1, 1 << arity):
-        form_a, form_b = _mutual_information_forms(e, mask_members(mask))
-        if abs(form_a - form_b) > MI_FORM_TOL or form_b < -MI_CLAMP:
-            raise ValidationError(f"inconsistent mutual information for mask {mask}")
-        raw[str(mask)] = form_b
-        cond[str(mask)] = max(form_b, 0.0)
+    raw = {str(mask): table_mi(table, mask, arity) for mask in range(1, 1 << arity)}
+    cond = {key: clamp_mi(value, f"mask {key}") for key, value in raw.items()}
     return InfoReport(entropies, cond, raw)

@@ -2,7 +2,7 @@
 
 Eigendecompositions, operator functions, tensor products, partial traces
 and norms used by every other module.  Operators are plain complex numpy
-arrays; functions validate the invariants they rely on (Hermiticity,
+arrays; public functions validate the invariants they rely on (Hermiticity,
 positivity, unit trace) and fail loudly instead of silently coercing.
 
 All entropies produced downstream are in bits (log base 2).
@@ -124,10 +124,7 @@ def pinv_sqrt(a, support_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
 
 def entropy_bits(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0 log 0 := 0."""
-    rho = check_density(rho)
-    w = np.linalg.eigvalsh(hermitize(rho))
-    w = w[w > ENTROPY_FLOOR]
-    return float(-(w * np.log2(w)).sum())
+    return shannon_bits(np.linalg.eigvalsh(hermitize(check_density(rho))))
 
 
 def shannon_bits(p) -> float:
@@ -142,11 +139,10 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_operator(a), as_operator(b))
 
 
-def tensor_all(ops: Iterable[np.ndarray]) -> np.ndarray:
-    mats = [as_operator(o) for o in ops]
-    if not mats:
-        return np.eye(1, dtype=complex)
-    return reduce(np.kron, mats)
+def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
+    """Kronecker product of states the caller already checked; [[1]] when empty."""
+    mats = list(mats)
+    return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
 
 
 def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:

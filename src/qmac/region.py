@@ -19,8 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import entropy as ent
-from .channel import (CqMacChannel, Prior, channel_state, mask_members,
-                      normalize_subset, subset_mask)
+from .channel import CqMacChannel, Prior, channel_state, mask_members
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded
 from .operators import ValidationError
 
@@ -64,9 +63,6 @@ class RateConstraintSet:
         if any(v < 0 for v in self.bounds.values()):
             raise ValidationError("bounds must be nonnegative")
 
-    def bound(self, members: Iterable[int]) -> float:
-        return self.bounds[subset_mask(normalize_subset(members, self.s))]
-
 
 @dataclass(frozen=True)
 class MixtureSpec:
@@ -78,24 +74,19 @@ class MixtureSpec:
         if not self.components:
             raise ValidationError("mixture needs at least one component")
         weights = [float(w) for w, _ in self.components]
-        if any(w < 0 for w in weights):
-            raise ValidationError("mixture weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValidationError(f"mixture weights must be finite and nonnegative, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-10:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
-def _clamp_mi(value: float, context: str) -> float:
-    if value < -ent.MI_CLAMP:
-        raise ValidationError(f"{context}: mutual information {value!r} below -1e-9")
-    return max(value, 0.0)
-
-
 def constraint_set(ch: CqMacChannel, prior: Prior) -> RateConstraintSet:
-    """All bounds I(X(J) ^ Y | X(Jc)) of the channel state, in bits."""
-    e = channel_state(ch, prior)
+    """All bounds I(X(J) ^ Y | X(Jc)) of the channel state, in bits, read off
+    the entropy table the corners use; `entropy.mutual_information` is their oracle."""
+    table = ent.entropy_table(channel_state(ch, prior))
     bounds = {
-        subset_mask(j): ent.mutual_information(e, j)
-        for j in (mask_members(m) for m in range(1, 1 << ch.s))
+        mask: ent.clamp_mi(ent.table_mi(table, mask, ch.s), f"bound for mask {mask}")
+        for mask in range(1, 1 << ch.s)
     }
     return RateConstraintSet(ch.s, bounds)
 
@@ -120,7 +111,7 @@ def _corner_from_table(table: dict[tuple[int, bool], float], perm: tuple[int, ..
         h_k = table[(1 << k, False)]
         h_ay = table[(decoded_mask, True)]
         h_aky = table[(decoded_mask | 1 << k, True)]
-        rates[k] = _clamp_mi(h_k + h_ay - h_aky, f"corner stage for sender {k}")
+        rates[k] = ent.clamp_mi(h_k + h_ay - h_aky, f"corner stage for sender {k}")
         decoded_mask |= 1 << k
     return RatePoint(tuple(rates))
 
@@ -178,7 +169,7 @@ def corner_from_bounds(cs: RateConstraintSet, perm: Sequence[int]) -> RatePoint:
     for k in reversed(perm):
         prev = cs.bounds[suffix_mask] if suffix_mask else 0.0
         suffix_mask |= 1 << k
-        rates[k] = _clamp_mi(cs.bounds[suffix_mask] - prev, f"bound difference for sender {k}")
+        rates[k] = ent.clamp_mi(cs.bounds[suffix_mask] - prev, f"bound difference for sender {k}")
     return RatePoint(tuple(rates))
 
 

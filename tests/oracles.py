@@ -4,8 +4,9 @@ Everything here is written from scratch on plain probability arrays and
 scalar math so the library's entropy/region/decoding paths are checked
 against genuinely different computations: classical Shannon quantities for
 diagonal channels, 2x2 closed forms, maximum-posterior decoding, a full
-outcome-tree enumeration of the sequential decoder, and membership in a
-two-sender hull by interpolation along its vertices.
+outcome-tree enumeration of the sequential decoder, the element-by-element
+leak of a gentle instrument, and membership in a two-sender hull by
+interpolation along its vertices.
 """
 
 import itertools
@@ -139,6 +140,13 @@ def decode_tree(channel, codebooks, prior, messages, stage_instrument, word_stat
             stack.append((outcomes + (lab,), prob * p, post))
         total += prob * max(remaining, 0.0)
     return correct, total
+
+
+def explicit_leak(rho, inst, b) -> float:
+    """Probability the instrument sends rho to a wrong outcome, summed element
+    by element: sum over b' != b of Tr(rho D_b')."""
+    return sum(float(np.trace(rho @ elem).real)
+               for lab, elem in inst.povm.elements if lab != b)
 
 
 def hull_member_2d(point, vertices, tol=1e-9) -> bool:

@@ -212,6 +212,14 @@ def test_make_ensemble_rejects_duplicate_labels():
                                 ((0,), 0.5, np.eye(2) / 2)])
 
 
+def test_make_ensemble_checks_each_atom_state():
+    negative = np.diag([1.2, -0.2]).astype(complex)
+    with pytest.raises(ValidationError, match=r"atom \(1,\) has negative eigenvalue"):
+        make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, negative)])
+    with pytest.raises(ValidationError, match=r"atom \(0,\) has trace 0\.9"):
+        make_ensemble((2,), 2, [((0,), 0.5, 0.9 * Z0), ((1,), 0.5, Z0)])
+
+
 def test_dense_matrix_blocks():
     e = make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, PLUS)])
     dense = e.dense_matrix()

@@ -1,6 +1,8 @@
 import json
 import warnings
 
+import pytest
+
 from qmac.catalog import builtin_channel_text
 from qmac.cli import main
 
@@ -260,6 +262,37 @@ def test_check_negative_trials_exit_2(capsys):
                        "--seed", "1")
     assert code == 2
     assert "trials" in err
+
+
+# --- inputs rejected where they enter ------------------------------------------------
+
+SIM = ["simulate", "--channel", "adder-classical", "--n", "2"]
+REGION = ["region", "--channel", "adder-classical"]
+CHECK = ["check", "--suite", "entropy", "--trials", "1"]
+
+
+@pytest.mark.parametrize("env, argv, want", [
+    ({"QMAC_MAX_DIM": "abc"}, SIM + ["--sizes", "2,2", "--seed", "0"], 2),
+    ({"QMAC_MAX_DIM": "0"}, SIM + ["--sizes", "2,2", "--seed", "0"], 2),
+    ({}, SIM + ["--rates", "1e6,1", "--seed", "0"], 1),
+    ({}, SIM + ["--rates", "inf,0.3", "--seed", "0"], 2),
+    ({}, SIM + ["--rates", "nan,0.1", "--seed", "0"], 2),
+    ({}, SIM + ["--rates", "0.3,0.3", "--delta", "nan", "--seed", "0"], 2),
+    ({}, SIM + ["--sizes", "2,2", "--seed", "-1"], 2),
+    ({}, CHECK + ["--seed", "-1"], 2),
+    ({}, REGION + ["--sweep", '{"resolution": "x"}'], 2),
+    ({}, REGION + ["--sweep", '{"resolution": 1.5}'], 2),
+    ({}, REGION + ["--mixture", "nan*uniform+1*uniform"], 1),
+    ({}, REGION + ["--tol", "nan"], 2),
+    ({}, CHECK + ["--seed", "1", "--tol", "nan"], 2),
+])
+def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err and "nan" not in out
 
 
 # --- misc ------------------------------------------------------------------------

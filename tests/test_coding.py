@@ -10,10 +10,11 @@ from qmac.coding import (Codebook, Povm, SequentialDecoder, TenderInstrument,
                          pgm_decoder, run_simulation, sample_codebook,
                          sizes_from_rates, tender_apply, tender_bound_check)
 from qmac.config import CapExceeded
-from qmac.operators import ValidationError
+from qmac.checks import random_density
+from qmac.operators import ValidationError, trace_norm
 from qmac.region import corner_table
 
-from oracles import map_error, two_pure_state_pgm_success
+from oracles import explicit_leak, map_error, two_pure_state_pgm_success
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -72,6 +73,8 @@ def test_codebook_validation():
         Codebook(0, 2, ((0, 1), (0,)))
     with pytest.raises(ValidationError):
         Codebook(0, 1, ())
+    with pytest.raises(CapExceeded):
+        sample_codebook([0.5, 0.5], n=1, size=4097, seed=0)
 
 
 def test_derived_seeds_are_stable():
@@ -85,6 +88,11 @@ def test_sizes_from_rates():
     assert sizes_from_rates([0.5, 1.0], 2) == [2, 4]
     assert sizes_from_rates([0.0], 4) == [1]
     assert sizes_from_rates([1.0], 2, delta=1.0) == [1]
+    assert sizes_from_rates([1.0], 12) == [4096]
+    with pytest.raises(CapExceeded):
+        sizes_from_rates([1e6, 1.0], 2)
+    with pytest.raises(CapExceeded):
+        sizes_from_rates([1.0], 13)
 
 
 # --- stage word states ----------------------------------------------------------
@@ -167,6 +175,16 @@ def test_pgm_empty_rejected():
         pgm_decoder([])
 
 
+def test_state_weights_rejected_unless_probability_vector():
+    states = [(0, Z0), (1, PLUS)]
+    inst = TenderInstrument.from_povm(pgm_decoder(states))
+    for bad in ([float("nan"), 1.0], [0.5, 0.6], [-0.5, 1.5], [1.0]):
+        with pytest.raises(ValidationError, match="probability vector"):
+            pgm_decoder(states, weights=bad)
+        with pytest.raises(ValidationError, match="probability vector"):
+            tender_bound_check(states, inst, weights=bad)
+
+
 def test_povm_validation():
     with pytest.raises(ValidationError):
         Povm(2, ((0, Z0), (1, 0.5 * Z1)))
@@ -207,10 +225,29 @@ def test_tender_diagonal_example():
     assert abs(total - 1.0) < 1e-9
 
 
-def test_instrument_sqrt_consistency_enforced():
-    povm = Povm(2, ((0, Z0), (1, Z1)))
-    with pytest.raises(ValidationError):
-        TenderInstrument(povm, ((0, Z0), (1, 0.5 * Z1)))
+def test_instrument_roots_square_back():
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        d = int(rng.integers(2, 7))
+        states = [(a, random_density(rng, d)) for a in range(int(rng.integers(2, 6)))]
+        povm = pgm_decoder(states)
+        inst = TenderInstrument(povm)
+        assert [lab for lab, _ in inst.sqrt_elements] == [lab for lab, _ in povm.elements]
+        for (_, root), (_, elem) in zip(inst.sqrt_elements, povm.elements):
+            assert np.max(np.abs(root @ root - elem)) <= 1e-9
+
+
+def test_identity_leak_equals_explicit_sum():
+    rng = np.random.default_rng(54)
+    for _ in range(40):
+        d = int(rng.integers(2, 7))
+        states = [(a, random_density(rng, d)) for a in range(int(rng.integers(2, 6)))]
+        inst = TenderInstrument.from_povm(pgm_decoder(states))
+        check = tender_bound_check(states, inst)
+        for (a, rho), (_, _, dist, _) in zip(states, check.per_state):
+            root = inst.sqrt_element(a)
+            explicit = trace_norm(rho - root @ rho @ root) + explicit_leak(rho, inst, a)
+            assert abs(dist - explicit) <= 1e-12
 
 
 # --- disturbance bounds -----------------------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qmac.catalog import load_builtin_channel
-from qmac.channel import Prior, validate_channel
+from qmac.channel import Prior, channel_state, mask_members, validate_channel
 from qmac.checks import random_channel, random_diagonal_channel, random_prior
 from qmac.config import CapExceeded
+from qmac.entropy import info_report, mutual_information
 from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          all_corners, boundary_sweep, constraint_set,
@@ -201,6 +202,9 @@ def test_mixture_weight_validation():
     p = Prior.uniform((2, 2))
     with pytest.raises(ValidationError):
         MixtureSpec(((0.5, p), (0.3, p)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="finite"):
+            MixtureSpec(((bad, p), (1.0, p)))
 
 
 def test_mixture_component_cap():
@@ -269,3 +273,19 @@ def test_upper_boundary_2d_adder():
 def test_upper_boundary_2d_rejects_three_sender_points():
     with pytest.raises(ValidationError):
         upper_boundary_2d([RatePoint((0.1, 0.2, 0.3)), RatePoint((0.3, 0.1, 0.0))])
+
+
+# --- table route against the two-form oracle -------------------------------------
+
+def test_table_bounds_match_mutual_information_oracle():
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        ch = random_channel(rng)
+        prior = random_prior(rng, ch)
+        e = channel_state(ch, prior)
+        cs = constraint_set(ch, prior)
+        report = info_report(e)
+        for mask in range(1, 1 << ch.s):
+            oracle = mutual_information(e, mask_members(mask))
+            assert abs(cs.bounds[mask] - oracle) <= 1e-12
+            assert abs(report.conditional_mi[str(mask)] - oracle) <= 1e-12
