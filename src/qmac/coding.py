@@ -114,47 +114,62 @@ class Povm:
 
     dim: int
     elements: tuple[tuple[Hashable, np.ndarray], ...]
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops.check_povm([m for _, m in self.elements], self.dim)
-        labels = [lab for lab, _ in self.elements]
-        if len(set(labels)) != len(labels):
+        index = {lab: i for i, (lab, _) in enumerate(self.elements)}
+        if len(index) != len(self.elements):
             raise ValidationError("POVM outcome labels must be unique")
+        object.__setattr__(self, "_index", index)
 
     @property
     def matrices(self) -> list[np.ndarray]:
         return [m for _, m in self.elements]
 
+    def _position(self, label: Hashable) -> int | None:
+        """Index of the outcome in `elements`, or None when there is none."""
+        try:
+            return self._index.get(label)
+        except TypeError:   # an unhashable label names no outcome
+            return None
+
     def element(self, label: Hashable) -> np.ndarray:
-        for lab, m in self.elements:
-            if lab == label:
-                return m
-        raise ValidationError(f"POVM has no outcome {label!r}")
+        i = self._position(label)
+        if i is None:
+            raise ValidationError(f"POVM has no outcome {label!r}")
+        return self.elements[i][1]
 
 
 @dataclass(frozen=True)
 class TenderInstrument:
     """A POVM implemented as the branch map rho -> sqrt(D_b) rho sqrt(D_b).
 
-    The roots are computed here from the POVM, so they square back by construction.
+    Each root is computed from the POVM on its first lookup and cached, so
+    roots square back by construction and a decoder pays only for the
+    outcomes it reads.
     """
 
     povm: Povm
-    sqrt_elements: tuple[tuple[Hashable, np.ndarray], ...] = field(init=False)
-
-    def __post_init__(self):
-        roots = tuple((lab, ops.op_sqrt(m)) for lab, m in self.povm.elements)
-        object.__setattr__(self, "sqrt_elements", roots)
+    _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @classmethod
     def from_povm(cls, povm: Povm) -> "TenderInstrument":
         return cls(povm)
 
+    @property
+    def sqrt_elements(self) -> tuple[tuple[Hashable, np.ndarray], ...]:
+        """Every (label, root) pair, in POVM order."""
+        return tuple((lab, self.sqrt_element(lab)) for lab, _ in self.povm.elements)
+
     def sqrt_element(self, label: Hashable) -> np.ndarray:
-        for lab, root in self.sqrt_elements:
-            if lab == label:
-                return root
-        raise ValidationError(f"instrument has no outcome {label!r}")
+        i = self.povm._position(label)
+        if i is None:
+            raise ValidationError(f"instrument has no outcome {label!r}")
+        root = self._roots.get(i)
+        if root is None:
+            root = self._roots[i] = ops.op_sqrt(self.povm.elements[i][1])
+        return root
 
 
 FAIL = None  # outcome label of the PGM's residual (off-support) element

@@ -5,8 +5,9 @@ scalar math so the library's entropy/region/decoding paths are checked
 against genuinely different computations: classical Shannon quantities for
 diagonal channels, 2x2 closed forms, maximum-posterior decoding, a full
 outcome-tree enumeration of the sequential decoder, the element-by-element
-leak of a gentle instrument, and membership in a two-sender hull by
-interpolation along its vertices.
+leak of a gentle instrument, membership in a two-sender hull by
+interpolation along its vertices, and positivity decided by a full
+eigendecomposition.
 """
 
 import itertools
@@ -147,6 +148,18 @@ def explicit_leak(rho, inst, b) -> float:
     by element: sum over b' != b of Tr(rho D_b')."""
     return sum(float(np.trace(rho @ elem).real)
                for lab, elem in inst.povm.elements if lab != b)
+
+
+def smallest_eigenvalue(a) -> float:
+    """Smallest eigenvalue of the Hermitian part of a, from eigvalsh."""
+    a = np.asarray(a, dtype=complex)
+    return float(np.linalg.eigvalsh((a + a.conj().T) / 2)[0])
+
+
+def psd_within(a, clamp=1e-10) -> bool:
+    """The positivity predicate of the library's density and POVM checks:
+    smallest eigenvalue >= -clamp."""
+    return not smallest_eigenvalue(a) < -clamp
 
 
 def hull_member_2d(point, vertices, tol=1e-9) -> bool:

@@ -11,7 +11,7 @@ from qmac.coding import (Codebook, Povm, SequentialDecoder, TenderInstrument,
                          sizes_from_rates, tender_apply, tender_bound_check)
 from qmac.config import CapExceeded
 from qmac.checks import random_density
-from qmac.operators import ValidationError, trace_norm
+from qmac.operators import ValidationError, op_sqrt, trace_norm
 from qmac.region import corner_table
 
 from oracles import explicit_leak, map_error, two_pure_state_pgm_success
@@ -190,6 +190,19 @@ def test_povm_validation():
         Povm(2, ((0, Z0), (1, 0.5 * Z1)))
     with pytest.raises(ValidationError):
         Povm(2, ((0, Z0), (0, Z1)))
+    with pytest.raises(ValidationError, match="dimension 0"):
+        Povm(0, ((0, np.zeros((0, 0))),))
+
+
+def test_unknown_outcome_rejected():
+    povm = Povm(2, ((0, Z0), (1, Z1)))
+    inst = TenderInstrument.from_povm(povm)
+    for label in (2, None, "0", [0]):
+        with pytest.raises(ValidationError, match="POVM has no outcome"):
+            povm.element(label)
+        with pytest.raises(ValidationError, match="instrument has no outcome"):
+            inst.sqrt_element(label)
+    assert povm.element(np.int64(1)) is Z1
 
 
 # --- gentle instruments ---------------------------------------------------------------
@@ -235,6 +248,29 @@ def test_instrument_roots_square_back():
         assert [lab for lab, _ in inst.sqrt_elements] == [lab for lab, _ in povm.elements]
         for (_, root), (_, elem) in zip(inst.sqrt_elements, povm.elements):
             assert np.max(np.abs(root @ root - elem)) <= 1e-9
+
+
+def test_instrument_roots_are_lazy_and_cached(monkeypatch):
+    calls = []
+    monkeypatch.setattr("qmac.operators.op_sqrt", lambda a: calls.append(1) or op_sqrt(a))
+    rng = np.random.default_rng(55)
+    for _ in range(30):
+        d = int(rng.integers(2, 7))
+        states = [(a, random_density(rng, d)) for a in range(int(rng.integers(2, 6)))]
+        povm = pgm_decoder(states)
+        calls.clear()
+        inst = TenderInstrument.from_povm(povm)
+        assert not calls
+        labels = [lab for lab, _ in povm.elements]
+        lab = labels[int(rng.integers(len(labels)))]
+        root = inst.sqrt_element(lab)
+        assert np.array_equal(root, op_sqrt(povm.element(lab)))
+        assert inst.sqrt_element(lab) is root
+        assert len(calls) == 1
+        assert [b for b, _ in inst.sqrt_elements] == labels
+        assert len(calls) == len(labels)
+        for b, r in inst.sqrt_elements:
+            assert np.array_equal(r, op_sqrt(povm.element(b)))
 
 
 def test_identity_leak_equals_explicit_sum():

@@ -6,6 +6,8 @@ from qmac.operators import (ValidationError, check_density, check_povm,
                             partial_trace, pinv_sqrt, tensor, tensor_all,
                             trace_norm)
 
+from oracles import psd_within, smallest_eigenvalue
+
 
 def random_hermitian(rng, d):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -225,3 +227,51 @@ def test_check_povm():
     check_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     with pytest.raises(ValidationError):
         check_povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
+
+
+def _psd_rejection(check, m):
+    """The message of a positivity rejection by `check`, or None."""
+    try:
+        check(m)
+    except ValidationError as exc:
+        if "negative eigenvalue" in str(exc):
+            return str(exc)
+    return None
+
+
+def _with_spectrum(rng, w):
+    u = random_unitary(rng, len(w))
+    return (u * np.asarray(w, dtype=float)) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 16, 128])
+def test_psd_check_matches_eigvalsh_oracle(d):
+    rng = np.random.default_rng(1000 + d)
+    mins = [0.0, -1e-6] + [-1e-10 + sign * off for off in (1e-12, 1e-9) for sign in (1, -1)]
+    cases = []   # (state of trace 1, POVM element with its complement PSD)
+    for lam in mins:
+        rest = rng.uniform(0.05, 0.95, d - 1)
+        density = np.concatenate([[lam], rest * (1 - lam) / rest.sum()]) if d > 1 else [lam]
+        cases.append((_with_spectrum(rng, density),
+                      _with_spectrum(rng, np.concatenate([[lam], rest]))))
+    for _ in range(3):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        pure = np.outer(v, v.conj()) / np.vdot(v, v).real
+        cases.append((pure, pure))
+    for state, elem in cases:
+        for check, m in ((check_density, state),
+                         (lambda e: check_povm([e, np.eye(d) - e]), elem)):
+            msg = _psd_rejection(check, m)
+            assert (msg is None) == psd_within(m), (d, smallest_eigenvalue(m), msg)
+            if msg is not None:
+                assert f"negative eigenvalue {smallest_eigenvalue(m):.3e}" in msg
+
+
+def test_zero_dimension_rejected():
+    empty = np.zeros((0, 0))
+    with pytest.raises(ValidationError, match="trace 0"):
+        check_density(empty)
+    with pytest.raises(ValidationError, match="trace 0"):
+        entropy_bits(empty)
+    with pytest.raises(ValidationError, match="dimension 0"):
+        check_povm([empty])
