@@ -151,9 +151,11 @@ def entropy_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResu
         prior = random_prior(rng, ch)
         e = channel_state(ch, prior)
         arity = ch.s
-        for (mask, quantum), block in ent.entropy_table(e).items():
+        table = ent.entropy_table(e)
+        for mask, quantum in itertools.product(range(1 << arity), (0, 1)):
             if not (mask or quantum):
                 continue
+            block = float(table[mask, quantum])
             sel = SubsystemSelector.of(mask_members(mask), quantum)
             try:
                 dense = ent.subsystem_entropy_dense(e, sel)

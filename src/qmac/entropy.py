@@ -1,11 +1,15 @@
 """Information quantities of labeled classical-quantum ensembles.
 
-Subsystem entropies are computed by the block formula
-H = H_Shannon(label marginal) + sum_l p(l) S(state_l), with an independent
-dense-matrix oracle (expand, partial-trace, diagonalize) for verification.
-Every conditional mutual information is a signed sum of entries of one
-entropy table (`table_mi`).  `mutual_information` is the oracle: it
-evaluates two different entropy identities, which must agree.
+`entropy_tables` is the one entropy table: for a stack of label
+distributions sharing one table of states it returns H of every (label
+subset, with or without the quantum part) block, by the block formula
+H = H_Shannon(group masses) + sum_g p(g) S(state_g), with every conditional
+state of a batch formed by one einsum per label subset and diagonalized by
+one batched eigvalsh.  Every conditional mutual information is a signed sum
+of table entries (`table_mi`).  `restrict`, `subsystem_entropy` and
+`mutual_information` (two entropy identities, which must agree) are the
+per-block oracle path, with a dense-matrix oracle (expand, partial-trace,
+diagonalize) beside them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ from .operators import ValidationError, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
 MI_CLAMP = 1e-9         # raw values in [-MI_CLAMP, 0) are reported as 0
+# Bytes of conditional states `entropy_tables` stacks at once.  Label
+# distributions are processed in chunks of this size, so that a sweep over the
+# largest allowed prior grid runs in bounded memory.  Small chunks keep each
+# chunk's temporaries below glibc's default 128 KiB mmap threshold, so they
+# are reused from the heap: a 1 MiB budget raised the peak resident set of a
+# 343-prior, 3-sender, d=4 sweep by about 0.4 MB.
+CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,31 +108,71 @@ def restrict(e: CqEnsemble, sel: SubsystemSelector) -> CqEnsemble:
 
 def _state_entropy(r: CqEnsemble) -> float:
     """sum_l p(l) S(state_l) in bits, one eigendecomposition per state."""
-    return sum(p * shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in r.atoms)
+    return float(sum(p * shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in r.atoms))
 
 
 def subsystem_entropy(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Entropy in bits of the ensemble restricted to the selected block."""
     r = restrict(e, sel)
-    h = shannon_bits(r.probabilities())
+    h = float(shannon_bits(r.probabilities()))
     if r.quantum_dim > 1:
         h += _state_entropy(r)
     return h
 
 
-def entropy_table(e: CqEnsemble) -> dict[tuple[int, bool], float]:
-    """H of every (label subset mask, include-quantum) block of the ensemble.
+def entropy_tables(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """H in bits of every block of a stack of ensembles that share their states.
 
-    The empty block (0, False) is included with entropy 0, so that chain-rule
+    `weights` has shape (P, a_1, ..., a_s): row p holds the probability of
+    each label tuple in ensemble p.  `states` has shape (a_1, ..., a_s, d, d)
+    and holds the state of each label tuple; the caller has checked them.
+    Returns shape (P, 2^s, 2): entry [p, mask, q] is the entropy of ensemble p
+    restricted to the label factors in `mask`, with the quantum part when
+    q == 1.  Entry [p, 0, 0], the empty block, is 0, so that chain-rule
     differences need no special case.
+
+    As in `restrict`, labels below 1e-15 are dropped, a group's mass is the
+    sum of its labels' weights, and its state is the weighted average of
+    theirs, hermitized.  Each chunk of ensembles costs one einsum and one
+    batched eigvalsh per mask.
     """
-    table: dict[tuple[int, bool], float] = {(0, False): 0.0}
-    for mask in range(1 << len(e.label_spaces)):
-        for quantum in (False, True):
-            if mask or quantum:
-                table[(mask, quantum)] = subsystem_entropy(
-                    e, SubsystemSelector.of(mask_members(mask), quantum))
+    weights = np.where(weights >= ATOM_FLOOR, weights, 0.0)
+    num, *spaces = weights.shape
+    s, d = len(spaces), states.shape[-1]
+    labels = list(range(1, s + 1))
+    table = np.zeros((num, 1 << s, 2))
+    step = max(1, CHUNK_BYTES // (16 * d * d * int(np.prod(spaces))))
+    for lo in range(0, num, step):
+        w = weights[lo:lo + step]
+        for mask in range(1 << s):
+            kept = [1 + i for i in range(s) if mask >> i & 1]
+            mass = w.sum(axis=tuple(ax for ax in labels if ax not in kept))
+            flat = mass.reshape(len(w), -1)
+            h = shannon_bits(flat)
+            table[lo:lo + step, mask, 1] = h
+            if mask:
+                table[lo:lo + step, mask, 0] = h
+            if d == 1:  # a one-dimensional quantum part adds no entropy
+                continue
+            blocks = np.einsum(w, [0, *labels], states, [*labels, s + 1, s + 2],
+                               [0, *kept, s + 1, s + 2])
+            live = flat >= ATOM_FLOOR
+            blocks = blocks.reshape(-1, d, d) / np.where(live, flat, 1.0).reshape(-1, 1, 1)
+            spectra = np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(1, 2)) / 2)
+            block_h = shannon_bits(spectra).reshape(flat.shape)
+            table[lo:lo + step, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
     return table
+
+
+def entropy_table(e: CqEnsemble) -> np.ndarray:
+    """H of every (label subset mask, include-quantum) block of one ensemble:
+    `entropy_tables` of its atoms, shape (2^s, 2)."""
+    weights = np.zeros((1,) + e.label_spaces)
+    states = np.zeros(e.label_spaces + (e.quantum_dim,) * 2, dtype=complex)
+    for label, p, rho in e.atoms:
+        weights[(0,) + label] = p
+        states[label] = rho
+    return entropy_tables(weights, states)[0]
 
 
 def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:
@@ -157,10 +208,11 @@ def clamp_mi(value: float, context: str) -> float:
     return max(value, 0.0)
 
 
-def table_mi(table: dict[tuple[int, bool], float], mask: int, arity: int) -> float:
-    """Unclamped I(X(J) ^ Y | X(Jc)) = H(X(J)) + H(X(Jc) Y) - H(X(all) Y), J = mask."""
+def table_mi(table, mask: int, arity: int) -> float:
+    """Unclamped I(X(J) ^ Y | X(Jc)) = H(X(J)) + H(X(Jc) Y) - H(X(all) Y), J = mask,
+    from one ensemble's table (an `entropy_tables` row, or that row as lists)."""
     full = (1 << arity) - 1
-    return table[(mask, False)] + table[(full & ~mask, True)] - table[(full, True)]
+    return float(table[mask][0] + table[full & ~mask][1] - table[full][1])
 
 
 def mutual_information(e: CqEnsemble, members: Iterable[int]) -> float:
@@ -280,8 +332,8 @@ def info_report(e: CqEnsemble) -> InfoReport:
     arity = len(e.label_spaces)
     table = entropy_table(e)
     entropies = {
-        SubsystemSelector.of(mask_members(mask), quantum).key(): h
-        for (mask, quantum), h in table.items() if mask or quantum
+        SubsystemSelector.of(mask_members(mask), quantum).key(): float(table[mask, quantum])
+        for mask in range(1 << arity) for quantum in (0, 1) if mask or quantum
     }
     raw = {str(mask): table_mi(table, mask, arity) for mask in range(1, 1 << arity)}
     cond = {key: clamp_mi(value, f"mask {key}") for key, value in raw.items()}

@@ -146,14 +146,15 @@ def pinv_sqrt(a, support_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
 
 def entropy_bits(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0 log 0 := 0."""
-    return shannon_bits(np.linalg.eigvalsh(hermitize(check_density(rho))))
+    return float(shannon_bits(np.linalg.eigvalsh(hermitize(check_density(rho)))))
 
 
-def shannon_bits(p) -> float:
-    """Shannon entropy of a probability vector in bits; zeros are dropped."""
-    p = np.asarray(p, dtype=float).ravel()
-    p = p[p > ENTROPY_FLOOR]
-    return float(-(p * np.log2(p)).sum())
+def shannon_bits(p) -> np.ndarray:
+    """Shannon entropy in bits of each probability vector along the last axis
+    of p (a scalar for one vector); entries at or below 1e-12 are dropped."""
+    p = np.asarray(p, dtype=float)
+    p = np.where(p > ENTROPY_FLOOR, p, 1.0)
+    return -(p * np.log2(p)).sum(axis=-1)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -200,6 +201,10 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
 
 def trace_norm(a) -> float:
     """Trace norm of a Hermitian operator: sum of absolute eigenvalues."""
-    a = check_hermitian(a)
-    w = np.linalg.eigvalsh(hermitize(a))
-    return float(np.abs(w).sum())
+    return hermitian_trace_norm(check_hermitian(a))
+
+
+def hermitian_trace_norm(a: np.ndarray) -> float:
+    """`trace_norm` of an operator that is Hermitian by construction, without
+    re-checking it; for inner loops whose inputs were checked where they entered."""
+    return float(np.abs(np.linalg.eigvalsh(hermitize(a))).sum())

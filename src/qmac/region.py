@@ -4,9 +4,11 @@ prior sweeps.
 The region for a fixed prior is the set of nonnegative rate tuples whose
 subset sums stay below the conditional mutual informations; its upper
 extremal points (corners) are the successive-decoding rate tuples, one per
-decoding order.  Corners are computed by chain-rule entropy differences,
-exact and LP-free; an independent route recovers them from suffix
-differences of the bounds for cross-checking.
+decoding order.  Bounds and corners are both read off the entropy table of
+the channel state (`entropy.entropy_tables`), which a sweep computes for all
+of its priors in one batched call; corners are chain-rule entropy
+differences, exact and LP-free, and an independent route recovers them from
+suffix differences of the bounds for cross-checking.
 """
 
 from __future__ import annotations
@@ -14,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import entropy as ent
-from .channel import CqMacChannel, Prior, channel_state, mask_members
+from . import operators as ops
+from .channel import CqMacChannel, Prior, mask_members
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded
 from .operators import ValidationError
 
@@ -35,8 +38,8 @@ class RatePoint:
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
-        if any(r < 0 for r in rates):
-            raise ValidationError(f"rates must be nonnegative, got {rates}")
+        if not all(math.isfinite(r) and r >= 0 for r in rates):
+            raise ValidationError(f"rates must be finite and nonnegative, got {rates}")
         object.__setattr__(self, "rates", rates)
 
     @property
@@ -60,8 +63,8 @@ class RateConstraintSet:
             raise ValidationError(
                 f"bounds must cover every nonempty subset mask of {self.s} senders"
             )
-        if any(v < 0 for v in self.bounds.values()):
-            raise ValidationError("bounds must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in self.bounds.values()):
+            raise ValidationError("bounds must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -80,15 +83,46 @@ class MixtureSpec:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
+def _entropy_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[list]:
+    """Entropy table of the channel state under each prior, in prior order,
+    each as nested lists [mask][include-quantum].
+
+    Every channel state is checked once per call, whatever the number of
+    priors, and named by its letter tuple when it fails.
+    """
+    for prior in priors:
+        if prior.alphabet_sizes != ch.sender_alphabets:
+            raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
+                                  f"do not match channel {ch.sender_alphabets}")
+    d = ch.output_dim
+    states = np.empty(ch.sender_alphabets + (d, d), dtype=complex)
+    for x in ch.joint_letters():
+        rho = np.asarray(ch.state(x), dtype=complex)
+        if rho.shape != (d, d):
+            raise ValidationError(f"state {x}: shape {rho.shape}, expected ({d}, {d})")
+        states[x] = ops.check_density(rho, name=f"state {x}")
+    # product weights multiplied in sender order, as Prior.prob does
+    weights = np.ones(len(priors))
+    for i, a in enumerate(ch.sender_alphabets):
+        v = np.array([prior.per_sender[i] for prior in priors]).reshape(
+            (len(priors),) + (1,) * i + (a,))
+        weights = weights[..., None] * v
+    return map(np.ndarray.tolist, ent.entropy_tables(weights, states))
+
+
+def _bounds_from_table(table, s: int) -> RateConstraintSet:
+    bounds = {
+        mask: ent.clamp_mi(ent.table_mi(table, mask, s), f"bound for mask {mask}")
+        for mask in range(1, 1 << s)
+    }
+    return RateConstraintSet(s, bounds)
+
+
 def constraint_set(ch: CqMacChannel, prior: Prior) -> RateConstraintSet:
     """All bounds I(X(J) ^ Y | X(Jc)) of the channel state, in bits, read off
     the entropy table the corners use; `entropy.mutual_information` is their oracle."""
-    table = ent.entropy_table(channel_state(ch, prior))
-    bounds = {
-        mask: ent.clamp_mi(ent.table_mi(table, mask, ch.s), f"bound for mask {mask}")
-        for mask in range(1, 1 << ch.s)
-    }
-    return RateConstraintSet(ch.s, bounds)
+    (table,) = _entropy_tables(ch, [prior])
+    return _bounds_from_table(table, ch.s)
 
 
 def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
@@ -98,22 +132,32 @@ def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
     return perm
 
 
-def _corner_from_table(table: dict[tuple[int, bool], float], perm: tuple[int, ...],
-                       s: int) -> RatePoint:
-    """Successive-decoding rates in decode order `perm` from an entropy table.
+def _check_perm_cap(s: int) -> None:
+    if s > DEFAULT_MAX_PERM_SENDERS:
+        raise CapExceeded(
+            f"corner enumeration needs {math.factorial(s)} permutations for s={s}, "
+            f"configured cap is s<={DEFAULT_MAX_PERM_SENDERS}"
+        )
+
+
+def _corners_from_table(table, s: int) -> dict[tuple[int, ...], RatePoint]:
+    """Successive-decoding rates for every decode order from an entropy table.
 
     Stage i decodes sender perm[i] against the joint of the output and the
     already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).
     """
-    rates = [0.0] * s
-    decoded_mask = 0
-    for k in perm:
-        h_k = table[(1 << k, False)]
-        h_ay = table[(decoded_mask, True)]
-        h_aky = table[(decoded_mask | 1 << k, True)]
-        rates[k] = ent.clamp_mi(h_k + h_ay - h_aky, f"corner stage for sender {k}")
-        decoded_mask |= 1 << k
-    return RatePoint(tuple(rates))
+    corners = {}
+    for perm in itertools.permutations(range(s)):
+        rates = [0.0] * s
+        decoded_mask = 0
+        for k in perm:
+            h_k = table[1 << k][0]
+            h_ay = table[decoded_mask][1]
+            h_aky = table[decoded_mask | 1 << k][1]
+            rates[k] = ent.clamp_mi(h_k + h_ay - h_aky, f"corner stage for sender {k}")
+            decoded_mask |= 1 << k
+        corners[perm] = RatePoint(tuple(rates))
+    return corners
 
 
 def corner_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, ...], RatePoint]:
@@ -121,16 +165,9 @@ def corner_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, ...], RatePo
 
     The rates of each corner telescope: their total equals the full-set bound.
     """
-    if ch.s > DEFAULT_MAX_PERM_SENDERS:
-        raise CapExceeded(
-            f"corner enumeration needs {math.factorial(ch.s)} permutations for s={ch.s}, "
-            f"configured cap is s<={DEFAULT_MAX_PERM_SENDERS}"
-        )
-    table = ent.entropy_table(channel_state(ch, prior))
-    return {
-        perm: _corner_from_table(table, perm, ch.s)
-        for perm in itertools.permutations(range(ch.s))
-    }
+    _check_perm_cap(ch.s)
+    (table,) = _entropy_tables(ch, [prior])
+    return _corners_from_table(table, ch.s)
 
 
 def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
@@ -197,10 +234,10 @@ def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec,
             "(pass max_components to allow more)"
         )
     bounds = {mask: 0.0 for mask in range(1, 1 << ch.s)}
-    for weight, prior in mix.components:
-        if weight == 0.0:
-            continue
-        cs = constraint_set(ch, prior)
+    live = [(w, prior) for w, prior in mix.components if w != 0.0]
+    tables = _entropy_tables(ch, [prior for _, prior in live])
+    for (weight, _), table in zip(live, tables):
+        cs = _bounds_from_table(table, ch.s)
         for mask in bounds:
             bounds[mask] += weight * cs.bounds[mask]
     return RateConstraintSet(ch.s, bounds)
@@ -254,15 +291,18 @@ def grid_priors(alphabet_sizes: Sequence[int], resolution: int) -> list[Prior]:
 def boundary_sweep(ch: CqMacChannel, resolution: int) -> list[SweepPoint]:
     """Constraint sets and corners over the deterministic prior grid.
 
-    The convex hull of all emitted corners plus the origin under-approximates
-    the capacity region and grows monotonically under grid refinement.
+    One `entropy.entropy_tables` call covers every grid prior; the bounds and
+    the corners of each prior are read off its row.  The convex hull of all
+    emitted corners plus the origin under-approximates the capacity region
+    and grows monotonically under grid refinement.
     """
-    out = []
-    for idx, prior in enumerate(grid_priors(ch.sender_alphabets, resolution)):
-        cs = constraint_set(ch, prior)
-        corners = tuple(corners_with_perms(ch, prior))
-        out.append(SweepPoint(idx, prior, cs, corners))
-    return out
+    _check_perm_cap(ch.s)
+    priors = grid_priors(ch.sender_alphabets, resolution)
+    return [
+        SweepPoint(idx, prior, _bounds_from_table(table, ch.s),
+                   tuple(dedup_points(sorted(_corners_from_table(table, ch.s).items()))))
+        for idx, (prior, table) in enumerate(zip(priors, _entropy_tables(ch, priors)))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 
@@ -5,13 +6,16 @@ import numpy as np
 import pytest
 
 from qmac.catalog import load_builtin_channel
-from qmac.channel import Prior, channel_state, make_ensemble, validate_channel
-from qmac.checks import random_channel, random_prior
+from qmac.channel import (Prior, channel_state, make_ensemble, mask_members,
+                          validate_channel)
+from qmac.checks import random_channel, random_density, random_prior
 from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
-                          check_subadditivity, conditional_entropy,
-                          fano_bound_check, info_report, mutual_information,
-                          restrict, subsystem_entropy, subsystem_entropy_dense)
+                          check_subadditivity, conditional_entropy, entropy_table,
+                          entropy_tables, fano_bound_check, info_report,
+                          mutual_information, restrict, subsystem_entropy,
+                          subsystem_entropy_dense)
 from qmac.operators import ValidationError
+from qmac.region import constraint_set
 
 from oracles import classical_bound, classical_joint, shannon, two_pure_state_chi
 
@@ -109,6 +113,76 @@ def test_dense_oracle_agrees_on_examples():
                 sel = SubsystemSelector.of(members, quantum)
                 assert abs(subsystem_entropy(e, sel)
                            - subsystem_entropy_dense(e, sel)) <= 1e-9
+
+
+# --- batched table against the per-block oracle ----------------------------------
+
+def kernel_channel(rng, s, max_alphabet=3, max_dim=4):
+    """Random channel whose first state has trace 1 + 5e-11, inside the trace
+    tolerance: conditional states are normalized by prior mass, not by trace."""
+    alphabets = tuple(int(rng.integers(1, max_alphabet + 1)) for _ in range(s))
+    d = int(rng.integers(1, max_dim + 1))
+    states = {x: random_density(rng, d) for x in itertools.product(*map(range, alphabets))}
+    states[(0,) * s] = states[(0,) * s] * (1 + 5e-11)
+    return validate_channel(alphabets, d, states)
+
+
+def edge_priors(rng, alphabets):
+    """Random priors, and priors with zero entries, entries below the 1e-15
+    atom floor, and point masses."""
+    def vec(a, kind):
+        if kind == "random" or a == 1:
+            return rng.dirichlet(np.ones(a))
+        v = np.zeros(a)
+        if kind == "point":
+            v[int(rng.integers(a))] = 1.0
+        elif kind == "zero":
+            v[1:] = rng.dirichlet(np.ones(a - 1))
+        else:  # tiny: one entry straddling the floor, the rest random
+            v[0] = float(rng.choice([3e-16, 2e-15, 4e-13]))
+            v[1:] = rng.dirichlet(np.ones(a - 1)) * (1.0 - v[0])
+        return v
+    return [Prior(tuple(vec(a, kind) for a in alphabets))
+            for kind in ("random", "zero", "tiny", "point", "tiny")]
+
+
+def joint_weights(priors):
+    return np.stack([
+        functools.reduce(np.multiply.outer, prior.per_sender) for prior in priors
+    ])
+
+
+def test_entropy_tables_match_restrict_oracle():
+    rng = np.random.default_rng(71)
+    for trial in range(40):
+        ch = kernel_channel(rng, s=1 + trial % 3)
+        priors = edge_priors(rng, ch.sender_alphabets)
+        states = np.array([ch.state(x) for x in ch.joint_letters()]).reshape(
+            ch.sender_alphabets + (ch.output_dim,) * 2)
+        tables = entropy_tables(joint_weights(priors), states)
+        assert tables.shape == (len(priors), 1 << ch.s, 2)
+        for prior, table in zip(priors, tables):
+            e = channel_state(ch, prior)
+            assert np.max(np.abs(entropy_table(e) - table)) <= 1e-12
+            assert table[0, 0] == 0.0
+            for mask in range(1 << ch.s):
+                for quantum in (0, 1):
+                    if mask or quantum:
+                        oracle = subsystem_entropy(
+                            e, SubsystemSelector.of(mask_members(mask), quantum))
+                        assert abs(table[mask, quantum] - oracle) <= 1e-12
+
+
+def test_table_bounds_match_mutual_information_up_to_four_senders():
+    rng = np.random.default_rng(72)
+    for trial in range(24):
+        s = 1 + trial % 4
+        ch = kernel_channel(rng, s, max_alphabet=3 if s < 4 else 2, max_dim=4 if s < 4 else 3)
+        for prior in edge_priors(rng, ch.sender_alphabets):
+            e = channel_state(ch, prior)
+            cs = constraint_set(ch, prior)
+            for mask in range(1, 1 << s):
+                assert abs(cs.bounds[mask] - mutual_information(e, mask_members(mask))) <= 1e-12
 
 
 # --- conditional entropy -----------------------------------------------------------

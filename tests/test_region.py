@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+from qmac import entropy, operators
 from qmac.catalog import load_builtin_channel
-from qmac.channel import Prior, channel_state, mask_members, validate_channel
-from qmac.checks import random_channel, random_diagonal_channel, random_prior
+from qmac.channel import (CqMacChannel, Prior, channel_state, mask_members,
+                          validate_channel)
+from qmac.checks import random_channel, random_density, random_diagonal_channel, random_prior
 from qmac.config import CapExceeded
-from qmac.entropy import info_report, mutual_information
+from qmac.entropy import SubsystemSelector, info_report, mutual_information, subsystem_entropy
 from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          all_corners, boundary_sweep, constraint_set,
-                         corner_from_bounds, corner_table, grid_priors,
+                         corner_from_bounds, corner_table, dedup_points, grid_priors,
                          is_member, mixture_constraints, upper_boundary_2d)
 
 from oracles import classical_bound, classical_corner, classical_joint, hull_member_2d
@@ -146,6 +148,14 @@ def test_membership_examples():
 def test_rate_point_validation():
     with pytest.raises(ValidationError):
         RatePoint((0.5, -0.1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_rates_and_bounds_rejected(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        RatePoint((0.1, bad))
+    with pytest.raises(ValidationError, match="finite"):
+        RateConstraintSet(2, {1: 0.5, 2: bad, 3: 1.0})
 
 
 # --- quasi-classical reduction -------------------------------------------------------
@@ -289,3 +299,86 @@ def test_table_bounds_match_mutual_information_oracle():
             oracle = mutual_information(e, mask_members(mask))
             assert abs(cs.bounds[mask] - oracle) <= 1e-12
             assert abs(report.conditional_mi[str(mask)] - oracle) <= 1e-12
+
+
+# --- batched sweep ---------------------------------------------------------------
+
+def sweep_key(sp):
+    return (sp.prior_id, tuple(tuple(v) for v in sp.prior.per_sender),
+            sp.constraints.bounds, sp.corners)
+
+
+def test_sweep_chunks_match_single_chunk(monkeypatch):
+    rng = np.random.default_rng(74)
+    letters = list(itertools.product(range(2), repeat=3))
+    ch = validate_channel((2, 2, 2), 3, {x: random_density(rng, 3) for x in letters})
+    prior_bytes = 16 * 3 * 3 * len(letters)           # stacked states of one prior
+    eig_calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig_calls.append(1) or eigvalsh(a))
+    sweeps = {}
+    for per_chunk in (64, 1, 5, 63):                  # the grid has 4**3 = 64 priors
+        eig_calls.clear()
+        monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * prior_bytes)
+        sweeps[per_chunk] = [sweep_key(sp) for sp in boundary_sweep(ch, 3)]
+        assert len(eig_calls) == 8 * -(-64 // per_chunk)   # one per mask and chunk
+    assert len(sweeps[64]) == 64
+    for per_chunk in (1, 5, 63):
+        assert sweeps[per_chunk] == sweeps[64]
+
+
+def test_sweep_checks_each_state_once(monkeypatch):
+    ch = load_builtin_channel("qubit-pure-mac")
+    names = []
+    check_density = operators.check_density
+    monkeypatch.setattr(operators, "check_density",
+                        lambda rho, name="state": names.append(name) or check_density(rho, name))
+    assert len(boundary_sweep(ch, 4)) == 25
+    assert sorted(names) == sorted(f"state {x}" for x in ch.joint_letters())
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue"),
+    (np.eye(2, dtype=complex), "trace 2,"),
+])
+@pytest.mark.parametrize("call", [
+    lambda ch: boundary_sweep(ch, 2),
+    lambda ch: constraint_set(ch, Prior.uniform((2, 2))),
+    lambda ch: corner_table(ch, Prior.uniform((2, 2))),
+], ids=["boundary_sweep", "constraint_set", "corner_table"])
+def test_unchecked_channel_state_named_by_letters(bad, problem, call):
+    states = {x: np.eye(2, dtype=complex) / 2 for x in itertools.product(range(2), repeat=2)}
+    states[(1, 0)] = bad
+    ch = CqMacChannel((2, 2), 2, states)   # bypasses validate_channel
+    with pytest.raises(ValidationError, match=rf"state \(1, 0\) has {problem}"):
+        call(ch)
+
+
+def oracle_corners(ch, prior):
+    """Distinct chain-rule corners from per-block `subsystem_entropy` values."""
+    e = channel_state(ch, prior)
+
+    def h(mask, quantum):
+        if not (mask or quantum):
+            return 0.0
+        return subsystem_entropy(e, SubsystemSelector.of(mask_members(mask), quantum))
+
+    corners = {}
+    for perm in itertools.permutations(range(ch.s)):
+        rates, decoded = [0.0] * ch.s, 0
+        for k in perm:
+            rates[k] = max(h(1 << k, False) + h(decoded, True) - h(decoded | 1 << k, True), 0.0)
+            decoded |= 1 << k
+        corners[perm] = RatePoint(tuple(rates))
+    return dedup_points(sorted(corners.items()))
+
+
+def test_sweep_corners_match_oracle_table():
+    rng = np.random.default_rng(75)
+    for _ in range(5):
+        ch = random_channel(rng, max_alphabet=2)
+        for sp in boundary_sweep(ch, 2):
+            want = oracle_corners(ch, sp.prior)
+            assert [perm for perm, _ in sp.corners] == [perm for perm, _ in want]
+            for (_, got), (_, exp) in zip(sp.corners, want):
+                assert max(abs(a - b) for a, b in zip(got.rates, exp.rates)) <= 1e-12
