@@ -155,7 +155,7 @@ def entropy_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResu
         for mask, quantum in itertools.product(range(1 << arity), (0, 1)):
             if not (mask or quantum):
                 continue
-            block = float(table[mask, quantum])
+            block = table[mask][quantum]
             sel = SubsystemSelector.of(mask_members(mask), quantum)
             try:
                 dense = ent.subsystem_entropy_dense(e, sel)

@@ -290,7 +290,8 @@ def _branch_disturbance(rho: np.ndarray, inst: TenderInstrument,
     """
     root = inst.sqrt_element(b)
     leak = 1.0 - float(np.trace(rho @ inst.povm.element(b)).real)
-    return max(0.0, leak), ops.hermitian_trace_norm(rho - root @ rho @ root) + leak
+    dist = ops.trace_norm(rho - root @ rho @ root, hermitian=True) + leak
+    return max(0.0, leak), dist
 
 
 def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],

@@ -14,8 +14,9 @@ diagonalize) beside them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,9 +27,12 @@ from .operators import ValidationError, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
 MI_CLAMP = 1e-9         # raw values in [-MI_CLAMP, 0) are reported as 0
+# H in bits of each block of one ensemble, indexed [label mask][include quantum]
+EntropyTable = list[list[float]]
 # Bytes of conditional states `entropy_tables` stacks at once.  Label
-# distributions are processed in chunks of this size, so that a sweep over the
-# largest allowed prior grid runs in bounded memory.  Small chunks keep each
+# distributions are processed in chunks of this size, so that the weights and
+# states a sweep over the largest allowed prior grid stacks stay bounded; the
+# table itself holds 2^(s+1) floats per prior.  Small chunks keep each
 # chunk's temporaries below glibc's default 128 KiB mmap threshold, so they
 # are reused from the heap: a 1 MiB budget raised the peak resident set of a
 # 343-prior, 3-sender, d=4 sweep by about 0.4 MB.
@@ -120,30 +124,34 @@ def subsystem_entropy(e: CqEnsemble, sel: SubsystemSelector) -> float:
     return h
 
 
-def entropy_tables(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> Iterator[EntropyTable]:
     """H in bits of every block of a stack of ensembles that share their states.
 
-    `weights` has shape (P, a_1, ..., a_s): row p holds the probability of
-    each label tuple in ensemble p.  `states` has shape (a_1, ..., a_s, d, d)
-    and holds the state of each label tuple; the caller has checked them.
-    Returns shape (P, 2^s, 2): entry [p, mask, q] is the entropy of ensemble p
-    restricted to the label factors in `mask`, with the quantum part when
-    q == 1.  Entry [p, 0, 0], the empty block, is 0, so that chain-rule
-    differences need no special case.
+    `states` has shape (a_1, ..., a_s, d, d) and holds the state of each
+    label tuple; the caller has checked them.  The label weights of the P
+    ensembles are the product of `factors`, multiplied in order, whose
+    broadcast shape is (P, a_1, ..., a_s): one factor of that shape, or one
+    per sender of shape (P, 1, ..., a_i, ..., 1) for product priors.  Yields
+    one `EntropyTable` per ensemble, in order: entry [mask][q] is the entropy
+    of the ensemble restricted to the label factors in `mask`, with the
+    quantum part when q == 1.  Entry [0][0], the empty block, is 0, so that
+    chain-rule differences need no special case.
 
     As in `restrict`, labels below 1e-15 are dropped, a group's mass is the
     sum of its labels' weights, and its state is the weighted average of
     theirs, hermitized.  Each chunk of ensembles costs one einsum and one
-    batched eigvalsh per mask.
+    batched eigvalsh per mask; its weights and conditional states are formed
+    per chunk.
     """
-    weights = np.where(weights >= ATOM_FLOOR, weights, 0.0)
-    num, *spaces = weights.shape
+    num = factors[0].shape[0]
+    spaces = states.shape[:-2]
     s, d = len(spaces), states.shape[-1]
     labels = list(range(1, s + 1))
     table = np.zeros((num, 1 << s, 2))
     step = max(1, CHUNK_BYTES // (16 * d * d * int(np.prod(spaces))))
     for lo in range(0, num, step):
-        w = weights[lo:lo + step]
+        w = functools.reduce(np.multiply, (f[lo:lo + step] for f in factors))
+        w = np.where(w >= ATOM_FLOOR, w, 0.0)
         for mask in range(1 << s):
             kept = [1 + i for i in range(s) if mask >> i & 1]
             mass = w.sum(axis=tuple(ax for ax in labels if ax not in kept))
@@ -161,18 +169,19 @@ def entropy_tables(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
             spectra = np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(1, 2)) / 2)
             block_h = shannon_bits(spectra).reshape(flat.shape)
             table[lo:lo + step, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
-    return table
+    return map(np.ndarray.tolist, table)
 
 
-def entropy_table(e: CqEnsemble) -> np.ndarray:
+def entropy_table(e: CqEnsemble) -> EntropyTable:
     """H of every (label subset mask, include-quantum) block of one ensemble:
-    `entropy_tables` of its atoms, shape (2^s, 2)."""
+    the `entropy_tables` row of its atoms."""
     weights = np.zeros((1,) + e.label_spaces)
     states = np.zeros(e.label_spaces + (e.quantum_dim,) * 2, dtype=complex)
     for label, p, rho in e.atoms:
         weights[(0,) + label] = p
         states[label] = rho
-    return entropy_tables(weights, states)[0]
+    (table,) = entropy_tables([weights], states)
+    return table
 
 
 def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:
@@ -208,9 +217,9 @@ def clamp_mi(value: float, context: str) -> float:
     return max(value, 0.0)
 
 
-def table_mi(table, mask: int, arity: int) -> float:
+def table_mi(table: EntropyTable, mask: int, arity: int) -> float:
     """Unclamped I(X(J) ^ Y | X(Jc)) = H(X(J)) + H(X(Jc) Y) - H(X(all) Y), J = mask,
-    from one ensemble's table (an `entropy_tables` row, or that row as lists)."""
+    from one ensemble's entropy table."""
     full = (1 << arity) - 1
     return float(table[mask][0] + table[full & ~mask][1] - table[full][1])
 
@@ -332,7 +341,7 @@ def info_report(e: CqEnsemble) -> InfoReport:
     arity = len(e.label_spaces)
     table = entropy_table(e)
     entropies = {
-        SubsystemSelector.of(mask_members(mask), quantum).key(): float(table[mask, quantum])
+        SubsystemSelector.of(mask_members(mask), quantum).key(): table[mask][quantum]
         for mask in range(1 << arity) for quantum in (0, 1) if mask or quantum
     }
     raw = {str(mask): table_mi(table, mask, arity) for mask in range(1, 1 << arity)}

@@ -199,12 +199,12 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
     return out.reshape(size, size)
 
 
-def trace_norm(a) -> float:
-    """Trace norm of a Hermitian operator: sum of absolute eigenvalues."""
-    return hermitian_trace_norm(check_hermitian(a))
+def trace_norm(a, *, hermitian: bool = False) -> float:
+    """Trace norm of a Hermitian operator: sum of absolute eigenvalues.
 
-
-def hermitian_trace_norm(a: np.ndarray) -> float:
-    """`trace_norm` of an operator that is Hermitian by construction, without
-    re-checking it; for inner loops whose inputs were checked where they entered."""
+    The input is checked to be Hermitian unless `hermitian` says it is so by
+    construction, as in inner loops whose inputs were checked where they entered.
+    """
+    if not hermitian:
+        a = check_hermitian(a)
     return float(np.abs(np.linalg.eigvalsh(hermitize(a))).sum())

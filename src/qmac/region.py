@@ -83,9 +83,8 @@ class MixtureSpec:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
-def _entropy_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[list]:
-    """Entropy table of the channel state under each prior, in prior order,
-    each as nested lists [mask][include-quantum].
+def _entropy_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[ent.EntropyTable]:
+    """Entropy table of the channel state under each prior, in prior order.
 
     Every channel state is checked once per call, whatever the number of
     priors, and named by its letter tuple when it fails.
@@ -101,28 +100,29 @@ def _entropy_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[list]
         if rho.shape != (d, d):
             raise ValidationError(f"state {x}: shape {rho.shape}, expected ({d}, {d})")
         states[x] = ops.check_density(rho, name=f"state {x}")
-    # product weights multiplied in sender order, as Prior.prob does
-    weights = np.ones(len(priors))
-    for i, a in enumerate(ch.sender_alphabets):
-        v = np.array([prior.per_sender[i] for prior in priors]).reshape(
-            (len(priors),) + (1,) * i + (a,))
-        weights = weights[..., None] * v
-    return map(np.ndarray.tolist, ent.entropy_tables(weights, states))
+    # one factor per sender, multiplied in sender order as Prior.prob does
+    factors = [
+        np.array([prior.per_sender[i] for prior in priors]).reshape(
+            (len(priors),) + tuple(a if j == i else 1 for j in range(ch.s)))
+        for i, a in enumerate(ch.sender_alphabets)
+    ]
+    return ent.entropy_tables(factors, states)
 
 
-def _bounds_from_table(table, s: int) -> RateConstraintSet:
-    bounds = {
-        mask: ent.clamp_mi(ent.table_mi(table, mask, s), f"bound for mask {mask}")
-        for mask in range(1, 1 << s)
-    }
-    return RateConstraintSet(s, bounds)
-
-
-def constraint_set(ch: CqMacChannel, prior: Prior) -> RateConstraintSet:
+def constraint_set(ch: CqMacChannel, prior: Prior, *,
+                   table: ent.EntropyTable | None = None) -> RateConstraintSet:
     """All bounds I(X(J) ^ Y | X(Jc)) of the channel state, in bits, read off
-    the entropy table the corners use; `entropy.mutual_information` is their oracle."""
-    (table,) = _entropy_tables(ch, [prior])
-    return _bounds_from_table(table, ch.s)
+    the entropy table the corners use; `entropy.mutual_information` is their oracle.
+
+    `table` is the prior's table when the caller computed it with others.
+    """
+    if table is None:
+        (table,) = _entropy_tables(ch, [prior])
+    bounds = {
+        mask: ent.clamp_mi(ent.table_mi(table, mask, ch.s), f"bound for mask {mask}")
+        for mask in range(1, 1 << ch.s)
+    }
+    return RateConstraintSet(ch.s, bounds)
 
 
 def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
@@ -140,15 +140,21 @@ def _check_perm_cap(s: int) -> None:
         )
 
 
-def _corners_from_table(table, s: int) -> dict[tuple[int, ...], RatePoint]:
-    """Successive-decoding rates for every decode order from an entropy table.
+def corner_table(ch: CqMacChannel, prior: Prior, *,
+                 table: ent.EntropyTable | None = None) -> dict[tuple[int, ...], RatePoint]:
+    """Corner for every decoding order, computed off one shared entropy table
+    (`table` is the prior's table when the caller computed it with others).
 
     Stage i decodes sender perm[i] against the joint of the output and the
-    already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).
+    already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).  The
+    rates of each corner telescope: their total equals the full-set bound.
     """
+    _check_perm_cap(ch.s)
+    if table is None:
+        (table,) = _entropy_tables(ch, [prior])
     corners = {}
-    for perm in itertools.permutations(range(s)):
-        rates = [0.0] * s
+    for perm in itertools.permutations(range(ch.s)):
+        rates = [0.0] * ch.s
         decoded_mask = 0
         for k in perm:
             h_k = table[1 << k][0]
@@ -158,16 +164,6 @@ def _corners_from_table(table, s: int) -> dict[tuple[int, ...], RatePoint]:
             decoded_mask |= 1 << k
         corners[perm] = RatePoint(tuple(rates))
     return corners
-
-
-def corner_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, ...], RatePoint]:
-    """Corner for every decoding order, computed off one shared entropy table.
-
-    The rates of each corner telescope: their total equals the full-set bound.
-    """
-    _check_perm_cap(ch.s)
-    (table,) = _entropy_tables(ch, [prior])
-    return _corners_from_table(table, ch.s)
 
 
 def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
@@ -183,10 +179,12 @@ def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
     return kept
 
 
-def corners_with_perms(ch: CqMacChannel,
-                       prior: Prior) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """Distinct corners (within 1e-9), each with the first permutation achieving it."""
-    return dedup_points(sorted(corner_table(ch, prior).items()))
+def corners_with_perms(ch: CqMacChannel, prior: Prior, *,
+                       table: ent.EntropyTable | None = None
+                       ) -> list[tuple[tuple[int, ...], RatePoint]]:
+    """Distinct corners (within 1e-9), each with the first permutation achieving
+    it; `table` as in `corner_table`."""
+    return dedup_points(sorted(corner_table(ch, prior, table=table).items()))
 
 
 def all_corners(ch: CqMacChannel, prior: Prior) -> list[RatePoint]:
@@ -236,8 +234,8 @@ def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec,
     bounds = {mask: 0.0 for mask in range(1, 1 << ch.s)}
     live = [(w, prior) for w, prior in mix.components if w != 0.0]
     tables = _entropy_tables(ch, [prior for _, prior in live])
-    for (weight, _), table in zip(live, tables):
-        cs = _bounds_from_table(table, ch.s)
+    for (weight, prior), table in zip(live, tables):
+        cs = constraint_set(ch, prior, table=table)
         for mask in bounds:
             bounds[mask] += weight * cs.bounds[mask]
     return RateConstraintSet(ch.s, bounds)
@@ -291,16 +289,17 @@ def grid_priors(alphabet_sizes: Sequence[int], resolution: int) -> list[Prior]:
 def boundary_sweep(ch: CqMacChannel, resolution: int) -> list[SweepPoint]:
     """Constraint sets and corners over the deterministic prior grid.
 
-    One `entropy.entropy_tables` call covers every grid prior; the bounds and
-    the corners of each prior are read off its row.  The convex hull of all
-    emitted corners plus the origin under-approximates the capacity region
-    and grows monotonically under grid refinement.
+    One `entropy.entropy_tables` call covers every grid prior; `constraint_set`
+    and `corners_with_perms` read each prior's bounds and corners off its
+    table.  The convex hull of all emitted corners plus the origin
+    under-approximates the capacity region and grows monotonically under grid
+    refinement.
     """
-    _check_perm_cap(ch.s)
+    _check_perm_cap(ch.s)   # before the tables of the whole grid are computed
     priors = grid_priors(ch.sender_alphabets, resolution)
     return [
-        SweepPoint(idx, prior, _bounds_from_table(table, ch.s),
-                   tuple(dedup_points(sorted(_corners_from_table(table, ch.s).items()))))
+        SweepPoint(idx, prior, constraint_set(ch, prior, table=table),
+                   tuple(corners_with_perms(ch, prior, table=table)))
         for idx, (prior, table) in enumerate(zip(priors, _entropy_tables(ch, priors)))
     ]
 

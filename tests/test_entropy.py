@@ -152,6 +152,14 @@ def joint_weights(priors):
     ])
 
 
+def sender_factors(priors):
+    """One (P, 1, ..., a_i, ..., 1) factor per sender."""
+    s = len(priors[0].per_sender)
+    return [np.array([prior.per_sender[i] for prior in priors]).reshape(
+                (len(priors),) + tuple(-1 if j == i else 1 for j in range(s)))
+            for i in range(s)]
+
+
 def test_entropy_tables_match_restrict_oracle():
     rng = np.random.default_rng(71)
     for trial in range(40):
@@ -159,18 +167,20 @@ def test_entropy_tables_match_restrict_oracle():
         priors = edge_priors(rng, ch.sender_alphabets)
         states = np.array([ch.state(x) for x in ch.joint_letters()]).reshape(
             ch.sender_alphabets + (ch.output_dim,) * 2)
-        tables = entropy_tables(joint_weights(priors), states)
-        assert tables.shape == (len(priors), 1 << ch.s, 2)
+        tables = list(entropy_tables([joint_weights(priors)], states))
+        # per-sender factors multiply to the same weights in the same order
+        assert list(entropy_tables(sender_factors(priors), states)) == tables
+        assert np.shape(tables) == (len(priors), 1 << ch.s, 2)
         for prior, table in zip(priors, tables):
             e = channel_state(ch, prior)
-            assert np.max(np.abs(entropy_table(e) - table)) <= 1e-12
-            assert table[0, 0] == 0.0
+            assert np.max(np.abs(np.subtract(entropy_table(e), table))) <= 1e-12
+            assert table[0][0] == 0.0
             for mask in range(1 << ch.s):
                 for quantum in (0, 1):
                     if mask or quantum:
                         oracle = subsystem_entropy(
                             e, SubsystemSelector.of(mask_members(mask), quantum))
-                        assert abs(table[mask, quantum] - oracle) <= 1e-12
+                        assert abs(table[mask][quantum] - oracle) <= 1e-12
 
 
 def test_table_bounds_match_mutual_information_up_to_four_senders():

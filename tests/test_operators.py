@@ -209,6 +209,15 @@ def test_trace_norm_triangle_and_multiplicative():
         )
 
 
+def test_trace_norm_of_trusted_hermitian_skips_only_the_check():
+    rng = np.random.default_rng(19)
+    for d in (1, 2, 5):
+        a = random_hermitian(rng, d)
+        assert trace_norm(a, hermitian=True) == trace_norm(a)
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_trace_norm_zero_iff_zero():
     assert trace_norm(np.zeros((3, 3))) == 0.0
 
