@@ -21,8 +21,7 @@ The package splits into a small dependency chain:
 from .channel import (BlockChannel, ChannelFormatError, CqEnsemble,
                       CqMacChannel, Prior, block_channel, channel_from_dict,
                       channel_state, channel_to_dict, load_channel,
-                      precompose_qq, reduced_channel, save_channel,
-                      validate_channel)
+                      precompose_qq, reduced_channel, save_channel)
 from .coding import (Codebook, Povm, SimReport, TenderInstrument,
                      average_error, disturbance_check, pgm_decoder,
                      run_simulation, sample_codebook, tender_apply,
@@ -54,5 +53,5 @@ __all__ = [
     "pgm_decoder", "precompose_qq", "reduced_channel", "restrict",
     "run_simulation", "sample_codebook", "save_channel", "subsystem_entropy",
     "subsystem_entropy_dense", "tender_apply", "tender_bound_check", "tensor",
-    "trace_norm", "upper_boundary_2d", "validate_channel",
+    "trace_norm", "upper_boundary_2d",
 ]

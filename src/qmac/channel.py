@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import operators as ops
-from .config import require_dim
+from .config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded, require_dim
 from .operators import ValidationError
 
 PROB_TOL = 1e-10        # tolerance for probability vectors summing to 1
@@ -115,21 +116,86 @@ class Prior:
 # channels
 # ---------------------------------------------------------------------------
 
+def _table_shape(sender_alphabets: Sequence[int],
+                 output_dim: int) -> tuple[tuple[int, ...], int]:
+    """Alphabets and output dimension of a channel table, checked before
+    anything of the size they declare is parsed, allocated or enumerated."""
+    alphabets = tuple(int(a) for a in sender_alphabets)
+    d = int(output_dim)
+    problems: list[str] = []
+    if not alphabets:
+        problems.append("channel needs at least one sender")
+    if any(a < 1 for a in alphabets):
+        problems.append(f"alphabet sizes must be >= 1, got {alphabets}")
+    if d < 1:
+        problems.append(f"output_dim must be >= 1, got {d}")
+    if problems:
+        raise ValidationError("\n".join(problems))
+    require_dim(d, what="channel output state")
+    cap = DEFAULT_MAX_LETTER_TUPLES
+    if 1 << len(alphabets) > cap:
+        raise CapExceeded(f"{len(alphabets)} senders exceed the cap of {cap} sender subsets")
+    if math.prod(alphabets) > cap:
+        raise CapExceeded(f"channel table needs {math.prod(alphabets)} letter tuples, "
+                          f"configured cap is {cap}")
+    return alphabets, d
+
+
 @dataclass(frozen=True)
 class CqMacChannel:
-    """Complete table of output states, one per joint letter tuple."""
+    """Complete table of output states, one per joint letter tuple.
+
+    The constructor is the one place a channel is checked.  `states` maps
+    letter tuples to d x d matrices, or is an array (a_1, ..., a_s, d, d);
+    every violation (missing, unexpected or misshapen entries, non-Hermitian
+    or non-PSD states, traces away from 1) is collected into one
+    ValidationError, one line each, naming its letter tuple.  `states` is
+    then stored as one read-only complex array of that shape.
+    """
 
     sender_alphabets: tuple[int, ...]
     output_dim: int
-    states: Mapping[tuple[int, ...], np.ndarray]
+    states: np.ndarray
     sender_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.sender_names:
-            object.__setattr__(
-                self, "sender_names",
-                tuple(f"S{i + 1}" for i in range(len(self.sender_alphabets))),
-            )
+        alphabets, d = _table_shape(self.sender_alphabets, self.output_dim)
+        states = self.states
+        if not isinstance(states, Mapping):
+            states = np.asarray(states, dtype=complex)
+            if states.shape != alphabets + (d, d):
+                raise ValidationError(
+                    f"state table has shape {states.shape}, expected {alphabets + (d, d)}")
+            states = dict(zip(np.ndindex(alphabets), states.reshape(-1, d, d)))
+        expected = set(np.ndindex(alphabets))
+        problems: list[str] = []
+        checked: dict[tuple[int, ...], np.ndarray] = {}
+        for key in sorted(states):
+            key_t = tuple(int(x) for x in key)
+            if key_t not in expected:
+                problems.append(f"unexpected state for letter tuple {key_t}")
+                continue
+            mat = np.asarray(states[key], dtype=complex)
+            if mat.shape != (d, d):
+                problems.append(f"state {key_t}: shape {mat.shape}, expected ({d}, {d})")
+                continue
+            try:
+                checked[key_t] = ops.check_density(mat, name=f"state {key_t}")
+            except ValidationError as exc:
+                problems.append(str(exc))
+        missing = expected - {tuple(int(x) for x in k) for k in states}
+        problems += [f"missing state {key_t}" for key_t in sorted(missing)]
+        if problems:
+            raise ValidationError("\n".join(problems))
+        table = np.empty(alphabets + (d, d), dtype=complex)  # complete: no larger than the input
+        for key_t, mat in checked.items():
+            table[key_t] = mat
+        table.setflags(write=False)
+        object.__setattr__(self, "sender_alphabets", alphabets)
+        object.__setattr__(self, "output_dim", d)
+        object.__setattr__(self, "states", table)
+        object.__setattr__(self, "sender_names", tuple(self.sender_names)
+                           or tuple(f"S{i + 1}" for i in range(len(alphabets))))
 
     @property
     def s(self) -> int:
@@ -140,56 +206,9 @@ class CqMacChannel:
 
     def state(self, letters: Sequence[int]) -> np.ndarray:
         key = tuple(int(x) for x in letters)
-        try:
-            return self.states[key]
-        except KeyError:
-            raise ValidationError(f"no state for letter tuple {key}") from None
-
-
-def validate_channel(sender_alphabets: Sequence[int], output_dim: int,
-                     states: Mapping[tuple[int, ...], np.ndarray],
-                     sender_names: Sequence[str] = ()) -> CqMacChannel:
-    """Build a channel, collecting every invariant violation into one error.
-
-    Violations are reported one per line, each naming the offending tuple:
-    missing table entries, wrong shapes, non-Hermitian entries, negative
-    eigenvalues, traces away from 1.
-    """
-    alphabets = tuple(int(a) for a in sender_alphabets)
-    problems: list[str] = []
-    if not alphabets:
-        problems.append("channel needs at least one sender")
-    if any(a < 1 for a in alphabets):
-        problems.append(f"alphabet sizes must be >= 1, got {alphabets}")
-    d = int(output_dim)
-    if d < 1:
-        problems.append(f"output_dim must be >= 1, got {d}")
-    if problems:
-        raise ValidationError("\n".join(problems))
-
-    table: dict[tuple[int, ...], np.ndarray] = {}
-    expected = set(itertools.product(*(range(a) for a in alphabets)))
-    for key in sorted(states):
-        key_t = tuple(int(x) for x in key)
-        if key_t not in expected:
-            problems.append(f"unexpected state for letter tuple {key_t}")
-            continue
-        mat = np.asarray(states[key], dtype=complex)
-        if mat.shape != (d, d):
-            problems.append(f"state {key_t}: shape {mat.shape}, expected ({d}, {d})")
-            continue
-        try:
-            table[key_t] = ops.check_density(mat, name=f"state {key_t}")
-        except ValidationError as exc:
-            problems.append(str(exc))
-    missing = expected - set(tuple(int(x) for x in k) for k in states)
-    for key_t in sorted(missing):
-        problems.append(f"missing state {key_t}")
-    if problems:
-        raise ValidationError("\n".join(problems))
-    for m in table.values():
-        m.setflags(write=False)
-    return CqMacChannel(alphabets, d, table, tuple(sender_names))
+        if len(key) != self.s or not all(0 <= x < a for x, a in zip(key, self.sender_alphabets)):
+            raise ValidationError(f"no state for letter tuple {key}")
+        return self.states[key]   # checked first: indexing would wrap negative letters
 
 
 # ---------------------------------------------------------------------------
@@ -282,37 +301,35 @@ def channel_state(ch: CqMacChannel, prior: Prior) -> CqEnsemble:
         raise ValidationError(
             f"prior alphabets {prior.alphabet_sizes} do not match channel {ch.sender_alphabets}"
         )
-    atoms = ((x, prior.prob(x), ch.state(x)) for x in ch.joint_letters())
+    atoms = ((x, prior.prob(x), ch.states[x]) for x in ch.joint_letters())
     return make_ensemble(ch.sender_alphabets, ch.output_dim, atoms)
 
 
-def reduced_channel(ch: CqMacChannel, prior: Prior,
-                    members: Iterable[int]) -> dict[tuple[int, ...], np.ndarray]:
+def reduced_channel(ch: CqMacChannel, prior: Prior, members: Iterable[int]) -> np.ndarray:
     """Channel seen by the sender subset after averaging the complement.
 
-    Keys are letter tuples of the subset's senders in ascending sender order;
-    each value is the prior-weighted average of the full table over the
-    complement's letters.
+    Indexed like `ch.states`, by letter tuples of the subset's senders in
+    ascending sender order: each entry is the prior-weighted average of the
+    table over the complement's letters, added up in lexicographic order of
+    the complement's letter tuples.
     """
     sub = normalize_subset(members, ch.s)
     if prior.alphabet_sizes != ch.sender_alphabets:
         raise ValidationError("prior does not match channel alphabets")
     inside = sorted(sub)
     outside = [i for i in range(ch.s) if i not in sub]
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for letters in itertools.product(*(range(ch.sender_alphabets[i]) for i in inside)):
-        acc = np.zeros((ch.output_dim, ch.output_dim), dtype=complex)
-        for rest in itertools.product(*(range(ch.sender_alphabets[i]) for i in outside)):
-            full = [0] * ch.s
-            for i, x in zip(inside, letters):
-                full[i] = x
-            w = 1.0
-            for i, x in zip(outside, rest):
-                full[i] = x
-                w *= float(prior.per_sender[i][x])
-            acc += w * ch.state(full)
-        out[letters] = ops.hermitize(acc)
-    return out
+    d = ch.output_dim
+    # axes (inside letters..., complement tuple, d, d)
+    table = ch.states.transpose(inside + outside + [ch.s, ch.s + 1])
+    table = table.reshape(table.shape[:len(inside)] + (-1, d, d))
+    acc = np.zeros(table.shape[:len(inside)] + (d, d), dtype=complex)
+    for k, rest in enumerate(itertools.product(*(range(ch.sender_alphabets[i])
+                                                 for i in outside))):
+        w = 1.0
+        for i, x in zip(outside, rest):
+            w *= float(prior.per_sender[i][x])
+        acc += w * table[..., k, :, :]
+    return ops.hermitize(acc)
 
 
 @dataclass(frozen=True)
@@ -430,9 +447,8 @@ def precompose_qq(input_states: Sequence[Sequence[np.ndarray]],
         for k in mats:
             out += k @ joint @ k.conj().T
         states[letters] = ops.hermitize(out)
-    return validate_channel(
-        tuple(len(sig) for sig in per_sender), dim_out, states, sender_names
-    )
+    return CqMacChannel(tuple(len(sig) for sig in per_sender), dim_out, states,
+                        tuple(sender_names))
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +469,17 @@ def _parse_key(key: str, s: int) -> tuple[int, ...]:
         raise ChannelFormatError(f"state key {key!r} is not a comma-joined integer tuple") from exc
 
 
-def _parse_matrix(key: str, raw, d: int) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (d, d, 2):
-        raise ChannelFormatError(
-            f"state {key!r}: expected a {d}x{d} matrix of [re, im] pairs, got shape {arr.shape}"
-        )
-    return arr[..., 0] + 1j * arr[..., 1]
+def _numbers(raw, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """`raw` as a float array of `shape`: JSON numbers only, never ragged."""
+    try:
+        arr = np.asarray(raw)
+    except (ValueError, TypeError, OverflowError):
+        raise ChannelFormatError(f"{what}, got ragged nesting") from None
+    if arr.dtype.kind not in "iuf":
+        raise ChannelFormatError(f"{what}, got non-numeric entries")
+    if arr.shape != shape:
+        raise ChannelFormatError(f"{what}, got shape {arr.shape}")
+    return arr.astype(float)
 
 
 def channel_from_dict(raw: Mapping) -> CqMacChannel:
@@ -485,41 +505,35 @@ def channel_from_dict(raw: Mapping) -> CqMacChannel:
         bad = set(entry) - _SENDER_KEYS
         if bad:
             raise ChannelFormatError(f"sender {i}: unknown fields {sorted(bad)}")
-        if "alphabet" not in entry or not isinstance(entry["alphabet"], int):
+        if not isinstance(entry.get("alphabet"), int) or isinstance(entry["alphabet"], bool):
             raise ChannelFormatError(f"sender {i}: 'alphabet' must be an integer")
         alphabets.append(entry["alphabet"])
         names.append(str(entry.get("name", f"S{i + 1}")))
     d = raw["output_dim"]
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ChannelFormatError("'output_dim' must be a positive integer")
+    alphabets, d = _table_shape(alphabets, d)
 
+    table = "states" if "states" in raw else "classical"
+    if not isinstance(raw[table], Mapping):
+        raise ChannelFormatError(f"'{table}' must be an object")
     states: dict[tuple[int, ...], np.ndarray] = {}
-    if "states" in raw:
-        if not isinstance(raw["states"], Mapping):
-            raise ChannelFormatError("'states' must be an object")
-        for key, mat in raw["states"].items():
-            states[_parse_key(key, len(alphabets))] = _parse_matrix(key, mat, d)
-    else:
-        if not isinstance(raw["classical"], Mapping):
-            raise ChannelFormatError("'classical' must be an object")
-        for key, row in raw["classical"].items():
-            vec = np.asarray(row, dtype=float)
-            if vec.shape != (d,):
-                raise ChannelFormatError(
-                    f"classical row {key!r}: expected {d} output probabilities, got shape {vec.shape}"
-                )
+    for key, entry in raw[table].items():
+        if table == "states":
+            pairs = _numbers(entry, (d, d, 2),
+                             f"state {key!r}: expected a {d}x{d} matrix of [re, im] pairs")
+            states[_parse_key(key, len(alphabets))] = pairs[..., 0] + 1j * pairs[..., 1]
+        else:
+            vec = _numbers(entry, (d,), f"classical row {key!r}: expected {d} output probabilities")
             states[_parse_key(key, len(alphabets))] = np.diag(vec).astype(complex)
-    return validate_channel(alphabets, d, states, names)
+    return CqMacChannel(alphabets, d, states, tuple(names))
 
 
 def channel_to_dict(ch: CqMacChannel) -> dict:
     states = {}
-    for key in sorted(ch.states):
+    for key in ch.joint_letters():
         mat = ch.states[key]
-        states[",".join(str(x) for x in key)] = [
-            [[float(mat[i, j].real), float(mat[i, j].imag)] for j in range(ch.output_dim)]
-            for i in range(ch.output_dim)
-        ]
+        states[",".join(str(x) for x in key)] = np.stack([mat.real, mat.imag], -1).tolist()
     return {
         "senders": [
             {"name": name, "alphabet": a}
@@ -534,7 +548,7 @@ def load_channel(path) -> CqMacChannel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also bad UTF-8, huge integers
             raise ChannelFormatError(f"{path}: invalid JSON ({exc})") from exc
     return channel_from_dict(raw)
 

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coding, entropy as ent, region
-from .channel import (CqMacChannel, Prior, channel_state, mask_members,
-                      validate_channel)
+from .channel import CqMacChannel, Prior, channel_state, mask_members
 from .config import CapExceeded
 from .entropy import SubsystemSelector
 from .operators import ValidationError
@@ -62,7 +61,7 @@ def random_channel(rng: np.random.Generator, max_senders: int = 3,
         letters: random_density(rng, d)
         for letters in itertools.product(*(range(a) for a in alphabets))
     }
-    return validate_channel(alphabets, d, states)
+    return CqMacChannel(alphabets, d, states)
 
 
 def random_prior(rng: np.random.Generator, ch: CqMacChannel) -> Prior:
@@ -78,7 +77,7 @@ def random_diagonal_channel(rng: np.random.Generator, max_senders: int = 3,
         letters: np.diag(random_prior_vec(rng, d)).astype(complex)
         for letters in itertools.product(*(range(a) for a in alphabets))
     }
-    return validate_channel(alphabets, d, states)
+    return CqMacChannel(alphabets, d, states)
 
 
 def relabel_channel(ch: CqMacChannel, perm) -> CqMacChannel:
@@ -86,14 +85,8 @@ def relabel_channel(ch: CqMacChannel, perm) -> CqMacChannel:
     perm = tuple(int(i) for i in perm)
     if sorted(perm) != list(range(ch.s)):
         raise ValidationError(f"{perm} is not a permutation of 0..{ch.s - 1}")
-    alphabets = tuple(ch.sender_alphabets[p] for p in perm)
-    states = {}
-    for letters in itertools.product(*(range(a) for a in alphabets)):
-        old = [0] * ch.s
-        for new_i, x in enumerate(letters):
-            old[perm[new_i]] = x
-        states[letters] = ch.state(old)
-    return validate_channel(alphabets, ch.output_dim, states)
+    return CqMacChannel(tuple(ch.sender_alphabets[p] for p in perm), ch.output_dim,
+                        np.transpose(ch.states, perm + (ch.s, ch.s + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +201,7 @@ def lemma_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResult
         d = int(rng.integers(2, 5))
         k = int(rng.integers(2, 5))
         e = channel_state(
-            validate_channel((m,), d, {(x,): random_density(rng, d) for x in range(m)}),
+            CqMacChannel((m,), d, {(x,): random_density(rng, d) for x in range(m)}),
             Prior((random_prior_vec(rng, m),)),
         )
         x_povm = np.stack([random_prior_vec(rng, k) for _ in range(m)], axis=1)
@@ -254,9 +247,10 @@ def region_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResul
     for t in range(trials):
         ch = random_channel(rng)
         prior = random_prior(rng, ch)
-        cs = region.constraint_set(ch, prior)
+        (table,) = region.prior_tables(ch, [prior])
+        cs = region.constraint_set(ch, prior, table=table)
         full_mask = (1 << ch.s) - 1
-        corners = region.corner_table(ch, prior)
+        corners = region.corner_table(ch, prior, table=table)
         for perm, point in corners.items():
             res.record(
                 abs(sum(point.rates) - cs.bounds[full_mask]) <= tol, t,

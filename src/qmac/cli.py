@@ -410,18 +410,10 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ChannelFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValidationError, CapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+    except (UsageError, ChannelFormatError, OSError, ValidationError, CapExceeded) as exc:
+        # one line, however many violations the message lists
+        print("error: " + "; ".join(str(exc).splitlines()), file=sys.stderr)
+        return EXIT_DOMAIN if isinstance(exc, (ValidationError, CapExceeded)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ DEFAULT_MAX_PERM_SENDERS = 6
 # Prior sweeps enumerate a product grid over sender simplices.
 DEFAULT_MAX_GRID_POINTS = 100_000
 
+# A channel table holds one state per joint letter tuple, and region bounds
+# run over its 2^s sender subsets; neither count may exceed this.
+DEFAULT_MAX_LETTER_TUPLES = 4096
+
 ENV_MAX_DIM = "QMAC_MAX_DIM"
 
 

@@ -166,7 +166,7 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> Iterato
                                [0, *kept, s + 1, s + 2])
             live = flat >= ATOM_FLOOR
             blocks = blocks.reshape(-1, d, d) / np.where(live, flat, 1.0).reshape(-1, 1, 1)
-            spectra = np.linalg.eigvalsh((blocks + blocks.conj().swapaxes(1, 2)) / 2)
+            spectra = np.linalg.eigvalsh(ops.hermitize(blocks))
             block_h = shannon_bits(spectra).reshape(flat.shape)
             table[lo:lo + step, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
     return map(np.ndarray.tolist, table)

@@ -29,23 +29,24 @@ class ValidationError(ValueError):
     """An operator, distribution or table violates a documented invariant."""
 
 
-def as_operator(a) -> np.ndarray:
+def as_operator(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValidationError("matrix has non-finite entries")
+        raise ValidationError(f"{name} has non-finite entries")
     return a
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a†)/2; suppresses drift after operator functions."""
-    return (a + a.conj().T) / 2
+    """Hermitian part (a + a†)/2 of a matrix, or of each matrix of a stack
+    (the last two axes); suppresses drift after operator functions."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2
 
 
 def check_hermitian(a, name: str = "operator") -> np.ndarray:
-    a = as_operator(a)
+    a = as_operator(a, name)
     dev = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if dev > HERMITIAN_TOL:
         raise ValidationError(f"{name} is not Hermitian (max deviation {dev:.3e})")

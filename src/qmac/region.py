@@ -21,7 +21,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import entropy as ent
-from . import operators as ops
 from .channel import CqMacChannel, Prior, mask_members
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded
 from .operators import ValidationError
@@ -83,30 +82,20 @@ class MixtureSpec:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
-def _entropy_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[ent.EntropyTable]:
-    """Entropy table of the channel state under each prior, in prior order.
-
-    Every channel state is checked once per call, whatever the number of
-    priors, and named by its letter tuple when it fails.
-    """
+def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[ent.EntropyTable]:
+    """Entropy table of the channel state under each prior, in prior order:
+    one `entropy.entropy_tables` call over the channel's state array."""
     for prior in priors:
         if prior.alphabet_sizes != ch.sender_alphabets:
             raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
                                   f"do not match channel {ch.sender_alphabets}")
-    d = ch.output_dim
-    states = np.empty(ch.sender_alphabets + (d, d), dtype=complex)
-    for x in ch.joint_letters():
-        rho = np.asarray(ch.state(x), dtype=complex)
-        if rho.shape != (d, d):
-            raise ValidationError(f"state {x}: shape {rho.shape}, expected ({d}, {d})")
-        states[x] = ops.check_density(rho, name=f"state {x}")
     # one factor per sender, multiplied in sender order as Prior.prob does
     factors = [
         np.array([prior.per_sender[i] for prior in priors]).reshape(
             (len(priors),) + tuple(a if j == i else 1 for j in range(ch.s)))
         for i, a in enumerate(ch.sender_alphabets)
     ]
-    return ent.entropy_tables(factors, states)
+    return ent.entropy_tables(factors, ch.states)
 
 
 def constraint_set(ch: CqMacChannel, prior: Prior, *,
@@ -117,7 +106,7 @@ def constraint_set(ch: CqMacChannel, prior: Prior, *,
     `table` is the prior's table when the caller computed it with others.
     """
     if table is None:
-        (table,) = _entropy_tables(ch, [prior])
+        (table,) = prior_tables(ch, [prior])
     bounds = {
         mask: ent.clamp_mi(ent.table_mi(table, mask, ch.s), f"bound for mask {mask}")
         for mask in range(1, 1 << ch.s)
@@ -151,7 +140,7 @@ def corner_table(ch: CqMacChannel, prior: Prior, *,
     """
     _check_perm_cap(ch.s)
     if table is None:
-        (table,) = _entropy_tables(ch, [prior])
+        (table,) = prior_tables(ch, [prior])
     corners = {}
     for perm in itertools.permutations(range(ch.s)):
         rates = [0.0] * ch.s
@@ -233,7 +222,7 @@ def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec,
         )
     bounds = {mask: 0.0 for mask in range(1, 1 << ch.s)}
     live = [(w, prior) for w, prior in mix.components if w != 0.0]
-    tables = _entropy_tables(ch, [prior for _, prior in live])
+    tables = prior_tables(ch, [prior for _, prior in live])
     for (weight, prior), table in zip(live, tables):
         cs = constraint_set(ch, prior, table=table)
         for mask in bounds:
@@ -300,7 +289,7 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> list[SweepPoint]:
     return [
         SweepPoint(idx, prior, constraint_set(ch, prior, table=table),
                    tuple(corners_with_perms(ch, prior, table=table)))
-        for idx, (prior, table) in enumerate(zip(priors, _entropy_tables(ch, priors)))
+        for idx, (prior, table) in enumerate(zip(priors, prior_tables(ch, priors)))
     ]
 
 

@@ -5,7 +5,8 @@ scalar math so the library's entropy/region/decoding paths are checked
 against genuinely different computations: classical Shannon quantities for
 diagonal channels, 2x2 closed forms, maximum-posterior decoding, a full
 outcome-tree enumeration of the sequential decoder, the element-by-element
-leak of a gentle instrument, membership in a two-sender hull by
+leak of a gentle instrument, a reduced channel averaged one letter tuple at
+a time, membership in a two-sender hull by
 interpolation along its vertices, and positivity decided by a full
 eigendecomposition.
 """
@@ -70,6 +71,28 @@ def classical_corner(joint: np.ndarray, perm) -> tuple[float, ...]:
                     - h(joint, decoded | {k} | y))
         decoded = decoded | {k}
     return tuple(rates)
+
+
+def reduced_channel_loop(ch, prior, members) -> dict:
+    """Reduced channel by one loop per subset tuple and complement tuple:
+    the prior-weighted sum of full-table states, in lexicographic order of
+    the complement's letters, then its Hermitian part."""
+    inside = sorted(members)
+    outside = [i for i in range(ch.s) if i not in inside]
+    out = {}
+    for letters in itertools.product(*(range(ch.sender_alphabets[i]) for i in inside)):
+        acc = np.zeros((ch.output_dim, ch.output_dim), dtype=complex)
+        for rest in itertools.product(*(range(ch.sender_alphabets[i]) for i in outside)):
+            full = [0] * ch.s
+            for i, x in zip(inside, letters):
+                full[i] = x
+            w = 1.0
+            for i, x in zip(outside, rest):
+                full[i] = x
+                w *= float(prior.per_sender[i][x])
+            acc += w * ch.state(full)
+        out[letters] = (acc + acc.conj().T) / 2
+    return out
 
 
 def map_error(diag_states, weights) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qmac.catalog import load_builtin_channel
-from qmac.channel import Prior, channel_state, validate_channel
+from qmac.channel import CqMacChannel, Prior, channel_state
 from qmac.checks import (random_channel, random_diagonal_channel, random_prior,
                          random_prior_vec)
 from qmac.cli import main as cli_main
@@ -105,7 +105,7 @@ def test_criterion_03_subadditivity_and_error_entropy_bound():
     worst_fano = -np.inf
     for _ in range(500):
         m, d, k = (int(rng.integers(2, 5)) for _ in range(3))
-        ch = validate_channel((m,), d, {(x,): _rand_density(rng, d) for x in range(m)})
+        ch = CqMacChannel((m,), d, {(x,): _rand_density(rng, d) for x in range(m)})
         e = channel_state(ch, Prior((random_prior_vec(rng, m),)))
         x_povm = np.stack([random_prior_vec(rng, k) for _ in range(m)], axis=1)
         y_povm = _rand_povm(rng, d, k)
@@ -223,12 +223,12 @@ def test_criterion_08_coding_sanity():
             m = np.zeros((4, 4), dtype=complex)
             m[2 * x1 + x2, 2 * x1 + x2] = 1.0
             states[(x1, x2)] = m
-    orth = validate_channel((2, 2), 4, states)
+    orth = CqMacChannel((2, 2), 4, states)
     prior = Prior.uniform((2, 2))
     books = [Codebook(0, 1, ((0,), (1,))), Codebook(1, 1, ((0,), (1,)))]
     r_orth = average_error(orth, books, prior)
 
-    const = validate_channel(
+    const = CqMacChannel(
         (2, 2), 2, {k: np.diag([0.6, 0.4]).astype(complex)
                     for k in itertools.product(range(2), range(2))})
     r_const = average_error(const, books, prior)

@@ -5,13 +5,16 @@ import pytest
 
 from qmac.catalog import (BUILTIN_CHANNELS, builtin_channel_text,
                           load_builtin_channel)
-from qmac.channel import (ChannelFormatError, Prior,
+from qmac.channel import (ChannelFormatError, CqMacChannel, Prior,
                           block_channel, channel_from_dict, channel_state,
                           channel_to_dict, kraus_from_choi, load_channel,
                           make_ensemble, precompose_qq, reduced_channel,
-                          save_channel, validate_channel)
-from qmac.config import CapExceeded
+                          save_channel)
+from qmac.checks import random_channel, random_prior
+from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.operators import ValidationError, partial_trace, tensor
+
+from oracles import reduced_channel_loop
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -29,7 +32,7 @@ def adder_channel():
 # --- validation ---------------------------------------------------------------
 
 def test_validate_accepts_complete_table():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     assert ch.s == 2
     assert ch.output_dim == 2
     assert np.allclose(ch.state((1, 0)), PLUS)
@@ -39,14 +42,14 @@ def test_validate_reports_missing_tuple():
     table = qubit_table()
     del table[(1, 0)]
     with pytest.raises(ValidationError, match=r"missing state \(1, 0\)"):
-        validate_channel((2, 2), 2, table)
+        CqMacChannel((2, 2), 2, table)
 
 
 def test_validate_reports_bad_trace_with_tuple():
     table = qubit_table()
     table[(0, 1)] = np.diag([0.5, 0.4]).astype(complex)
     with pytest.raises(ValidationError, match=r"state \(0, 1\).*trace 0\.9"):
-        validate_channel((2, 2), 2, table)
+        CqMacChannel((2, 2), 2, table)
 
 
 def test_validate_collects_every_violation():
@@ -55,17 +58,61 @@ def test_validate_collects_every_violation():
     table[(1, 1)] = np.diag([1.5, -0.5]).astype(complex)  # negative eigenvalue
     del table[(0, 1)]
     with pytest.raises(ValidationError) as err:
-        validate_channel((2, 2), 2, table)
+        CqMacChannel((2, 2), 2, table)
     text = str(err.value)
     assert "state (0, 0)" in text
     assert "state (1, 1)" in text
     assert "missing state (0, 1)" in text
 
 
+def test_states_stored_as_one_read_only_array():
+    table = qubit_table()
+    ch = CqMacChannel((2, 2), 2, table)
+    assert ch.states.shape == (2, 2, 2, 2) and ch.states.dtype == complex
+    assert not ch.states.flags.writeable
+    table[(1, 0)] = Z0                       # the channel keeps its own copy
+    assert np.array_equal(ch.state((1, 0)), PLUS)
+    same = CqMacChannel((2, 2), 2, ch.states)
+    assert np.array_equal(same.states, ch.states)
+
+
+def test_array_table_checked_like_a_mapping():
+    states = np.array([[Z0, Z1], [PLUS, np.eye(2) / 2]])
+    states[1, 1] *= 2
+    with pytest.raises(ValidationError, match=r"state \(1, 1\) has trace 2"):
+        CqMacChannel((2, 2), 2, states)
+    with pytest.raises(ValidationError, match=r"state table has shape \(2, 2, 2, 2\)"):
+        CqMacChannel((2, 3), 2, states)
+
+
+@pytest.mark.parametrize("letters", [(-1, 0), (0, -1), (2, 0), (0, 2), (0,), (0, 0, 0)])
+def test_state_rejects_letters_outside_the_table(letters):
+    ch = CqMacChannel((2, 2), 2, qubit_table())
+    with pytest.raises(ValidationError, match="no state for letter tuple"):
+        ch.state(letters)
+    if len(letters) == 2:
+        with pytest.raises(ValidationError, match="no state for letter tuple"):
+            block_channel(ch, 2).state_for_words([(0, letters[0]), (0, letters[1])])
+
+
+@pytest.mark.parametrize("alphabets, d, problem", [
+    ((3000, 3000), 2, "9000000 letter tuples"),
+    ((DEFAULT_MAX_LETTER_TUPLES + 1,), 2, "letter tuples"),
+    ((1,) * 13, 2, "13 senders"),
+    ((2,), 5000, "dimension 5000"),
+])
+def test_table_size_capped_before_any_state_is_read(alphabets, d, problem):
+    class Untouchable(dict):
+        def __iter__(self):
+            raise AssertionError("states read before the size caps")
+    with pytest.raises(CapExceeded, match=problem):
+        CqMacChannel(alphabets, d, Untouchable())
+
+
 # --- channel_state --------------------------------------------------------------
 
 def test_channel_state_uniform_binary():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     e = channel_state(ch, Prior.uniform((2, 2)))
     assert e.label_spaces == (2, 2)
     assert len(e.atoms) == 4
@@ -73,7 +120,7 @@ def test_channel_state_uniform_binary():
 
 
 def test_channel_state_point_mass():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     e = channel_state(ch, Prior.point_mass((2, 2), (1, 0)))
     assert len(e.atoms) == 1
     label, p, rho = e.atoms[0]
@@ -82,14 +129,14 @@ def test_channel_state_point_mass():
 
 
 def test_channel_state_product_rule():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     e = channel_state(ch, Prior((np.array([0.3, 0.7]), np.array([0.5, 0.5]))))
     probs = {label: p for label, p, _ in e.atoms}
     assert abs(probs[(0, 1)] - 0.15) < 1e-12
 
 
 def test_channel_state_quantum_marginal_reproduces_prior():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     prior = Prior((np.array([0.2, 0.8]), np.array([0.6, 0.4])))
     e = channel_state(ch, prior)
     for label, p, _ in e.atoms:
@@ -99,14 +146,14 @@ def test_channel_state_quantum_marginal_reproduces_prior():
 # --- reduced channels -----------------------------------------------------------
 
 def test_reduced_channel_full_subset_is_identity():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     red = reduced_channel(ch, Prior.uniform((2, 2)), (0, 1))
     for letters in ch.joint_letters():
         assert np.allclose(red[letters], ch.state(letters))
 
 
 def test_reduced_channel_point_mass_slices():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     prior = Prior((np.array([0.5, 0.5]), np.array([1.0, 0.0])))
     red = reduced_channel(ch, prior, (0,))
     assert np.allclose(red[(0,)], ch.state((0, 0)))
@@ -131,7 +178,7 @@ def test_reduced_channel_matches_partial_trace_of_channel_state():
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             rho = g @ g.conj().T
             states[letters] = rho / np.trace(rho).real
-        ch = validate_channel(alphabets, d, states)
+        ch = CqMacChannel(alphabets, d, states)
         prior = Prior((rng.dirichlet(np.ones(2)), rng.dirichlet(np.ones(3))))
         e = channel_state(ch, prior)
         members = (0,)
@@ -144,6 +191,21 @@ def test_reduced_channel_matches_partial_trace_of_channel_state():
             assert np.max(np.abs(avg - red[(x0,)])) < 1e-10
 
 
+def test_reduced_channel_bit_identical_to_per_tuple_loop():
+    rng = np.random.default_rng(22)
+    for _ in range(5):
+        ch = random_channel(rng)
+        prior = random_prior(rng, ch)
+        for mask in range(1, 1 << ch.s):
+            members = [i for i in range(ch.s) if mask >> i & 1]
+            red = reduced_channel(ch, prior, members)
+            want = reduced_channel_loop(ch, prior, members)
+            kept = tuple(ch.sender_alphabets[i] for i in members)
+            assert red.shape == kept + (ch.output_dim,) * 2
+            for letters, rho in want.items():
+                assert np.array_equal(red[letters], rho)
+
+
 def test_reduced_channel_empty_subset_rejected():
     with pytest.raises(ValidationError):
         reduced_channel(adder_channel(), Prior.uniform((2, 2)), ())
@@ -152,7 +214,7 @@ def test_reduced_channel_empty_subset_rejected():
 # --- block channels -------------------------------------------------------------
 
 def test_block_channel_n1_equals_base():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     blk = block_channel(ch, 1)
     for letters in ch.joint_letters():
         words = tuple((x,) for x in letters)
@@ -160,7 +222,7 @@ def test_block_channel_n1_equals_base():
 
 
 def test_block_channel_products():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     blk = block_channel(ch, 2)
     got = blk.state_for_words(((0, 1), (0, 1)))
     want = tensor(ch.state((0, 0)), ch.state((1, 1)))
@@ -172,13 +234,13 @@ def test_block_channel_products():
 
 
 def test_block_channel_respects_cap():
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     with pytest.raises(CapExceeded):
         block_channel(ch, 3, max_block_dim=4)
 
 
 def test_env_var_overrides_dimension_cap(monkeypatch):
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     monkeypatch.setenv("QMAC_MAX_DIM", "4")
     with pytest.raises(CapExceeded):
         block_channel(ch, 3)
@@ -188,7 +250,7 @@ def test_env_var_overrides_dimension_cap(monkeypatch):
 
 def test_degenerate_single_letter_alphabet():
     states = {(0, 0): Z0, (0, 1): PLUS}
-    ch = validate_channel((1, 2), 2, states)
+    ch = CqMacChannel((1, 2), 2, states)
     e = channel_state(ch, Prior.uniform((1, 2)))
     assert len(e.atoms) == 2
 
@@ -286,7 +348,7 @@ def test_builtin_channels_load():
 
 
 def test_roundtrip_through_file(tmp_path):
-    ch = validate_channel((2, 2), 2, qubit_table())
+    ch = CqMacChannel((2, 2), 2, qubit_table())
     path = tmp_path / "ch.json"
     save_channel(ch, path)
     back = load_channel(path)
@@ -332,7 +394,7 @@ def test_states_and_classical_mutually_exclusive():
 
 
 def test_channel_to_dict_roundtrip_in_memory():
-    ch = validate_channel((2,), 2, {(0,): Z0, (1,): PLUS})
+    ch = CqMacChannel((2,), 2, {(0,): Z0, (1,): PLUS})
     back = channel_from_dict(channel_to_dict(ch))
     assert np.allclose(back.state((1,)), PLUS)
 

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from qmac.channel import Prior
+from qmac.channel import CqMacChannel, Prior
 from qmac.checks import (CheckResult, entropy_suite, random_channel,
                          random_density, random_povm, relabel_channel,
                          run_suites)
@@ -35,6 +37,16 @@ def test_relabel_channel_swaps_bounds():
     assert abs(cs.bounds[1] - cs2.bounds[2]) < 1e-9
     assert abs(cs.bounds[2] - cs2.bounds[1]) < 1e-9
     assert abs(cs.bounds[3] - cs2.bounds[3]) < 1e-9
+
+
+def test_relabel_channel_transposes_the_table():
+    rng = np.random.default_rng(64)
+    letters = itertools.product(range(2), range(3), range(2))
+    ch = CqMacChannel((2, 3, 2), 2, {x: random_density(rng, 2) for x in letters})
+    relabeled = relabel_channel(ch, (2, 0, 1))     # new sender i is old sender perm[i]
+    assert relabeled.sender_alphabets == (2, 2, 3)
+    for x in ch.joint_letters():
+        assert np.array_equal(relabeled.state((x[2], x[0], x[1])), ch.state(x))
 
 
 def test_suites_pass_at_small_trials():

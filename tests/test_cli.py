@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import pytest
@@ -293,6 +294,61 @@ def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
     assert code == want
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in err and "nan" not in out
+
+
+def one_letter_doc(**fields):
+    doc = {"senders": [{"alphabet": 1}], "output_dim": 1, "classical": {"0": [1]}}
+    doc.update(fields)
+    if "states" in fields:
+        del doc["classical"]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    one_letter_doc(states={"0": "abc"}),
+    one_letter_doc(output_dim=2, states={"0": [[[1, 0], [0, 0]], [[0, 0]]]}),
+    one_letter_doc(classical={"0": ["x"]}),
+    one_letter_doc(classical={"0": {"a": 1}}),
+    one_letter_doc(senders=[{"alphabet": True}], output_dim=True),
+], ids=["string-matrix", "ragged-matrix", "string-row", "object-row", "boolean-sizes"])
+@pytest.mark.parametrize("command", ["validate", "region"])
+def test_malformed_channel_document_exit_2(tmp_path, capsys, doc, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--channel", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["validate", "region"])
+def test_oversized_declared_table_rejected_before_enumeration(tmp_path, capsys, command):
+    # 100 bytes declaring 9 million letter tuples: one cap line, not one
+    # "missing state" line per tuple
+    doc = {"senders": [{"alphabet": 3000}, {"alphabet": 3000}], "output_dim": 2,
+           "classical": {"0,0": [1, 0]}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--channel", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: channel table needs 9000000 letter tuples, "
+                                "configured cap is 4096"]
+
+
+def test_every_violation_on_one_error_line(tmp_path, capsys):
+    raw = json.loads(builtin_channel_text("adder-classical"))
+    del raw["classical"]["1,0"]
+    raw["classical"]["0,1"] = [0.5, 0.6, 0.0]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run(capsys, "region", "--channel", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: state (0, 1) has trace 1.1, expected 1; "
+                                "missing state (1, 0)"]
 
 
 # --- misc ------------------------------------------------------------------------

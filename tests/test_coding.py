@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmac.catalog import load_builtin_channel
-from qmac.channel import Prior, block_channel, validate_channel
+from qmac.channel import CqMacChannel, Prior, block_channel
 from qmac.coding import (Codebook, Povm, SequentialDecoder, TenderInstrument,
                          average_error, codebooks_from_seed, disturbance_check,
                          pgm_decoder, run_simulation, sample_codebook,
@@ -30,13 +30,13 @@ def orthogonal_channel():
             m = np.zeros((4, 4), dtype=complex)
             m[2 * x1 + x2, 2 * x1 + x2] = 1.0
             states[(x1, x2)] = m
-    return validate_channel((2, 2), 4, states)
+    return CqMacChannel((2, 2), 4, states)
 
 
 def constant_channel():
     rho = np.diag([0.6, 0.4]).astype(complex)
     states = {k: rho for k in itertools.product(range(2), range(2))}
-    return validate_channel((2, 2), 2, states)
+    return CqMacChannel((2, 2), 2, states)
 
 
 def full_binary_books(n=1):
@@ -418,7 +418,7 @@ def test_nearly_parallel_pure_states_still_build_valid_decoders():
         v = np.array([np.cos(t), np.sin(t)])
         return np.outer(v, v).astype(complex)
 
-    ch = validate_channel((2, 2), 2, {(x1, x2): pure(0.05 * x1 + 0.02 * x2)
+    ch = CqMacChannel((2, 2), 2, {(x1, x2): pure(0.05 * x1 + 0.02 * x2)
                                       for x1 in range(2) for x2 in range(2)})
     report = run_simulation(ch, Prior.uniform((2, 2)), 6, (2, 2),
                             master_seed=3, max_block_dim=64)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qmac.catalog import load_builtin_channel
-from qmac.channel import (Prior, channel_state, make_ensemble, mask_members,
-                          validate_channel)
+from qmac.channel import (CqMacChannel, Prior, channel_state, make_ensemble,
+                          mask_members)
 from qmac.checks import random_channel, random_density, random_prior
 from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
                           check_subadditivity, conditional_entropy, entropy_table,
@@ -124,7 +124,7 @@ def kernel_channel(rng, s, max_alphabet=3, max_dim=4):
     d = int(rng.integers(1, max_dim + 1))
     states = {x: random_density(rng, d) for x in itertools.product(*map(range, alphabets))}
     states[(0,) * s] = states[(0,) * s] * (1 + 5e-11)
-    return validate_channel(alphabets, d, states)
+    return CqMacChannel(alphabets, d, states)
 
 
 def edge_priors(rng, alphabets):
@@ -229,7 +229,7 @@ def test_conditional_rejects_overlap():
 
 def test_mi_constant_channel_is_zero():
     states = {k: np.eye(2) / 2 for k in itertools.product(range(2), range(2))}
-    ch = validate_channel((2, 2), 2, states)
+    ch = CqMacChannel((2, 2), 2, states)
     e = channel_state(ch, Prior.uniform((2, 2)))
     for members in ((0,), (1,), (0, 1)):
         assert abs(mutual_information(e, members)) < 1e-12
@@ -271,7 +271,7 @@ def test_mi_empty_subset_rejected():
 
 def one_sender_entropy(states, q):
     """H(V|Q) = sum_a q(a) S(V_a) of a one-sender channel state."""
-    ch = validate_channel((len(states),), 2, {(a,): m for a, m in enumerate(states)})
+    ch = CqMacChannel((len(states),), 2, {(a,): m for a, m in enumerate(states)})
     return average_conditional_entropy(channel_state(ch, Prior((np.asarray(q),))), (0,))
 
 

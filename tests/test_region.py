@@ -5,8 +5,7 @@ import pytest
 
 from qmac import entropy, operators
 from qmac.catalog import load_builtin_channel
-from qmac.channel import (CqMacChannel, Prior, channel_state, mask_members,
-                          validate_channel)
+from qmac.channel import CqMacChannel, Prior, channel_state, mask_members
 from qmac.checks import random_channel, random_density, random_diagonal_channel, random_prior
 from qmac.config import CapExceeded
 from qmac.entropy import SubsystemSelector, info_report, mutual_information, subsystem_entropy
@@ -49,7 +48,7 @@ def test_adder_constraint_set():
 
 def test_constant_channel_all_bounds_zero():
     states = {k: np.eye(2) / 2 for k in itertools.product(range(2), range(2))}
-    ch = validate_channel((2, 2), 2, states)
+    ch = CqMacChannel((2, 2), 2, states)
     cs = constraint_set(ch, Prior.uniform((2, 2)))
     assert all(abs(b) < 1e-12 for b in cs.bounds.values())
 
@@ -107,7 +106,7 @@ def test_corners_collapse_when_one_sender_is_silent():
     # channel depends only on sender 1: sender 2's rate is pinned at zero
     states = {(x1, x2): np.diag([1.0 - x1, float(x1)]).astype(complex)
               for x1 in range(2) for x2 in range(2)}
-    ch = validate_channel((2, 2), 2, states)
+    ch = CqMacChannel((2, 2), 2, states)
     points = all_corners(ch, Prior.uniform((2, 2)))
     assert len(points) == 1
     assert np.allclose(points[0].rates, (1.0, 0.0), atol=1e-9)
@@ -131,7 +130,7 @@ def test_corner_cap():
     # 7 senders means 5040 decode orders, above the cap of 6 senders
     alphabets = (2,) * 7
     states = {k: np.eye(1) for k in itertools.product(*(range(a) for a in alphabets))}
-    ch = validate_channel(alphabets, 1, states)
+    ch = CqMacChannel(alphabets, 1, states)
     with pytest.raises(CapExceeded):
         corner_table(ch, Prior.uniform(alphabets))
 
@@ -311,7 +310,7 @@ def sweep_key(sp):
 def test_sweep_chunks_match_single_chunk(monkeypatch):
     rng = np.random.default_rng(74)
     letters = list(itertools.product(range(2), repeat=3))
-    ch = validate_channel((2, 2, 2), 3, {x: random_density(rng, 3) for x in letters})
+    ch = CqMacChannel((2, 2, 2), 3, {x: random_density(rng, 3) for x in letters})
     prior_bytes = 16 * 3 * 3 * len(letters)           # stacked states of one prior
     eig_calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -328,13 +327,15 @@ def test_sweep_chunks_match_single_chunk(monkeypatch):
 
 
 def test_sweep_checks_each_state_once(monkeypatch):
-    ch = load_builtin_channel("qubit-pure-mac")
     names = []
     check_density = operators.check_density
     monkeypatch.setattr(operators, "check_density",
                         lambda rho, name="state": names.append(name) or check_density(rho, name))
-    assert len(boundary_sweep(ch, 4)) == 25
+    ch = load_builtin_channel("qubit-pure-mac")
     assert sorted(names) == sorted(f"state {x}" for x in ch.joint_letters())
+    loaded = len(names)
+    assert len(boundary_sweep(ch, 4)) == 25
+    assert len(names) == loaded           # the sweep itself checks none
 
 
 @pytest.mark.parametrize("bad, problem", [
@@ -349,9 +350,10 @@ def test_sweep_checks_each_state_once(monkeypatch):
 def test_unchecked_channel_state_named_by_letters(bad, problem, call):
     states = {x: np.eye(2, dtype=complex) / 2 for x in itertools.product(range(2), repeat=2)}
     states[(1, 0)] = bad
-    ch = CqMacChannel((2, 2), 2, states)   # bypasses validate_channel
-    with pytest.raises(ValidationError, match=rf"state \(1, 0\) has {problem}"):
-        call(ch)
+    with pytest.raises(ValidationError, match=rf"state \(1, 0\) has {problem}") as err:
+        call(CqMacChannel((2, 2), 2, states))
+    # rejected where the channel is built, so no entry point sees the bad state
+    assert err.traceback[-1].name == "__post_init__"
 
 
 def oracle_corners(ch, prior):
