@@ -24,8 +24,7 @@ from .channel import (BlockChannel, ChannelFormatError, CqEnsemble,
                       precompose_qq, reduced_channel, save_channel)
 from .coding import (Codebook, Povm, SimReport, TenderInstrument,
                      average_error, disturbance_check, pgm_decoder,
-                     run_simulation, sample_codebook, tender_apply,
-                     tender_bound_check)
+                     run_simulation, sample_codebook, tender_bound_check)
 from .config import CapExceeded
 from .entropy import (InfoReport, SubsystemSelector, check_subadditivity,
                       conditional_entropy, fano_bound_check, info_report,
@@ -52,6 +51,6 @@ __all__ = [
     "mixture_constraints", "mutual_information", "op_sqrt", "partial_trace",
     "pgm_decoder", "precompose_qq", "reduced_channel", "restrict",
     "run_simulation", "sample_codebook", "save_channel", "subsystem_entropy",
-    "subsystem_entropy_dense", "tender_apply", "tender_bound_check", "tensor",
+    "subsystem_entropy_dense", "tender_bound_check", "tensor",
     "trace_norm", "upper_boundary_2d",
 ]

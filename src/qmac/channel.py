@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import operators as ops
-from .config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded, require_dim
+from .config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded, max_dim, require_dim
 from .operators import ValidationError
 
 PROB_TOL = 1e-10        # tolerance for probability vectors summing to 1
@@ -301,8 +301,11 @@ def channel_state(ch: CqMacChannel, prior: Prior) -> CqEnsemble:
         raise ValidationError(
             f"prior alphabets {prior.alphabet_sizes} do not match channel {ch.sender_alphabets}"
         )
-    atoms = ((x, prior.prob(x), ch.states[x]) for x in ch.joint_letters())
-    return make_ensemble(ch.sender_alphabets, ch.output_dim, atoms)
+    # the states were checked by the channel's constructor, so the ensemble
+    # is built directly, with make_ensemble's floor and label order
+    atoms = tuple((x, p, ch.states[x]) for x in ch.joint_letters()
+                  if (p := prior.prob(x)) >= ATOM_FLOOR)
+    return CqEnsemble(ch.sender_alphabets, ch.output_dim, atoms)
 
 
 def reduced_channel(ch: CqMacChannel, prior: Prior, members: Iterable[int]) -> np.ndarray:
@@ -332,12 +335,26 @@ def reduced_channel(ch: CqMacChannel, prior: Prior, members: Iterable[int]) -> n
     return ops.hermitize(acc)
 
 
+def block_states(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """Kronecker products over positions of letter-tuple states, per row.
+
+    `table` is indexed by k-letter tuples, shape (a_1, ..., a_k, d, d), as
+    `ch.states` or a reduced channel is; `letters` is an integer array
+    (..., n, k) of tuples the caller checked to lie in the table.  Returns
+    (..., d^n, d^n): for each row, position 0's state times position 1's and
+    so on, bit-identical to reduce(np.kron, ...) of the n states.
+    """
+    letters = np.asarray(letters)
+    states = table[tuple(np.moveaxis(letters, -1, 0))]   # (..., n, d, d)
+    return ops.tensor_all(states[..., k, :, :] for k in range(letters.shape[-2]))
+
+
 @dataclass(frozen=True)
 class BlockChannel:
     """n-letter extension of a channel, evaluated lazily per word tuple.
 
     Only the states actually requested are materialized; each is the
-    Kronecker product of the per-position letter states.
+    Kronecker product of the per-position letter states (`block_states`).
     """
 
     base: CqMacChannel
@@ -347,6 +364,10 @@ class BlockChannel:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
+        d, cap = self.base.output_dim, max_dim(self.max_block_dim)
+        if d > 1 and self.n > cap.bit_length():   # d**n > 2**n > cap, too large to form
+            raise CapExceeded(f"{self.n}-block output state needs dimension {d}^{self.n}, "
+                              f"configured cap is {cap}")
         require_dim(self.output_dim, self.max_block_dim, f"{self.n}-block output state")
 
     @property
@@ -357,16 +378,24 @@ class BlockChannel:
     def output_dim(self) -> int:
         return self.base.output_dim ** self.n
 
-    def state_for_words(self, words: Sequence[Sequence[int]]) -> np.ndarray:
-        """Output state of one word per sender (each word is n letters)."""
-        if len(words) != self.s:
-            raise ValidationError(f"expected {self.s} words, got {len(words)}")
-        for w in words:
-            if len(w) != self.n:
-                raise ValidationError(f"word {tuple(w)} has length {len(w)}, expected {self.n}")
-        return ops.tensor_all(
-            self.base.state([w[k] for w in words]) for k in range(self.n)
-        )
+    def state_for_words(self, words: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+        """Output state of one word per sender (each word is n letters).
+
+        Given an integer array (..., s, n) of such word tuples instead, the
+        stack (..., d^n, d^n) of their states.
+        """
+        try:
+            words = np.asarray(words, dtype=int)
+        except ValueError:   # ragged word lists
+            words = np.empty(0, dtype=int)
+        if words.shape[-2:] != (self.s, self.n):
+            raise ValidationError(f"expected {self.s} words of {self.n} letters each")
+        letters = words.swapaxes(-1, -2)   # (..., n, s): one letter tuple per position
+        bad = ((letters < 0) | (letters >= np.array(self.base.sender_alphabets))).any(-1)
+        if bad.any():   # checked first: indexing would wrap negative letters
+            first = letters.reshape(-1, self.s)[np.flatnonzero(bad)[0]]
+            raise ValidationError(f"no state for letter tuple {tuple(first.tolist())}")
+        return block_states(self.base.states, letters)
 
 
 def block_channel(ch: CqMacChannel, n: int, max_block_dim: int | None = None) -> BlockChannel:

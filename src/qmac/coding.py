@@ -11,19 +11,18 @@ the choice of message tuples.
 
 from __future__ import annotations
 
-import itertools
 import time
-from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from dataclasses import InitVar, dataclass, field
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
+from . import entropy
 from . import operators as ops
-from .channel import CqMacChannel, Prior, block_channel, reduced_channel
+from .channel import CqMacChannel, Prior, block_channel, block_states, reduced_channel
 from .config import DEFAULT_MAX_MESSAGES, CapExceeded
 from .operators import ValidationError
 
-BRANCH_FLOOR = 1e-15          # measurement branches below this probability are dropped
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
 
 
@@ -110,14 +109,20 @@ def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list
 
 @dataclass(frozen=True)
 class Povm:
-    """Labeled decoding observable: PSD elements summing to the identity."""
+    """Labeled decoding observable: PSD elements summing to the identity.
+
+    The elements are checked unless `trusted` says they were built as a POVM
+    from checked states (as the sequential decoder builds its measurements).
+    """
 
     dim: int
     elements: tuple[tuple[Hashable, np.ndarray], ...]
+    trusted: InitVar[bool] = False
     _index: dict = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        ops.check_povm([m for _, m in self.elements], self.dim)
+    def __post_init__(self, trusted: bool):
+        if not trusted:
+            ops.check_povm([m for _, m in self.elements], self.dim)
         index = {lab: i for i, (lab, _) in enumerate(self.elements)}
         if len(index) != len(self.elements):
             raise ValidationError("POVM outcome labels must be unique")
@@ -147,7 +152,8 @@ class TenderInstrument:
 
     Each root is computed from the POVM on its first lookup and cached, so
     roots square back by construction and a decoder pays only for the
-    outcomes it reads.
+    outcomes it reads; the simulator looks up a chunk's roots together
+    (`_roots`), computing the missing ones in one stacked call.
     """
 
     povm: Povm
@@ -166,10 +172,32 @@ class TenderInstrument:
         i = self.povm._position(label)
         if i is None:
             raise ValidationError(f"instrument has no outcome {label!r}")
-        root = self._roots.get(i)
-        if root is None:
-            root = self._roots[i] = ops.op_sqrt(self.povm.elements[i][1])
-        return root
+        return _roots([self], [i])[0]
+
+
+def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack of equally shaped operators.  When every entry is one operator
+    (a chunk of one at large dimension, or tuples sharing an outcome) it is
+    viewed as a stack of one, which broadcasts, instead of copied."""
+    first = mats[0]
+    return first[None] if all(m is first for m in mats) else np.stack(mats)
+
+
+def _roots(insts: Sequence[TenderInstrument], positions: Sequence[int]) -> list[np.ndarray]:
+    """Root of outcome `positions[t]` of `insts[t]`, for each t.
+
+    Roots not yet cached are computed in one stacked op_sqrt (the POVM
+    checked its elements, or built them as Hermitian) and cached, so each
+    root is computed once, and equals the root computed alone.
+    """
+    todo = {(id(inst), i): (inst, i) for inst, i in zip(insts, positions)
+            if i not in inst._roots}
+    if todo:
+        roots = ops.op_sqrt(_stack([inst.povm.elements[i][1] for inst, i in todo.values()]),
+                            hermitian=True)
+        for (inst, i), root in zip(todo.values(), roots):
+            inst._roots[i] = root
+    return [inst._roots[i] for inst, i in zip(insts, positions)]
 
 
 FAIL = None  # outcome label of the PGM's residual (off-support) element
@@ -191,55 +219,44 @@ def _state_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
     return w
 
 
+def _chunks(count: int, dim: int) -> Iterator[slice]:
+    """Consecutive slices of `count` stacked dim x dim complex operators, as
+    many per slice as fit in the entropy module's CHUNK_BYTES (at least one)."""
+    step = max(1, entropy.CHUNK_BYTES // (16 * dim * dim))
+    return (slice(i, i + step) for i in range(0, count, step))
+
+
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
-                weights: Sequence[float] | None = None) -> Povm:
+                weights: Sequence[float] | None = None, *, trusted: bool = False) -> Povm:
     """Square-root measurement of a weighted state family.
 
     With S the weighted average, each element is S^{-1/2} w_c rho_c S^{-1/2}
     on the (numerically resolvable) support of S; whatever identity mass
     lies off the support becomes a residual outcome labeled FAIL (present
-    only when nonzero).
+    only when nonzero).  The states are checked as density matrices, and the
+    result as a POVM, unless `trusted` says the states were built from
+    checked ones (as the sequential decoder builds its candidate states).
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
     labels = [lab for lab, _ in states]
-    mats = [ops.check_density(m, name=f"PGM state {lab!r}") for lab, m in states]
+    mats = [m if trusted else ops.check_density(m, name=f"PGM state {lab!r}")
+            for lab, m in states]
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValidationError("PGM states must share one dimension")
     w = _state_weights(weights, len(mats))
     avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
     inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
-    elements = [
-        (lab, ops.hermitize(inv_root @ (wi * m) @ inv_root))
-        for lab, wi, m in zip(labels, w, mats)
-    ]
+    elements = []
+    for rows in _chunks(len(mats), dim):
+        weighted = np.stack(mats[rows])
+        weighted *= w[rows, None, None]
+        elements.extend(zip(labels[rows], ops.hermitize(inv_root @ weighted @ inv_root)))
     residual = ops.hermitize(np.eye(dim) - support)
     if float(np.max(np.abs(residual))) > 1e-10:
         elements.append((FAIL, residual))
-    return Povm(dim, tuple(elements))
-
-
-def tender_apply(inst: TenderInstrument,
-                 rho: np.ndarray) -> list[tuple[Hashable, float, np.ndarray]]:
-    """All measurement branches (outcome, probability, normalized post-state).
-
-    Branch probabilities are Tr(rho D_b) and sum to 1; branches below 1e-15
-    are dropped.
-    """
-    rho = ops.check_density(rho)
-    if rho.shape[0] != inst.povm.dim:
-        raise ValidationError(
-            f"state dimension {rho.shape[0]} does not match POVM dimension {inst.povm.dim}"
-        )
-    out = []
-    for (lab, elem), (_, root) in zip(inst.povm.elements, inst.sqrt_elements):
-        p = float(np.trace(rho @ elem).real)
-        if p <= BRANCH_FLOOR:
-            continue
-        post = ops.hermitize(root @ rho @ root) / p
-        out.append((lab, p, post))
-    return out
+    return Povm(dim, tuple(elements), trusted=trusted)
 
 
 def disturbance_check(rho: np.ndarray, x: np.ndarray,
@@ -278,20 +295,24 @@ class TenderCheck:
     avg_bound: float
 
 
-def _branch_disturbance(rho: np.ndarray, inst: TenderInstrument,
-                        b: Hashable) -> tuple[float, float]:
-    """(eps, dist) of state rho under the instrument when b is the right outcome.
+def _trace(a: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each operator of a stack."""
+    return np.trace(a, axis1=-2, axis2=-1).real
 
-    eps = 1 - Tr(rho D_b); dist is the exact deviation of the branch map
-    output (with its classical outcome register) from the ideal b (x) rho:
+
+def _branch_disturbance(rho: np.ndarray, roots: np.ndarray,
+                        leak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, dist) of each state of a stack under its right outcome, given
+    the stacked roots sqrt(D_b) and the leaks 1 - Tr(rho D_b).
+
+    eps is the leak floored at 0; dist is the exact deviation of the branch
+    map output (with its classical outcome register) from the ideal b (x) rho:
     ||rho - sqrt(D_b) rho sqrt(D_b)||_1 plus the leaked probability
     sum_{b' != b} Tr(rho D_b'), which is 1 - Tr(rho D_b) because `Povm`
     enforces completeness (to 1e-8 per entry).
     """
-    root = inst.sqrt_element(b)
-    leak = 1.0 - float(np.trace(rho @ inst.povm.element(b)).real)
-    dist = ops.trace_norm(rho - root @ rho @ root, hermitian=True) + leak
-    return max(0.0, leak), dist
+    dist = ops.trace_norm(rho - roots @ rho @ roots, hermitian=True) + leak
+    return np.where(leak > 0.0, leak, 0.0), dist
 
 
 def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
@@ -305,12 +326,15 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     averaged eps.
     """
     wvec = _state_weights(weights, len(states))
+    labels = [a for a, _ in states]
+    rhos = np.stack([ops.check_density(rho, name=f"state {a!r}") for a, rho in states])
+    leak = 1.0 - _trace(rhos @ np.stack([inst.povm.element(a) for a in labels]))
+    roots = np.stack([inst.sqrt_element(a) for a in labels])
+    eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos, roots, leak))
     rows = []
     eps_bar = 0.0
     avg_dist = 0.0
-    for (a, rho), w in zip(states, wvec):
-        rho = ops.check_density(rho, name=f"state {a!r}")
-        eps, dist = _branch_disturbance(rho, inst, a)
+    for a, eps, dist, w in zip(labels, eps_all, dist_all, wvec):
         bound = float(np.sqrt(8.0 * eps) + eps)
         rows.append((a, eps, dist, bound))
         eps_bar += w * eps
@@ -350,6 +374,7 @@ class SequentialDecoder:
         self.prior = prior
         self.n = codebooks[0].n
         self.block = block_channel(ch, self.n, max_block_dim)
+        self._words = [np.array(cb.words, dtype=int) for cb in codebooks]   # (L_i, n) each
         # letter table for stage i: senders 0..i explicit, senders > i averaged
         self._stage_tables = [
             reduced_channel(ch, prior, range(i + 1)) for i in range(ch.s)
@@ -358,16 +383,20 @@ class SequentialDecoder:
 
     def stage_states(self, stage: int,
                      prefix_words: Sequence[Sequence[int]]) -> list[tuple[int, np.ndarray]]:
-        """Candidate states for each message of `stage`, given decoded prefix words."""
-        table = self._stage_tables[stage]
+        """Candidate states for each message of `stage`, given decoded prefix words.
+
+        Position k of message m's state is the stage table's state of the
+        letters (prefix_words[0][k], ..., word_m[k]); the states are built as
+        stacks of block_states, chunked like the simulator's.
+        """
+        words = self._words[stage]
+        prefix = np.array(prefix_words, dtype=int).reshape(stage, self.n).T   # (n, stage)
+        letters = np.concatenate(
+            [np.broadcast_to(prefix, (len(words),) + prefix.shape), words[:, :, None]], axis=-1)
         out = []
-        for m, word in enumerate(self.codebooks[stage].words):
-            per_letter = (
-                table[tuple(w[k] for w in prefix_words) + (word[k],)]
-                for k in range(self.n)
-            )
-            out.append((m, ops.tensor_all(per_letter)))
-        return out
+        for rows in _chunks(len(words), self.block.output_dim):
+            out.extend(block_states(self._stage_tables[stage], letters[rows]))
+        return list(enumerate(out))
 
     def stage_instrument(self, stage: int,
                          prefix_words: Sequence[Sequence[int]]) -> TenderInstrument:
@@ -378,10 +407,25 @@ class SequentialDecoder:
         key = (stage, tuple(tuple(int(x) for x in w) for w in prefix_words))
         inst = self._cache.get(key)
         if inst is None:
-            povm = pgm_decoder(self.stage_states(stage, key[1]))
+            povm = pgm_decoder(self.stage_states(stage, key[1]), trusted=True)
             inst = TenderInstrument.from_povm(povm)
             self._cache[key] = inst
         return inst
+
+
+def _stage_instruments(decoder: SequentialDecoder, stage: int,
+                       prefixes: list[list[int]]) -> list[TenderInstrument]:
+    """The stage's instrument for each row of decoded prefix messages, looked
+    up once per distinct prefix."""
+    found: dict[tuple[int, ...], TenderInstrument] = {}
+    out = []
+    for prefix in map(tuple, prefixes):
+        inst = found.get(prefix)
+        if inst is None:
+            inst = found[prefix] = decoder.stage_instrument(
+                stage, [decoder.codebooks[j].words[m] for j, m in enumerate(prefix)])
+        out.append(inst)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +503,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         if count > DEFAULT_MAX_MESSAGES:
             raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
                               f"cap is {DEFAULT_MAX_MESSAGES}")
-        tuples = list(itertools.product(*(range(L) for L in sizes)))
+        msgs = np.indices(sizes).reshape(len(sizes), -1).T   # lexicographic order
         trial_seed = None
     elif mode == "monte_carlo":
         if trials is None or seed is None:
@@ -467,9 +511,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         if trials < 1:
             raise ValidationError(f"trials must be >= 1, got {trials}")
         rng = np.random.default_rng(int(seed))
-        tuples = [
-            tuple(int(rng.integers(L)) for L in sizes) for _ in range(trials)
-        ]
+        msgs = np.array([[int(rng.integers(L)) for L in sizes] for _ in range(trials)])
         trial_seed = int(seed)
     else:
         raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")
@@ -480,22 +522,31 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     stage_eps = np.zeros(s)
     stage_dist = np.zeros(s)
     total_error = 0.0
-    for msg in tuples:
-        words = [cb.words[m] for cb, m in zip(codebooks, msg)]
+    # message tuples go through the stages in chunks of stacked operators;
+    # per-tuple values are then added in tuple order, as one tuple at a time would
+    for rows in _chunks(len(msgs), decoder.block.output_dim):
+        msg = msgs[rows]
+        words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
         sigma0 = decoder.block.state_for_words(words)
         sigma = sigma0
         for i in range(s):
-            inst = decoder.stage_instrument(i, words[:i])
-            # gentleness accounting on the undisturbed word state
-            eps, dist = _branch_disturbance(sigma0, inst, msg[i])
-            stage_eps[i] += eps
-            stage_dist[i] += dist
-            root = inst.sqrt_element(msg[i])
-            sigma = root @ sigma @ root
-            stage_success[i] += float(np.trace(sigma).real)
-        total_error += 1.0 - float(np.trace(sigma).real)
+            insts = _stage_instruments(decoder, i, msg[:, :i].tolist())
+            positions = [inst.povm._position(b) for inst, b in zip(insts, msg[:, i].tolist())]
+            # gentleness accounting on the undisturbed word states
+            leak = 1.0 - _trace(
+                sigma0 @ _stack([inst.povm.elements[k][1] for inst, k in zip(insts, positions)]))
+            roots = _stack(_roots(insts, positions))
+            eps, dist = _branch_disturbance(sigma0, roots, leak)
+            sigma = roots @ sigma @ roots
+            success = _trace(sigma)
+            for total, values in ((stage_eps, eps), (stage_dist, dist),
+                                  (stage_success, success)):
+                for v in values.tolist():
+                    total[i] += v
+        for v in success.tolist():   # the last stage's success: every sender decoded
+            total_error += 1.0 - v
 
-    count = len(tuples)
+    count = len(msgs)
     stage_success /= count
     stage_eps /= count
     stage_dist /= count
@@ -530,6 +581,7 @@ def run_simulation(ch: CqMacChannel, prior: Prior, n: int, sizes: Sequence[int],
     The master seed splits into one seed per codebook plus one for Monte
     Carlo message sampling, so reports are bit-exact replayable.
     """
+    block_channel(ch, n, max_block_dim)   # capped before n-letter words are drawn
     codebooks = codebooks_from_seed(ch, prior, n, sizes, master_seed)
     trial_seed = derive_seeds(master_seed, ch.s + 1)[ch.s]
     return average_error(

@@ -10,7 +10,6 @@ All entropies produced downstream are in bits (log base 2).
 
 from __future__ import annotations
 
-from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -107,23 +106,31 @@ def check_povm(elements: Sequence[np.ndarray], dim: int | None = None,
         raise ValidationError(f"{name} elements do not sum to identity (deviation {dev:.3e})")
 
 
-def eig_hermitian(a) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(a, *, hermitian: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and unitary eigenvectors of a Hermitian operator.
 
-    Satisfies a = V diag(w) V† up to ~1e-9 in max-entry norm.
+    Satisfies a = V diag(w) V† up to ~1e-9 in max-entry norm.  The input is
+    checked to be Hermitian unless `hermitian` says it is so by construction;
+    such an input may also be a stack (..., D, D), decomposed in one call.
     """
-    a = check_hermitian(a)
+    if not hermitian:
+        a = check_hermitian(a)
     w, v = np.linalg.eigh(hermitize(a))
     return w, v
 
 
-def op_sqrt(a) -> np.ndarray:
-    """Operator square root of a PSD operator, clamping eigenvalue noise at zero."""
-    w, v = eig_hermitian(a)
-    if w.size and w[0] < -PSD_HARD:
-        raise ValidationError(f"operator is not PSD (eigenvalue {w[0]:.3e}); no real square root")
+def op_sqrt(a, *, hermitian: bool = False) -> np.ndarray:
+    """Operator square root of a PSD operator, clamping eigenvalue noise at zero.
+
+    With `hermitian` (see eig_hermitian) `a` may be a stack of operators;
+    each root equals the one computed alone, bit for bit.
+    """
+    w, v = eig_hermitian(a, hermitian=hermitian)
+    if w.size and w[..., 0].min() < -PSD_HARD:
+        raise ValidationError(f"operator is not PSD (eigenvalue {w[..., 0].min():.3e}); "
+                              "no real square root")
     w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)
+    return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def pinv_sqrt(a, support_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -164,9 +171,22 @@ def tensor(a, b) -> np.ndarray:
 
 
 def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of states the caller already checked; [[1]] when empty."""
+    """Kronecker product of states the caller already checked; [[1]] when empty.
+
+    Factors may be stacks (..., d_k, d_k) with broadcastable leading axes, and
+    the product is taken per row.  It is built left to right by broadcasting,
+    in the order and with the products of reduce(np.kron, mats), so each row
+    equals np.kron's result bit for bit.
+    """
     mats = list(mats)
-    return reduce(np.kron, mats) if mats else np.eye(1, dtype=complex)
+    if not mats:
+        return np.eye(1, dtype=complex)
+    out = mats[0]
+    for a in mats[1:]:
+        prod = out[..., :, None, :, None] * a[..., None, :, None, :]
+        side = out.shape[-1] * a.shape[-1]
+        out = prod.reshape(prod.shape[:-4] + (side, side))
+    return out
 
 
 def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -200,12 +220,15 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
     return out.reshape(size, size)
 
 
-def trace_norm(a, *, hermitian: bool = False) -> float:
+def trace_norm(a, *, hermitian: bool = False) -> float | np.ndarray:
     """Trace norm of a Hermitian operator: sum of absolute eigenvalues.
 
     The input is checked to be Hermitian unless `hermitian` says it is so by
     construction, as in inner loops whose inputs were checked where they entered.
+    Such an input may also be a stack (..., D, D); its norms come from one
+    batched eigvalsh, as an array, each equal to the norm computed alone.
     """
     if not hermitian:
         a = check_hermitian(a)
-    return float(np.abs(np.linalg.eigvalsh(hermitize(a))).sum())
+    norms = np.abs(np.linalg.eigvalsh(hermitize(a))).sum(axis=-1)
+    return float(norms) if np.ndim(a) == 2 else norms

@@ -7,13 +7,22 @@ diagonal channels, 2x2 closed forms, maximum-posterior decoding, a full
 outcome-tree enumeration of the sequential decoder, the element-by-element
 leak of a gentle instrument, a reduced channel averaged one letter tuple at
 a time, membership in a two-sender hull by
-interpolation along its vertices, and positivity decided by a full
-eigendecomposition.
+interpolation along its vertices, positivity decided by a full
+eigendecomposition, the branches of a gentle instrument, and the simulator's
+average error taken one message tuple at a time.
 """
 
 import itertools
+import time
 
 import numpy as np
+
+from qmac import operators as ops
+from qmac.coding import SequentialDecoder, SimReport
+from qmac.config import DEFAULT_MAX_MESSAGES, CapExceeded
+from qmac.operators import ValidationError
+
+BRANCH_FLOOR = 1e-15   # measurement branches below this probability are dropped
 
 
 def shannon(p) -> float:
@@ -164,6 +173,104 @@ def decode_tree(channel, codebooks, prior, messages, stage_instrument, word_stat
             stack.append((outcomes + (lab,), prob * p, post))
         total += prob * max(remaining, 0.0)
     return correct, total
+
+
+def tender_apply(inst, rho) -> list:
+    """All measurement branches (outcome, probability, normalized post-state)
+    of a gentle instrument: probabilities Tr(rho D_b), summing to 1, with
+    branches at or below 1e-15 dropped; the post-state of branch b is
+    sqrt(D_b) rho sqrt(D_b) / p_b."""
+    rho = ops.check_density(rho)
+    if rho.shape[0] != inst.povm.dim:
+        raise ValidationError(
+            f"state dimension {rho.shape[0]} does not match POVM dimension {inst.povm.dim}"
+        )
+    out = []
+    for (lab, elem), (_, root) in zip(inst.povm.elements, inst.sqrt_elements):
+        p = float(np.trace(rho @ elem).real)
+        if p <= BRANCH_FLOOR:
+            continue
+        post = ops.hermitize(root @ rho @ root) / p
+        out.append((lab, p, post))
+    return out
+
+
+def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, seed=None,
+                       max_block_dim=None, master_seed=None) -> SimReport:
+    """`qmac.coding.average_error` one message tuple at a time.
+
+    Each tuple's block state is built alone, then each stage looks up its
+    instrument, adds the tuple's leak and disturbance on the undisturbed
+    state, and applies the right outcome's root to the running state.  Same
+    arguments, tuple order and float operations as the chunked simulator,
+    so its report must be identical.
+    """
+    t0 = time.perf_counter()
+    decoder = SequentialDecoder(ch, codebooks, prior, max_block_dim)
+    sizes = tuple(cb.size for cb in codebooks)
+    if mode == "exhaustive":
+        count = int(np.prod(sizes))
+        if count > DEFAULT_MAX_MESSAGES:
+            raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
+                              f"cap is {DEFAULT_MAX_MESSAGES}")
+        tuples = list(itertools.product(*(range(L) for L in sizes)))
+        trial_seed = None
+    elif mode == "monte_carlo":
+        if trials is None or seed is None:
+            raise ValidationError("monte_carlo mode needs trials= and seed=")
+        if trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {trials}")
+        rng = np.random.default_rng(int(seed))
+        tuples = [tuple(int(rng.integers(L)) for L in sizes) for _ in range(trials)]
+        trial_seed = int(seed)
+    else:
+        raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")
+
+    s = ch.s
+    n = decoder.n
+    stage_success = np.zeros(s)
+    stage_eps = np.zeros(s)
+    stage_dist = np.zeros(s)
+    total_error = 0.0
+    for msg in tuples:
+        words = [cb.words[m] for cb, m in zip(codebooks, msg)]
+        sigma0 = decoder.block.state_for_words(words)
+        sigma = sigma0
+        for i in range(s):
+            inst = decoder.stage_instrument(i, words[:i])
+            root = inst.sqrt_element(msg[i])
+            leak = 1.0 - float(np.trace(sigma0 @ inst.povm.element(msg[i])).real)
+            dist = ops.trace_norm(sigma0 - root @ sigma0 @ root, hermitian=True) + leak
+            stage_eps[i] += max(0.0, leak)
+            stage_dist[i] += dist
+            sigma = root @ sigma @ root
+            stage_success[i] += float(np.trace(sigma).real)
+        total_error += 1.0 - float(np.trace(sigma).real)
+
+    count = len(tuples)
+    stage_success /= count
+    stage_eps /= count
+    stage_dist /= count
+    total_error /= count
+    bounds = tuple(float(np.sqrt(8.0 * e) + e) for e in stage_eps)
+    return SimReport(
+        n=n,
+        sizes=sizes,
+        rates=tuple(float(np.log2(L)) / n for L in sizes),
+        mode=mode,
+        trials=trials if mode == "monte_carlo" else None,
+        master_seed=master_seed,
+        codebook_seeds=tuple(cb.seed for cb in codebooks),
+        trial_seed=trial_seed,
+        messages_evaluated=count,
+        avg_error=float(total_error),
+        stage_success=tuple(float(x) for x in stage_success),
+        stage_errors=tuple(float(1.0 - x) for x in stage_success),
+        stage_eps_bar=tuple(float(x) for x in stage_eps),
+        stage_disturbance=tuple(float(x) for x in stage_dist),
+        stage_disturbance_bound=bounds,
+        wall_clock_s=time.perf_counter() - t0,
+    )
 
 
 def explicit_leak(rho, inst, b) -> float:

@@ -135,6 +135,34 @@ def test_channel_state_product_rule():
     assert abs(probs[(0, 1)] - 0.15) < 1e-12
 
 
+def test_channel_state_trusts_the_checked_table(monkeypatch):
+    # the constructor checks each state once; channel_state builds the same
+    # ensemble as make_ensemble (same floor, same label order) without
+    # checking them again, while make_ensemble still checks every kept atom
+    import qmac.operators as ops
+    calls = []
+    real = ops.check_density
+    monkeypatch.setattr(ops, "check_density", lambda *a, **k: calls.append(1) or real(*a, **k))
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        ch = random_channel(rng)
+        assert len(calls) == int(np.prod(ch.sender_alphabets))
+        prior = random_prior(rng, ch)
+        vecs = [v.copy() for v in prior.per_sender]
+        vecs[0][0] = 0.0   # a dropped atom per trial
+        prior = Prior(tuple(v / v.sum() for v in vecs))
+        calls.clear()
+        e = channel_state(ch, prior)
+        assert not calls
+        atoms = [(x, prior.prob(x), ch.states[x]) for x in ch.joint_letters()]
+        want = make_ensemble(ch.sender_alphabets, ch.output_dim, atoms)
+        assert len(calls) == len(want.atoms) < len(atoms)
+        calls.clear()
+        assert (e.label_spaces, e.quantum_dim) == (want.label_spaces, want.quantum_dim)
+        assert [(x, p) for x, p, _ in e.atoms] == [(x, p) for x, p, _ in want.atoms]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(e.atoms, want.atoms))
+
+
 def test_channel_state_quantum_marginal_reproduces_prior():
     ch = CqMacChannel((2, 2), 2, qubit_table())
     prior = Prior((np.array([0.2, 0.8]), np.array([0.6, 0.4])))
@@ -233,10 +261,33 @@ def test_block_channel_products():
     assert abs(np.trace(pure @ pure).real - 1.0) < 1e-12
 
 
+def test_stacked_block_states_equal_one_word_tuple_at_a_time():
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        ch = random_channel(rng)
+        n = int(rng.integers(1, 4))
+        blk = block_channel(ch, n)
+        words = np.stack([rng.integers(a, size=(5, n)) for a in ch.sender_alphabets], axis=1)
+        stack = blk.state_for_words(words)
+        assert stack.shape == (5, blk.output_dim, blk.output_dim)
+        for t in range(5):
+            assert np.array_equal(stack[t], blk.state_for_words(words[t].tolist()))
+        with pytest.raises(ValidationError, match=f"expected {ch.s} words of {n} letters"):
+            blk.state_for_words(words[:, :, :-1])
+        words[3, -1, -1] = ch.sender_alphabets[-1]
+        with pytest.raises(ValidationError, match="no state for letter tuple"):
+            blk.state_for_words(words)
+
+
 def test_block_channel_respects_cap():
     ch = CqMacChannel((2, 2), 2, qubit_table())
     with pytest.raises(CapExceeded):
         block_channel(ch, 3, max_block_dim=4)
+    # a block length whose d**n has more digits than Python prints, or more
+    # bits than memory holds, is refused without forming d**n
+    for n in (10 ** 5, 10 ** 18):
+        with pytest.raises(CapExceeded, match=f"{n}-block output state needs dimension 2\\^{n}"):
+            block_channel(ch, n)
 
 
 def test_env_var_overrides_dimension_cap(monkeypatch):

@@ -1,20 +1,23 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from qmac import entropy
 from qmac.catalog import load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, block_channel
-from qmac.coding import (Codebook, Povm, SequentialDecoder, TenderInstrument,
+from qmac.coding import (FAIL, Codebook, Povm, SequentialDecoder, TenderInstrument,
                          average_error, codebooks_from_seed, disturbance_check,
                          pgm_decoder, run_simulation, sample_codebook,
-                         sizes_from_rates, tender_apply, tender_bound_check)
+                         sizes_from_rates, tender_bound_check)
 from qmac.config import CapExceeded
 from qmac.checks import random_density
-from qmac.operators import ValidationError, op_sqrt, trace_norm
+from qmac.operators import ValidationError, check_povm, op_sqrt, trace_norm
 from qmac.region import corner_table
 
-from oracles import explicit_leak, map_error, two_pure_state_pgm_success
+from oracles import (average_error_loop, explicit_leak, map_error, tender_apply,
+                     two_pure_state_pgm_success)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -250,27 +253,69 @@ def test_instrument_roots_square_back():
             assert np.max(np.abs(root @ root - elem)) <= 1e-9
 
 
+def counting_roots(monkeypatch) -> list:
+    """Make every op_sqrt call record how many roots it computes (one per
+    operator of a stack) and return that record."""
+    computed = []
+
+    def counted(a, **kwargs):
+        computed.append(1 if np.ndim(a) == 2 else len(a))
+        return op_sqrt(a, **kwargs)
+
+    monkeypatch.setattr("qmac.operators.op_sqrt", counted)
+    return computed
+
+
 def test_instrument_roots_are_lazy_and_cached(monkeypatch):
-    calls = []
-    monkeypatch.setattr("qmac.operators.op_sqrt", lambda a: calls.append(1) or op_sqrt(a))
+    computed = counting_roots(monkeypatch)
     rng = np.random.default_rng(55)
     for _ in range(30):
         d = int(rng.integers(2, 7))
         states = [(a, random_density(rng, d)) for a in range(int(rng.integers(2, 6)))]
         povm = pgm_decoder(states)
-        calls.clear()
+        computed.clear()
         inst = TenderInstrument.from_povm(povm)
-        assert not calls
+        assert not computed
         labels = [lab for lab, _ in povm.elements]
         lab = labels[int(rng.integers(len(labels)))]
         root = inst.sqrt_element(lab)
         assert np.array_equal(root, op_sqrt(povm.element(lab)))
         assert inst.sqrt_element(lab) is root
-        assert len(calls) == 1
+        assert sum(computed) == 1
         assert [b for b, _ in inst.sqrt_elements] == labels
-        assert len(calls) == len(labels)
+        assert sum(computed) == len(labels)
         for b, r in inst.sqrt_elements:
             assert np.array_equal(r, op_sqrt(povm.element(b)))
+
+
+def test_simulator_roots_each_computed_once_in_stacks(monkeypatch):
+    # the simulator reads roots through the same cache as sqrt_element: each
+    # outcome it reads gets one root, computed in a stacked call per stage
+    # and chunk, equal to the root computed alone
+    ch = load_builtin_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = [Codebook(0, 2, ((0, 1), (1, 1), (0, 1))), Codebook(1, 2, ((1, 0), (0, 0)))]
+    decoders = []
+
+    class Recorded(SequentialDecoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            decoders.append(self)
+
+    monkeypatch.setattr("qmac.coding.SequentialDecoder", Recorded)
+    computed = counting_roots(monkeypatch)
+    average_error(ch, books, prior)
+    # read: every stage-0 outcome, and at stage 1 every outcome of each
+    # distinct stage-0 word (the duplicate word shares its instrument)
+    assert sum(computed) == 3 + 2 * 2
+    assert len(computed) == 2   # one chunk, one stacked call per stage
+    [decoder] = decoders
+    computed.clear()
+    for i, prefix, labels in [(0, [], range(3))] + [(1, [w], range(2)) for w in books[0].words]:
+        inst = decoder.stage_instrument(i, prefix)
+        for b in labels:
+            assert np.array_equal(inst.sqrt_element(b), op_sqrt(inst.povm.element(b)))
+    assert not computed   # every root read above was the simulator's
 
 
 def test_identity_leak_equals_explicit_sum():
@@ -340,6 +385,96 @@ def test_tender_bound_check_pgm():
 
 
 # --- sequential decoding ------------------------------------------------------------------
+
+def random_cq_channel(rng, alphabets, d):
+    return CqMacChannel(alphabets, d, {
+        x: random_density(rng, d) for x in itertools.product(*(range(a) for a in alphabets))})
+
+
+def random_books(rng, alphabets, n, sizes):
+    return [Codebook(i, n, tuple(tuple(int(x) for x in rng.integers(a, size=n))
+                                 for _ in range(L)))
+            for i, (a, L) in enumerate(zip(alphabets, sizes))]
+
+
+def same_report(a, b) -> bool:
+    return (a.to_json_dict() == b.to_json_dict()
+            and json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict()))
+
+
+# (alphabets, output dimension, block length, codebook sizes)
+KERNEL_CASES = [
+    ((1,), 1, 1, (1,)),
+    ((3,), 2, 2, (5,)),
+    ((2,), 4, 1, (3,)),
+    ((2, 2), 2, 2, (3, 4)),
+    ((1, 3), 3, 1, (2, 3)),
+    ((3, 2), 4, 2, (1, 4)),
+    ((2, 1, 2), 2, 2, (2, 2, 3)),
+    ((3, 3, 3), 3, 1, (2, 3, 2)),
+    ((2, 2, 2), 4, 1, (3, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("alphabets, d, n, sizes", KERNEL_CASES)
+def test_chunked_simulator_equals_per_tuple_loop(alphabets, d, n, sizes):
+    rng = np.random.default_rng(sum(sizes) * 100 + d * 10 + n)
+    ch = random_cq_channel(rng, alphabets, d)
+    prior = Prior(tuple(rng.dirichlet(np.ones(a)) for a in alphabets))
+    books = random_books(rng, alphabets, n, sizes)
+    assert same_report(average_error(ch, books, prior), average_error_loop(ch, books, prior))
+    mc = dict(mode="monte_carlo", trials=7, seed=int(rng.integers(1 << 30)))
+    assert same_report(average_error(ch, books, prior, **mc),
+                       average_error_loop(ch, books, prior, **mc))
+
+
+def test_chunked_simulator_duplicate_words_and_fail_outcome():
+    # letter states supported on 2 of 3 dimensions: each stage's average lives
+    # on 4 of the 9 block dimensions, so its PGM has a FAIL outcome; every
+    # codebook repeats a word
+    def pure(t):
+        v = np.array([np.cos(t), np.sin(t), 0.0])
+        return np.outer(v, v).astype(complex)
+
+    ch = CqMacChannel((2, 2), 3, {(x1, x2): pure(0.7 * x1 + 0.3 * x2)
+                                  for x1 in range(2) for x2 in range(2)})
+    prior = Prior.uniform((2, 2))
+    books = [Codebook(0, 2, ((0, 1), (1, 0), (0, 1))),
+             Codebook(1, 2, ((1, 1), (1, 1), (0, 1), (1, 1)))]
+    decoder = SequentialDecoder(ch, books, prior)
+    assert FAIL in [lab for lab, _ in decoder.stage_instrument(0, []).povm.elements]
+    assert same_report(average_error(ch, books, prior), average_error_loop(ch, books, prior))
+    report = run_simulation(ch, prior, 2, (3, 4), master_seed=8, mode="monte_carlo", trials=9)
+    books = codebooks_from_seed(ch, prior, 2, (3, 4), 8)
+    want = average_error_loop(ch, books, prior, mode="monte_carlo", trials=9,
+                              seed=report.trial_seed, master_seed=8)
+    assert same_report(report, want)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 7])
+def test_chunk_size_does_not_change_the_report(monkeypatch, per_chunk):
+    ch = load_builtin_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 2, (4, 5), master_seed=12)
+    one_chunk = average_error(ch, books, prior)   # 20 tuples of 4x4 fit in one chunk
+    assert 20 * 16 * 4 * 4 <= entropy.CHUNK_BYTES
+    monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * 16 * 4 * 4)
+    assert same_report(average_error(ch, books, prior), one_chunk)
+
+
+def test_decoder_povms_equal_the_checked_public_build():
+    rng = np.random.default_rng(57)
+    ch = random_cq_channel(rng, (2, 3), 2)
+    prior = Prior.uniform((2, 3))
+    books = random_books(rng, (2, 3), 2, (3, 4))
+    decoder = SequentialDecoder(ch, books, prior)
+    for i, prefix in [(0, [])] + [(1, [w]) for w in books[0].words]:
+        povm = decoder.stage_instrument(i, prefix).povm
+        public = pgm_decoder(decoder.stage_states(i, prefix))
+        assert [lab for lab, _ in povm.elements] == [lab for lab, _ in public.elements]
+        assert all(np.array_equal(a, b) for a, b in zip(povm.matrices, public.matrices))
+        check_povm(povm.matrices, povm.dim)
+
 
 def test_orthogonal_noiseless_decodes_perfectly():
     ch = orthogonal_channel()

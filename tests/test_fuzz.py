@@ -1,4 +1,4 @@
-"""Property test of the channel-file boundary.
+"""Property tests of the channel-file and `simulate` argument boundaries.
 
 Channel JSON documents are drawn with bounded sizes: valid tables (density
 matrices or classical rows) with up to three mutations each, such as wrong
@@ -6,7 +6,13 @@ types, booleans, NaN and infinities, ragged rows, dropped or misnamed
 entries, and oversized declared alphabets or output dimensions.  Whatever
 the document, `qmac validate` and `qmac region` must end with exit 0, 1 or 2,
 print at most one stderr line (an `error:` line), emit no warning and never
-raise.  The draws are derandomized, so every run checks the same documents.
+raise.
+
+`qmac simulate` argument lists mix small valid values (so each run takes
+milliseconds) with malformed, negative, non-finite and oversized ones; each
+must end with exit 0, 1 or 2, at most one `error:` line, no traceback, no
+warning and no `nan` on stdout.  The draws are derandomized, so every run
+checks the same inputs.
 """
 
 import contextlib
@@ -116,3 +122,59 @@ def test_any_channel_document_ends_with_one_line(doc):
                 assert len(lines) == (code != 0)
             if command == "region":
                 assert "nan" not in out.getvalue().lower()
+
+
+SENDERS = {"qubit-pure-mac": 2, "adder-classical": 2, "holevo-two-state": 1,
+           "no-such-channel": 2}
+
+
+def value(draw, valid, junk: list) -> str:
+    """A drawn valid value nine times in ten, otherwise a malformed one."""
+    return str(draw(valid)) if draw(st.integers(0, 9)) else draw(st.sampled_from(junk))
+
+
+@st.composite
+def simulate_argvs(draw) -> list[str]:
+    channel = draw(st.sampled_from(["qubit-pure-mac", "adder-classical",
+                                    "holevo-two-state"] * 3 + ["no-such-channel"]))
+    senders = SENDERS[channel] + draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+    listed = lambda elems: st.lists(elems, min_size=senders, max_size=senders).map(
+        lambda v: ",".join(map(repr, v)))
+    # "=" keeps a value that starts with "-" from reading as an option
+    argv = ["simulate", "--channel", channel,
+            "--n=" + value(draw, st.integers(1, 3), ["0", "-1", "13", "10000", str(10 ** 5),
+                                                     str(10 ** 18), "x", "", "2.0"]),
+            "--seed=" + value(draw, st.integers(0, 2 ** 64 - 1),
+                              ["-1", str(2 ** 64 + 1), "x", "", "1e3"])]
+    spec = draw(st.sampled_from(["sizes", "rates"] * 6 + ["both", "neither"]))
+    if spec in ("sizes", "both"):
+        argv.append("--sizes=" + value(draw, listed(st.integers(1, 4)), [
+            "0,1", "-1,2", "4097,1", "1,4097", ",", "1,,2", "a,b", "1.5,2", "99999", ""]))
+    if spec in ("rates", "both"):
+        argv.append("--rates=" + value(draw, listed(st.floats(-1, 1)), [
+            "nan,0.1", "0.1,inf", "1e308,0", "-1e308,0", "x", "", "0.1,,0.2"]))
+        if draw(st.booleans()):
+            argv.append("--delta=" + value(draw, st.floats(-0.25, 1), [
+                "nan", "inf", "-inf", "1e308", "-1e308", "x", ""]))
+    if draw(st.booleans()):
+        argv.append("--mode=" + value(draw, st.sampled_from(["exhaustive", "mc"]),
+                                      ["monte_carlo", "", "MC"]))
+        argv.append("--trials=" + value(draw, st.integers(1, 4), ["0", "-1", "x", "", "1.5"]))
+    return argv
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(argv=simulate_argvs())
+def test_any_simulate_arguments_end_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    stderr = err.getvalue()
+    assert code in (0, 1, 2)
+    assert not caught
+    assert "Traceback" not in stderr
+    assert sum("error:" in line for line in stderr.splitlines()) <= 1
+    assert ("error:" in stderr) == (code != 0)
+    assert "nan" not in out.getvalue().lower()

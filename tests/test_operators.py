@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,32 @@ def test_trace_norm_of_trusted_hermitian_skips_only_the_check():
         assert trace_norm(a, hermitian=True) == trace_norm(a)
     with pytest.raises(ValidationError, match="not Hermitian"):
         trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_stacked_roots_norms_and_products_equal_one_at_a_time():
+    # the simulator's stacks must give each operator's values bit for bit
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        t, d = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        psd = np.stack([random_psd(rng, d) for _ in range(t)])
+        herm = np.stack([random_hermitian(rng, d) for _ in range(t)])
+        roots = op_sqrt(psd, hermitian=True)
+        norms = trace_norm(herm, hermitian=True)
+        assert norms.shape == (t,)
+        for k in range(t):
+            assert np.array_equal(roots[k], op_sqrt(psd[k]))
+            assert norms[k] == trace_norm(herm[k])
+        factors = [np.stack([random_density(rng, int(dk)) for _ in range(t)])
+                   for dk in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+        prod = tensor_all(factors)
+        for k in range(t):
+            assert np.array_equal(prod[k], reduce(np.kron, [f[k] for f in factors]))
+    assert np.array_equal(tensor_all([]), np.eye(1))
+
+
+def test_unchecked_stack_root_still_rejects_negative_operators():
+    with pytest.raises(ValidationError, match="not PSD"):
+        op_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5])]), hermitian=True)
 
 
 def test_trace_norm_zero_iff_zero():
