@@ -20,8 +20,8 @@ The package splits into a small dependency chain:
 
 from .channel import (BlockChannel, ChannelFormatError, CqEnsemble,
                       CqMacChannel, Prior, block_channel, channel_from_dict,
-                      channel_state, channel_to_dict, load_channel,
-                      precompose_qq, reduced_channel, save_channel)
+                      channel_state, load_channel, precompose_qq,
+                      reduced_channel)
 from .coding import (Codebook, Povm, SimReport, TenderInstrument,
                      average_error, disturbance_check, pgm_decoder,
                      run_simulation, sample_codebook, tender_bound_check)
@@ -44,13 +44,13 @@ __all__ = [
     "Prior", "RateConstraintSet", "RatePoint", "SimReport",
     "SubsystemSelector", "TenderInstrument", "ValidationError",
     "all_corners", "average_error", "block_channel", "boundary_sweep",
-    "channel_from_dict", "channel_state", "channel_to_dict",
+    "channel_from_dict", "channel_state",
     "check_subadditivity", "conditional_entropy", "constraint_set",
     "corner_table", "disturbance_check", "eig_hermitian", "entropy_bits",
     "fano_bound_check", "info_report", "is_member", "load_channel",
     "mixture_constraints", "mutual_information", "op_sqrt", "partial_trace",
     "pgm_decoder", "precompose_qq", "reduced_channel", "restrict",
-    "run_simulation", "sample_codebook", "save_channel", "subsystem_entropy",
+    "run_simulation", "sample_codebook", "subsystem_entropy",
     "subsystem_entropy_dense", "tender_bound_check", "tensor",
     "trace_norm", "upper_boundary_2d",
 ]

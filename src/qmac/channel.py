@@ -102,15 +102,6 @@ class Prior:
     def uniform(alphabet_sizes: Sequence[int]) -> "Prior":
         return Prior(tuple(np.full(a, 1.0 / a) for a in alphabet_sizes))
 
-    @staticmethod
-    def point_mass(alphabet_sizes: Sequence[int], letters: Sequence[int]) -> "Prior":
-        vecs = []
-        for a, x in zip(alphabet_sizes, letters):
-            v = np.zeros(a)
-            v[x] = 1.0
-            vecs.append(v)
-        return Prior(tuple(vecs))
-
 
 # ---------------------------------------------------------------------------
 # channels
@@ -365,7 +356,9 @@ class BlockChannel:
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
         d, cap = self.base.output_dim, max_dim(self.max_block_dim)
-        if d > 1 and self.n > cap.bit_length():   # d**n > 2**n > cap, too large to form
+        # past the cap's bit length d**n > cap when d > 1, and for any d the
+        # n-letter words and the n-factor products would grow without bound
+        if self.n > cap.bit_length():
             raise CapExceeded(f"{self.n}-block output state needs dimension {d}^{self.n}, "
                               f"configured cap is {cap}")
         require_dim(self.output_dim, self.max_block_dim, f"{self.n}-block output state")
@@ -558,21 +551,6 @@ def channel_from_dict(raw: Mapping) -> CqMacChannel:
     return CqMacChannel(alphabets, d, states, tuple(names))
 
 
-def channel_to_dict(ch: CqMacChannel) -> dict:
-    states = {}
-    for key in ch.joint_letters():
-        mat = ch.states[key]
-        states[",".join(str(x) for x in key)] = np.stack([mat.real, mat.imag], -1).tolist()
-    return {
-        "senders": [
-            {"name": name, "alphabet": a}
-            for name, a in zip(ch.sender_names, ch.sender_alphabets)
-        ],
-        "output_dim": ch.output_dim,
-        "states": states,
-    }
-
-
 def load_channel(path) -> CqMacChannel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -580,9 +558,3 @@ def load_channel(path) -> CqMacChannel:
         except (ValueError, RecursionError) as exc:   # also bad UTF-8, huge integers
             raise ChannelFormatError(f"{path}: invalid JSON ({exc})") from exc
     return channel_from_dict(raw)
-
-
-def save_channel(ch: CqMacChannel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_dict(ch), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -15,15 +15,19 @@ deterministic given the inputs and seeds; JSON reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from typing import Iterator, TextIO
 
 import numpy as np
 
 from . import __version__
+from . import entropy as ent
 from .catalog import BUILTIN_CHANNELS, load_builtin_channel
 from .channel import ChannelFormatError, CqMacChannel, Prior, load_channel
 from .coding import run_simulation, sizes_from_rates
@@ -143,35 +147,66 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _perm_label(perm: tuple[int, ...]) -> str:
-    return "-".join(str(i + 1) for i in perm)
-
-
-def _write_text(path: str | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
 
 
 def _json_doc(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _region_csv(bound_rows: list[tuple]) -> str:
-    lines = ["prior_id,subset_mask,bound_bits"]
-    lines += [f"{pid},{mask},{_fmt(b)}" for pid, mask, b in bound_rows]
-    return "\n".join(lines) + "\n"
+def _pieces(template: str, columns: list[np.ndarray], sep: str) -> Iterator[str]:
+    """`template % row` for every row of the equal-length columns, joined by
+    sep, in pieces of as many rows as `entropy.CHUNK_BYTES` holds float64
+    numbers.  Values reach the template from `tolist`, as Python ints,
+    floats and strings, so a float's %s is float.__repr__."""
+    step = ent.CHUNK_BYTES // 8
+    for lo in range(0, len(columns[0]), step):
+        rows = zip(*(column[lo:lo + step].tolist() for column in columns))
+        yield (sep if lo else "") + sep.join(template % row for row in rows)
 
 
-def _corners_csv(corner_rows: list[tuple], s: int) -> str:
-    head = ",".join([f"R_{i + 1}" for i in range(s)])
-    lines = [f"prior_id,perm,{head}"]
-    for pid, perm, point in corner_rows:
-        rates = ",".join(_fmt(r) for r in point.rates)
-        lines.append(f"{pid},{_perm_label(perm)},{rates}")
-    return "\n".join(lines) + "\n"
+def _skeleton(spec, columns: list[np.ndarray]):
+    """The row layout of `spec` (dicts and lists whose leaves are columns)
+    with a slot string at each leaf; appends the leaves to `columns` in the
+    order json.dumps(sort_keys=True) writes them, string columns JSON-encoded."""
+    if isinstance(spec, dict):
+        return {key: _skeleton(spec[key], columns) for key in sorted(spec)}
+    if isinstance(spec, list):
+        return [_skeleton(item, columns) for item in spec]
+    if spec.dtype.kind == "U":
+        spec = np.array([encode_basestring_ascii(v) for v in spec.tolist()])
+    columns.append(spec)
+    return "\0"
+
+
+def _write_json(fh: TextIO, sections: dict[str, object]) -> None:
+    """Write {key: [row, ...]} as json.dumps(doc, indent=2, sort_keys=True)
+    + "\n" writes it, rows formatted by one template per key: json.dumps of
+    the row skeleton, with %s at each slot."""
+    slot = json.dumps("\0")
+    for n, key in enumerate(sorted(sections)):
+        columns: list[np.ndarray] = []
+        layout = json.dumps(_skeleton(sections[key], columns), indent=2, sort_keys=True)
+        template = "    " + layout.replace("%", "%%").replace(slot, "%s").replace("\n", "\n    ")
+        fh.write(("{" if n == 0 else ",") + "\n  " + json.dumps(key) + ": [")
+        if len(columns[0]):
+            fh.write("\n")
+            fh.writelines(_pieces(template, columns, ",\n"))
+            fh.write("\n  ]")
+        else:
+            fh.write("]")
+    fh.write("\n}\n")
+
+
+def _write_csv(fh: TextIO, header: str, template: str, columns: list[np.ndarray]) -> None:
+    fh.write(header + "\n")
+    fh.writelines(_pieces(template, columns, ""))
 
 
 def _corners_sidecar(path: str) -> str:
@@ -195,88 +230,87 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _per_sender_columns(per_sender) -> list[list[np.ndarray]]:
+    """Columns of the per-sender prior vectors, from one (P, a_i) array per sender."""
+    return [[v[:, x] for x in range(v.shape[1])] for v in per_sender]
+
+
 def cmd_region(args) -> int:
     _check_finite(args.tol, "tolerance", positive=True)
     ch = _load_channel_arg(args.channel)
     s = ch.s
-    bound_rows: list[tuple] = []
-    corner_rows: list[tuple] = []
-    priors_doc: list[dict] = []
-    hull_doc = None
     emit_corners = args.corners
+    sections: dict[str, object] = {}
 
     if args.sweep is not None:
         sweep = boundary_sweep(ch, _parse_grid_spec(args.sweep))
         emit_corners = True
-        all_points: list[RatePoint] = []
-        for sp in sweep:
-            priors_doc.append({
-                "id": sp.prior_id,
-                "per_sender": [[float(x) for x in v] for v in sp.prior.per_sender],
-            })
-            for mask in sorted(sp.constraints.bounds):
-                bound_rows.append((sp.prior_id, mask, sp.constraints.bounds[mask]))
-            for perm, point in sp.corners:
-                corner_rows.append((sp.prior_id, perm, point))
-                all_points.append(point)
-        if s == 2 and all_points:
-            hull_doc = [[r for r in p.rates] for p in upper_boundary_2d(all_points)]
-    elif args.mixture is not None:
-        mix = _parse_mixture(args.mixture, ch.sender_alphabets)
-        cs = mixture_constraints(ch, mix, max_components=args.max_mixture_components)
-        for u, (w, prior) in enumerate(mix.components):
-            priors_doc.append({
-                "id": u, "weight": w,
-                "per_sender": [[float(x) for x in v] for v in prior.per_sender],
-            })
-        for mask in sorted(cs.bounds):
-            bound_rows.append(("mix", mask, cs.bounds[mask]))
-        if emit_corners:
-            pairs = ((perm, corner_from_bounds(cs, perm))
-                     for perm in sorted(itertools.permutations(range(s))))
-            members = [(perm, point) for perm, point in pairs if is_member(point, cs, args.tol)]
-            for perm, point in dedup_points(members, args.tol):
-                corner_rows.append(("mix", perm, point))
+        ids = np.arange(len(sweep.bounds))
+        sections["priors"] = {"id": ids, "per_sender": _per_sender_columns(sweep.per_sender)}
+        bounds = sweep.bounds
+        corner_prior, perms, rates = sweep.corner_prior, sweep.corner_perm, sweep.corner_rates
+        if s == 2:
+            hull = upper_boundary_2d(map(RatePoint, rates.tolist()))
+            sections["hull"] = list(np.array([p.rates for p in hull]).T)
     else:
-        prior = _parse_prior(args.prior, ch.sender_alphabets)
-        priors_doc.append({
-            "id": 0, "per_sender": [[float(x) for x in v] for v in prior.per_sender],
-        })
-        cs = constraint_set(ch, prior)
-        for mask in sorted(cs.bounds):
-            bound_rows.append((0, mask, cs.bounds[mask]))
-        if emit_corners:
-            for perm, point in corners_with_perms(ch, prior):
-                corner_rows.append((0, perm, point))
-
-    if args.format == "json":
-        doc = {
-            "priors": priors_doc,
-            "region": [
-                {"prior_id": pid, "subset_mask": mask, "bound_bits": b}
-                for pid, mask, b in bound_rows
-            ],
-        }
-        if emit_corners:
-            doc["corners"] = [
-                {"prior_id": pid, "perm": [i + 1 for i in perm],
-                 "rates": [r for r in point.rates]}
-                for pid, perm, point in corner_rows
-            ]
-        if hull_doc is not None:
-            doc["hull"] = hull_doc
-        _write_text(args.out, _json_doc(doc))
-    else:
-        region_csv = _region_csv(bound_rows)
-        if emit_corners:
-            corners_csv = _corners_csv(corner_rows, s)
-            if args.out is None:
-                _write_text(None, region_csv + "\n" + corners_csv)
-            else:
-                _write_text(args.out, region_csv)
-                _write_text(_corners_sidecar(args.out), corners_csv)
+        if args.mixture is not None:
+            mix = _parse_mixture(args.mixture, ch.sender_alphabets)
+            cs = mixture_constraints(ch, mix, max_components=args.max_mixture_components)
+            ids = np.array(["mix"])
+            sections["priors"] = {
+                "id": np.arange(len(mix.components)),
+                "per_sender": _per_sender_columns(
+                    np.array([prior.per_sender[i] for _, prior in mix.components])
+                    for i in range(s)),
+                "weight": np.array([w for w, _ in mix.components]),
+            }
+            corners = []
+            if emit_corners:
+                pairs = ((perm, corner_from_bounds(cs, perm))
+                         for perm in sorted(itertools.permutations(range(s))))
+                members = [(perm, point) for perm, point in pairs
+                           if is_member(point, cs, args.tol)]
+                corners = dedup_points(members, args.tol)
         else:
-            _write_text(args.out, region_csv)
+            prior = _parse_prior(args.prior, ch.sender_alphabets)
+            cs = constraint_set(ch, prior)
+            corners = corners_with_perms(ch, prior) if emit_corners else []
+            ids = np.array([0])
+            sections["priors"] = {"id": ids, "per_sender": _per_sender_columns(
+                v[None] for v in prior.per_sender)}
+        bounds = np.array([list(cs.bounds.values())])
+        corner_prior = np.zeros(len(corners), dtype=int)
+        perms = np.array([perm for perm, _ in corners], dtype=int).reshape(-1, s)
+        rates = np.array([point.rates for _, point in corners]).reshape(-1, s)
+
+    # every number is computed and checked; now the rows are written
+    masks = np.tile(np.arange(1, bounds.shape[1] + 1), len(bounds))
+    bound_ids = ids[np.repeat(np.arange(len(bounds)), bounds.shape[1])]
+    corner_ids = ids[corner_prior]
+    if args.format == "json":
+        sections["region"] = {"bound_bits": bounds.ravel(), "prior_id": bound_ids,
+                              "subset_mask": masks}
+        if emit_corners:
+            sections["corners"] = {"perm": list(perms.T + 1), "prior_id": corner_ids,
+                                   "rates": list(rates.T)}
+        with _output(args.out) as fh:
+            _write_json(fh, sections)
+        return EXIT_OK
+    region_csv = ("prior_id,subset_mask,bound_bits", "%s,%s,%.12g\n",
+                  [bound_ids, masks, bounds.ravel()])
+    corners_csv = (
+        "prior_id,perm," + ",".join(f"R_{i + 1}" for i in range(s)),
+        "%s," + "-".join(["%s"] * s) + "," + ",".join(["%.12g"] * s) + "\n",
+        [corner_ids, *(perms.T + 1), *rates.T],
+    )
+    with _output(args.out) as fh:
+        _write_csv(fh, *region_csv)
+        if emit_corners and args.out is None:
+            fh.write("\n")
+            _write_csv(fh, *corners_csv)
+    if emit_corners and args.out is not None:
+        with _output(_corners_sidecar(args.out)) as fh:
+            _write_csv(fh, *corners_csv)
     return EXIT_OK
 
 
@@ -314,7 +348,8 @@ def cmd_simulate(args) -> int:
         ) + "\n"
     else:
         text = _json_doc(report.to_json_dict())
-    _write_text(args.out, text)
+    with _output(args.out) as fh:
+        fh.write(text)
     if report.wall_clock_s is not None:
         print(f"simulated {report.messages_evaluated} message tuple(s) "
               f"in {report.wall_clock_s:.3f}s", file=sys.stderr)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -124,17 +124,18 @@ def subsystem_entropy(e: CqEnsemble, sel: SubsystemSelector) -> float:
     return h
 
 
-def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> Iterator[EntropyTable]:
+def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndarray:
     """H in bits of every block of a stack of ensembles that share their states.
 
     `states` has shape (a_1, ..., a_s, d, d) and holds the state of each
     label tuple; the caller has checked them.  The label weights of the P
     ensembles are the product of `factors`, multiplied in order, whose
     broadcast shape is (P, a_1, ..., a_s): one factor of that shape, or one
-    per sender of shape (P, 1, ..., a_i, ..., 1) for product priors.  Yields
-    one `EntropyTable` per ensemble, in order: entry [mask][q] is the entropy
-    of the ensemble restricted to the label factors in `mask`, with the
-    quantum part when q == 1.  Entry [0][0], the empty block, is 0, so that
+    per sender of shape (P, 1, ..., a_i, ..., 1) for product priors.  Returns
+    an array of shape (P, 2^s, 2) whose row p, as a list, is the
+    `EntropyTable` of ensemble p: entry [mask][q] is the entropy of the
+    ensemble restricted to the label factors in `mask`, with the quantum part
+    when q == 1.  Entry [0][0], the empty block, is 0, so that
     chain-rule differences need no special case.
 
     As in `restrict`, labels below 1e-15 are dropped, a group's mass is the
@@ -169,7 +170,7 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> Iterato
             spectra = np.linalg.eigvalsh(ops.hermitize(blocks))
             block_h = shannon_bits(spectra).reshape(flat.shape)
             table[lo:lo + step, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
-    return map(np.ndarray.tolist, table)
+    return table
 
 
 def entropy_table(e: CqEnsemble) -> EntropyTable:
@@ -180,8 +181,7 @@ def entropy_table(e: CqEnsemble) -> EntropyTable:
     for label, p, rho in e.atoms:
         weights[(0,) + label] = p
         states[label] = rho
-    (table,) = entropy_tables([weights], states)
-    return table
+    return entropy_tables([weights], states)[0].tolist()
 
 
 def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:

@@ -6,17 +6,19 @@ subset sums stay below the conditional mutual informations; its upper
 extremal points (corners) are the successive-decoding rate tuples, one per
 decoding order.  Bounds and corners are both read off the entropy table of
 the channel state (`entropy.entropy_tables`), which a sweep computes for all
-of its priors in one batched call; corners are chain-rule entropy
-differences, exact and LP-free, and an independent route recovers them from
-suffix differences of the bounds for cross-checking.
+of its priors in one batched call and reads corners off as arrays; corners
+are chain-rule entropy differences, exact and LP-free, and an independent
+route recovers them from suffix differences of the bounds for
+cross-checking.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,36 +84,42 @@ class MixtureSpec:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
-def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> Iterator[ent.EntropyTable]:
-    """Entropy table of the channel state under each prior, in prior order:
-    one `entropy.entropy_tables` call over the channel's state array."""
+def _sender_tables(ch: CqMacChannel, per_sender: Sequence[np.ndarray]) -> np.ndarray:
+    """(P, 2^s, 2) entropy tables of the P priors whose sender i has the
+    distribution `per_sender[i][p]`: one `entropy.entropy_tables` call over
+    the channel's state array, one weight factor per sender, multiplied in
+    sender order as Prior.prob does."""
+    factors = [v.reshape((len(v),) + tuple(a if j == i else 1 for j in range(ch.s)))
+               for i, (v, a) in enumerate(zip(per_sender, ch.sender_alphabets))]
+    return ent.entropy_tables(factors, ch.states)
+
+
+def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyTable]:
+    """Entropy table of the channel state under each prior, in prior order."""
     for prior in priors:
         if prior.alphabet_sizes != ch.sender_alphabets:
             raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
                                   f"do not match channel {ch.sender_alphabets}")
-    # one factor per sender, multiplied in sender order as Prior.prob does
-    factors = [
-        np.array([prior.per_sender[i] for prior in priors]).reshape(
-            (len(priors),) + tuple(a if j == i else 1 for j in range(ch.s)))
-        for i, a in enumerate(ch.sender_alphabets)
-    ]
-    return ent.entropy_tables(factors, ch.states)
+    per_sender = [np.array([prior.per_sender[i] for prior in priors]) for i in range(ch.s)]
+    return _sender_tables(ch, per_sender).tolist()
 
 
-def constraint_set(ch: CqMacChannel, prior: Prior, *,
+def constraint_set(ch: CqMacChannel, prior: Prior | None, *,
                    table: ent.EntropyTable | None = None) -> RateConstraintSet:
     """All bounds I(X(J) ^ Y | X(Jc)) of the channel state, in bits, read off
     the entropy table the corners use; `entropy.mutual_information` is their oracle.
 
-    `table` is the prior's table when the caller computed it with others.
+    `table` is the prior's table when the caller computed it with others;
+    `prior` is then not read and may be None.
     """
     if table is None:
         (table,) = prior_tables(ch, [prior])
+    s = ch.s
     bounds = {
-        mask: ent.clamp_mi(ent.table_mi(table, mask, ch.s), f"bound for mask {mask}")
-        for mask in range(1, 1 << ch.s)
+        mask: ent.clamp_mi(ent.table_mi(table, mask, s), f"bound for mask {mask}")
+        for mask in range(1, 1 << s)
     }
-    return RateConstraintSet(ch.s, bounds)
+    return RateConstraintSet(s, bounds)
 
 
 def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
@@ -129,10 +137,10 @@ def _check_perm_cap(s: int) -> None:
         )
 
 
-def corner_table(ch: CqMacChannel, prior: Prior, *,
+def corner_table(ch: CqMacChannel, prior: Prior | None, *,
                  table: ent.EntropyTable | None = None) -> dict[tuple[int, ...], RatePoint]:
     """Corner for every decoding order, computed off one shared entropy table
-    (`table` is the prior's table when the caller computed it with others).
+    (`table` and `prior` as in `constraint_set`).
 
     Stage i decodes sender perm[i] against the joint of the output and the
     already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).  The
@@ -168,7 +176,7 @@ def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
     return kept
 
 
-def corners_with_perms(ch: CqMacChannel, prior: Prior, *,
+def corners_with_perms(ch: CqMacChannel, prior: Prior | None, *,
                        table: ent.EntropyTable | None = None
                        ) -> list[tuple[tuple[int, ...], RatePoint]]:
     """Distinct corners (within 1e-9), each with the first permutation achieving
@@ -235,11 +243,21 @@ def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SweepPoint:
-    prior_id: int
-    prior: Prior
-    constraints: RateConstraintSet
-    corners: tuple[tuple[tuple[int, ...], RatePoint], ...]
+class Sweep:
+    """Bounds and distinct corners of every prior of a grid, as arrays.
+
+    Prior p gives sender i the distribution `per_sender[i][p]`, and its bound
+    for the nonempty sender subset `mask` is `bounds[p, mask - 1]`.  Corner j
+    belongs to prior `corner_prior[j]`, has the 0-based decode order
+    `corner_perm[j]` and the rates `corner_rates[j]`; the corners are listed
+    by prior, and each prior's as `corners_with_perms` lists them.
+    """
+
+    per_sender: tuple[np.ndarray, ...]
+    bounds: np.ndarray
+    corner_prior: np.ndarray
+    corner_perm: np.ndarray
+    corner_rates: np.ndarray
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -252,11 +270,16 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def grid_priors(alphabet_sizes: Sequence[int], resolution: int) -> list[Prior]:
+def prior_grid(alphabet_sizes: Sequence[int],
+               resolution: int) -> tuple[list[np.ndarray], np.ndarray]:
     """Product priors whose per-sender probabilities are numerators over `resolution`.
 
-    Deterministic lexicographic enumeration; the grid refines as resolution
-    grows, and any coarser grid's priors reappear in every multiple of it.
+    Returns, for each sender, the array of its distributions c / resolution
+    (one row per composition c, lexicographic), and the (s, P) array whose
+    column p picks each sender's row in prior p.  Priors are enumerated
+    lexicographically, the first sender slowest; the grid refines as
+    resolution grows, and any coarser grid's priors reappear in every
+    multiple of it.
     """
     k = int(resolution)
     if k < 1:
@@ -268,29 +291,68 @@ def grid_priors(alphabet_sizes: Sequence[int], resolution: int) -> list[Prior]:
         raise CapExceeded(
             f"grid would contain {count} priors, configured cap is {DEFAULT_MAX_GRID_POINTS}"
         )
-    per_sender = [
-        [np.array(c, dtype=float) / k for c in _compositions(k, a)]
-        for a in alphabet_sizes
-    ]
-    return [Prior(tuple(vs)) for vs in itertools.product(*per_sender)]
+    compositions = [np.array(list(_compositions(k, a)), dtype=float) / k
+                    for a in alphabet_sizes]
+    index = np.indices([len(c) for c in compositions]).reshape(len(compositions), -1)
+    return compositions, index
 
 
-def boundary_sweep(ch: CqMacChannel, resolution: int) -> list[SweepPoint]:
+def _chain_index(perms: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """Table rows of `corner_table`'s stage terms, each of shape (s!, s) in
+    stage order: the decoded sender's mask, and the decoded set after and
+    before its stage."""
+    k_mask = [[1 << k for k in perm] for perm in perms]
+    after = [list(itertools.accumulate(masks, operator.or_)) for masks in k_mask]
+    before = [[0] + masks[:-1] for masks in after]
+    return np.array(k_mask), np.array(after), np.array(before)
+
+
+def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     """Constraint sets and corners over the deterministic prior grid.
 
-    One `entropy.entropy_tables` call covers every grid prior; `constraint_set`
-    and `corners_with_perms` read each prior's bounds and corners off its
-    table.  The convex hull of all emitted corners plus the origin
-    under-approximates the capacity region and grows monotonically under grid
-    refinement.
+    One `entropy.entropy_tables` call covers every grid prior.  Each prior's
+    bounds come from its `constraint_set`; its corners are read off the
+    tables with `corner_table`'s float operations, chunk by chunk, clamped as
+    `entropy.clamp_mi` clamps, and deduplicated as `dedup_points` does.  A
+    prior with a corner stage `clamp_mi` or `RatePoint` would reject goes
+    through `corner_table`, which raises that error.  The convex hull of all
+    corners plus the origin under-approximates the capacity region and grows
+    monotonically under grid refinement.
     """
     _check_perm_cap(ch.s)   # before the tables of the whole grid are computed
-    priors = grid_priors(ch.sender_alphabets, resolution)
-    return [
-        SweepPoint(idx, prior, constraint_set(ch, prior, table=table),
-                   tuple(corners_with_perms(ch, prior, table=table)))
-        for idx, (prior, table) in enumerate(zip(priors, prior_tables(ch, priors)))
-    ]
+    compositions, index = prior_grid(ch.sender_alphabets, resolution)
+    per_sender = tuple(c[i] for c, i in zip(compositions, index))
+    tables = _sender_tables(ch, per_sender)
+    perms = list(itertools.permutations(range(ch.s)))
+    k_mask, after, before = _chain_index(perms)
+    orders = np.array(perms)
+    # stage order to sender order: column k of perm j is the stage decoding k
+    sender_stage = np.argsort(orders, axis=1)[None]
+    num = len(tables)
+    bounds = np.empty((num, (1 << ch.s) - 1))
+    kept_prior, kept_perm, kept_rates = [], [], []
+    step = max(1, ent.CHUNK_BYTES // (8 * len(perms) * ch.s))
+    for lo in range(0, num, step):
+        chunk = tables[lo:lo + step]
+        raw = chunk[:, k_mask, 0] + chunk[:, before, 1] - chunk[:, after, 1]
+        bad = ((raw < -ent.MI_CLAMP) | ~np.isfinite(raw)).any(axis=(1, 2))
+        for p, row in enumerate(chunk.tolist()):
+            bounds[lo + p] = list(constraint_set(ch, None, table=row).bounds.values())
+            if bad[p]:
+                corner_table(ch, None, table=row)
+        rates = np.take_along_axis(np.where(raw < 0.0, 0.0, raw), sender_stage, axis=2)
+        # senders on the middle axis: the max-norm reduces over whole rows
+        by_sender = np.ascontiguousarray(rates.transpose(0, 2, 1))
+        keep = np.ones(rates.shape[:2], dtype=bool)
+        for j in range(1, len(perms)):
+            gap = np.abs(by_sender[:, :, :j] - by_sender[:, :, j, None]).max(axis=1)
+            keep[:, j] = ~((gap <= CORNER_DEDUP_TOL) & keep[:, :j]).any(axis=1)
+        p_idx, j_idx = np.nonzero(keep)
+        kept_prior.append(p_idx + lo)
+        kept_perm.append(j_idx)
+        kept_rates.append(rates[p_idx, j_idx])
+    return Sweep(per_sender, bounds, np.concatenate(kept_prior),
+                 orders[np.concatenate(kept_perm)], np.concatenate(kept_rates))
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +366,10 @@ def upper_boundary_2d(points: Iterable[RatePoint]) -> list[RatePoint]:
     points and the origin; the returned vertices are sorted by increasing
     first rate and decreasing second rate.
     """
-    points = list(points)
-    if any(p.s != 2 for p in points):
+    rates = {p.rates for p in points}
+    if any(len(r) != 2 for r in rates):
         raise ValidationError("upper_boundary_2d expects two-sender points")
-    pts = sorted({p.rates for p in points})
+    pts = sorted(rates)
     if not pts:
         return []
     # upper-left anchor and lower-right anchor close the region along the axes

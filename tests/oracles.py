@@ -8,16 +8,24 @@ outcome-tree enumeration of the sequential decoder, the element-by-element
 leak of a gentle instrument, a reduced channel averaged one letter tuple at
 a time, membership in a two-sender hull by
 interpolation along its vertices, positivity decided by a full
-eigendecomposition, the branches of a gentle instrument, and the simulator's
-average error taken one message tuple at a time.
+eigendecomposition, the branches of a gentle instrument, the simulator's
+average error taken one message tuple at a time, the prior sweep taken one
+validated prior at a time, and the region report built as one document.
+
+It also holds the API that only tests use: point-mass priors and writing
+a channel back to its JSON form.
 """
 
 import itertools
+import json
+import math
 import time
 
 import numpy as np
 
 from qmac import operators as ops
+from qmac import region
+from qmac.channel import CqMacChannel, Prior
 from qmac.coding import SequentialDecoder, SimReport
 from qmac.config import DEFAULT_MAX_MESSAGES, CapExceeded
 from qmac.operators import ValidationError
@@ -314,3 +322,136 @@ def hull_member_2d(point, vertices, tol=1e-9) -> bool:
             if y <= limit + tol:
                 return True
     return False
+
+
+def point_mass_prior(alphabet_sizes, letters) -> Prior:
+    vecs = []
+    for a, x in zip(alphabet_sizes, letters):
+        v = np.zeros(a)
+        v[x] = 1.0
+        vecs.append(v)
+    return Prior(tuple(vecs))
+
+
+def channel_to_dict(ch: CqMacChannel) -> dict:
+    states = {}
+    for key in ch.joint_letters():
+        mat = ch.states[key]
+        states[",".join(str(x) for x in key)] = np.stack([mat.real, mat.imag], -1).tolist()
+    return {
+        "senders": [
+            {"name": name, "alphabet": a}
+            for name, a in zip(ch.sender_names, ch.sender_alphabets)
+        ],
+        "output_dim": ch.output_dim,
+        "states": states,
+    }
+
+
+def save_channel(ch: CqMacChannel, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(channel_to_dict(ch), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def grid_priors(alphabet_sizes, resolution) -> list:
+    """The sweep grid as validated priors: per sender every composition c of
+    the resolution (lexicographic) as c / resolution, senders multiplied out
+    lexicographically, the first slowest."""
+    per_sender = [
+        [np.array(c, dtype=float) / resolution
+         for c in itertools.product(range(resolution + 1), repeat=a) if sum(c) == resolution]
+        for a in alphabet_sizes
+    ]
+    return [Prior(tuple(vs)) for vs in itertools.product(*per_sender)]
+
+
+def sweep_loop(ch, resolution) -> list:
+    """`qmac.region.boundary_sweep` one validated prior at a time: each grid
+    prior's bounds from `constraint_set` and its corners from
+    `corners_with_perms`, both off the prior's entropy table.  One
+    (prior id, prior, constraint set, ((perm, RatePoint), ...)) per prior."""
+    priors = grid_priors(ch.sender_alphabets, resolution)
+    return [
+        (idx, prior, region.constraint_set(ch, prior, table=table),
+         tuple(region.corners_with_perms(ch, prior, table=table)))
+        for idx, (prior, table) in enumerate(zip(priors, region.prior_tables(ch, priors)))
+    ]
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
+def region_csv(bound_rows) -> str:
+    """Region CSV text of (prior id, mask, bound) rows."""
+    lines = ["prior_id,subset_mask,bound_bits"]
+    lines += [f"{pid},{mask},{_fmt(b)}" for pid, mask, b in bound_rows]
+    return "\n".join(lines) + "\n"
+
+
+def corners_csv(corner_rows, s) -> str:
+    """Corner CSV text of (prior id, perm, RatePoint) rows."""
+    head = ",".join([f"R_{i + 1}" for i in range(s)])
+    lines = [f"prior_id,perm,{head}"]
+    for pid, perm, point in corner_rows:
+        rates = ",".join(_fmt(r) for r in point.rates)
+        lines.append(f"{pid},{'-'.join(str(i + 1) for i in perm)},{rates}")
+    return "\n".join(lines) + "\n"
+
+
+def region_report(ch, *, resolution=None, prior=None, mixture=None, corners=False,
+                  tol=1e-9, max_components=None):
+    """`qmac region`'s numbers by the per-prior path, as (the JSON document,
+    the region CSV text, the corner CSV text or None): a sweep of the grid
+    at `resolution` through `sweep_loop`, else the mixture outer bound of
+    `mixture` (a MixtureSpec), else the single `prior`."""
+    s = ch.s
+    bound_rows, corner_rows, priors_doc, hull_doc = [], [], [], None
+    if resolution is not None:
+        corners = True
+        points = []
+        for pid, pr, cs, pairs in sweep_loop(ch, resolution):
+            priors_doc.append({"id": pid, "per_sender": [v.tolist() for v in pr.per_sender]})
+            bound_rows += [(pid, mask, cs.bounds[mask]) for mask in sorted(cs.bounds)]
+            corner_rows += [(pid, perm, point) for perm, point in pairs]
+            points += [point for _, point in pairs]
+        if s == 2:
+            hull_doc = [list(p.rates) for p in region.upper_boundary_2d(points)]
+    elif mixture is not None:
+        cs = region.mixture_constraints(ch, mixture, max_components=max_components)
+        priors_doc = [{"id": u, "weight": w, "per_sender": [v.tolist() for v in pr.per_sender]}
+                      for u, (w, pr) in enumerate(mixture.components)]
+        bound_rows = [("mix", mask, cs.bounds[mask]) for mask in sorted(cs.bounds)]
+        if corners:
+            pairs = ((perm, region.corner_from_bounds(cs, perm))
+                     for perm in sorted(itertools.permutations(range(s))))
+            members = [(perm, point) for perm, point in pairs if region.is_member(point, cs, tol)]
+            corner_rows = [("mix", perm, point) for perm, point in region.dedup_points(members, tol)]
+    else:
+        priors_doc = [{"id": 0, "per_sender": [v.tolist() for v in prior.per_sender]}]
+        cs = region.constraint_set(ch, prior)
+        bound_rows = [(0, mask, cs.bounds[mask]) for mask in sorted(cs.bounds)]
+        if corners:
+            corner_rows = [(0, perm, point) for perm, point in region.corners_with_perms(ch, prior)]
+    doc = {"priors": priors_doc,
+           "region": [{"prior_id": pid, "subset_mask": mask, "bound_bits": b}
+                      for pid, mask, b in bound_rows]}
+    if corners:
+        doc["corners"] = [{"prior_id": pid, "perm": [i + 1 for i in perm],
+                           "rates": list(point.rates)} for pid, perm, point in corner_rows]
+    if hull_doc is not None:
+        doc["hull"] = hull_doc
+    return doc, region_csv(bound_rows), corners_csv(corner_rows, s) if corners else None
+
+
+def signed(value):
+    """A nested structure with each float x replaced by (x, sign bit of x), so
+    that == tells 0.0 from -0.0."""
+    if isinstance(value, float):
+        return (value, math.copysign(1.0, value))
+    if isinstance(value, dict):
+        return {key: signed(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [signed(v) for v in value]
+    return value

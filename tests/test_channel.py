@@ -7,14 +7,14 @@ from qmac.catalog import (BUILTIN_CHANNELS, builtin_channel_text,
                           load_builtin_channel)
 from qmac.channel import (ChannelFormatError, CqMacChannel, Prior,
                           block_channel, channel_from_dict, channel_state,
-                          channel_to_dict, kraus_from_choi, load_channel,
-                          make_ensemble, precompose_qq, reduced_channel,
-                          save_channel)
+                          kraus_from_choi, load_channel, make_ensemble,
+                          precompose_qq, reduced_channel)
 from qmac.checks import random_channel, random_prior
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.operators import ValidationError, partial_trace, tensor
 
-from oracles import reduced_channel_loop
+from oracles import (channel_to_dict, point_mass_prior, reduced_channel_loop,
+                     save_channel)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -121,7 +121,7 @@ def test_channel_state_uniform_binary():
 
 def test_channel_state_point_mass():
     ch = CqMacChannel((2, 2), 2, qubit_table())
-    e = channel_state(ch, Prior.point_mass((2, 2), (1, 0)))
+    e = channel_state(ch, point_mass_prior((2, 2), (1, 0)))
     assert len(e.atoms) == 1
     label, p, rho = e.atoms[0]
     assert label == (1, 0) and abs(p - 1.0) < 1e-12

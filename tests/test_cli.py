@@ -2,10 +2,18 @@ import json
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from qmac.catalog import builtin_channel_text
+from qmac import entropy
+from qmac.catalog import builtin_channel_text, load_builtin_channel
+from qmac.channel import CqMacChannel, Prior, load_channel
+from qmac.checks import random_density
 from qmac.cli import main
+from qmac.operators import ValidationError
+from qmac.region import MixtureSpec
+
+from oracles import region_report, save_channel, sweep_loop
 
 
 def run(capsys, *argv):
@@ -156,6 +164,104 @@ def test_region_negative_tolerance_exit_2(capsys):
     assert "tolerance" in err
 
 
+# --- region writer against the per-prior report ---------------------------------
+
+def region_channel(name, tmp_path):
+    """CLI argument and loaded channel: a builtin name, or a channel file of
+    a random 3-sender channel or of a product channel (each sender steers
+    its own qubit), whose mixture corners can all fail membership at a
+    tolerance of 5e-324."""
+    if name in ("adder-classical", "qubit-pure-mac", "holevo-two-state"):
+        return name, load_builtin_channel(name)
+    rng = np.random.default_rng(5)
+    if name == "product":
+        r1, r2 = ([random_density(rng, 2) for _ in range(2)] for _ in range(2))
+        ch = CqMacChannel((2, 2), 4, {(a, b): np.kron(r1[a], r2[b])
+                                      for a in range(2) for b in range(2)})
+    else:
+        letters = [(a, b, c) for a in range(2) for b in range(3) for c in range(2)]
+        ch = CqMacChannel((2, 3, 2), 3, {x: random_density(rng, 3) for x in letters})
+    path = tmp_path / f"{name}.json"
+    save_channel(ch, path)
+    return str(path), load_channel(path)
+
+
+UNIFORM = Prior.uniform((2, 2))
+SKEWED = Prior((np.array([0.3, 0.7]), np.array([1.0, 0.0])))
+REGION_CASES = [
+    *[(name, ["--sweep", str(k)], {"resolution": k})
+      for name in ("adder-classical", "qubit-pure-mac", "holevo-two-state") for k in (1, 2, 3, 4)],
+    ("random-3-sender", ["--sweep", "2"], {"resolution": 2}),
+    ("qubit-pure-mac", [], {"prior": UNIFORM}),
+    ("qubit-pure-mac", ["--corners"], {"prior": UNIFORM, "corners": True}),
+    ("adder-classical", ["--prior", "0.3,0.7;1,0", "--corners"], {"prior": SKEWED, "corners": True}),
+    ("random-3-sender", ["--corners"], {"prior": Prior.uniform((2, 3, 2)), "corners": True}),
+    ("qubit-pure-mac", ["--mixture", "0.5*uniform+0.5*0.3,0.7;1,0"],
+     {"mixture": MixtureSpec(((0.5, UNIFORM), (0.5, SKEWED)))}),
+    ("qubit-pure-mac", ["--mixture", "0.5*uniform+0.5*0.3,0.7;1,0", "--corners"],
+     {"mixture": MixtureSpec(((0.5, UNIFORM), (0.5, SKEWED))), "corners": True}),
+    ("product", ["--mixture", "1*0.1,0.9;0.5,0.5", "--corners", "--tol", "5e-324"],
+     {"mixture": MixtureSpec(((1.0, Prior((np.array([0.1, 0.9]), np.array([0.5, 0.5])))),)),
+      "corners": True, "tol": 5e-324}),
+]
+REGION_IDS = ["-".join([name] + argv).replace("--", "") for name, argv, _ in REGION_CASES]
+
+
+@pytest.mark.parametrize("name, argv, report", REGION_CASES, ids=REGION_IDS)
+def test_region_json_is_json_dumps_of_the_per_prior_report(tmp_path, capsys, name, argv, report):
+    channel, ch = region_channel(name, tmp_path)
+    code, out, err = run(capsys, "region", "--channel", channel, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    doc, _, _ = region_report(ch, **report)
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if name == "product":
+        assert doc["corners"] == [] and '"corners": [],' in out
+
+
+@pytest.mark.parametrize("name, argv, report", REGION_CASES, ids=REGION_IDS)
+def test_region_csv_equals_the_per_prior_report(tmp_path, capsys, name, argv, report):
+    channel, ch = region_channel(name, tmp_path)
+    _, region_text, corners_text = region_report(ch, **report)
+    code, out, err = run(capsys, "region", "--channel", channel, *argv)
+    assert (code, err) == (0, "")
+    assert out == (region_text if corners_text is None else region_text + "\n" + corners_text)
+    path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "region", "--channel", channel, *argv, "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == region_text
+    sidecar = tmp_path / "out.corners.csv"
+    assert sidecar.exists() == (corners_text is not None)
+    if corners_text is not None:
+        assert sidecar.read_text(encoding="utf-8") == corners_text
+
+
+@pytest.mark.parametrize("entry, delta, context", [
+    ((1, 1), 1.0, "corner stage for sender 0"),   # H(X_1 Y) up: only a corner stage drops
+    ((0, 1), -1.0, "bound for mask 3"),           # H(Y) down: the full-set bound drops first
+])
+def test_injected_negative_information_raises_before_any_output(
+        monkeypatch, tmp_path, capsys, entry, delta, context):
+    entropy_tables = entropy.entropy_tables
+
+    def broken(factors, states):
+        table = entropy_tables(factors, states)
+        if len(table) > 5:
+            table[(5,) + entry] += delta
+        return table
+
+    monkeypatch.setattr(entropy, "entropy_tables", broken)
+    with pytest.raises(ValidationError) as want:
+        sweep_loop(load_builtin_channel("qubit-pure-mac"), 3)
+    assert str(want.value).startswith(context + ": mutual information -")
+    assert str(want.value).endswith(" below -1e-9")
+    for extra in ([], ["--format", "json"], ["--out", str(tmp_path / "out.csv")]):
+        code, out, err = run(capsys, "region", "--channel", "qubit-pure-mac", "--sweep", "3",
+                             *extra)
+        assert (code, out, err) == (1, "", f"error: {want.value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- simulate --------------------------------------------------------------------
 
 def test_simulate_orthogonal_noiseless_zero_error(tmp_path, capsys):
@@ -214,6 +320,23 @@ def test_simulate_cap_exceeded_exit_1(capsys):
                        "--max-block-dim", "64")
     assert code == 1
     assert "cap" in err
+
+
+def test_simulate_block_length_capped_on_one_dimensional_output(tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"senders": [{"alphabet": 2}], "output_dim": 1,
+                                "classical": {"0": [1.0], "1": [1.0]}}))
+    for n in (10 ** 5, 10 ** 18):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "simulate", "--channel", str(path), "--n", str(n),
+                             "--sizes", "2", "--seed", "0")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err == (f"error: {n}-block output state needs dimension 1^{n}, "
+                       "configured cap is 4096\n")
+    code, out, _ = run(capsys, "simulate", "--channel", str(path), "--n", "3",
+                       "--sizes", "2", "--seed", "0")
+    assert code == 0 and json.loads(out)["n"] == 3
 
 
 def test_simulate_mc_zero_trials_exit_1(capsys):

@@ -167,9 +167,9 @@ def test_entropy_tables_match_restrict_oracle():
         priors = edge_priors(rng, ch.sender_alphabets)
         states = np.array([ch.state(x) for x in ch.joint_letters()]).reshape(
             ch.sender_alphabets + (ch.output_dim,) * 2)
-        tables = list(entropy_tables([joint_weights(priors)], states))
+        tables = entropy_tables([joint_weights(priors)], states).tolist()
         # per-sender factors multiply to the same weights in the same order
-        assert list(entropy_tables(sender_factors(priors), states)) == tables
+        assert entropy_tables(sender_factors(priors), states).tolist() == tables
         assert np.shape(tables) == (len(priors), 1 << ch.s, 2)
         for prior, table in zip(priors, tables):
             e = channel_state(ch, prior)

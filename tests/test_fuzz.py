@@ -11,8 +11,13 @@ raise.
 `qmac simulate` argument lists mix small valid values (so each run takes
 milliseconds) with malformed, negative, non-finite and oversized ones; each
 must end with exit 0, 1 or 2, at most one `error:` line, no traceback, no
-warning and no `nan` on stdout.  The draws are derandomized, so every run
-checks the same inputs.
+warning and no `nan` on stdout.
+
+`qmac region` argument lists do the same with priors, mixtures, sweeps of
+resolution at most 4, JSON grid specs, `--corners`, `--format`, `--tol` and
+`--out`; a domain error (exit 1) must also leave stdout empty, and every
+JSON report must be what json.dumps(indent=2, sort_keys=True) writes.  The
+draws are derandomized, so every run checks the same inputs.
 """
 
 import contextlib
@@ -24,7 +29,7 @@ import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qmac.cli import main
@@ -178,3 +183,79 @@ def test_any_simulate_arguments_end_with_one_line(argv):
     assert sum("error:" in line for line in stderr.splitlines()) <= 1
     assert ("error:" in stderr) == (code != 0)
     assert "nan" not in out.getvalue().lower()
+
+
+def prior_spec(draw, senders: int) -> str:
+    """A per-sender prior spec for `senders` binary senders, or a malformed one."""
+    if not draw(st.integers(0, 9)):
+        return draw(st.sampled_from(["", "x", "0.5", "1,0;", "nan,1;1,0", "-0.5,1.5;1,0",
+                                     "0.3,0.3;1,0", "1,0;1,0;1,0", "inf,0;0,1", "1e400,0"]))
+    if not draw(st.integers(0, 3)):
+        return "uniform"
+    ps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]),
+                       min_size=senders, max_size=senders))
+    return ";".join(f"{p!r},{1.0 - p!r}" for p in ps)
+
+
+@st.composite
+def region_argvs(draw) -> list[str]:
+    channel = draw(st.sampled_from(["qubit-pure-mac", "adder-classical",
+                                    "holevo-two-state"] * 3 + ["no-such-channel"]))
+    senders = SENDERS[channel]
+    argv = ["region", "--channel", channel]
+    mode = draw(st.sampled_from(["prior", "mixture", "sweep", "none"]))
+    if mode == "prior":
+        argv.append("--prior=" + prior_spec(draw, senders))
+    elif mode == "mixture":
+        weights = draw(st.sampled_from([[1.0], [0.5, 0.5], [0.25, 0.75], [0.0, 1.0],
+                                        [0.5, 0.25, 0.25], [0.5, 0.6], [-0.5, 1.5],
+                                        [float("inf"), 1.0]]))
+        spec = "+".join(f"{w!r}*{prior_spec(draw, senders)}" for w in weights)
+        argv.append("--mixture=" + value(draw, st.just(spec), [
+            "", "*", "0.5*", "x*uniform", "uniform", "0.5*uniform+", "nan*uniform"]))
+        if draw(st.booleans()):
+            argv.append("--max-mixture-components=" + value(draw, st.integers(1, 3),
+                                                           ["0", "-1", "x"]))
+    elif mode == "sweep":
+        argv.append("--sweep=" + value(draw, st.integers(1, 4), [
+            "0", "-1", "x", "", "1.5", '{"resolution": 2}', '{"resolution": -1}',
+            '{"resolution": "x"}', '{"resolution": true}', '{"res": 2}', "[2]",
+            "401", str(10 ** 6), str(10 ** 30)]))
+    if draw(st.booleans()):
+        argv.append("--corners")
+    if draw(st.integers(0, 3)):
+        argv.append("--format=" + value(draw, st.sampled_from(["csv", "json"]), ["xml", ""]))
+    if draw(st.booleans()):
+        argv.append("--tol=" + value(draw, st.sampled_from([1e-12, 1e-9, 1e-6, 0.1]), [
+            "0", "-1e-9", "nan", "inf", "x", ""]))
+    if draw(st.booleans()):
+        argv.append("--out")   # completed under the test's temporary directory
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=region_argvs())
+def test_any_region_arguments_end_with_one_line(tmp_path, argv):
+    out_path = tmp_path / "region.out"
+    for stale in tmp_path.iterdir():
+        stale.unlink()
+    if argv[-1] == "--out":
+        argv = argv + [str(out_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert not caught
+    assert "Traceback" not in stderr
+    assert sum("error:" in line for line in stderr.splitlines()) <= 1
+    assert ("error:" in stderr) == (code != 0)
+    if code == 1:
+        assert stdout == ""
+    report = out_path.read_text(encoding="utf-8") if out_path.exists() else stdout
+    assert "nan" not in report.lower()
+    if code == 0 and "--format=json" in argv:
+        assert report == json.dumps(json.loads(report), indent=2, sort_keys=True) + "\n"

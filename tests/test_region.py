@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from qmac.entropy import SubsystemSelector, info_report, mutual_information, sub
 from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          all_corners, boundary_sweep, constraint_set,
-                         corner_from_bounds, corner_table, dedup_points, grid_priors,
-                         is_member, mixture_constraints, upper_boundary_2d)
+                         corner_from_bounds, corner_table, dedup_points,
+                         is_member, mixture_constraints, prior_grid,
+                         upper_boundary_2d)
 
-from oracles import classical_bound, classical_corner, classical_joint, hull_member_2d
+from oracles import (classical_bound, classical_corner, classical_joint, hull_member_2d,
+                     point_mass_prior, signed, sweep_loop)
 
 TWO_STATE_CHI = 0.6008760366928562
 
@@ -194,7 +197,7 @@ def test_mixture_identical_components_degenerate():
 def test_mixture_is_arithmetic_mean():
     ch = adder()
     uniform = Prior.uniform((2, 2))
-    point = Prior.point_mass((2, 2), (0, 0))
+    point = point_mass_prior((2, 2), (0, 0))
     cs_u = constraint_set(ch, uniform)
     cs_p = constraint_set(ch, point)
     joint_u = adder_joint()
@@ -227,9 +230,13 @@ def test_mixture_component_cap():
 
 # --- sweeps ----------------------------------------------------------------------------
 
+def corner_points(sweep):
+    return [RatePoint(r) for r in sweep.corner_rates.tolist()]
+
+
 def test_grid_priors_resolution_one():
-    priors = grid_priors((2,), 1)
-    vecs = [tuple(p.per_sender[0]) for p in priors]
+    (compositions,), index = prior_grid((2,), 1)
+    vecs = [tuple(compositions[i]) for i in index[0]]
     assert vecs == [(0.0, 1.0), (1.0, 0.0)]
 
 
@@ -237,20 +244,18 @@ def test_sweep_single_uniform_grid_point():
     # resolution 2 on a binary sender contains the uniform prior
     ch = load_builtin_channel("holevo-two-state")
     sweep = boundary_sweep(ch, 2)
-    mids = [sp for sp in sweep if abs(sp.prior.per_sender[0][0] - 0.5) < 1e-12]
+    (mids,) = np.nonzero(np.abs(sweep.per_sender[0][:, 0] - 0.5) < 1e-12)
     assert len(mids) == 1
-    assert abs(mids[0].constraints.bounds[1] - TWO_STATE_CHI) < 1e-9
+    assert abs(sweep.bounds[mids[0], 0] - TWO_STATE_CHI) < 1e-9
 
 
 def test_sweep_refinement_nests():
     ch = load_builtin_channel("qubit-pure-mac")
     coarse = boundary_sweep(ch, 2)
     fine = boundary_sweep(ch, 4)
-    fine_points = [point for sp in fine for _, point in sp.corners]
-    hull = upper_boundary_2d(fine_points)
-    for sp in coarse:
-        for _, point in sp.corners:
-            assert hull_member_2d(point, hull, tol=1e-9)
+    hull = upper_boundary_2d(corner_points(fine))
+    for point in corner_points(coarse):
+        assert hull_member_2d(point, hull, tol=1e-9)
 
 
 def test_sweep_grid_too_large():
@@ -264,14 +269,13 @@ def test_single_sender_two_state_sweep_maximizer():
     # brute-force scan: chi(p) peaks at the uniform prior for this pair
     ch = load_builtin_channel("holevo-two-state")
     sweep = boundary_sweep(ch, 64)
-    best = max(sweep, key=lambda sp: sp.constraints.bounds[1])
-    assert abs(best.prior.per_sender[0][0] - 0.5) < 1e-12
-    assert abs(best.constraints.bounds[1] - TWO_STATE_CHI) < 1e-9
+    best = int(np.argmax(sweep.bounds[:, 0]))
+    assert abs(sweep.per_sender[0][best, 0] - 0.5) < 1e-12
+    assert abs(sweep.bounds[best, 0] - TWO_STATE_CHI) < 1e-9
 
 
 def test_upper_boundary_2d_adder():
-    points = [point for sp in boundary_sweep(adder(), 2) for _, point in sp.corners]
-    hull = upper_boundary_2d(points)
+    hull = upper_boundary_2d(corner_points(boundary_sweep(adder(), 2)))
     coords = [p.rates for p in hull]
     assert (0.5, 1.0) in [(round(a, 9), round(b, 9)) for a, b in coords]
     assert (1.0, 0.5) in [(round(a, 9), round(b, 9)) for a, b in coords]
@@ -302,9 +306,21 @@ def test_table_bounds_match_mutual_information_oracle():
 
 # --- batched sweep ---------------------------------------------------------------
 
-def sweep_key(sp):
-    return (sp.prior_id, tuple(tuple(v) for v in sp.prior.per_sender),
-            sp.constraints.bounds, sp.corners)
+def sweep_rows(sweep):
+    """The array sweep in `oracles.sweep_loop`'s per-prior form, floats signed:
+    (prior id, per-sender lists, {mask: bound}, [(perm, rates), ...])."""
+    corners = {}
+    for p, perm, rates in zip(sweep.corner_prior.tolist(), sweep.corner_perm.tolist(),
+                              sweep.corner_rates.tolist()):
+        corners.setdefault(p, []).append((tuple(perm), tuple(rates)))
+    return signed([(p, [v[p].tolist() for v in sweep.per_sender], dict(enumerate(bounds, 1)),
+                    corners[p]) for p, bounds in enumerate(sweep.bounds.tolist())])
+
+
+def loop_rows(ch, resolution):
+    return signed([(pid, [v.tolist() for v in prior.per_sender], cs.bounds,
+                    [(perm, point.rates) for perm, point in pairs])
+                   for pid, prior, cs, pairs in sweep_loop(ch, resolution)])
 
 
 def test_sweep_chunks_match_single_chunk(monkeypatch):
@@ -319,7 +335,7 @@ def test_sweep_chunks_match_single_chunk(monkeypatch):
     for per_chunk in (64, 1, 5, 63):                  # the grid has 4**3 = 64 priors
         eig_calls.clear()
         monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * prior_bytes)
-        sweeps[per_chunk] = [sweep_key(sp) for sp in boundary_sweep(ch, 3)]
+        sweeps[per_chunk] = sweep_rows(boundary_sweep(ch, 3))
         assert len(eig_calls) == 8 * -(-64 // per_chunk)   # one per mask and chunk
     assert len(sweeps[64]) == 64
     for per_chunk in (1, 5, 63):
@@ -334,7 +350,7 @@ def test_sweep_checks_each_state_once(monkeypatch):
     ch = load_builtin_channel("qubit-pure-mac")
     assert sorted(names) == sorted(f"state {x}" for x in ch.joint_letters())
     loaded = len(names)
-    assert len(boundary_sweep(ch, 4)) == 25
+    assert len(boundary_sweep(ch, 4).bounds) == 25
     assert len(names) == loaded           # the sweep itself checks none
 
 
@@ -379,8 +395,87 @@ def test_sweep_corners_match_oracle_table():
     rng = np.random.default_rng(75)
     for _ in range(5):
         ch = random_channel(rng, max_alphabet=2)
-        for sp in boundary_sweep(ch, 2):
-            want = oracle_corners(ch, sp.prior)
-            assert [perm for perm, _ in sp.corners] == [perm for perm, _ in want]
-            for (_, got), (_, exp) in zip(sp.corners, want):
-                assert max(abs(a - b) for a, b in zip(got.rates, exp.rates)) <= 1e-12
+        sweep = boundary_sweep(ch, 2)
+        for p, (_, _, _, corners) in enumerate(sweep_rows(sweep)):
+            want = oracle_corners(ch, Prior(tuple(v[p] for v in sweep.per_sender)))
+            assert [tuple(perm) for perm, _ in corners] == [perm for perm, _ in want]
+            for (_, got), (_, exp) in zip(corners, want):
+                assert max(abs(a - b) for (a, _), b in zip(got, exp.rates)) <= 1e-12
+
+
+def sweep_test_channel(rng, s):
+    """Random channel with alphabets 1-3 and output dimension 1-3, of mixed
+    states, pure states or basis states; in every other one the states depend
+    on the first sender's letter only, so that corners coincide and others
+    read 0."""
+    alphabets = tuple(int(rng.integers(1, 4)) for _ in range(s))
+    d = int(rng.choice([1, 2, 2, 3]))
+    kind = int(rng.integers(3))
+    follow_first = bool(rng.integers(2))
+
+    def draw():
+        if kind == 0:
+            return random_density(rng, d)
+        if kind == 1:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            return np.outer(v, v.conj()) / np.vdot(v, v).real
+        return np.diag(np.eye(d)[rng.integers(d)]).astype(complex)
+
+    first = [draw() for _ in range(alphabets[0])]
+    states = {x: first[x[0]] if follow_first else draw()
+              for x in itertools.product(*map(range, alphabets))}
+    return CqMacChannel(alphabets, d, states)
+
+
+@pytest.mark.parametrize("per_chunk", [None, 1, 3, 7])
+def test_sweep_equals_per_prior_loop(monkeypatch, per_chunk):
+    rng = np.random.default_rng(76)
+    for trial in range(15):
+        s, resolution = 1 + trial % 3, 1 + trial % 4
+        ch = sweep_test_channel(rng, s)
+        want = loop_rows(ch, resolution)
+        if per_chunk is not None:   # priors per chunk of the corner arrays
+            monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * 8 * math.factorial(s) * s)
+        assert sweep_rows(boundary_sweep(ch, resolution)) == want
+        monkeypatch.undo()
+
+
+def test_sweep_dedups_corners_within_tolerance_as_the_loop_does(monkeypatch):
+    # Tables of entries 0, 1e-9/3, 2e-9/3 and 1e-9 give corners whose distances
+    # straddle the 1e-9 dedup tolerance, meet it exactly, and chain: B within
+    # 1e-9 of A is dropped, C within 1e-9 of B but not of A is kept.
+    steps = np.array([0.0, 1e-9 / 3, 2e-9 / 3, 1e-9])
+
+    def near_tables(factors, states):
+        shape = (len(factors[0]), 1 << states.ndim - 2, 2)
+        return steps[np.random.default_rng(shape[0]).integers(len(steps), size=shape)]
+
+    monkeypatch.setattr(entropy, "entropy_tables", near_tables)
+    ch = sweep_test_channel(np.random.default_rng(78), 3)
+    sweep = boundary_sweep(ch, 3)
+    assert sweep_rows(sweep) == loop_rows(ch, 3)
+    assert 0 < len(sweep.corner_rates) < 6 * len(sweep.bounds)
+
+
+def test_sweep_keeps_the_sign_of_zero_corners(monkeypatch):
+    # The kernel's tables never give a corner of -0.0, so every other prior's
+    # table is replaced by zeros of random sign: a corner (-0.0) + (-0.0) - 0.0
+    # is -0.0 on the per-prior path (max(-0.0, 0.0) keeps it), and must stay so.
+    entropy_tables = entropy.entropy_tables
+
+    def signed_zero_tables(factors, states):
+        table = entropy_tables(factors, states)
+        signs = np.random.default_rng(len(table)).random(table[::2].shape) < 0.5
+        table[::2] = np.where(signs, -0.0, 0.0)
+        return table
+
+    monkeypatch.setattr(entropy, "entropy_tables", signed_zero_tables)
+    rng = np.random.default_rng(77)
+    negative_zeros = 0
+    for trial in range(9):
+        ch = sweep_test_channel(rng, 1 + trial % 3)
+        sweep = boundary_sweep(ch, 3)
+        assert sweep_rows(sweep) == loop_rows(ch, 3)
+        rates = sweep.corner_rates
+        negative_zeros += int(np.sum((rates == 0.0) & np.signbit(rates)))
+    assert negative_zeros > 0
