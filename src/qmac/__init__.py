@@ -26,10 +26,9 @@ from .coding import (Codebook, Povm, SimReport, TenderInstrument,
                      average_error, disturbance_check, pgm_decoder,
                      run_simulation, sample_codebook, tender_bound_check)
 from .config import CapExceeded
-from .entropy import (InfoReport, SubsystemSelector, check_subadditivity,
-                      conditional_entropy, fano_bound_check, info_report,
-                      mutual_information, restrict, subsystem_entropy,
-                      subsystem_entropy_dense)
+from .entropy import (SubsystemSelector, check_subadditivity, conditional_entropy,
+                      fano_bound_check, mutual_information, restrict,
+                      subsystem_entropy, subsystem_entropy_dense)
 from .operators import (ValidationError, eig_hermitian, entropy_bits, op_sqrt,
                         partial_trace, tensor, trace_norm)
 from .region import (MixtureSpec, RateConstraintSet, RatePoint, all_corners,
@@ -40,14 +39,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockChannel", "CapExceeded", "ChannelFormatError", "Codebook",
-    "CqEnsemble", "CqMacChannel", "InfoReport", "MixtureSpec", "Povm",
+    "CqEnsemble", "CqMacChannel", "MixtureSpec", "Povm",
     "Prior", "RateConstraintSet", "RatePoint", "SimReport",
     "SubsystemSelector", "TenderInstrument", "ValidationError",
     "all_corners", "average_error", "block_channel", "boundary_sweep",
     "channel_from_dict", "channel_state",
     "check_subadditivity", "conditional_entropy", "constraint_set",
     "corner_table", "disturbance_check", "eig_hermitian", "entropy_bits",
-    "fano_bound_check", "info_report", "is_member", "load_channel",
+    "fano_bound_check", "is_member", "load_channel",
     "mixture_constraints", "mutual_information", "op_sqrt", "partial_trace",
     "pgm_decoder", "precompose_qq", "reduced_channel", "restrict",
     "run_simulation", "sample_codebook", "subsystem_entropy",

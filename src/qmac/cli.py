@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -35,8 +34,8 @@ from .config import CapExceeded, UsageError
 from .checks import run_suites
 from .operators import ValidationError
 from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
-                     corners_with_perms, corner_from_bounds, dedup_points,
-                     is_member, mixture_constraints, upper_boundary_2d)
+                     corners_with_perms, member_corners, mixture_constraints,
+                     upper_boundary_2d)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -264,13 +263,7 @@ def cmd_region(args) -> int:
                     for i in range(s)),
                 "weight": np.array([w for w, _ in mix.components]),
             }
-            corners = []
-            if emit_corners:
-                pairs = ((perm, corner_from_bounds(cs, perm))
-                         for perm in sorted(itertools.permutations(range(s))))
-                members = [(perm, point) for perm, point in pairs
-                           if is_member(point, cs, args.tol)]
-                corners = dedup_points(members, args.tol)
+            corners = member_corners(cs, args.tol) if emit_corners else []
         else:
             prior = _parse_prior(args.prior, ch.sender_alphabets)
             cs = constraint_set(ch, prior)
@@ -362,6 +355,8 @@ def cmd_check(args) -> int:
         raise UsageError(f"seed must be a nonnegative integer, got {args.seed}")
     if args.trials < 0:
         raise UsageError(f"trials must be >= 0, got {args.trials}")
+    if args.max_reported < 0:
+        raise UsageError(f"max-reported must be >= 0, got {args.max_reported}")
     results = run_suites(args.suite, args.trials, args.seed, args.tol)
     failed = False
     for res in results:

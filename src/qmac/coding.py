@@ -12,8 +12,8 @@ the choice of message tuples.
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
-from typing import Hashable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -107,30 +107,50 @@ def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list
 # POVMs and gentle instruments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Povm:
     """Labeled decoding observable: PSD elements summing to the identity.
 
-    The elements are checked unless `trusted` says they were built as a POVM
-    from checked states (as the sequential decoder builds its measurements).
+    Built from (label, element) pairs, which are checked unless `trusted`
+    says they were built as a POVM from checked states.  A pretty-good
+    measurement (`pgm_decoder`) keeps instead what its candidates' elements
+    are made from and forms each on its first read (`_elements`), so a
+    decoder pays only for the outcomes it reads.
     """
 
-    dim: int
-    elements: tuple[tuple[Hashable, np.ndarray], ...]
-    trusted: InitVar[bool] = False
-    _index: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, dim: int, elements: Sequence[tuple[Hashable, np.ndarray]],
+                 trusted: bool = False):
+        elements = tuple(elements)
+        self._setup(dim, [lab for lab, _ in elements],
+                    {i: m for i, (_, m) in enumerate(elements)}, None, trusted)
 
-    def __post_init__(self, trusted: bool):
+    @classmethod
+    def _lazy(cls, dim: int, labels: list, formed: dict[int, np.ndarray],
+              parts: "_PgmParts", trusted: bool) -> "Povm":
+        """Outcome i < len(parts.weights) is the PGM element of candidate i,
+        formed on first read; `formed` holds the others (the FAIL residual)."""
+        povm = cls.__new__(cls)
+        povm._setup(dim, labels, formed, parts, trusted)
+        return povm
+
+    def _setup(self, dim, labels, formed, parts, trusted):
+        self.dim = dim
+        self._labels = labels
+        self._formed = formed
+        self._parts = parts
         if not trusted:
-            ops.check_povm([m for _, m in self.elements], self.dim)
-        index = {lab: i for i, (lab, _) in enumerate(self.elements)}
-        if len(index) != len(self.elements):
+            ops.check_povm(self.matrices, dim)
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValidationError("POVM outcome labels must be unique")
-        object.__setattr__(self, "_index", index)
+        self._index = index
+
+    @property
+    def elements(self) -> tuple[tuple[Hashable, np.ndarray], ...]:
+        return tuple(zip(self._labels, self.matrices))
 
     @property
     def matrices(self) -> list[np.ndarray]:
-        return [m for _, m in self.elements]
+        return _elements([self] * len(self._labels), range(len(self._labels)))
 
     def _position(self, label: Hashable) -> int | None:
         """Index of the outcome in `elements`, or None when there is none."""
@@ -139,11 +159,14 @@ class Povm:
         except TypeError:   # an unhashable label names no outcome
             return None
 
-    def element(self, label: Hashable) -> np.ndarray:
+    def _require(self, label: Hashable) -> int:
         i = self._position(label)
         if i is None:
             raise ValidationError(f"POVM has no outcome {label!r}")
-        return self.elements[i][1]
+        return i
+
+    def element(self, label: Hashable) -> np.ndarray:
+        return _elements([self], [self._require(label)])[0]
 
 
 @dataclass(frozen=True)
@@ -193,8 +216,9 @@ def _roots(insts: Sequence[TenderInstrument], positions: Sequence[int]) -> list[
     todo = {(id(inst), i): (inst, i) for inst, i in zip(insts, positions)
             if i not in inst._roots}
     if todo:
-        roots = ops.op_sqrt(_stack([inst.povm.elements[i][1] for inst, i in todo.values()]),
-                            hermitian=True)
+        elements = _elements([inst.povm for inst, _ in todo.values()],
+                             [i for _, i in todo.values()])
+        roots = ops.op_sqrt(_stack(elements), hermitian=True)
         for (inst, i), root in zip(todo.values(), roots):
             inst._roots[i] = root
     return [inst._roots[i] for inst, i in zip(insts, positions)]
@@ -226,6 +250,55 @@ def _chunks(count: int, dim: int) -> Iterator[slice]:
     return (slice(i, i + step) for i in range(0, count, step))
 
 
+@dataclass(frozen=True)
+class _PgmParts:
+    """What the candidates' elements of a pretty-good measurement are made
+    from: candidate c's element is S^{-1/2} w_c rho_c S^{-1/2}, with
+    `inv_root` = S^{-1/2} and `states(idx)` the stack of the rho_c for an
+    index array of candidates."""
+
+    weights: np.ndarray
+    inv_root: np.ndarray
+    states: Callable[[np.ndarray], np.ndarray]
+
+    def form(self, idx: np.ndarray) -> np.ndarray:
+        """The stacked elements of the candidates `idx`."""
+        weighted = self.states(idx) * self.weights[idx, None, None]
+        return ops.hermitize(self.inv_root @ weighted @ self.inv_root)
+
+
+def _elements(povms: Sequence[Povm], positions: Iterable[int]) -> list[np.ndarray]:
+    """Element of outcome `positions[t]` of `povms[t]`, for each t.
+
+    Elements not yet formed (a PGM's candidates) are formed in one stacked
+    call per POVM and chunk and kept, so each is formed once, and equals
+    the element formed with all of its POVM's others.  Once all are formed,
+    what they were made from is dropped.
+    """
+    positions = list(positions)
+    todo: dict[int, tuple[Povm, dict[int, None]]] = {}
+    for povm, i in zip(povms, positions):
+        if i not in povm._formed:
+            todo.setdefault(id(povm), (povm, {}))[1][i] = None
+    for povm, wanted in todo.values():
+        idx = np.array(sorted(wanted))
+        for rows in _chunks(len(idx), povm.dim):
+            povm._formed.update(zip(idx[rows].tolist(), povm._parts.form(idx[rows])))
+        if len(povm._formed) == len(povm._labels):
+            povm._parts = None   # nothing is left to form
+    return [povm._formed[i] for povm, i in zip(povms, positions)]
+
+
+class _StageStates(list):
+    """A decoding stage's (message, candidate state) pairs, with `rebuild`,
+    which builds the stacked states of an index array of messages again, so
+    that a trusted PGM of them can keep it instead of the states."""
+
+    def __init__(self, pairs, rebuild: Callable[[np.ndarray], np.ndarray]):
+        super().__init__(pairs)
+        self.rebuild = rebuild
+
+
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
                 weights: Sequence[float] | None = None, *, trusted: bool = False) -> Povm:
     """Square-root measurement of a weighted state family.
@@ -236,6 +309,10 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
     only when nonzero).  The states are checked as density matrices, and the
     result as a POVM, unless `trusted` says the states were built from
     checked ones (as the sequential decoder builds its candidate states).
+    A checked result holds every element.  A trusted one forms each on its
+    first read, from the given states, or, when they came from
+    `SequentialDecoder.stage_states`, from the same states built again, so
+    that it keeps none of them.
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
@@ -248,15 +325,14 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
     w = _state_weights(weights, len(mats))
     avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
     inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
-    elements = []
-    for rows in _chunks(len(mats), dim):
-        weighted = np.stack(mats[rows])
-        weighted *= w[rows, None, None]
-        elements.extend(zip(labels[rows], ops.hermitize(inv_root @ weighted @ inv_root)))
+    rebuild = (states.rebuild if trusted and isinstance(states, _StageStates)
+               else lambda idx: np.stack([mats[i] for i in idx]))
+    formed = {}
     residual = ops.hermitize(np.eye(dim) - support)
     if float(np.max(np.abs(residual))) > 1e-10:
-        elements.append((FAIL, residual))
-    return Povm(dim, tuple(elements), trusted=trusted)
+        formed[len(labels)] = residual
+        labels.append(FAIL)
+    return Povm._lazy(dim, labels, formed, _PgmParts(w, inv_root, rebuild), trusted)
 
 
 def disturbance_check(rho: np.ndarray, x: np.ndarray,
@@ -328,8 +404,9 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     wvec = _state_weights(weights, len(states))
     labels = [a for a, _ in states]
     rhos = np.stack([ops.check_density(rho, name=f"state {a!r}") for a, rho in states])
-    leak = 1.0 - _trace(rhos @ np.stack([inst.povm.element(a) for a in labels]))
-    roots = np.stack([inst.sqrt_element(a) for a in labels])
+    positions = [inst.povm._require(a) for a in labels]
+    leak = 1.0 - _trace(rhos @ np.stack(_elements([inst.povm] * len(labels), positions)))
+    roots = np.stack(_roots([inst] * len(labels), positions))
     eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos, roots, leak))
     rows = []
     eps_bar = 0.0
@@ -387,16 +464,18 @@ class SequentialDecoder:
 
         Position k of message m's state is the stage table's state of the
         letters (prefix_words[0][k], ..., word_m[k]); the states are built as
-        stacks of block_states, chunked like the simulator's.
+        stacks of block_states, chunked like the simulator's.  The list can
+        build any of them again from those letters (`_StageStates.rebuild`).
         """
         words = self._words[stage]
         prefix = np.array(prefix_words, dtype=int).reshape(stage, self.n).T   # (n, stage)
         letters = np.concatenate(
             [np.broadcast_to(prefix, (len(words),) + prefix.shape), words[:, :, None]], axis=-1)
+        table = self._stage_tables[stage]
         out = []
         for rows in _chunks(len(words), self.block.output_dim):
-            out.extend(block_states(self._stage_tables[stage], letters[rows]))
-        return list(enumerate(out))
+            out.extend(block_states(table, letters[rows]))
+        return _StageStates(enumerate(out), lambda idx: block_states(table, letters[idx]))
 
     def stage_instrument(self, stage: int,
                          prefix_words: Sequence[Sequence[int]]) -> TenderInstrument:
@@ -533,8 +612,8 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
             insts = _stage_instruments(decoder, i, msg[:, :i].tolist())
             positions = [inst.povm._position(b) for inst, b in zip(insts, msg[:, i].tolist())]
             # gentleness accounting on the undisturbed word states
-            leak = 1.0 - _trace(
-                sigma0 @ _stack([inst.povm.elements[k][1] for inst, k in zip(insts, positions)]))
+            elements = _elements([inst.povm for inst in insts], positions)
+            leak = 1.0 - _trace(sigma0 @ _stack(elements))
             roots = _stack(_roots(insts, positions))
             eps, dist = _branch_disturbance(sigma0, roots, leak)
             sigma = roots @ sigma @ roots

@@ -318,32 +318,3 @@ def fano_bound_check(e: CqEnsemble, x_povm, y_povm) -> tuple[float, float]:
     )
     rhs = 1.0 + p_err * np.log2(n_labels) if n_labels > 1 else 1.0
     return lhs, float(rhs)
-
-
-@dataclass(frozen=True)
-class InfoReport:
-    """Entropies and conditional mutual informations of one ensemble."""
-
-    entropies: dict[str, float]
-    conditional_mi: dict[str, float]
-    conditional_mi_raw: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "H": dict(sorted(self.entropies.items())),
-            "I_cond": dict(sorted(self.conditional_mi.items())),
-            "I_cond_raw": dict(sorted(self.conditional_mi_raw.items())),
-        }
-
-
-def info_report(e: CqEnsemble) -> InfoReport:
-    """All subsystem entropies and all I(X(J) ^ Y | X(Jc)) of an ensemble."""
-    arity = len(e.label_spaces)
-    table = entropy_table(e)
-    entropies = {
-        SubsystemSelector.of(mask_members(mask), quantum).key(): table[mask][quantum]
-        for mask in range(1 << arity) for quantum in (0, 1) if mask or quantum
-    }
-    raw = {str(mask): table_mi(table, mask, arity) for mask in range(1, 1 << arity)}
-    cond = {key: clamp_mi(value, f"mask {key}") for key, value in raw.items()}
-    return InfoReport(entropies, cond, raw)

@@ -163,6 +163,18 @@ def corner_table(ch: CqMacChannel, prior: Prior | None, *,
     return corners
 
 
+def member_corners(cs: RateConstraintSet, tol: float
+                   ) -> list[tuple[tuple[int, ...], RatePoint]]:
+    """Distinct corners (within tol) of a constraint set that lie in it
+    (within tol), each with its first decode order; the corners come from
+    the bounds (`corner_from_bounds`), as for a mixture of priors."""
+    _check_perm_cap(cs.s)
+    pairs = ((perm, corner_from_bounds(cs, perm))
+             for perm in itertools.permutations(range(cs.s)))
+    return dedup_points([(perm, point) for perm, point in pairs
+                         if is_member(point, cs, tol)], tol)
+
+
 def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
                  tol: float = CORNER_DEDUP_TOL) -> list[tuple[tuple[int, ...], RatePoint]]:
     """Keep each (perm, point) pair whose point is farther than tol (max-norm)

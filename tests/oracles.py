@@ -12,20 +12,23 @@ eigendecomposition, the branches of a gentle instrument, the simulator's
 average error taken one message tuple at a time, the prior sweep taken one
 validated prior at a time, and the region report built as one document.
 
-It also holds the API that only tests use: point-mass priors and writing
-a channel back to its JSON form.
+It also holds the API that only tests use: point-mass priors, writing a
+channel back to its JSON form, and the report of every entropy and
+conditional mutual information of an ensemble.
 """
 
 import itertools
 import json
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
+from qmac import entropy as ent
 from qmac import operators as ops
 from qmac import region
-from qmac.channel import CqMacChannel, Prior
+from qmac.channel import CqMacChannel, Prior, mask_members
 from qmac.coding import SequentialDecoder, SimReport
 from qmac.config import DEFAULT_MAX_MESSAGES, CapExceeded
 from qmac.operators import ValidationError
@@ -352,6 +355,36 @@ def save_channel(ch: CqMacChannel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(channel_to_dict(ch), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@dataclass(frozen=True)
+class InfoReport:
+    """Entropies and conditional mutual informations of one ensemble."""
+
+    entropies: dict[str, float]
+    conditional_mi: dict[str, float]
+    conditional_mi_raw: dict[str, float]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "H": dict(sorted(self.entropies.items())),
+            "I_cond": dict(sorted(self.conditional_mi.items())),
+            "I_cond_raw": dict(sorted(self.conditional_mi_raw.items())),
+        }
+
+
+def info_report(e) -> InfoReport:
+    """All subsystem entropies and all I(X(J) ^ Y | X(Jc)) of an ensemble,
+    read off the library's entropy table."""
+    arity = len(e.label_spaces)
+    table = ent.entropy_table(e)
+    entropies = {
+        ent.SubsystemSelector.of(mask_members(mask), quantum).key(): table[mask][quantum]
+        for mask in range(1 << arity) for quantum in (0, 1) if mask or quantum
+    }
+    raw = {str(mask): ent.table_mi(table, mask, arity) for mask in range(1, 1 << arity)}
+    cond = {key: ent.clamp_mi(value, f"mask {key}") for key, value in raw.items()}
+    return InfoReport(entropies, cond, raw)
 
 
 def grid_priors(alphabet_sizes, resolution) -> list:

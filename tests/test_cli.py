@@ -128,6 +128,19 @@ def test_region_mixture_two_components(capsys):
     assert abs(bounds[3] - 0.75) < 1e-9
 
 
+@pytest.mark.parametrize("mode", [["--prior", "uniform"], ["--mixture", "1*uniform"]])
+def test_region_corners_refused_past_the_sender_cap(tmp_path, capsys, mode):
+    # 8 one-letter senders: 40320 decode orders, refused before any is formed
+    path = tmp_path / "eight.json"
+    save_channel(CqMacChannel((1,) * 8, 2, {(0,) * 8: np.eye(2) / 2}), path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "region", "--channel", str(path), *mode, "--corners")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: corner enumeration needs 40320 permutations "
+                                "for s=8, configured cap is s<=6"]
+
+
 def test_region_sweep_json(capsys):
     code, out, _ = run(capsys, "region", "--channel", "qubit-pure-mac",
                        "--sweep", "2", "--format", "json")
@@ -200,6 +213,11 @@ REGION_CASES = [
      {"mixture": MixtureSpec(((0.5, UNIFORM), (0.5, SKEWED)))}),
     ("qubit-pure-mac", ["--mixture", "0.5*uniform+0.5*0.3,0.7;1,0", "--corners"],
      {"mixture": MixtureSpec(((0.5, UNIFORM), (0.5, SKEWED))), "corners": True}),
+    ("random-3-sender", ["--mixture", "0.5*uniform+0.5*0.2,0.8;0.1,0.3,0.6;1,0", "--corners"],
+     {"mixture": MixtureSpec(((0.5, Prior.uniform((2, 3, 2))),
+                              (0.5, Prior((np.array([0.2, 0.8]), np.array([0.1, 0.3, 0.6]),
+                                           np.array([1.0, 0.0])))))),
+      "corners": True}),
     ("product", ["--mixture", "1*0.1,0.9;0.5,0.5", "--corners", "--tol", "5e-324"],
      {"mixture": MixtureSpec(((1.0, Prior((np.array([0.1, 0.9]), np.array([0.5, 0.5])))),)),
       "corners": True, "tol": 5e-324}),
@@ -409,6 +427,7 @@ CHECK = ["check", "--suite", "entropy", "--trials", "1"]
     ({}, REGION + ["--mixture", "nan*uniform+1*uniform"], 1),
     ({}, REGION + ["--tol", "nan"], 2),
     ({}, CHECK + ["--seed", "1", "--tol", "nan"], 2),
+    ({}, CHECK + ["--seed", "3", "--tol", "1e-300", "--max-reported=-1"], 2),
 ])
 def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
     for key, value in env.items():

@@ -1,10 +1,12 @@
+import gc
 import itertools
 import json
+import types
 
 import numpy as np
 import pytest
 
-from qmac import entropy
+from qmac import coding, entropy
 from qmac.catalog import load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, block_channel
 from qmac.coding import (FAIL, Codebook, Povm, SequentialDecoder, TenderInstrument,
@@ -397,6 +399,17 @@ def random_books(rng, alphabets, n, sizes):
             for i, (a, L) in enumerate(zip(alphabets, sizes))]
 
 
+def fail_outcome_channel():
+    """Letter states supported on 2 of 3 dimensions: a stage's average at
+    n = 2 lives on 4 of the 9 block dimensions, so its PGM has a FAIL outcome."""
+    def pure(t):
+        v = np.array([np.cos(t), np.sin(t), 0.0])
+        return np.outer(v, v).astype(complex)
+
+    return CqMacChannel((2, 2), 3, {(x1, x2): pure(0.7 * x1 + 0.3 * x2)
+                                    for x1 in range(2) for x2 in range(2)})
+
+
 def same_report(a, b) -> bool:
     return (a.to_json_dict() == b.to_json_dict()
             and json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict()))
@@ -429,15 +442,8 @@ def test_chunked_simulator_equals_per_tuple_loop(alphabets, d, n, sizes):
 
 
 def test_chunked_simulator_duplicate_words_and_fail_outcome():
-    # letter states supported on 2 of 3 dimensions: each stage's average lives
-    # on 4 of the 9 block dimensions, so its PGM has a FAIL outcome; every
-    # codebook repeats a word
-    def pure(t):
-        v = np.array([np.cos(t), np.sin(t), 0.0])
-        return np.outer(v, v).astype(complex)
-
-    ch = CqMacChannel((2, 2), 3, {(x1, x2): pure(0.7 * x1 + 0.3 * x2)
-                                  for x1 in range(2) for x2 in range(2)})
+    # every stage's PGM has a FAIL outcome, and every codebook repeats a word
+    ch = fail_outcome_channel()
     prior = Prior.uniform((2, 2))
     books = [Codebook(0, 2, ((0, 1), (1, 0), (0, 1))),
              Codebook(1, 2, ((1, 1), (1, 1), (0, 1), (1, 1)))]
@@ -451,29 +457,102 @@ def test_chunked_simulator_duplicate_words_and_fail_outcome():
     assert same_report(report, want)
 
 
-@pytest.mark.parametrize("per_chunk", [1, 3, 7])
+@pytest.mark.parametrize("per_chunk", [1, 3, 7, None])
 def test_chunk_size_does_not_change_the_report(monkeypatch, per_chunk):
+    # None: 64x64 blocks (n = 6), one operator per chunk at the default size
+    n = 2 if per_chunk else 6
     ch = load_builtin_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
-    books = codebooks_from_seed(ch, prior, 2, (4, 5), master_seed=12)
+    books = codebooks_from_seed(ch, prior, n, (4, 5), master_seed=12)
+    mc = dict(mode="monte_carlo", trials=9, seed=4)
     one_chunk = average_error(ch, books, prior)   # 20 tuples of 4x4 fit in one chunk
-    assert 20 * 16 * 4 * 4 <= entropy.CHUNK_BYTES
-    monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * 16 * 4 * 4)
+    assert (20 if per_chunk else 1) * 16 * 4 ** n <= entropy.CHUNK_BYTES
+    if per_chunk:
+        monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * 16 * 4 ** n)
     assert same_report(average_error(ch, books, prior), one_chunk)
+    assert same_report(average_error(ch, books, prior, **mc),
+                       average_error_loop(ch, books, prior, **mc))
 
 
 def test_decoder_povms_equal_the_checked_public_build():
+    # the decoder's elements are formed on first read, the last one alone
+    # and the rest together; the public build forms and checks them at once
     rng = np.random.default_rng(57)
-    ch = random_cq_channel(rng, (2, 3), 2)
-    prior = Prior.uniform((2, 3))
-    books = random_books(rng, (2, 3), 2, (3, 4))
+    for ch, fail in [(random_cq_channel(rng, (2, 3), 2), False), (fail_outcome_channel(), True)]:
+        prior = Prior.uniform(ch.sender_alphabets)
+        books = random_books(rng, ch.sender_alphabets, 2, (3, 4))
+        decoder = SequentialDecoder(ch, books, prior)
+        for i, prefix in [(0, [])] + [(1, [w]) for w in books[0].words]:
+            povm = decoder.stage_instrument(i, prefix).povm
+            public = pgm_decoder(decoder.stage_states(i, prefix))
+            last = povm.element(books[i].size - 1)
+            assert [lab for lab, _ in povm.elements] == [lab for lab, _ in public.elements]
+            assert (FAIL in [lab for lab, _ in povm.elements]) == fail
+            assert povm.element(books[i].size - 1) is last
+            assert all(np.array_equal(a, b) for a, b in zip(povm.matrices, public.matrices))
+            check_povm(povm.matrices, povm.dim)
+
+
+def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
+    # Monte Carlo reads one outcome per stage and tuple: each distinct
+    # (instrument, outcome) read is formed once, in stacks, and no other
+    ch = load_builtin_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 3, (16, 16), master_seed=5)
+    lookup, form = coding._elements, coding._PgmParts.form
+    read, formed = {}, []
+
+    def recorded_lookup(povms, positions):
+        positions = list(positions)
+        read.update(((id(p), i), p) for p, i in zip(povms, positions))
+        return lookup(povms, positions)
+
+    def counted_form(parts, idx):
+        formed.append(len(idx))
+        return form(parts, idx)
+
+    monkeypatch.setattr(coding, "_elements", recorded_lookup)
+    monkeypatch.setattr(coding._PgmParts, "form", counted_form)
+    average_error(ch, books, prior, mode="monte_carlo", trials=6, seed=3)
+    instruments = {id(p) for p in read.values()}
+    assert sum(formed) == len(read) < 16 * len(instruments)
+    assert 6 * 16 * 8 * 8 <= entropy.CHUNK_BYTES   # one chunk: one stacked call per POVM
+    assert len(formed) == len(instruments)
+
+
+def array_bytes(obj) -> int:
+    """Bytes of the distinct numpy buffers reachable from obj through
+    containers, instances and closures (not modules, classes or functions'
+    globals)."""
+    seen, buffers, todo = set(), {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            while o.base is not None:
+                o = o.base
+            buffers[id(o)] = o.nbytes
+        elif isinstance(o, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in o.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(o))
+    return sum(buffers.values())
+
+
+def test_cached_instrument_holds_neither_the_states_nor_every_element():
+    ch = load_builtin_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 4, (32, 4), master_seed=6)
     decoder = SequentialDecoder(ch, books, prior)
-    for i, prefix in [(0, [])] + [(1, [w]) for w in books[0].words]:
-        povm = decoder.stage_instrument(i, prefix).povm
-        public = pgm_decoder(decoder.stage_states(i, prefix))
-        assert [lab for lab, _ in povm.elements] == [lab for lab, _ in public.elements]
-        assert all(np.array_equal(a, b) for a, b in zip(povm.matrices, public.matrices))
-        check_povm(povm.matrices, povm.dim)
+    inst = decoder.stage_instrument(0, [])
+    all_of_them = 32 * 16 * 16 * 16   # L complex 16x16 operators
+    assert array_bytes(inst) < all_of_them / 4
+    inst.sqrt_element(5)
+    assert array_bytes(inst) < all_of_them / 4
+    inst.povm.matrices
+    assert array_bytes(inst) >= all_of_them
 
 
 def test_orthogonal_noiseless_decodes_perfectly():

@@ -11,13 +11,12 @@ from qmac.channel import (CqMacChannel, Prior, channel_state, make_ensemble,
 from qmac.checks import random_channel, random_density, random_prior
 from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
                           check_subadditivity, conditional_entropy, entropy_table,
-                          entropy_tables, fano_bound_check, info_report,
-                          mutual_information, restrict, subsystem_entropy,
-                          subsystem_entropy_dense)
+                          entropy_tables, fano_bound_check, mutual_information,
+                          restrict, subsystem_entropy, subsystem_entropy_dense)
 from qmac.operators import ValidationError
 from qmac.region import constraint_set
 
-from oracles import classical_bound, classical_joint, shannon, two_pure_state_chi
+from oracles import classical_bound, classical_joint, info_report, shannon, two_pure_state_chi
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)

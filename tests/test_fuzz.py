@@ -16,8 +16,17 @@ warning and no `nan` on stdout.
 `qmac region` argument lists do the same with priors, mixtures, sweeps of
 resolution at most 4, JSON grid specs, `--corners`, `--format`, `--tol` and
 `--out`; a domain error (exit 1) must also leave stdout empty, and every
-JSON report must be what json.dumps(indent=2, sort_keys=True) writes.  The
-draws are derandomized, so every run checks the same inputs.
+JSON report must be what json.dumps(indent=2, sort_keys=True) writes.
+
+`qmac validate` argument lists name bundled channels, missing, empty,
+binary, malformed and valid files, directories and arbitrary text, with
+missing, repeated and unknown arguments.  `qmac check` argument lists
+draw suites, at most two trials, seeds, tolerances down to 1e-300 (so
+that violations are reported) and `--max-reported` values, some of them
+negative or malformed; every failing suite must print as many of its
+violations as `--max-reported` allows.  Both must end with exit 0, 1 or
+2, at most one `error:` line, no traceback, no warning and no `nan` on
+stdout.  The draws are derandomized, so every run checks the same inputs.
 """
 
 import contextlib
@@ -42,6 +51,24 @@ JUNK = st.one_of(
 )
 OVERSIZED = st.sampled_from([4097, 3000, 10 ** 9, 10 ** 30])
 JUNK_KEYS = st.sampled_from(["", "x", "0,x", "0,0,0,0", "-1", "1.5", " 0"])
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process `qmac` call, which must
+    end with exit 0, 1 or 2, no warning, no traceback and at most one
+    `error:` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    stdout, stderr = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert not caught
+    assert "Traceback" not in stderr
+    assert sum("error:" in line for line in stderr.splitlines()) <= 1
+    assert "nan" not in stdout.lower()
+    return code, stdout, stderr
 
 
 def letter_key(letters) -> str:
@@ -171,18 +198,8 @@ def simulate_argvs(draw) -> list[str]:
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(argv=simulate_argvs())
 def test_any_simulate_arguments_end_with_one_line(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main(argv)
-    stderr = err.getvalue()
-    assert code in (0, 1, 2)
-    assert not caught
-    assert "Traceback" not in stderr
-    assert sum("error:" in line for line in stderr.splitlines()) <= 1
+    code, _, stderr = run_main(argv)
     assert ("error:" in stderr) == (code != 0)
-    assert "nan" not in out.getvalue().lower()
 
 
 def prior_spec(draw, senders: int) -> str:
@@ -242,16 +259,7 @@ def test_any_region_arguments_end_with_one_line(tmp_path, argv):
         stale.unlink()
     if argv[-1] == "--out":
         argv = argv + [str(out_path)]
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main(argv)
-    stdout, stderr = out.getvalue(), err.getvalue()
-    assert code in (0, 1, 2)
-    assert not caught
-    assert "Traceback" not in stderr
-    assert sum("error:" in line for line in stderr.splitlines()) <= 1
+    code, stdout, stderr = run_main(argv)
     assert ("error:" in stderr) == (code != 0)
     if code == 1:
         assert stdout == ""
@@ -259,3 +267,98 @@ def test_any_region_arguments_end_with_one_line(tmp_path, argv):
     assert "nan" not in report.lower()
     if code == 0 and "--format=json" in argv:
         assert report == json.dumps(json.loads(report), indent=2, sort_keys=True) + "\n"
+
+
+CHANNEL_FILES = {
+    "valid.json": json.dumps({"senders": [{"alphabet": 2}], "output_dim": 1,
+                              "classical": {"0": [1.0], "1": [1.0]}}),
+    "missing-state.json": json.dumps({"senders": [{"alphabet": 2}], "output_dim": 1,
+                                      "classical": {"0": [1.0]}}),
+    "list.json": "[1, 2]",
+    "empty.json": "",
+    "truncated.json": '{"senders": [',
+}
+
+
+@st.composite
+def validate_argvs(draw) -> list[str]:
+    channel = draw(st.one_of(
+        st.sampled_from(["qubit-pure-mac", "adder-classical.json", "no-such-channel", "",
+                         "-", "x/qubit-pure-mac", "a" * 5000, "{dir}", "{dir}/nothing.json",
+                         "{dir}/binary.json"]
+                        + ["{dir}/" + name for name in CHANNEL_FILES]),
+        st.text(max_size=12)))
+    argv = ["validate"]
+    if draw(st.integers(0, 9)):
+        argv.append("--channel=" + channel)
+    if not draw(st.integers(0, 5)):
+        argv.append(draw(st.sampled_from(["--channel", "--bogus", "extra", "-h", "--channel="])))
+    return argv
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=validate_argvs())
+def test_any_validate_arguments_end_with_one_line(tmp_path, argv):
+    for name, text in CHANNEL_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00junk")
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    code, stdout, stderr = run_main(argv)
+    if code == 0:
+        assert stderr == "" and (stdout.startswith("ok: ") or "-h" in argv)
+    elif code == 1 and stderr == "":
+        assert stdout   # the violations, one per line
+    else:
+        assert stdout == "" and "error:" in stderr
+
+
+SUITES = ("entropy", "lemmas", "region", "all")
+
+
+def mostly(draw, valid, junk: list) -> str:
+    """Like `value`, but a malformed value is the rarer draw, 9, not the
+    0 that derandomized draws favour, so most examples run the command."""
+    return draw(st.sampled_from(junk)) if draw(st.integers(0, 9)) == 9 else str(draw(valid))
+
+
+@st.composite
+def check_argvs(draw) -> list[str]:
+    argv = ["check"]
+    if draw(st.integers(0, 3)):
+        argv.append("--suite=" + mostly(draw, st.sampled_from(SUITES), ["", "ALL", "none"]))
+    # at most two trials, so that every example stays cheap
+    argv.append("--trials=" + mostly(draw, st.sampled_from([1, 2, 0]),
+                                     ["-1", "x", "", "1.5", "3e0"]))
+    if draw(st.integers(0, 9)) != 9:
+        argv.append("--seed=" + mostly(draw, st.integers(0, 2 ** 64 - 1),
+                                       ["-1", str(2 ** 70), "x", "", "1e3"]))
+    if draw(st.integers(0, 3)):
+        # a tolerance of 1e-300 turns rounding into violations to report
+        argv.append("--tol=" + mostly(draw, st.sampled_from([1e-300, 1e-9, 0.1]), [
+            "0", "-1e-9", "nan", "inf", "x", ""]))
+    if draw(st.booleans()):
+        argv.append("--max-reported=" + draw(st.sampled_from(
+            ["0", "1", "3", "-1", "-3", "x", "", "1.5"])))
+    return argv
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(argv=check_argvs())
+def test_any_check_arguments_end_with_one_line(argv):
+    code, stdout, stderr = run_main(argv)
+    if code == 2:
+        assert stdout == "" and "error:" in stderr
+        return
+    assert stderr == ""
+    # each failing suite prints min(--max-reported, its violations) of them
+    reported = dict(arg[2:].split("=", 1) for arg in argv[1:]).get("max-reported", "5")
+    blocks = []
+    for line in stdout.splitlines():
+        if line.startswith("{"):
+            blocks[-1][1] += 1
+        elif not line.startswith(" "):
+            violations = line.split(" violations)")[0].rsplit("(", 1)[-1]
+            blocks.append([int(violations) if "FAIL" in line else 0, 0])
+    assert blocks and (code == 1) == any(v for v, _ in blocks)
+    assert all(printed == min(int(reported), v) for v, printed in blocks)

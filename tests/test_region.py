@@ -9,7 +9,7 @@ from qmac.catalog import load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, channel_state, mask_members
 from qmac.checks import random_channel, random_density, random_diagonal_channel, random_prior
 from qmac.config import CapExceeded
-from qmac.entropy import SubsystemSelector, info_report, mutual_information, subsystem_entropy
+from qmac.entropy import SubsystemSelector, mutual_information, subsystem_entropy
 from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          all_corners, boundary_sweep, constraint_set,
@@ -18,7 +18,7 @@ from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          upper_boundary_2d)
 
 from oracles import (classical_bound, classical_corner, classical_joint, hull_member_2d,
-                     point_mass_prior, signed, sweep_loop)
+                     info_report, point_mass_prior, signed, sweep_loop)
 
 TWO_STATE_CHI = 0.6008760366928562
 
