@@ -350,18 +350,17 @@ class BlockChannel:
 
     base: CqMacChannel
     n: int
-    max_block_dim: int | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
-        d, cap = self.base.output_dim, max_dim(self.max_block_dim)
+        d, cap = self.base.output_dim, max_dim()
         # past the cap's bit length d**n > cap when d > 1, and for any d the
         # n-letter words and the n-factor products would grow without bound
         if self.n > cap.bit_length():
             raise CapExceeded(f"{self.n}-block output state needs dimension {d}^{self.n}, "
                               f"configured cap is {cap}")
-        require_dim(self.output_dim, self.max_block_dim, f"{self.n}-block output state")
+        require_dim(self.output_dim, f"{self.n}-block output state")
 
     @property
     def s(self) -> int:
@@ -391,8 +390,8 @@ class BlockChannel:
         return block_states(self.base.states, letters)
 
 
-def block_channel(ch: CqMacChannel, n: int, max_block_dim: int | None = None) -> BlockChannel:
-    return BlockChannel(ch, int(n), max_block_dim)
+def block_channel(ch: CqMacChannel, n: int) -> BlockChannel:
+    return BlockChannel(ch, int(n))
 
 
 # ---------------------------------------------------------------------------

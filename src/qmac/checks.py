@@ -19,7 +19,7 @@ import numpy as np
 
 from . import coding, entropy as ent, region
 from .channel import CqMacChannel, Prior, channel_state, mask_members
-from .config import CapExceeded
+from .config import DEFAULT_MAX_CHECK_TRIALS, CapExceeded
 from .entropy import SubsystemSelector
 from .operators import ValidationError
 
@@ -66,18 +66,6 @@ def random_channel(rng: np.random.Generator, max_senders: int = 3,
 
 def random_prior(rng: np.random.Generator, ch: CqMacChannel) -> Prior:
     return Prior(tuple(random_prior_vec(rng, a) for a in ch.sender_alphabets))
-
-
-def random_diagonal_channel(rng: np.random.Generator, max_senders: int = 3,
-                            max_alphabet: int = 3, max_output_dim: int = 4) -> CqMacChannel:
-    s = int(rng.integers(1, max_senders + 1))
-    alphabets = tuple(int(rng.integers(2, max_alphabet + 1)) for _ in range(s))
-    d = int(rng.integers(2, max_output_dim + 1))
-    states = {
-        letters: np.diag(random_prior_vec(rng, d)).astype(complex)
-        for letters in itertools.product(*(range(a) for a in alphabets))
-    }
-    return CqMacChannel(alphabets, d, states)
 
 
 def relabel_channel(ch: CqMacChannel, perm) -> CqMacChannel:
@@ -307,4 +295,7 @@ def run_suites(which: str, trials: int, seed: int,
     else:
         raise ValidationError(f"unknown suite {which!r}; choose from "
                               f"{sorted(SUITES)} or 'all'")
+    if trials > DEFAULT_MAX_CHECK_TRIALS:
+        raise CapExceeded(f"check needs {trials} trials per suite, "
+                          f"cap is {DEFAULT_MAX_CHECK_TRIALS}")
     return [SUITES[name](trials, seed, tol) for name in names]

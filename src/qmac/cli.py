@@ -330,10 +330,7 @@ def cmd_simulate(args) -> int:
     if mode == "monte_carlo" and args.trials is None:
         raise UsageError("--mode mc needs --trials")
 
-    report = run_simulation(
-        ch, prior, args.n, sizes, args.seed, mode=mode, trials=args.trials,
-        max_block_dim=args.max_block_dim,
-    )
+    report = run_simulation(ch, prior, args.n, sizes, args.seed, mode=mode, trials=args.trials)
     if args.format == "csv":
         header, row = report.csv_rows()
         text = ",".join(header) + "\n" + ",".join(
@@ -413,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
     p.add_argument("--mode", choices=("exhaustive", "mc"), default="exhaustive")
     p.add_argument("--trials", type=int, default=None, help="Monte Carlo message tuples")
-    p.add_argument("--max-block-dim", type=int, default=None,
-                   help="cap on the materialized d^n block dimension")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="json")
     p.set_defaults(func=cmd_simulate)

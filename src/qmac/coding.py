@@ -110,18 +110,16 @@ def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list
 class Povm:
     """Labeled decoding observable: PSD elements summing to the identity.
 
-    Built from (label, element) pairs, which are checked unless `trusted`
-    says they were built as a POVM from checked states.  A pretty-good
+    Built from (label, element) pairs, which are checked.  A pretty-good
     measurement (`pgm_decoder`) keeps instead what its candidates' elements
     are made from and forms each on its first read (`_elements`), so a
     decoder pays only for the outcomes it reads.
     """
 
-    def __init__(self, dim: int, elements: Sequence[tuple[Hashable, np.ndarray]],
-                 trusted: bool = False):
+    def __init__(self, dim: int, elements: Sequence[tuple[Hashable, np.ndarray]]):
         elements = tuple(elements)
         self._setup(dim, [lab for lab, _ in elements],
-                    {i: m for i, (_, m) in enumerate(elements)}, None, trusted)
+                    {i: m for i, (_, m) in enumerate(elements)}, None, False)
 
     @classmethod
     def _lazy(cls, dim: int, labels: list, formed: dict[int, np.ndarray],
@@ -185,11 +183,6 @@ class TenderInstrument:
     @classmethod
     def from_povm(cls, povm: Povm) -> "TenderInstrument":
         return cls(povm)
-
-    @property
-    def sqrt_elements(self) -> tuple[tuple[Hashable, np.ndarray], ...]:
-        """Every (label, root) pair, in POVM order."""
-        return tuple((lab, self.sqrt_element(lab)) for lab, _ in self.povm.elements)
 
     def sqrt_element(self, label: Hashable) -> np.ndarray:
         i = self.povm._position(label)
@@ -433,8 +426,7 @@ class SequentialDecoder:
     depend on their codebooks.  Instruments are cached per (stage, prefix).
     """
 
-    def __init__(self, ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
-                 max_block_dim: int | None = None):
+    def __init__(self, ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior):
         if len(codebooks) != ch.s:
             raise ValidationError(f"expected {ch.s} codebooks, got {len(codebooks)}")
         ns = {cb.n for cb in codebooks}
@@ -450,7 +442,7 @@ class SequentialDecoder:
         self.codebooks = tuple(codebooks)
         self.prior = prior
         self.n = codebooks[0].n
-        self.block = block_channel(ch, self.n, max_block_dim)
+        self.block = block_channel(ch, self.n)
         self._words = [np.array(cb.words, dtype=int) for cb in codebooks]   # (L_i, n) each
         # letter table for stage i: senders 0..i explicit, senders > i averaged
         self._stage_tables = [
@@ -564,18 +556,17 @@ class SimReport:
 
 def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
                   mode: str = "exhaustive", trials: int | None = None,
-                  seed: int | None = None, max_block_dim: int | None = None,
-                  master_seed: int | None = None) -> SimReport:
+                  seed: int | None = None, master_seed: int | None = None) -> SimReport:
     """Mean decoding error over message tuples, with per-stage gentleness stats.
 
     "exhaustive" enumerates every message tuple (product of codebook sizes
-    capped at 4096); "monte_carlo" samples `trials` >= 1 tuples uniformly
-    using `seed`.  For each stage the report carries the average stage error
-    on undisturbed inputs and the exact average disturbance the gentle
-    measurement inflicts, with its sqrt(8 eps) + eps bound.
+    capped at 4096); "monte_carlo" samples `trials` tuples (1 to 4096)
+    uniformly using `seed`.  For each stage the report carries the average
+    stage error on undisturbed inputs and the exact average disturbance the
+    gentle measurement inflicts, with its sqrt(8 eps) + eps bound.
     """
     t0 = time.perf_counter()
-    decoder = SequentialDecoder(ch, codebooks, prior, max_block_dim)
+    decoder = SequentialDecoder(ch, codebooks, prior)
     sizes = tuple(cb.size for cb in codebooks)
     if mode == "exhaustive":
         count = int(np.prod(sizes))
@@ -589,6 +580,9 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
             raise ValidationError("monte_carlo mode needs trials= and seed=")
         if trials < 1:
             raise ValidationError(f"trials must be >= 1, got {trials}")
+        if trials > DEFAULT_MAX_MESSAGES:
+            raise CapExceeded(f"Monte Carlo decoding needs {trials} message tuples, "
+                              f"cap is {DEFAULT_MAX_MESSAGES}")
         rng = np.random.default_rng(int(seed))
         msgs = np.array([[int(rng.integers(L)) for L in sizes] for _ in range(trials)])
         trial_seed = int(seed)
@@ -653,18 +647,16 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
 
 def run_simulation(ch: CqMacChannel, prior: Prior, n: int, sizes: Sequence[int],
                    master_seed: int, mode: str = "exhaustive",
-                   trials: int | None = None,
-                   max_block_dim: int | None = None) -> SimReport:
+                   trials: int | None = None) -> SimReport:
     """Sample codebooks from a master seed and evaluate the code.
 
     The master seed splits into one seed per codebook plus one for Monte
     Carlo message sampling, so reports are bit-exact replayable.
     """
-    block_channel(ch, n, max_block_dim)   # capped before n-letter words are drawn
+    block_channel(ch, n)   # capped before n-letter words are drawn
     codebooks = codebooks_from_seed(ch, prior, n, sizes, master_seed)
     trial_seed = derive_seeds(master_seed, ch.s + 1)[ch.s]
     return average_error(
         ch, codebooks, prior, mode=mode, trials=trials,
-        seed=trial_seed if mode == "monte_carlo" else None,
-        max_block_dim=max_block_dim, master_seed=int(master_seed),
+        seed=trial_seed if mode == "monte_carlo" else None, master_seed=int(master_seed),
     )

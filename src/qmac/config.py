@@ -15,6 +15,9 @@ DEFAULT_MAX_DIM = 4096
 # Exhaustive decoding enumerates |M_1| * ... * |M_s| message tuples; no codebook is larger.
 DEFAULT_MAX_MESSAGES = 4096
 
+# Randomized verification draws this many instances per suite at most.
+DEFAULT_MAX_CHECK_TRIALS = 10_000
+
 # Corner enumeration runs over s! permutations.
 DEFAULT_MAX_PERM_SENDERS = 6
 
@@ -36,10 +39,8 @@ class UsageError(ValueError):
     """Bad command-line or environment values (exit code 2)."""
 
 
-def max_dim(override: int | None = None) -> int:
-    """Effective dense-dimension cap: explicit override, else QMAC_MAX_DIM, else default."""
-    if override is not None:
-        return int(override)
+def max_dim() -> int:
+    """Effective dense-dimension cap: QMAC_MAX_DIM, else the default."""
     env = os.environ.get(ENV_MAX_DIM)
     if env is None:
         return DEFAULT_MAX_DIM
@@ -52,10 +53,9 @@ def max_dim(override: int | None = None) -> int:
     return value
 
 
-def require_dim(dim: int, cap: int | None = None, what: str = "matrix") -> None:
-    limit = max_dim(cap)
+def require_dim(dim: int, what: str = "matrix") -> None:
+    limit = max_dim()
     if dim > limit:
         raise CapExceeded(
-            f"{what} needs dimension {dim}, configured cap is {limit} "
-            f"(raise via {ENV_MAX_DIM} or the max-dim option)"
+            f"{what} needs dimension {dim}, configured cap is {limit} (raise via {ENV_MAX_DIM})"
         )

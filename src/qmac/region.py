@@ -6,9 +6,10 @@ subset sums stay below the conditional mutual informations; its upper
 extremal points (corners) are the successive-decoding rate tuples, one per
 decoding order.  Bounds and corners are both read off the entropy table of
 the channel state (`entropy.entropy_tables`), which a sweep computes for all
-of its priors in one batched call and reads corners off as arrays; corners
-are chain-rule entropy differences, exact and LP-free, and an independent
-route recovers them from suffix differences of the bounds for
+of its priors in one batched call.  Corners are chain-rule entropy
+differences, exact and LP-free, read off stacked tables by one kernel
+(`_chain_rates`) and deduplicated by one rule (`_distinct`); an
+independent route recovers them from suffix differences of the bounds for
 cross-checking.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -140,7 +140,7 @@ def _check_perm_cap(s: int) -> None:
 def corner_table(ch: CqMacChannel, prior: Prior | None, *,
                  table: ent.EntropyTable | None = None) -> dict[tuple[int, ...], RatePoint]:
     """Corner for every decoding order, computed off one shared entropy table
-    (`table` and `prior` as in `constraint_set`).
+    (`table` and `prior` as in `constraint_set`) by `_chain_rates`.
 
     Stage i decodes sender perm[i] against the joint of the output and the
     already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).  The
@@ -149,18 +149,8 @@ def corner_table(ch: CqMacChannel, prior: Prior | None, *,
     _check_perm_cap(ch.s)
     if table is None:
         (table,) = prior_tables(ch, [prior])
-    corners = {}
-    for perm in itertools.permutations(range(ch.s)):
-        rates = [0.0] * ch.s
-        decoded_mask = 0
-        for k in perm:
-            h_k = table[1 << k][0]
-            h_ay = table[decoded_mask][1]
-            h_aky = table[decoded_mask | 1 << k][1]
-            rates[k] = ent.clamp_mi(h_k + h_ay - h_aky, f"corner stage for sender {k}")
-            decoded_mask |= 1 << k
-        corners[perm] = RatePoint(tuple(rates))
-    return corners
+    (rates,) = _chain_rates(np.array([table]), ch.s).tolist()
+    return dict(zip(itertools.permutations(range(ch.s)), map(RatePoint, rates)))
 
 
 def member_corners(cs: RateConstraintSet, tol: float
@@ -171,34 +161,61 @@ def member_corners(cs: RateConstraintSet, tol: float
     _check_perm_cap(cs.s)
     pairs = ((perm, corner_from_bounds(cs, perm))
              for perm in itertools.permutations(range(cs.s)))
-    return dedup_points([(perm, point) for perm, point in pairs
-                         if is_member(point, cs, tol)], tol)
+    return _distinct_pairs([(perm, point) for perm, point in pairs
+                            if is_member(point, cs, tol)], cs.s, tol)
 
 
-def dedup_points(pairs: Iterable[tuple[tuple[int, ...], RatePoint]],
-                 tol: float = CORNER_DEDUP_TOL) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """Keep each (perm, point) pair whose point is farther than tol (max-norm)
-    from every point kept before it."""
-    kept: list[tuple[tuple[int, ...], RatePoint]] = []
-    for perm, point in pairs:
-        if not any(
-            max(abs(a - b) for a, b in zip(point.rates, q.rates)) <= tol for _, q in kept
-        ):
-            kept.append((perm, point))
-    return kept
-
-
-def corners_with_perms(ch: CqMacChannel, prior: Prior | None, *,
-                       table: ent.EntropyTable | None = None
+def corners_with_perms(ch: CqMacChannel, prior: Prior
                        ) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """Distinct corners (within 1e-9), each with the first permutation achieving
-    it; `table` as in `corner_table`."""
-    return dedup_points(sorted(corner_table(ch, prior, table=table).items()))
+    """Distinct corners (within 1e-9), each with the first permutation achieving it."""
+    return _distinct_pairs(list(corner_table(ch, prior).items()), ch.s, CORNER_DEDUP_TOL)
 
 
 def all_corners(ch: CqMacChannel, prior: Prior) -> list[RatePoint]:
     """Distinct corners (within 1e-9), ordered by first achieving permutation."""
     return [point for _, point in corners_with_perms(ch, prior)]
+
+
+def _chain_rates(tables: np.ndarray, s: int) -> np.ndarray:
+    """Corner rates (P, s!, s) of the entropy tables (P, 2^s, 2): decode
+    orders lexicographic, rates in sender order.
+
+    A stage decoding sender k after the set A has the term
+    H(X_k) + H(X_A, Y) - H(X_A + k, Y), added in that order; the first term
+    below -MI_CLAMP, in prior, order and stage order, raises
+    `entropy.clamp_mi`'s error, and the others are clamped as it clamps.
+    """
+    perms = list(itertools.permutations(range(s)))
+    # the set A decoded before sender k, for each order and sender
+    before = np.array([[sum(1 << i for i in perm[:perm.index(k)]) for k in range(s)]
+                       for perm in perms])
+    k_mask = 1 << np.arange(s)
+    raw = tables[:, None, k_mask, 0] + tables[:, before, 1] - tables[:, before | k_mask, 1]
+    low = raw < -ent.MI_CLAMP
+    if low.any():
+        p, j = np.argwhere(low.any(axis=2))[0]
+        k = next(k for k in perms[j] if low[p, j, k])
+        ent.clamp_mi(float(raw[p, j, k]), f"corner stage for sender {k}")
+    return np.where(raw < 0.0, 0.0, raw)
+
+
+def _distinct(rates: np.ndarray, tol: float) -> np.ndarray:
+    """Which of the points rates[p] (P, m, s) to keep: each point farther
+    than tol (max-norm) from every point of its row kept before it."""
+    # senders on the middle axis: the max-norm reduces over whole rows
+    by_sender = np.ascontiguousarray(rates.transpose(0, 2, 1))
+    keep = np.ones(rates.shape[:2], dtype=bool)
+    for j in range(1, rates.shape[1]):
+        gap = np.abs(by_sender[:, :, :j] - by_sender[:, :, j, None]).max(axis=1)
+        keep[:, j] = ~((gap <= tol) & keep[:, :j]).any(axis=1)
+    return keep
+
+
+def _distinct_pairs(pairs: list[tuple[tuple[int, ...], RatePoint]], s: int,
+                    tol: float) -> list[tuple[tuple[int, ...], RatePoint]]:
+    """The (perm, point) pairs whose points `_distinct` keeps."""
+    rates = np.array([point.rates for _, point in pairs]).reshape(1, -1, s)
+    return [pair for pair, keep in zip(pairs, _distinct(rates, tol)[0].tolist()) if keep]
 
 
 def corner_from_bounds(cs: RateConstraintSet, perm: Sequence[int]) -> RatePoint:
@@ -309,57 +326,31 @@ def prior_grid(alphabet_sizes: Sequence[int],
     return compositions, index
 
 
-def _chain_index(perms: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
-    """Table rows of `corner_table`'s stage terms, each of shape (s!, s) in
-    stage order: the decoded sender's mask, and the decoded set after and
-    before its stage."""
-    k_mask = [[1 << k for k in perm] for perm in perms]
-    after = [list(itertools.accumulate(masks, operator.or_)) for masks in k_mask]
-    before = [[0] + masks[:-1] for masks in after]
-    return np.array(k_mask), np.array(after), np.array(before)
-
-
 def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     """Constraint sets and corners over the deterministic prior grid.
 
     One `entropy.entropy_tables` call covers every grid prior.  Each prior's
-    bounds come from its `constraint_set`; its corners are read off the
-    tables with `corner_table`'s float operations, chunk by chunk, clamped as
-    `entropy.clamp_mi` clamps, and deduplicated as `dedup_points` does.  A
-    prior with a corner stage `clamp_mi` or `RatePoint` would reject goes
-    through `corner_table`, which raises that error.  The convex hull of all
-    corners plus the origin under-approximates the capacity region and grows
-    monotonically under grid refinement.
+    bounds come from its `constraint_set`, which also rejects a non-finite
+    table entry; its corners are read off the tables, chunk by chunk, by
+    `corner_table`'s kernel and deduplicated as `corners_with_perms` does.
+    The convex hull of all corners plus the origin under-approximates the
+    capacity region and grows monotonically under grid refinement.
     """
     _check_perm_cap(ch.s)   # before the tables of the whole grid are computed
     compositions, index = prior_grid(ch.sender_alphabets, resolution)
     per_sender = tuple(c[i] for c, i in zip(compositions, index))
     tables = _sender_tables(ch, per_sender)
-    perms = list(itertools.permutations(range(ch.s)))
-    k_mask, after, before = _chain_index(perms)
-    orders = np.array(perms)
-    # stage order to sender order: column k of perm j is the stage decoding k
-    sender_stage = np.argsort(orders, axis=1)[None]
+    orders = np.array(list(itertools.permutations(range(ch.s))))
     num = len(tables)
     bounds = np.empty((num, (1 << ch.s) - 1))
     kept_prior, kept_perm, kept_rates = [], [], []
-    step = max(1, ent.CHUNK_BYTES // (8 * len(perms) * ch.s))
+    step = max(1, ent.CHUNK_BYTES // (8 * len(orders) * ch.s))
     for lo in range(0, num, step):
         chunk = tables[lo:lo + step]
-        raw = chunk[:, k_mask, 0] + chunk[:, before, 1] - chunk[:, after, 1]
-        bad = ((raw < -ent.MI_CLAMP) | ~np.isfinite(raw)).any(axis=(1, 2))
         for p, row in enumerate(chunk.tolist()):
             bounds[lo + p] = list(constraint_set(ch, None, table=row).bounds.values())
-            if bad[p]:
-                corner_table(ch, None, table=row)
-        rates = np.take_along_axis(np.where(raw < 0.0, 0.0, raw), sender_stage, axis=2)
-        # senders on the middle axis: the max-norm reduces over whole rows
-        by_sender = np.ascontiguousarray(rates.transpose(0, 2, 1))
-        keep = np.ones(rates.shape[:2], dtype=bool)
-        for j in range(1, len(perms)):
-            gap = np.abs(by_sender[:, :, :j] - by_sender[:, :, j, None]).max(axis=1)
-            keep[:, j] = ~((gap <= CORNER_DEDUP_TOL) & keep[:, :j]).any(axis=1)
-        p_idx, j_idx = np.nonzero(keep)
+        rates = _chain_rates(chunk, ch.s)
+        p_idx, j_idx = np.nonzero(_distinct(rates, CORNER_DEDUP_TOL))
         kept_prior.append(p_idx + lo)
         kept_perm.append(j_idx)
         kept_rates.append(rates[p_idx, j_idx])

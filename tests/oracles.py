@@ -9,10 +9,13 @@ leak of a gentle instrument, a reduced channel averaged one letter tuple at
 a time, membership in a two-sender hull by
 interpolation along its vertices, positivity decided by a full
 eigendecomposition, the branches of a gentle instrument, the simulator's
-average error taken one message tuple at a time, the prior sweep taken one
-validated prior at a time, and the region report built as one document.
+average error taken one message tuple at a time, corners taken one decode
+order and one stage at a time and deduplicated one point at a time, the
+prior sweep taken one validated prior at a time, and the region report
+built as one document.
 
-It also holds the API that only tests use: point-mass priors, writing a
+It also holds the API that only tests use: point-mass priors, random
+diagonal channels, an instrument's roots listed in POVM order, writing a
 channel back to its JSON form, and the report of every entropy and
 conditional mutual information of an ensemble.
 """
@@ -29,6 +32,7 @@ from qmac import entropy as ent
 from qmac import operators as ops
 from qmac import region
 from qmac.channel import CqMacChannel, Prior, mask_members
+from qmac.checks import random_prior_vec
 from qmac.coding import SequentialDecoder, SimReport
 from qmac.config import DEFAULT_MAX_MESSAGES, CapExceeded
 from qmac.operators import ValidationError
@@ -186,6 +190,11 @@ def decode_tree(channel, codebooks, prior, messages, stage_instrument, word_stat
     return correct, total
 
 
+def sqrt_elements(inst) -> tuple:
+    """Every (label, root) pair of a gentle instrument, in POVM order."""
+    return tuple((lab, inst.sqrt_element(lab)) for lab, _ in inst.povm.elements)
+
+
 def tender_apply(inst, rho) -> list:
     """All measurement branches (outcome, probability, normalized post-state)
     of a gentle instrument: probabilities Tr(rho D_b), summing to 1, with
@@ -197,7 +206,7 @@ def tender_apply(inst, rho) -> list:
             f"state dimension {rho.shape[0]} does not match POVM dimension {inst.povm.dim}"
         )
     out = []
-    for (lab, elem), (_, root) in zip(inst.povm.elements, inst.sqrt_elements):
+    for (lab, elem), (_, root) in zip(inst.povm.elements, sqrt_elements(inst)):
         p = float(np.trace(rho @ elem).real)
         if p <= BRANCH_FLOOR:
             continue
@@ -207,7 +216,7 @@ def tender_apply(inst, rho) -> list:
 
 
 def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, seed=None,
-                       max_block_dim=None, master_seed=None) -> SimReport:
+                       master_seed=None) -> SimReport:
     """`qmac.coding.average_error` one message tuple at a time.
 
     Each tuple's block state is built alone, then each stage looks up its
@@ -217,7 +226,7 @@ def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, see
     so its report must be identical.
     """
     t0 = time.perf_counter()
-    decoder = SequentialDecoder(ch, codebooks, prior, max_block_dim)
+    decoder = SequentialDecoder(ch, codebooks, prior)
     sizes = tuple(cb.size for cb in codebooks)
     if mode == "exhaustive":
         count = int(np.prod(sizes))
@@ -327,6 +336,19 @@ def hull_member_2d(point, vertices, tol=1e-9) -> bool:
     return False
 
 
+def random_diagonal_channel(rng, max_senders=3, max_alphabet=3, max_output_dim=4) -> CqMacChannel:
+    """Random quasi-classical channel: every state diagonal, drawn as
+    `qmac.checks.random_channel` draws its shape."""
+    s = int(rng.integers(1, max_senders + 1))
+    alphabets = tuple(int(rng.integers(2, max_alphabet + 1)) for _ in range(s))
+    d = int(rng.integers(2, max_output_dim + 1))
+    states = {
+        letters: np.diag(random_prior_vec(rng, d)).astype(complex)
+        for letters in itertools.product(*(range(a) for a in alphabets))
+    }
+    return CqMacChannel(alphabets, d, states)
+
+
 def point_mass_prior(alphabet_sizes, letters) -> Prior:
     vecs = []
     for a, x in zip(alphabet_sizes, letters):
@@ -399,15 +421,60 @@ def grid_priors(alphabet_sizes, resolution) -> list:
     return [Prior(tuple(vs)) for vs in itertools.product(*per_sender)]
 
 
+def corner_table_loop(ch, prior, table=None) -> dict:
+    """`qmac.region.corner_table` one decode order and one stage at a time:
+    stage i decodes sender perm[i] with R = H(X_k) + H(X_A, Y) - H(X_A + k, Y),
+    each stage clamped by `entropy.clamp_mi`, each corner a RatePoint."""
+    if table is None:
+        (table,) = region.prior_tables(ch, [prior])
+    corners = {}
+    for perm in itertools.permutations(range(ch.s)):
+        rates = [0.0] * ch.s
+        decoded_mask = 0
+        for k in perm:
+            h_k = table[1 << k][0]
+            h_ay = table[decoded_mask][1]
+            h_aky = table[decoded_mask | 1 << k][1]
+            rates[k] = ent.clamp_mi(h_k + h_ay - h_aky, f"corner stage for sender {k}")
+            decoded_mask |= 1 << k
+        corners[perm] = region.RatePoint(tuple(rates))
+    return corners
+
+
+def dedup_points(pairs, tol=region.CORNER_DEDUP_TOL) -> list:
+    """Keep each (perm, point) pair whose point is farther than tol (max-norm)
+    from every point kept before it."""
+    kept = []
+    for perm, point in pairs:
+        if not any(
+            max(abs(a - b) for a, b in zip(point.rates, q.rates)) <= tol for _, q in kept
+        ):
+            kept.append((perm, point))
+    return kept
+
+
+def corners_loop(ch, prior, table=None) -> list:
+    """`qmac.region.corners_with_perms` by `corner_table_loop` and `dedup_points`."""
+    return dedup_points(sorted(corner_table_loop(ch, prior, table).items()))
+
+
+def member_corners_loop(cs, tol) -> list:
+    """`qmac.region.member_corners` by `corner_from_bounds` and `dedup_points`."""
+    pairs = ((perm, region.corner_from_bounds(cs, perm))
+             for perm in sorted(itertools.permutations(range(cs.s))))
+    return dedup_points([(perm, point) for perm, point in pairs
+                         if region.is_member(point, cs, tol)], tol)
+
+
 def sweep_loop(ch, resolution) -> list:
     """`qmac.region.boundary_sweep` one validated prior at a time: each grid
-    prior's bounds from `constraint_set` and its corners from
-    `corners_with_perms`, both off the prior's entropy table.  One
+    prior's bounds from `constraint_set` and its corners from `corners_loop`,
+    both off the prior's entropy table.  One
     (prior id, prior, constraint set, ((perm, RatePoint), ...)) per prior."""
     priors = grid_priors(ch.sender_alphabets, resolution)
     return [
         (idx, prior, region.constraint_set(ch, prior, table=table),
-         tuple(region.corners_with_perms(ch, prior, table=table)))
+         tuple(corners_loop(ch, prior, table)))
         for idx, (prior, table) in enumerate(zip(priors, region.prior_tables(ch, priors)))
     ]
 
@@ -457,16 +524,13 @@ def region_report(ch, *, resolution=None, prior=None, mixture=None, corners=Fals
                       for u, (w, pr) in enumerate(mixture.components)]
         bound_rows = [("mix", mask, cs.bounds[mask]) for mask in sorted(cs.bounds)]
         if corners:
-            pairs = ((perm, region.corner_from_bounds(cs, perm))
-                     for perm in sorted(itertools.permutations(range(s))))
-            members = [(perm, point) for perm, point in pairs if region.is_member(point, cs, tol)]
-            corner_rows = [("mix", perm, point) for perm, point in region.dedup_points(members, tol)]
+            corner_rows = [("mix", perm, point) for perm, point in member_corners_loop(cs, tol)]
     else:
         priors_doc = [{"id": 0, "per_sender": [v.tolist() for v in prior.per_sender]}]
         cs = region.constraint_set(ch, prior)
         bound_rows = [(0, mask, cs.bounds[mask]) for mask in sorted(cs.bounds)]
         if corners:
-            corner_rows = [(0, perm, point) for perm, point in region.corners_with_perms(ch, prior)]
+            corner_rows = [(0, perm, point) for perm, point in corners_loop(ch, prior)]
     doc = {"priors": priors_doc,
            "region": [{"prior_id": pid, "subset_mask": mask, "bound_bits": b}
                       for pid, mask, b in bound_rows]}

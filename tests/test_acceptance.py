@@ -16,8 +16,7 @@ import pytest
 
 from qmac.catalog import load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, channel_state
-from qmac.checks import (random_channel, random_diagonal_channel, random_prior,
-                         random_prior_vec)
+from qmac.checks import random_channel, random_prior, random_prior_vec
 from qmac.cli import main as cli_main
 from qmac.coding import (Codebook, SequentialDecoder, TenderInstrument,
                          average_error, codebooks_from_seed, disturbance_check,
@@ -192,7 +191,7 @@ def test_criterion_06_classical_oracle_equivalence():
               max(abs(a - b) for a, b in zip(corners[(1, 0)].rates, (1.0, 0.5))))
     rng = np.random.default_rng(42424242)
     for _ in range(50):
-        dch = random_diagonal_channel(rng)
+        dch = oracles.random_diagonal_channel(rng)
         dprior = random_prior(rng, dch)
         dcs = constraint_set(dch, dprior)
         dcond = {letters: np.diag(dch.state(letters)).real
@@ -238,7 +237,8 @@ def test_criterion_08_coding_sanity():
                   f"constant-channel success {success:.12f} <= 0.25")
 
 
-def test_criterion_09_achievability_trend():
+def test_criterion_09_achievability_trend(monkeypatch):
+    monkeypatch.setenv("QMAC_MAX_DIM", "64")
     t0 = time.time()
     ch = load_builtin_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
@@ -246,8 +246,7 @@ def test_criterion_09_achievability_trend():
     master_seed = 10
     errors = {}
     for n in (2, 4, 6):
-        rep = run_simulation(ch, prior, n, sizes_from_rates(half, n),
-                             master_seed=master_seed, max_block_dim=64)
+        rep = run_simulation(ch, prior, n, sizes_from_rates(half, n), master_seed=master_seed)
         errors[n] = rep.avg_error
     monotone = errors[6] < errors[4] < errors[2]
 
@@ -255,7 +254,7 @@ def test_criterion_09_achievability_trend():
     n = 2
     sizes = sizes_from_rates(half, n)
     books = codebooks_from_seed(ch, prior, n, sizes, master_seed)
-    decoder = SequentialDecoder(ch, books, prior, max_block_dim=64)
+    decoder = SequentialDecoder(ch, books, prior)
     tree_err = 0.0
     count = 0
     for msg in itertools.product(*(range(L) for L in sizes)):

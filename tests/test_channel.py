@@ -279,10 +279,11 @@ def test_stacked_block_states_equal_one_word_tuple_at_a_time():
             blk.state_for_words(words)
 
 
-def test_block_channel_respects_cap():
+def test_block_channel_respects_cap(monkeypatch):
     ch = CqMacChannel((2, 2), 2, qubit_table())
-    with pytest.raises(CapExceeded):
-        block_channel(ch, 3, max_block_dim=4)
+    with monkeypatch.context() as m, pytest.raises(CapExceeded):
+        m.setenv("QMAC_MAX_DIM", "4")
+        block_channel(ch, 3)
     # a block length whose d**n has more digits than Python prints, or more
     # bits than memory holds, is refused without forming d**n
     for n in (10 ** 5, 10 ** 18):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmac import entropy
+from qmac import checks, entropy
 from qmac.catalog import builtin_channel_text, load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, load_channel
 from qmac.checks import random_density
@@ -332,12 +332,31 @@ def test_simulate_sizes_xor_rates(capsys):
     assert code == 2
 
 
-def test_simulate_cap_exceeded_exit_1(capsys):
+def test_simulate_cap_exceeded_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("QMAC_MAX_DIM", "64")
     code, _, err = run(capsys, "simulate", "--channel", "qubit-pure-mac",
-                       "--n", "8", "--sizes", "2,2", "--seed", "1",
-                       "--max-block-dim", "64")
+                       "--n", "8", "--sizes", "2,2", "--seed", "1")
     assert code == 1
     assert "cap" in err
+
+
+def test_monte_carlo_trials_capped_at_the_tuple_cap(capsys):
+    argv = ["simulate", "--channel", "qubit-pure-mac", "--n", "1", "--sizes", "2,2",
+            "--seed", "0", "--mode", "mc", "--format", "csv"]
+    code, out, _ = run(capsys, *argv, "--trials", "4096")
+    assert code == 0 and out
+    code, out, err = run(capsys, *argv, "--trials", "4097")
+    assert (code, out) == (1, "")
+    assert err == "error: Monte Carlo decoding needs 4097 message tuples, cap is 4096\n"
+
+
+def test_check_trials_capped(capsys, monkeypatch):
+    code, out, err = run(capsys, "check", "--trials", "10001", "--seed", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: check needs 10001 trials per suite, cap is 10000\n"
+    monkeypatch.setattr(checks, "DEFAULT_MAX_CHECK_TRIALS", 2)   # both edges, cheaply
+    assert run(capsys, "check", "--suite", "region", "--trials", "2", "--seed", "0")[0] == 0
+    assert run(capsys, "check", "--suite", "region", "--trials", "3", "--seed", "0")[0] == 1
 
 
 def test_simulate_block_length_capped_on_one_dimensional_output(tmp_path, capsys):

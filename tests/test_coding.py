@@ -18,8 +18,8 @@ from qmac.checks import random_density
 from qmac.operators import ValidationError, check_povm, op_sqrt, trace_norm
 from qmac.region import corner_table
 
-from oracles import (average_error_loop, explicit_leak, map_error, tender_apply,
-                     two_pure_state_pgm_success)
+from oracles import (average_error_loop, explicit_leak, map_error, sqrt_elements,
+                     tender_apply, two_pure_state_pgm_success)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -250,8 +250,8 @@ def test_instrument_roots_square_back():
         states = [(a, random_density(rng, d)) for a in range(int(rng.integers(2, 6)))]
         povm = pgm_decoder(states)
         inst = TenderInstrument(povm)
-        assert [lab for lab, _ in inst.sqrt_elements] == [lab for lab, _ in povm.elements]
-        for (_, root), (_, elem) in zip(inst.sqrt_elements, povm.elements):
+        assert [lab for lab, _ in sqrt_elements(inst)] == [lab for lab, _ in povm.elements]
+        for (_, root), (_, elem) in zip(sqrt_elements(inst), povm.elements):
             assert np.max(np.abs(root @ root - elem)) <= 1e-9
 
 
@@ -284,9 +284,9 @@ def test_instrument_roots_are_lazy_and_cached(monkeypatch):
         assert np.array_equal(root, op_sqrt(povm.element(lab)))
         assert inst.sqrt_element(lab) is root
         assert sum(computed) == 1
-        assert [b for b, _ in inst.sqrt_elements] == labels
+        assert [b for b, _ in sqrt_elements(inst)] == labels
         assert sum(computed) == len(labels)
-        for b, r in inst.sqrt_elements:
+        for b, r in sqrt_elements(inst):
             assert np.array_equal(r, op_sqrt(povm.element(b)))
 
 
@@ -625,7 +625,7 @@ def test_diagonal_pgm_vs_map_oracle():
         assert 1.0 - success >= map_error(qs, w) - 1e-9
 
 
-def test_nearly_parallel_pure_states_still_build_valid_decoders():
+def test_nearly_parallel_pure_states_still_build_valid_decoders(monkeypatch):
     # tiny rotation angles make the averaged word states almost singular;
     # the decoder construction must stay a valid POVM regardless
     def pure(t):
@@ -634,8 +634,8 @@ def test_nearly_parallel_pure_states_still_build_valid_decoders():
 
     ch = CqMacChannel((2, 2), 2, {(x1, x2): pure(0.05 * x1 + 0.02 * x2)
                                       for x1 in range(2) for x2 in range(2)})
-    report = run_simulation(ch, Prior.uniform((2, 2)), 6, (2, 2),
-                            master_seed=3, max_block_dim=64)
+    monkeypatch.setenv("QMAC_MAX_DIM", "64")
+    report = run_simulation(ch, Prior.uniform((2, 2)), 6, (2, 2), master_seed=3)
     assert 0.0 <= report.avg_error <= 1.0
 
 

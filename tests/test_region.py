@@ -7,18 +7,20 @@ import pytest
 from qmac import entropy, operators
 from qmac.catalog import load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, channel_state, mask_members
-from qmac.checks import random_channel, random_density, random_diagonal_channel, random_prior
+from qmac.checks import random_channel, random_density, random_prior
 from qmac.config import CapExceeded
 from qmac.entropy import SubsystemSelector, mutual_information, subsystem_entropy
 from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          all_corners, boundary_sweep, constraint_set,
-                         corner_from_bounds, corner_table, dedup_points,
-                         is_member, mixture_constraints, prior_grid,
+                         corner_from_bounds, corner_table, is_member,
+                         member_corners, mixture_constraints, prior_grid,
                          upper_boundary_2d)
 
-from oracles import (classical_bound, classical_corner, classical_joint, hull_member_2d,
-                     info_report, point_mass_prior, signed, sweep_loop)
+from oracles import (classical_bound, classical_corner, classical_joint, corner_table_loop,
+                     corners_loop, dedup_points, hull_member_2d, info_report,
+                     member_corners_loop, point_mass_prior, random_diagonal_channel, signed,
+                     sweep_loop)
 
 TWO_STATE_CHI = 0.6008760366928562
 
@@ -457,10 +459,11 @@ def test_sweep_dedups_corners_within_tolerance_as_the_loop_does(monkeypatch):
     assert 0 < len(sweep.corner_rates) < 6 * len(sweep.bounds)
 
 
-def test_sweep_keeps_the_sign_of_zero_corners(monkeypatch):
-    # The kernel's tables never give a corner of -0.0, so every other prior's
-    # table is replaced by zeros of random sign: a corner (-0.0) + (-0.0) - 0.0
-    # is -0.0 on the per-prior path (max(-0.0, 0.0) keeps it), and must stay so.
+def use_signed_zero_tables(monkeypatch):
+    """Replace every other prior's entropy table (the first one's too) by
+    zeros of random sign.  The kernel's tables never give a corner of -0.0,
+    but a corner (-0.0) + (-0.0) - 0.0 is -0.0 on the per-prior path
+    (max(-0.0, 0.0) keeps it), and must stay so."""
     entropy_tables = entropy.entropy_tables
 
     def signed_zero_tables(factors, states):
@@ -470,6 +473,10 @@ def test_sweep_keeps_the_sign_of_zero_corners(monkeypatch):
         return table
 
     monkeypatch.setattr(entropy, "entropy_tables", signed_zero_tables)
+
+
+def test_sweep_keeps_the_sign_of_zero_corners(monkeypatch):
+    use_signed_zero_tables(monkeypatch)
     rng = np.random.default_rng(77)
     negative_zeros = 0
     for trial in range(9):
@@ -479,3 +486,69 @@ def test_sweep_keeps_the_sign_of_zero_corners(monkeypatch):
         rates = sweep.corner_rates
         negative_zeros += int(np.sum((rates == 0.0) & np.signbit(rates)))
     assert negative_zeros > 0
+
+
+def rate_pairs(pairs):
+    return signed([(perm, point.rates) for perm, point in pairs])
+
+
+@pytest.mark.parametrize("signed_zeros", [False, True])
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_corner_routes_equal_the_scalar_loop(monkeypatch, s, signed_zeros):
+    if signed_zeros:
+        use_signed_zero_tables(monkeypatch)
+    rng = np.random.default_rng(80 + s)
+    for _ in range(4):
+        ch = sweep_test_channel(rng, s)
+        point_mass = point_mass_prior(ch.sender_alphabets,
+                                      [rng.integers(a) for a in ch.sender_alphabets])
+        mixed = mixture_constraints(ch, MixtureSpec(((0.5, random_prior(rng, ch)),
+                                                     (0.5, point_mass))), max_components=2)
+        for prior in (random_prior(rng, ch), point_mass):
+            assert (rate_pairs(corner_table(ch, prior).items())
+                    == rate_pairs(corner_table_loop(ch, prior).items()))
+            assert (signed([point.rates for point in all_corners(ch, prior)])
+                    == signed([point.rates for _, point in corners_loop(ch, prior)]))
+            for cs in (constraint_set(ch, prior), mixed):
+                for tol in (0.0, 1e-12, 1e-9, 1e-3, 0.1):
+                    assert (rate_pairs(member_corners(cs, tol))
+                            == rate_pairs(member_corners_loop(cs, tol)))
+        resolution = 2 if s < 4 else 1   # the grid of point masses at s = 4
+        assert sweep_rows(boundary_sweep(ch, resolution)) == loop_rows(ch, resolution)
+
+
+def test_low_corner_stage_raises_the_loop_error(monkeypatch):
+    # Raising H(X_A, Y) for every proper nonempty sender set A, by distinct
+    # multiples of 4 bits (one of them 0), raises every bound that reads it
+    # (each does with a plus sign) and moves each corner stage by the lift
+    # of the set after it less that of the set before it: a stage whose set
+    # gains lift fails, often several per order, so the corner chain, not a
+    # bound, must fail, at the loop's first failing prior, order and stage.
+    entropy_tables = entropy.entropy_tables
+    rng = np.random.default_rng(82)
+    for trial in range(9):
+        s = 2 + trial % 3
+        ch = sweep_test_channel(rng, s)
+        lift = np.zeros(1 << s)
+        lift[1:-1] = 4.0 * rng.permutation(len(lift) - 2)
+
+        def lift_every(every):
+            def lifted_tables(factors, states):
+                table = entropy_tables(factors, states)
+                table[every - 1::every, :, 1] += lift
+                return table
+            monkeypatch.setattr(entropy, "entropy_tables", lifted_tables)
+
+        lift_every(1)
+        prior = random_prior(rng, ch)
+        with pytest.raises(ValidationError, match="corner stage") as want:
+            corner_table_loop(ch, prior)
+        with pytest.raises(ValidationError) as got:
+            corner_table(ch, prior)
+        assert str(got.value) == str(want.value)
+        lift_every(int(rng.integers(1, 4)))
+        with pytest.raises(ValidationError, match="corner stage") as want:
+            sweep_loop(ch, 2)
+        with pytest.raises(ValidationError) as got:
+            boundary_sweep(ch, 2)
+        assert str(got.value) == str(want.value)
