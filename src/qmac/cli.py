@@ -35,7 +35,7 @@ from .checks import run_suites
 from .operators import ValidationError
 from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
                      corners_with_perms, member_corners, mixture_constraints,
-                     upper_boundary_2d)
+                     prior_tables, upper_boundary_2d)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -266,8 +266,9 @@ def cmd_region(args) -> int:
             corners = member_corners(cs, args.tol) if emit_corners else []
         else:
             prior = _parse_prior(args.prior, ch.sender_alphabets)
-            cs = constraint_set(ch, prior)
-            corners = corners_with_perms(ch, prior) if emit_corners else []
+            (table,) = prior_tables(ch, [prior])
+            cs = constraint_set(ch, prior, table=table)
+            corners = corners_with_perms(ch, table) if emit_corners else []
             ids = np.array([0])
             sections["priors"] = {"id": ids, "per_sender": _per_sender_columns(
                 v[None] for v in prior.per_sender)}

@@ -12,7 +12,7 @@ the choice of message tuples.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -110,33 +110,25 @@ def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list
 class Povm:
     """Labeled decoding observable: PSD elements summing to the identity.
 
-    Built from (label, element) pairs, which are checked.  A pretty-good
-    measurement (`pgm_decoder`) keeps instead what its candidates' elements
-    are made from and forms each on its first read (`_elements`), so a
-    decoder pays only for the outcomes it reads.
+    Built from (label, element) pairs, which are checked.  It is also the
+    decoder's one store: a pretty-good measurement (`pgm_decoder`) gives it
+    a rule (`_form`) for its candidates' elements instead, and each element
+    and root is made on its first read (`_elements`, `_roots`) and kept.
     """
 
     def __init__(self, dim: int, elements: Sequence[tuple[Hashable, np.ndarray]]):
         elements = tuple(elements)
-        self._setup(dim, [lab for lab, _ in elements],
-                    {i: m for i, (_, m) in enumerate(elements)}, None, False)
+        mats = [m for _, m in elements]
+        ops.check_povm(mats, dim)
+        self._setup(dim, [lab for lab, _ in elements], dict(enumerate(mats)), None)
 
-    @classmethod
-    def _lazy(cls, dim: int, labels: list, formed: dict[int, np.ndarray],
-              parts: "_PgmParts", trusted: bool) -> "Povm":
-        """Outcome i < len(parts.weights) is the PGM element of candidate i,
-        formed on first read; `formed` holds the others (the FAIL residual)."""
-        povm = cls.__new__(cls)
-        povm._setup(dim, labels, formed, parts, trusted)
-        return povm
-
-    def _setup(self, dim, labels, formed, parts, trusted):
+    def _setup(self, dim, labels, formed, form):
+        """`formed` holds the elements given, by index; `form` forms the others."""
         self.dim = dim
         self._labels = labels
         self._formed = formed
-        self._parts = parts
-        if not trusted:
-            ops.check_povm(self.matrices, dim)
+        self._form = form
+        self._root_cache: dict[int, np.ndarray] = {}
         index = {lab: i for i, lab in enumerate(labels)}
         if len(index) != len(labels):
             raise ValidationError("POVM outcome labels must be unique")
@@ -171,14 +163,12 @@ class Povm:
 class TenderInstrument:
     """A POVM implemented as the branch map rho -> sqrt(D_b) rho sqrt(D_b).
 
-    Each root is computed from the POVM on its first lookup and cached, so
-    roots square back by construction and a decoder pays only for the
-    outcomes it reads; the simulator looks up a chunk's roots together
-    (`_roots`), computing the missing ones in one stacked call.
+    The roots are the POVM's (`_roots`): each is computed on its first
+    lookup and kept, so roots square back by construction, and every
+    wrapper of one POVM shares them.
     """
 
     povm: Povm
-    _roots: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @classmethod
     def from_povm(cls, povm: Povm) -> "TenderInstrument":
@@ -188,7 +178,7 @@ class TenderInstrument:
         i = self.povm._position(label)
         if i is None:
             raise ValidationError(f"instrument has no outcome {label!r}")
-        return _roots([self], [i])[0]
+        return _roots([self.povm], [i])[0]
 
 
 def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -199,22 +189,22 @@ def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
     return first[None] if all(m is first for m in mats) else np.stack(mats)
 
 
-def _roots(insts: Sequence[TenderInstrument], positions: Sequence[int]) -> list[np.ndarray]:
-    """Root of outcome `positions[t]` of `insts[t]`, for each t.
+def _roots(povms: Sequence[Povm], positions: Sequence[int]) -> list[np.ndarray]:
+    """Root of outcome `positions[t]` of `povms[t]`, for each t.
 
-    Roots not yet cached are computed in one stacked op_sqrt (the POVM
-    checked its elements, or built them as Hermitian) and cached, so each
+    Roots not yet kept are computed in one stacked op_sqrt (the POVM
+    checked its elements, or built them as Hermitian) and kept, so each
     root is computed once, and equals the root computed alone.
     """
-    todo = {(id(inst), i): (inst, i) for inst, i in zip(insts, positions)
-            if i not in inst._roots}
+    todo = {(id(povm), i): (povm, i) for povm, i in zip(povms, positions)
+            if i not in povm._root_cache}
     if todo:
-        elements = _elements([inst.povm for inst, _ in todo.values()],
+        elements = _elements([povm for povm, _ in todo.values()],
                              [i for _, i in todo.values()])
         roots = ops.op_sqrt(_stack(elements), hermitian=True)
-        for (inst, i), root in zip(todo.values(), roots):
-            inst._roots[i] = root
-    return [inst._roots[i] for inst, i in zip(insts, positions)]
+        for (povm, i), root in zip(todo.values(), roots):
+            povm._root_cache[i] = root
+    return [povm._root_cache[i] for povm, i in zip(povms, positions)]
 
 
 FAIL = None  # outcome label of the PGM's residual (off-support) element
@@ -243,30 +233,13 @@ def _chunks(count: int, dim: int) -> Iterator[slice]:
     return (slice(i, i + step) for i in range(0, count, step))
 
 
-@dataclass(frozen=True)
-class _PgmParts:
-    """What the candidates' elements of a pretty-good measurement are made
-    from: candidate c's element is S^{-1/2} w_c rho_c S^{-1/2}, with
-    `inv_root` = S^{-1/2} and `states(idx)` the stack of the rho_c for an
-    index array of candidates."""
-
-    weights: np.ndarray
-    inv_root: np.ndarray
-    states: Callable[[np.ndarray], np.ndarray]
-
-    def form(self, idx: np.ndarray) -> np.ndarray:
-        """The stacked elements of the candidates `idx`."""
-        weighted = self.states(idx) * self.weights[idx, None, None]
-        return ops.hermitize(self.inv_root @ weighted @ self.inv_root)
-
-
 def _elements(povms: Sequence[Povm], positions: Iterable[int]) -> list[np.ndarray]:
     """Element of outcome `positions[t]` of `povms[t]`, for each t.
 
-    Elements not yet formed (a PGM's candidates) are formed in one stacked
-    call per POVM and chunk and kept, so each is formed once, and equals
-    the element formed with all of its POVM's others.  Once all are formed,
-    what they were made from is dropped.
+    Elements not yet formed (a PGM's candidates) are formed by the POVM's
+    `_form` in one stacked call per POVM and chunk and kept, so each is
+    formed once, and equals the element formed with all of its POVM's
+    others.  Once all are formed, the rule is dropped.
     """
     positions = list(positions)
     todo: dict[int, tuple[Povm, dict[int, None]]] = {}
@@ -276,41 +249,32 @@ def _elements(povms: Sequence[Povm], positions: Iterable[int]) -> list[np.ndarra
     for povm, wanted in todo.values():
         idx = np.array(sorted(wanted))
         for rows in _chunks(len(idx), povm.dim):
-            povm._formed.update(zip(idx[rows].tolist(), povm._parts.form(idx[rows])))
+            povm._formed.update(zip(idx[rows].tolist(), povm._form(idx[rows])))
         if len(povm._formed) == len(povm._labels):
-            povm._parts = None   # nothing is left to form
+            povm._form = None   # nothing is left to form
     return [povm._formed[i] for povm, i in zip(povms, positions)]
 
 
-class _StageStates(list):
-    """A decoding stage's (message, candidate state) pairs, with `rebuild`,
-    which builds the stacked states of an index array of messages again, so
-    that a trusted PGM of them can keep it instead of the states."""
-
-    def __init__(self, pairs, rebuild: Callable[[np.ndarray], np.ndarray]):
-        super().__init__(pairs)
-        self.rebuild = rebuild
-
-
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
-                weights: Sequence[float] | None = None, *, trusted: bool = False) -> Povm:
+                weights: Sequence[float] | None = None, *,
+                rebuild: Callable[[np.ndarray], np.ndarray] | None = None) -> Povm:
     """Square-root measurement of a weighted state family.
 
     With S the weighted average, each element is S^{-1/2} w_c rho_c S^{-1/2}
     on the (numerically resolvable) support of S; whatever identity mass
     lies off the support becomes a residual outcome labeled FAIL (present
     only when nonzero).  The states are checked as density matrices, and the
-    result as a POVM, unless `trusted` says the states were built from
-    checked ones (as the sequential decoder builds its candidate states).
-    A checked result holds every element.  A trusted one forms each on its
-    first read, from the given states, or, when they came from
-    `SequentialDecoder.stage_states`, from the same states built again, so
-    that it keeps none of them.
+    result, which holds every element, as a POVM.
+
+    `rebuild(idx)` builds the stacked states of an index array again.
+    Passing it says the states were built from checked ones (as the
+    sequential decoder builds its candidates): nothing is checked, and each
+    element is formed on its first read from rebuilt states, keeping none.
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
     labels = [lab for lab, _ in states]
-    mats = [m if trusted else ops.check_density(m, name=f"PGM state {lab!r}")
+    mats = [m if rebuild else ops.check_density(m, name=f"PGM state {lab!r}")
             for lab, m in states]
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
@@ -318,14 +282,21 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
     w = _state_weights(weights, len(mats))
     avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
     inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
-    rebuild = (states.rebuild if trusted and isinstance(states, _StageStates)
-               else lambda idx: np.stack([mats[i] for i in idx]))
+    states_of = rebuild or (lambda idx: np.stack([mats[i] for i in idx]))
+
+    def form(idx: np.ndarray) -> np.ndarray:
+        return ops.hermitize(inv_root @ (states_of(idx) * w[idx, None, None]) @ inv_root)
+
     formed = {}
     residual = ops.hermitize(np.eye(dim) - support)
     if float(np.max(np.abs(residual))) > 1e-10:
         formed[len(labels)] = residual
         labels.append(FAIL)
-    return Povm._lazy(dim, labels, formed, _PgmParts(w, inv_root, rebuild), trusted)
+    povm = Povm.__new__(Povm)
+    povm._setup(dim, labels, formed, form)
+    if not rebuild:
+        ops.check_povm(povm.matrices, dim)
+    return povm
 
 
 def disturbance_check(rho: np.ndarray, x: np.ndarray,
@@ -399,7 +370,7 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     rhos = np.stack([ops.check_density(rho, name=f"state {a!r}") for a, rho in states])
     positions = [inst.povm._require(a) for a in labels]
     leak = 1.0 - _trace(rhos @ np.stack(_elements([inst.povm] * len(labels), positions)))
-    roots = np.stack(_roots([inst] * len(labels), positions))
+    roots = np.stack(_roots([inst.povm] * len(labels), positions))
     eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos, roots, leak))
     rows = []
     eps_bar = 0.0
@@ -450,24 +421,24 @@ class SequentialDecoder:
         ]
         self._cache: dict[tuple[int, tuple[tuple[int, ...], ...]], TenderInstrument] = {}
 
-    def stage_states(self, stage: int,
-                     prefix_words: Sequence[Sequence[int]]) -> list[tuple[int, np.ndarray]]:
-        """Candidate states for each message of `stage`, given decoded prefix words.
-
-        Position k of message m's state is the stage table's state of the
-        letters (prefix_words[0][k], ..., word_m[k]); the states are built as
-        stacks of block_states, chunked like the simulator's.  The list can
-        build any of them again from those letters (`_StageStates.rebuild`).
-        """
+    def _stage_letters(self, stage: int, prefix_words) -> tuple[np.ndarray, np.ndarray]:
+        """The stage table and the (L, n, stage + 1) letters of the candidate
+        states: (prefix_words[0][k], ..., word_m[k]) at position k of message m."""
         words = self._words[stage]
         prefix = np.array(prefix_words, dtype=int).reshape(stage, self.n).T   # (n, stage)
         letters = np.concatenate(
             [np.broadcast_to(prefix, (len(words),) + prefix.shape), words[:, :, None]], axis=-1)
-        table = self._stage_tables[stage]
+        return self._stage_tables[stage], letters
+
+    def stage_states(self, stage: int,
+                     prefix_words: Sequence[Sequence[int]]) -> list[tuple[int, np.ndarray]]:
+        """Candidate state of each message of `stage`, given decoded prefix
+        words, built as chunked stacks of block_states (`_stage_letters`)."""
+        table, letters = self._stage_letters(stage, prefix_words)
         out = []
-        for rows in _chunks(len(words), self.block.output_dim):
+        for rows in _chunks(len(letters), self.block.output_dim):
             out.extend(block_states(table, letters[rows]))
-        return _StageStates(enumerate(out), lambda idx: block_states(table, letters[idx]))
+        return list(enumerate(out))
 
     def stage_instrument(self, stage: int,
                          prefix_words: Sequence[Sequence[int]]) -> TenderInstrument:
@@ -478,7 +449,9 @@ class SequentialDecoder:
         key = (stage, tuple(tuple(int(x) for x in w) for w in prefix_words))
         inst = self._cache.get(key)
         if inst is None:
-            povm = pgm_decoder(self.stage_states(stage, key[1]), trusted=True)
+            table, letters = self._stage_letters(stage, key[1])
+            povm = pgm_decoder(self.stage_states(stage, key[1]),
+                               rebuild=lambda idx: block_states(table, letters[idx]))
             inst = TenderInstrument.from_povm(povm)
             self._cache[key] = inst
         return inst
@@ -603,12 +576,11 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         sigma0 = decoder.block.state_for_words(words)
         sigma = sigma0
         for i in range(s):
-            insts = _stage_instruments(decoder, i, msg[:, :i].tolist())
-            positions = [inst.povm._position(b) for inst, b in zip(insts, msg[:, i].tolist())]
+            povms = [inst.povm for inst in _stage_instruments(decoder, i, msg[:, :i].tolist())]
+            positions = [povm._position(b) for povm, b in zip(povms, msg[:, i].tolist())]
             # gentleness accounting on the undisturbed word states
-            elements = _elements([inst.povm for inst in insts], positions)
-            leak = 1.0 - _trace(sigma0 @ _stack(elements))
-            roots = _stack(_roots(insts, positions))
+            leak = 1.0 - _trace(sigma0 @ _stack(_elements(povms, positions)))
+            roots = _stack(_roots(povms, positions))
             eps, dist = _branch_disturbance(sigma0, roots, leak)
             sigma = roots @ sigma @ roots
             success = _trace(sigma)

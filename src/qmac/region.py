@@ -165,15 +165,17 @@ def member_corners(cs: RateConstraintSet, tol: float
                             if is_member(point, cs, tol)], cs.s, tol)
 
 
-def corners_with_perms(ch: CqMacChannel, prior: Prior
+def corners_with_perms(ch: CqMacChannel, table: ent.EntropyTable
                        ) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """Distinct corners (within 1e-9), each with the first permutation achieving it."""
-    return _distinct_pairs(list(corner_table(ch, prior).items()), ch.s, CORNER_DEDUP_TOL)
+    """Distinct corners (within 1e-9) of an entropy table, each with its first permutation."""
+    pairs = corner_table(ch, None, table=table).items()
+    return _distinct_pairs(list(pairs), ch.s, CORNER_DEDUP_TOL)
 
 
 def all_corners(ch: CqMacChannel, prior: Prior) -> list[RatePoint]:
     """Distinct corners (within 1e-9), ordered by first achieving permutation."""
-    return [point for _, point in corners_with_perms(ch, prior)]
+    (table,) = prior_tables(ch, [prior])
+    return [point for _, point in corners_with_perms(ch, table)]
 
 
 def _chain_rates(tables: np.ndarray, s: int) -> np.ndarray:

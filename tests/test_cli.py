@@ -254,6 +254,23 @@ def test_region_csv_equals_the_per_prior_report(tmp_path, capsys, name, argv, re
         assert sidecar.read_text(encoding="utf-8") == corners_text
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_region_corners_of_one_prior_compute_one_entropy_table(monkeypatch, capsys, fmt):
+    # the bounds and the corners read one table; the output stays the one
+    # the per-prior report gives (test_region_*_per_prior_report)
+    tables, calls = entropy.entropy_tables, []
+
+    def counted(*args):
+        calls.append(1)
+        return tables(*args)
+
+    monkeypatch.setattr(entropy, "entropy_tables", counted)
+    code, out, err = run(capsys, "region", "--channel", "qubit-pure-mac", "--corners",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("entry, delta, context", [
     ((1, 1), 1.0, "corner stage for sender 0"),   # H(X_1 Y) up: only a corner stage drops
     ((0, 1), -1.0, "bound for mask 3"),           # H(Y) down: the full-set bound drops first

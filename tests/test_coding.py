@@ -283,6 +283,7 @@ def test_instrument_roots_are_lazy_and_cached(monkeypatch):
         root = inst.sqrt_element(lab)
         assert np.array_equal(root, op_sqrt(povm.element(lab)))
         assert inst.sqrt_element(lab) is root
+        assert TenderInstrument.from_povm(povm).sqrt_element(lab) is root   # kept by the POVM
         assert sum(computed) == 1
         assert [b for b, _ in sqrt_elements(inst)] == labels
         assert sum(computed) == len(labels)
@@ -499,7 +500,7 @@ def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
     ch = load_builtin_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 3, (16, 16), master_seed=5)
-    lookup, form = coding._elements, coding._PgmParts.form
+    lookup, build = coding._elements, coding.pgm_decoder
     read, formed = {}, []
 
     def recorded_lookup(povms, positions):
@@ -507,17 +508,53 @@ def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
         read.update(((id(p), i), p) for p, i in zip(povms, positions))
         return lookup(povms, positions)
 
-    def counted_form(parts, idx):
-        formed.append(len(idx))
-        return form(parts, idx)
+    def counted_build(*args, **kwargs):
+        povm = build(*args, **kwargs)
+        form = povm._form
+
+        def counted_form(idx):
+            formed.append(len(idx))
+            return form(idx)
+
+        povm._form = counted_form
+        return povm
 
     monkeypatch.setattr(coding, "_elements", recorded_lookup)
-    monkeypatch.setattr(coding._PgmParts, "form", counted_form)
+    monkeypatch.setattr(coding, "pgm_decoder", counted_build)
     average_error(ch, books, prior, mode="monte_carlo", trials=6, seed=3)
     instruments = {id(p) for p in read.values()}
     assert sum(formed) == len(read) < 16 * len(instruments)
     assert 6 * 16 * 8 * 8 <= entropy.CHUNK_BYTES   # one chunk: one stacked call per POVM
     assert len(formed) == len(instruments)
+
+
+@pytest.mark.parametrize("options", [{"mode": "exhaustive"},
+                                     {"mode": "monte_carlo", "trials": 40, "seed": 9}],
+                         ids=["exhaustive", "monte_carlo"])
+def test_one_pgm_build_per_cached_instrument(monkeypatch, options):
+    # the benchmark counts decoder builds as pgm_decoder calls: one per
+    # (stage, prefix) instrument, however often the simulator looks it up
+    ch = load_builtin_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 2, (5, 3), master_seed=8)
+    build, builds, decoders = coding.pgm_decoder, [], []
+
+    def counted_build(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    class Recorded(SequentialDecoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            decoders.append(self)
+
+    monkeypatch.setattr(coding, "pgm_decoder", counted_build)
+    monkeypatch.setattr(coding, "SequentialDecoder", Recorded)
+    average_error(ch, books, prior, **options)
+    [decoder] = decoders
+    prefixes = {tuple(w) for w in books[0].words}
+    assert len(decoder._cache) == 1 + len(prefixes)   # stage 0, and stage 1 per word
+    assert len(builds) == len(decoder._cache)
 
 
 def array_bytes(obj) -> int:
