@@ -10,6 +10,7 @@ states represented as labeled classical-quantum ensembles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -232,6 +233,15 @@ class CqEnsemble:
     def probabilities(self) -> np.ndarray:
         return np.array([p for _, p, _ in self.atoms])
 
+    @functools.cached_property
+    def block_memo(self) -> dict:
+        """The blocks `entropy` has computed for this ensemble, by selector.
+
+        Held in the instance dict, not in a field, so `eq` and `repr` ignore
+        it; it stays valid because atom states are never written.
+        """
+        return {}
+
     def dense_matrix(self) -> np.ndarray:
         """Expand to the full block-diagonal matrix (verification oracle only)."""
         dim = self.num_labels * self.quantum_dim
@@ -252,6 +262,7 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
     to entropies but destabilize logarithms).  Labels must be unique and in
     range; probabilities must be nonnegative and sum to 1 within 1e-10; each
     kept state must pass `check_density`, the one check that entropies trust.
+    Each kept state is stored as a read-only copy.
     """
     spaces = tuple(int(a) for a in label_spaces)
     d = int(quantum_dim)
@@ -271,9 +282,10 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
         total += p
         if p < ATOM_FLOOR:
             continue
-        rho = np.asarray(rho, dtype=complex)
+        rho = np.array(rho, dtype=complex)   # a copy, so the caller cannot change it
         if rho.shape != (d, d):
             raise ValidationError(f"atom {label_t}: state shape {rho.shape}, expected ({d}, {d})")
+        rho.setflags(write=False)
         seen[label_t] = (p, ops.check_density(rho, name=f"atom {label_t}"))
     if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(f"atom probabilities sum to {total:.12g}, expected 1")

@@ -9,7 +9,10 @@ one batched eigvalsh.  Every conditional mutual information is a signed sum
 of table entries (`table_mi`).  `restrict`, `subsystem_entropy` and
 `mutual_information` (two entropy identities, which must agree) are the
 per-block oracle path, with a dense-matrix oracle (expand, partial-trace,
-diagonalize) beside them.
+diagonalize) beside them.  The per-block path computes each block of an
+ensemble once: the ensemble's `block_memo` keeps, per selector, the
+restriction and its Shannon and state-entropy parts, the latter from one
+eigvalsh over the restriction's stacked atom states.
 """
 
 from __future__ import annotations
@@ -111,16 +114,30 @@ def restrict(e: CqEnsemble, sel: SubsystemSelector) -> CqEnsemble:
 
 
 def _state_entropy(r: CqEnsemble) -> float:
-    """sum_l p(l) S(state_l) in bits, one eigendecomposition per state."""
-    return float(sum(p * shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in r.atoms))
+    """sum_l p(l) S(state_l) in bits: one eigvalsh over the stacked states,
+    the terms added in atom order."""
+    spectra = shannon_bits(np.linalg.eigvalsh(np.stack([rho for _, _, rho in r.atoms])))
+    return float(sum(p * h for (_, p, _), h in zip(r.atoms, spectra)))
+
+
+def _block(e: CqEnsemble, sel: SubsystemSelector) -> tuple[CqEnsemble, float, float]:
+    """(restriction, Shannon part, state-entropy part) in bits of the selected
+    block of `e`, the last 0 for a classical block; `restrict` runs on the
+    block's first use only."""
+    block = e.block_memo.get(sel)
+    if block is None:
+        r = restrict(e, sel)
+        block = (r, float(shannon_bits(r.probabilities())),
+                 _state_entropy(r) if sel.quantum else 0.0)
+        e.block_memo[sel] = block
+    return block
 
 
 def subsystem_entropy(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Entropy in bits of the ensemble restricted to the selected block."""
-    r = restrict(e, sel)
-    h = float(shannon_bits(r.probabilities()))
+    r, h, states = _block(e, sel)
     if r.quantum_dim > 1:
-        h += _state_entropy(r)
+        h += states
     return h
 
 
@@ -207,7 +224,7 @@ def conditional_entropy(e: CqEnsemble, b: SubsystemSelector, c: SubsystemSelecto
 def average_conditional_entropy(e: CqEnsemble, conditioner: Iterable[int]) -> float:
     """H(quantum | selected labels) as the probability-weighted average of the
     conditional states' entropies (valid because the conditioner is classical)."""
-    return _state_entropy(restrict(e, SubsystemSelector.of(conditioner, quantum=True)))
+    return _block(e, SubsystemSelector.of(conditioner, quantum=True))[2]
 
 
 def clamp_mi(value: float, context: str) -> float:

@@ -11,8 +11,9 @@ interpolation along its vertices, positivity decided by a full
 eigendecomposition, the branches of a gentle instrument, the simulator's
 average error taken one message tuple at a time, corners taken one decode
 order and one stage at a time and deduplicated one point at a time, the
-prior sweep taken one validated prior at a time, and the region report
-built as one document.
+prior sweep taken one validated prior at a time, the region report
+built as one document, and an ensemble's averaged state entropy taken one
+atom state at a time.
 
 It also holds the API that only tests use: point-mass priors, random
 diagonal channels, an instrument's roots listed in POVM order, writing a
@@ -407,6 +408,12 @@ def info_report(e) -> InfoReport:
     raw = {str(mask): ent.table_mi(table, mask, arity) for mask in range(1, 1 << arity)}
     cond = {key: ent.clamp_mi(value, f"mask {key}") for key, value in raw.items()}
     return InfoReport(entropies, cond, raw)
+
+
+def state_entropy_loop(e) -> float:
+    """sum_l p(l) S(state_l) in bits of an ensemble's atoms, one eigvalsh per
+    state, the terms added in atom order."""
+    return float(sum(p * ops.shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in e.atoms))
 
 
 def grid_priors(alphabet_sizes, resolution) -> list:

@@ -1,8 +1,10 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qmac import entropy as ent
 from qmac.channel import CqMacChannel, Prior
 from qmac.checks import (CheckResult, entropy_suite, random_channel,
                          random_density, random_povm, relabel_channel,
@@ -77,3 +79,17 @@ def test_check_result_records_failures():
     lines = res.summary_lines()
     assert any("FAIL" in line for line in lines)
     assert any("ok-kind" in line for line in lines)
+
+
+def test_entropy_suite_restricts_each_block_once(monkeypatch):
+    real = ent.restrict
+    calls = []
+
+    def counting(e, sel):
+        calls.append((e, sel))    # holding e keeps its id from being reused
+        return real(e, sel)
+
+    monkeypatch.setattr(ent, "restrict", counting)
+    assert entropy_suite(30, 0).passed
+    pairs = Counter((id(e), sel) for e, sel in calls)
+    assert pairs and max(pairs.values()) == 1

@@ -16,7 +16,8 @@ from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
 from qmac.operators import ValidationError
 from qmac.region import constraint_set
 
-from oracles import classical_bound, classical_joint, info_report, shannon, two_pure_state_chi
+from oracles import (classical_bound, classical_joint, info_report, shannon,
+                     state_entropy_loop, two_pure_state_chi)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -192,6 +193,91 @@ def test_table_bounds_match_mutual_information_up_to_four_senders():
             cs = constraint_set(ch, prior)
             for mask in range(1, 1 << s):
                 assert abs(cs.bounds[mask] - mutual_information(e, mask_members(mask))) <= 1e-12
+
+
+# --- the per-ensemble block memo ----------------------------------------------------
+
+def all_selectors(arity):
+    return [SubsystemSelector.of(mask_members(mask), quantum)
+            for mask in range(1 << arity) for quantum in (0, 1) if mask or quantum]
+
+
+def oracle_calls(e):
+    """(key, oracle, arguments) asking for every block, averaged conditional
+    entropy, conditional entropy and mutual information of an ensemble."""
+    arity = len(e.label_spaces)
+    y = SubsystemSelector.of((), True)
+    calls = [(("H", sel.key()), subsystem_entropy, (sel,)) for sel in all_selectors(arity)]
+    for mask in range(1 << arity):
+        members = mask_members(mask)
+        calls.append((("H(Y|X)", mask), average_conditional_entropy, (members,)))
+        calls.append((("cond", mask), conditional_entropy, (y, SubsystemSelector.of(members))))
+        if mask:
+            calls.append((("I", mask), mutual_information, (members,)))
+    return calls
+
+
+def subadditivity_joint(rng):
+    """A joint ensemble as `check_subadditivity` builds it, d = d1 * d2 <= 9."""
+    a1, a2, d1, d2 = (int(x) for x in rng.integers(2, 4, size=4))
+    v1 = [random_density(rng, d1) for _ in range(a1)]
+    v2 = [random_density(rng, d2) for _ in range(a2)]
+    q = rng.dirichlet(np.ones(a1 * a2)).reshape(a1, a2)
+    return make_ensemble((a1, a2), d1 * d2,
+                         (((x1, x2), q[x1, x2], np.kron(v1[x1], v2[x2]))
+                          for x1 in range(a1) for x2 in range(a2)))
+
+
+def test_batched_state_entropy_equals_the_atom_loop():
+    rng = np.random.default_rng(81)
+    ensembles = []
+    for _ in range(20):
+        ch = random_channel(rng, max_output_dim=4)
+        ensembles.append(channel_state(ch, random_prior(rng, ch)))
+        ensembles.append(subadditivity_joint(rng))
+        d = int(rng.integers(2, 5))
+        ensembles.append(make_ensemble((1,), d, [((0,), 1.0, random_density(rng, d))]))
+    assert {e.quantum_dim for e in ensembles} == {2, 3, 4, 6, 9}
+    for e in ensembles:
+        arity = len(e.label_spaces)
+        for mask in range(1 << arity):
+            members = mask_members(mask)
+            r = restrict(e, SubsystemSelector.of(members, True))
+            assert average_conditional_entropy(e, members) == state_entropy_loop(r)
+        # the empty conditioner restricts to one atom, the averaged state
+        assert len(restrict(e, SubsystemSelector.of((), True)).atoms) == 1
+
+
+def test_warm_block_memo_returns_the_cold_floats():
+    rng = np.random.default_rng(82)
+    for _ in range(12):
+        ch = random_channel(rng)
+        prior = random_prior(rng, ch)
+        warm = channel_state(ch, prior)
+        shown = repr(warm)
+        calls = oracle_calls(warm)
+        for _, fn, args in calls:        # fill the memo
+            fn(warm, *args)
+        warm_values = {key: fn(warm, *args) for key, fn, args in calls}
+        # each value again on a fresh ensemble, asked in the reverse order
+        cold_values = {key: fn(channel_state(ch, prior), *args)
+                       for key, fn, args in reversed(calls)}
+        assert warm_values == cold_values
+        assert len(warm.block_memo) == 2 * (1 << ch.s) - 1
+        assert repr(warm) == shown      # the memo is not a field
+
+
+def test_block_memo_survives_a_mutated_input():
+    rho = PLUS.copy()
+    e = make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, rho)])
+    sel = SubsystemSelector.of((), True)
+    before = subsystem_entropy(e, sel)
+    rho[:] = Z1
+    assert subsystem_entropy(e, sel) == before == subsystem_entropy(two_state_ensemble(), sel)
+    stored = e.atoms[1][2]
+    assert stored is not rho and not stored.flags.writeable
+    with pytest.raises(ValueError):
+        stored[0, 0] = 0.0
 
 
 # --- conditional entropy -----------------------------------------------------------
