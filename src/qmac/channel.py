@@ -14,7 +14,9 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
+from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -562,10 +564,31 @@ def channel_from_dict(raw: Mapping) -> CqMacChannel:
     return CqMacChannel(alphabets, d, states, tuple(names))
 
 
-def load_channel(path) -> CqMacChannel:
-    with open(path, "r", encoding="utf-8") as fh:
+# the channel files shipped in qmac/data: a binary adder embedded as diagonal
+# qutrit states, two senders steering one qubit through four pure states, and
+# one sender emitting |0><0| or |+><+| (its bound is the two-state Holevo quantity)
+BUILTIN_CHANNELS = ("adder-classical", "qubit-pure-mac", "holevo-two-state")
+
+
+def load_channel(spec) -> CqMacChannel:
+    """Channel from a JSON file path or a bundled channel name.
+
+    An existing path wins; otherwise a name of BUILTIN_CHANNELS, with or
+    without .json, loads that channel (a name containing a separator is
+    never one of them); otherwise FileNotFoundError.
+    """
+    name = os.fsdecode(spec)
+    stem = name[:-5] if name.endswith(".json") else name
+    if os.path.exists(spec):
+        source = open(spec, encoding="utf-8")
+    elif stem in BUILTIN_CHANNELS:
+        source = resources.files("qmac.data").joinpath(f"{stem}.json").open(encoding="utf-8")
+    else:
+        raise FileNotFoundError(
+            f"no channel file {name!r} (bundled names: {', '.join(BUILTIN_CHANNELS)})")
+    with source as fh:
         try:
             raw = json.load(fh)
         except (ValueError, RecursionError) as exc:   # also bad UTF-8, huge integers
-            raise ChannelFormatError(f"{path}: invalid JSON ({exc})") from exc
+            raise ChannelFormatError(f"{spec}: invalid JSON ({exc})") from exc
     return channel_from_dict(raw)

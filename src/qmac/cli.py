@@ -26,11 +26,9 @@ from typing import Iterator, TextIO
 import numpy as np
 
 from . import __version__
-from . import entropy as ent
-from .catalog import BUILTIN_CHANNELS, load_builtin_channel
-from .channel import ChannelFormatError, CqMacChannel, Prior, load_channel
+from .channel import ChannelFormatError, Prior, load_channel
 from .coding import run_simulation, sizes_from_rates
-from .config import CapExceeded, UsageError
+from .config import CapExceeded, UsageError, chunks
 from .checks import run_suites
 from .operators import ValidationError
 from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
@@ -45,19 +43,6 @@ EXIT_USAGE = 2
 # ---------------------------------------------------------------------------
 # argument parsing helpers
 # ---------------------------------------------------------------------------
-
-def _load_channel_arg(spec: str) -> CqMacChannel:
-    """Load a channel from a path, or from the bundled catalog by name."""
-    if os.path.exists(spec):
-        return load_channel(spec)
-    stem = os.path.basename(spec)
-    stem = stem[:-5] if stem.endswith(".json") else stem
-    if stem in BUILTIN_CHANNELS and os.sep not in spec:
-        return load_builtin_channel(stem)
-    raise FileNotFoundError(
-        f"no channel file {spec!r} (bundled names: {', '.join(BUILTIN_CHANNELS)})"
-    )
-
 
 def _parse_prior(spec: str | None, alphabets: tuple[int, ...]) -> Prior:
     if spec is None or spec == "uniform":
@@ -161,13 +146,12 @@ def _json_doc(doc: dict) -> str:
 
 def _pieces(template: str, columns: list[np.ndarray], sep: str) -> Iterator[str]:
     """`template % row` for every row of the equal-length columns, joined by
-    sep, in pieces of as many rows as `entropy.CHUNK_BYTES` holds float64
+    sep, in pieces of as many rows as `config.CHUNK_BYTES` holds float64
     numbers.  Values reach the template from `tolist`, as Python ints,
     floats and strings, so a float's %s is float.__repr__."""
-    step = ent.CHUNK_BYTES // 8
-    for lo in range(0, len(columns[0]), step):
-        rows = zip(*(column[lo:lo + step].tolist() for column in columns))
-        yield (sep if lo else "") + sep.join(template % row for row in rows)
+    for rows in chunks(len(columns[0]), 8):
+        values = zip(*(column[rows].tolist() for column in columns))
+        yield (sep if rows.start else "") + sep.join(template % row for row in values)
 
 
 def _skeleton(spec, columns: list[np.ndarray]):
@@ -219,7 +203,7 @@ def _corners_sidecar(path: str) -> str:
 
 def cmd_validate(args) -> int:
     try:
-        ch = _load_channel_arg(args.channel)
+        ch = load_channel(args.channel)
     except ValidationError as exc:
         for line in str(exc).splitlines():
             print(line)
@@ -236,7 +220,7 @@ def _per_sender_columns(per_sender) -> list[list[np.ndarray]]:
 
 def cmd_region(args) -> int:
     _check_finite(args.tol, "tolerance", positive=True)
-    ch = _load_channel_arg(args.channel)
+    ch = load_channel(args.channel)
     s = ch.s
     emit_corners = args.corners
     sections: dict[str, object] = {}
@@ -309,7 +293,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    ch = _load_channel_arg(args.channel)
+    ch = load_channel(args.channel)
     prior = _parse_prior(args.prior, ch.sender_alphabets)
     if args.n < 1:
         raise UsageError(f"block length must be >= 1, got {args.n}")

@@ -11,16 +11,17 @@ the choice of message tuples.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from . import entropy
 from . import operators as ops
-from .channel import CqMacChannel, Prior, block_channel, block_states, reduced_channel
-from .config import DEFAULT_MAX_MESSAGES, CapExceeded
+from .channel import (PROB_TOL, CqMacChannel, Prior, block_channel, block_states,
+                      reduced_channel)
+from .config import DEFAULT_MAX_MESSAGES, CapExceeded, chunks
 from .operators import ValidationError
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
@@ -221,16 +222,9 @@ def _state_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
     if weights is None:
         return np.full(count, 1.0 / count)
     w = np.asarray(weights, dtype=float).ravel()
-    if w.size != count or not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-10):
+    if w.size != count or not (np.all(w >= 0) and abs(w.sum() - 1.0) <= PROB_TOL):
         raise ValidationError("weights must be a probability vector over the states")
     return w
-
-
-def _chunks(count: int, dim: int) -> Iterator[slice]:
-    """Consecutive slices of `count` stacked dim x dim complex operators, as
-    many per slice as fit in the entropy module's CHUNK_BYTES (at least one)."""
-    step = max(1, entropy.CHUNK_BYTES // (16 * dim * dim))
-    return (slice(i, i + step) for i in range(0, count, step))
 
 
 def _elements(povms: Sequence[Povm], positions: Iterable[int]) -> list[np.ndarray]:
@@ -248,7 +242,7 @@ def _elements(povms: Sequence[Povm], positions: Iterable[int]) -> list[np.ndarra
             todo.setdefault(id(povm), (povm, {}))[1][i] = None
     for povm, wanted in todo.values():
         idx = np.array(sorted(wanted))
-        for rows in _chunks(len(idx), povm.dim):
+        for rows in chunks(len(idx), 16 * povm.dim ** 2):
             povm._formed.update(zip(idx[rows].tolist(), povm._form(idx[rows])))
         if len(povm._formed) == len(povm._labels):
             povm._form = None   # nothing is left to form
@@ -436,7 +430,7 @@ class SequentialDecoder:
         words, built as chunked stacks of block_states (`_stage_letters`)."""
         table, letters = self._stage_letters(stage, prefix_words)
         out = []
-        for rows in _chunks(len(letters), self.block.output_dim):
+        for rows in chunks(len(letters), 16 * self.block.output_dim ** 2):
             out.extend(block_states(table, letters[rows]))
         return list(enumerate(out))
 
@@ -498,25 +492,11 @@ class SimReport:
     wall_clock_s: float | None = None
 
     def to_json_dict(self) -> dict:
-        # wall clock is intentionally excluded: reports with equal seeds must
-        # serialize byte-identically
-        return {
-            "n": self.n,
-            "sizes": list(self.sizes),
-            "rates": list(self.rates),
-            "mode": self.mode,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "codebook_seeds": list(self.codebook_seeds),
-            "trial_seed": self.trial_seed,
-            "messages_evaluated": self.messages_evaluated,
-            "avg_error": self.avg_error,
-            "stage_success": list(self.stage_success),
-            "stage_errors": list(self.stage_errors),
-            "stage_eps_bar": list(self.stage_eps_bar),
-            "stage_disturbance": list(self.stage_disturbance),
-            "stage_disturbance_bound": list(self.stage_disturbance_bound),
-        }
+        """Every field but the wall clock, tuples as lists: reports with equal
+        seeds must serialize byte-identically."""
+        values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self)
+                  if f.name != "wall_clock_s")
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     def csv_rows(self) -> tuple[list[str], list]:
         header = (
@@ -570,7 +550,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     total_error = 0.0
     # message tuples go through the stages in chunks of stacked operators;
     # per-tuple values are then added in tuple order, as one tuple at a time would
-    for rows in _chunks(len(msgs), decoder.block.output_dim):
+    for rows in chunks(len(msgs), 16 * decoder.block.output_dim ** 2):
         msg = msgs[rows]
         words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
         sigma0 = decoder.block.state_for_words(words)

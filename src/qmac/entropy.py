@@ -24,22 +24,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import operators as ops
-from .channel import (ATOM_FLOOR, CqEnsemble, make_ensemble, mask_members,
+from .channel import (ATOM_FLOOR, PROB_TOL, CqEnsemble, make_ensemble, mask_members,
                       normalize_subset, subset_mask)
+from .config import chunks
 from .operators import ValidationError, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
 MI_CLAMP = 1e-9         # raw values in [-MI_CLAMP, 0) are reported as 0
 # H in bits of each block of one ensemble, indexed [label mask][include quantum]
 EntropyTable = list[list[float]]
-# Bytes of conditional states `entropy_tables` stacks at once.  Label
-# distributions are processed in chunks of this size, so that the weights and
-# states a sweep over the largest allowed prior grid stacks stay bounded; the
-# table itself holds 2^(s+1) floats per prior.  Small chunks keep each
-# chunk's temporaries below glibc's default 128 KiB mmap threshold, so they
-# are reused from the heap: a 1 MiB budget raised the peak resident set of a
-# 343-prior, 3-sender, d=4 sweep by about 0.4 MB.
-CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,27 +150,26 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
 
     As in `restrict`, labels below 1e-15 are dropped, a group's mass is the
     sum of its labels' weights, and its state is the weighted average of
-    theirs, hermitized.  Each chunk of ensembles costs one einsum and one
-    batched eigvalsh per mask; its weights and conditional states are formed
-    per chunk.
+    theirs, hermitized.  Each chunk of ensembles (`config.chunks`) costs one
+    einsum and one batched eigvalsh per mask; its weights and conditional
+    states are formed per chunk.
     """
     num = factors[0].shape[0]
     spaces = states.shape[:-2]
     s, d = len(spaces), states.shape[-1]
     labels = list(range(1, s + 1))
     table = np.zeros((num, 1 << s, 2))
-    step = max(1, CHUNK_BYTES // (16 * d * d * int(np.prod(spaces))))
-    for lo in range(0, num, step):
-        w = functools.reduce(np.multiply, (f[lo:lo + step] for f in factors))
+    for rows in chunks(num, 16 * d * d * int(np.prod(spaces))):
+        w = functools.reduce(np.multiply, (f[rows] for f in factors))
         w = np.where(w >= ATOM_FLOOR, w, 0.0)
         for mask in range(1 << s):
             kept = [1 + i for i in range(s) if mask >> i & 1]
             mass = w.sum(axis=tuple(ax for ax in labels if ax not in kept))
             flat = mass.reshape(len(w), -1)
             h = shannon_bits(flat)
-            table[lo:lo + step, mask, 1] = h
+            table[rows, mask, 1] = h
             if mask:
-                table[lo:lo + step, mask, 0] = h
+                table[rows, mask, 0] = h
             if d == 1:  # a one-dimensional quantum part adds no entropy
                 continue
             blocks = np.einsum(w, [0, *labels], states, [*labels, s + 1, s + 2],
@@ -186,7 +178,7 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
             blocks = blocks.reshape(-1, d, d) / np.where(live, flat, 1.0).reshape(-1, 1, 1)
             spectra = np.linalg.eigvalsh(ops.hermitize(blocks))
             block_h = shannon_bits(spectra).reshape(flat.shape)
-            table[lo:lo + step, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
+            table[rows, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
     return table
 
 
@@ -276,7 +268,7 @@ def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -
         raise ValidationError(
             f"q must have shape ({len(v1)}, {len(v2)}), got {q.shape}"
         )
-    if np.any(q < 0) or abs(q.sum() - 1.0) > 1e-10:
+    if np.any(q < 0) or abs(q.sum() - 1.0) > PROB_TOL:
         raise ValidationError("q is not a probability distribution")
     d1 = np.asarray(v1[0]).shape[0]
     d2 = np.asarray(v2[0]).shape[0]

@@ -8,13 +8,15 @@ decoding order.  Bounds and corners are both read off the entropy table of
 the channel state (`entropy.entropy_tables`), which a sweep computes for all
 of its priors in one batched call.  Corners are chain-rule entropy
 differences, exact and LP-free, read off stacked tables by one kernel
-(`_chain_rates`) and deduplicated by one rule (`_distinct`); an
-independent route recovers them from suffix differences of the bounds for
-cross-checking.
+(`_chain_rates`) and deduplicated by one rule (`_distinct`).  Every decode
+order comes from one cached table (`_orders`), which refuses to form any
+past the sender cap.  An independent route recovers corners from suffix
+differences of the bounds for cross-checking.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,8 +25,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import entropy as ent
-from .channel import CqMacChannel, Prior, mask_members
-from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded
+from .channel import PROB_TOL, CqMacChannel, Prior, mask_members
+from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded, chunks
 from .operators import ValidationError
 
 MEMBER_TOL = 1e-9
@@ -80,7 +82,7 @@ class MixtureSpec:
         weights = [float(w) for w, _ in self.components]
         if not all(math.isfinite(w) and w >= 0 for w in weights):
             raise ValidationError(f"mixture weights must be finite and nonnegative, got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-10:
+        if abs(sum(weights) - 1.0) > PROB_TOL:
             raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
 
 
@@ -129,12 +131,23 @@ def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
     return perm
 
 
-def _check_perm_cap(s: int) -> None:
+@functools.cache
+def _orders(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The s! decode orders of s senders, lexicographic, as a read-only
+    (s!, s) array, and beside it the mask of the senders decoded before
+    sender k in order j at [j, k].  Past the sender cap no order is formed."""
     if s > DEFAULT_MAX_PERM_SENDERS:
         raise CapExceeded(
             f"corner enumeration needs {math.factorial(s)} permutations for s={s}, "
             f"configured cap is s<={DEFAULT_MAX_PERM_SENDERS}"
         )
+    orders = np.array(list(itertools.permutations(range(s))))
+    bits = 1 << orders
+    before = np.empty_like(orders)   # stage i's sender comes after those of stages < i
+    np.put_along_axis(before, orders, np.cumsum(bits, axis=1) - bits, axis=1)
+    orders.setflags(write=False)
+    before.setflags(write=False)
+    return orders, before
 
 
 def corner_table(ch: CqMacChannel, prior: Prior | None, *,
@@ -146,11 +159,11 @@ def corner_table(ch: CqMacChannel, prior: Prior | None, *,
     already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).  The
     rates of each corner telescope: their total equals the full-set bound.
     """
-    _check_perm_cap(ch.s)
+    orders, _ = _orders(ch.s)
     if table is None:
         (table,) = prior_tables(ch, [prior])
     (rates,) = _chain_rates(np.array([table]), ch.s).tolist()
-    return dict(zip(itertools.permutations(range(ch.s)), map(RatePoint, rates)))
+    return dict(zip(map(tuple, orders.tolist()), map(RatePoint, rates)))
 
 
 def member_corners(cs: RateConstraintSet, tol: float
@@ -158,9 +171,8 @@ def member_corners(cs: RateConstraintSet, tol: float
     """Distinct corners (within tol) of a constraint set that lie in it
     (within tol), each with its first decode order; the corners come from
     the bounds (`corner_from_bounds`), as for a mixture of priors."""
-    _check_perm_cap(cs.s)
     pairs = ((perm, corner_from_bounds(cs, perm))
-             for perm in itertools.permutations(range(cs.s)))
+             for perm in map(tuple, _orders(cs.s)[0].tolist()))
     return _distinct_pairs([(perm, point) for perm, point in pairs
                             if is_member(point, cs, tol)], cs.s, tol)
 
@@ -187,16 +199,13 @@ def _chain_rates(tables: np.ndarray, s: int) -> np.ndarray:
     below -MI_CLAMP, in prior, order and stage order, raises
     `entropy.clamp_mi`'s error, and the others are clamped as it clamps.
     """
-    perms = list(itertools.permutations(range(s)))
-    # the set A decoded before sender k, for each order and sender
-    before = np.array([[sum(1 << i for i in perm[:perm.index(k)]) for k in range(s)]
-                       for perm in perms])
+    orders, before = _orders(s)
     k_mask = 1 << np.arange(s)
     raw = tables[:, None, k_mask, 0] + tables[:, before, 1] - tables[:, before | k_mask, 1]
     low = raw < -ent.MI_CLAMP
     if low.any():
         p, j = np.argwhere(low.any(axis=2))[0]
-        k = next(k for k in perms[j] if low[p, j, k])
+        k = next(k for k in orders[j].tolist() if low[p, j, k])
         ent.clamp_mi(float(raw[p, j, k]), f"corner stage for sender {k}")
     return np.where(raw < 0.0, 0.0, raw)
 
@@ -338,22 +347,19 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     The convex hull of all corners plus the origin under-approximates the
     capacity region and grows monotonically under grid refinement.
     """
-    _check_perm_cap(ch.s)   # before the tables of the whole grid are computed
+    orders, _ = _orders(ch.s)   # before the tables of the whole grid are computed
     compositions, index = prior_grid(ch.sender_alphabets, resolution)
     per_sender = tuple(c[i] for c, i in zip(compositions, index))
     tables = _sender_tables(ch, per_sender)
-    orders = np.array(list(itertools.permutations(range(ch.s))))
-    num = len(tables)
-    bounds = np.empty((num, (1 << ch.s) - 1))
+    bounds = np.empty((len(tables), (1 << ch.s) - 1))
     kept_prior, kept_perm, kept_rates = [], [], []
-    step = max(1, ent.CHUNK_BYTES // (8 * len(orders) * ch.s))
-    for lo in range(0, num, step):
-        chunk = tables[lo:lo + step]
-        for p, row in enumerate(chunk.tolist()):
-            bounds[lo + p] = list(constraint_set(ch, None, table=row).bounds.values())
+    for rows in chunks(len(tables), 8 * orders.size):   # one prior: s! x s rates
+        chunk = tables[rows]
+        for p, row in enumerate(chunk.tolist(), rows.start):
+            bounds[p] = list(constraint_set(ch, None, table=row).bounds.values())
         rates = _chain_rates(chunk, ch.s)
         p_idx, j_idx = np.nonzero(_distinct(rates, CORNER_DEDUP_TOL))
-        kept_prior.append(p_idx + lo)
+        kept_prior.append(p_idx + rows.start)
         kept_perm.append(j_idx)
         kept_rates.append(rates[p_idx, j_idx])
     return Sweep(per_sender, bounds, np.concatenate(kept_prior),

@@ -26,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from importlib import resources
 
 import numpy as np
 
@@ -372,6 +373,13 @@ def channel_to_dict(ch: CqMacChannel) -> dict:
         "output_dim": ch.output_dim,
         "states": states,
     }
+
+
+def bundled_channel_json(name: str) -> dict:
+    """The JSON document of a bundled channel, read from the package data as
+    shipped, for tests that edit it before parsing."""
+    text = resources.files("qmac.data").joinpath(f"{name}.json").read_text(encoding="utf-8")
+    return json.loads(text)
 
 
 def save_channel(ch: CqMacChannel, path) -> None:

@@ -14,8 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qmac.catalog import load_builtin_channel
-from qmac.channel import CqMacChannel, Prior, channel_state
+from qmac.channel import CqMacChannel, Prior, channel_state, load_channel
 from qmac.checks import random_channel, random_prior, random_prior_vec
 from qmac.cli import main as cli_main
 from qmac.coding import (Codebook, SequentialDecoder, TenderInstrument,
@@ -170,7 +169,7 @@ def test_criterion_05_corner_laws():
 
 
 def test_criterion_06_classical_oracle_equivalence():
-    ch = load_builtin_channel("adder-classical")
+    ch = load_channel("adder-classical")
     prior = Prior.uniform((2, 2))
     cs = constraint_set(ch, prior)
     cond = {letters: np.diag(ch.state(letters)).real for letters in ch.joint_letters()}
@@ -206,7 +205,7 @@ def test_criterion_06_classical_oracle_equivalence():
 
 
 def test_criterion_07_single_sender_holevo_value():
-    ch = load_builtin_channel("holevo-two-state")
+    ch = load_channel("holevo-two-state")
     bound = constraint_set(ch, Prior.uniform((2,))).bounds[1]
     # closed form: eigenvalues (1 +- 2^-1/2)/2 of the average state
     lam = (1.0 + 2.0 ** -0.5) / 2.0
@@ -240,7 +239,7 @@ def test_criterion_08_coding_sanity():
 def test_criterion_09_achievability_trend(monkeypatch):
     monkeypatch.setenv("QMAC_MAX_DIM", "64")
     t0 = time.time()
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     half = [0.5 * r for r in corner_table(ch, prior)[(0, 1)].rates]
     master_seed = 10

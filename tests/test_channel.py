@@ -1,11 +1,10 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from qmac.catalog import (BUILTIN_CHANNELS, builtin_channel_text,
-                          load_builtin_channel)
-from qmac.channel import (ChannelFormatError, CqMacChannel, Prior,
+from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Prior,
                           block_channel, channel_from_dict, channel_state,
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
@@ -13,8 +12,8 @@ from qmac.checks import random_channel, random_prior
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.operators import ValidationError, partial_trace, tensor
 
-from oracles import (channel_to_dict, point_mass_prior, reduced_channel_loop,
-                     save_channel)
+from oracles import (bundled_channel_json, channel_to_dict, point_mass_prior,
+                     reduced_channel_loop, save_channel)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -26,7 +25,7 @@ def qubit_table():
 
 
 def adder_channel():
-    return load_builtin_channel("adder-classical")
+    return load_channel("adder-classical")
 
 
 # --- validation ---------------------------------------------------------------
@@ -395,8 +394,55 @@ def test_precompose_choi_roundtrip():
 
 def test_builtin_channels_load():
     for name in BUILTIN_CHANNELS:
-        ch = load_builtin_channel(name)
+        ch = load_channel(name)
         assert ch.output_dim >= 2
+
+
+def same_channel(a, b) -> bool:
+    return (a.sender_alphabets, a.sender_names) == (b.sender_alphabets, b.sender_names) \
+        and np.array_equal(a.states, b.states)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CHANNELS)
+def test_load_channel_takes_every_bundled_name_with_or_without_json(name):
+    want = channel_from_dict(bundled_channel_json(name))
+    for spec in (name, name + ".json", pathlib.Path(name)):   # file paths: test_roundtrip_*
+        assert same_channel(load_channel(spec), want)
+
+
+def test_load_channel_prefers_an_existing_file_to_a_bundled_name(tmp_path, monkeypatch):
+    # files in the working directory named like bundled channels, holding another channel
+    ch = CqMacChannel((2,), 2, {(0,): Z0, (1,): Z1})
+    monkeypatch.chdir(tmp_path)
+    for name in ("holevo-two-state.json", "qubit-pure-mac"):
+        save_channel(ch, tmp_path / name)
+        assert same_channel(load_channel(name), ch)
+    bundled = channel_from_dict(bundled_channel_json("holevo-two-state"))
+    assert same_channel(load_channel("holevo-two-state"), bundled)   # no file of that name
+
+
+@pytest.mark.parametrize("spec", ["nowhere.json", "sub/adder-classical",
+                                  "sub/adder-classical.json", "./qubit-pure-mac"])
+def test_load_channel_names_the_bundled_channels_when_nothing_matches(tmp_path, monkeypatch,
+                                                                      spec):
+    # a name with a separator is a path, never a bundled name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    message = (f"no channel file {spec!r} (bundled names: "
+               "adder-classical, qubit-pure-mac, holevo-two-state)")
+    with pytest.raises(FileNotFoundError) as err:
+        load_channel(spec)
+    assert str(err.value) == message
+
+
+def test_load_channel_rejects_invalid_json(tmp_path):
+    for text in ("{not json", '{"senders": [' * 100_000):
+        (tmp_path / "bad.json").write_text(text)
+        with pytest.raises(ChannelFormatError, match="invalid JSON"):
+            load_channel(tmp_path / "bad.json")
+    (tmp_path / "bad.json").write_bytes(b'{"senders": "\xff"}')
+    with pytest.raises(ChannelFormatError, match="invalid JSON"):
+        load_channel(str(tmp_path / "bad.json"))
 
 
 def test_roundtrip_through_file(tmp_path):
@@ -410,7 +456,7 @@ def test_roundtrip_through_file(tmp_path):
 
 
 def test_classical_shorthand_expands_to_diagonal():
-    raw = json.loads(builtin_channel_text("adder-classical"))
+    raw = bundled_channel_json("adder-classical")
     assert "classical" in raw
     ch = channel_from_dict(raw)
     assert np.allclose(ch.state((0, 1)), np.diag([0, 1, 0]))
@@ -418,28 +464,28 @@ def test_classical_shorthand_expands_to_diagonal():
 
 
 def test_unknown_top_level_field_rejected():
-    raw = json.loads(builtin_channel_text("holevo-two-state"))
+    raw = bundled_channel_json("holevo-two-state")
     raw["comment"] = "nope"
     with pytest.raises(ChannelFormatError, match="unknown top-level fields"):
         channel_from_dict(raw)
 
 
 def test_unknown_sender_field_rejected():
-    raw = json.loads(builtin_channel_text("holevo-two-state"))
+    raw = bundled_channel_json("holevo-two-state")
     raw["senders"][0]["power"] = 9000
     with pytest.raises(ChannelFormatError, match="unknown fields"):
         channel_from_dict(raw)
 
 
 def test_malformed_state_key_rejected():
-    raw = json.loads(builtin_channel_text("holevo-two-state"))
+    raw = bundled_channel_json("holevo-two-state")
     raw["states"]["0,1"] = raw["states"].pop("1")
     with pytest.raises(ChannelFormatError, match="letters"):
         channel_from_dict(raw)
 
 
 def test_states_and_classical_mutually_exclusive():
-    raw = json.loads(builtin_channel_text("adder-classical"))
+    raw = bundled_channel_json("adder-classical")
     raw["states"] = {}
     with pytest.raises(ChannelFormatError, match="exactly one"):
         channel_from_dict(raw)

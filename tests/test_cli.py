@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from qmac import checks, entropy
-from qmac.catalog import builtin_channel_text, load_builtin_channel
 from qmac.channel import CqMacChannel, Prior, load_channel
 from qmac.checks import random_density
 from qmac.cli import main
 from qmac.operators import ValidationError
 from qmac.region import MixtureSpec
 
-from oracles import region_report, save_channel, sweep_loop
+from oracles import bundled_channel_json, region_report, save_channel, sweep_loop
 
 
 def run(capsys, *argv):
@@ -31,7 +30,7 @@ def test_validate_builtin_ok(capsys):
 
 
 def test_validate_missing_tuple_exit_1(tmp_path, capsys):
-    raw = json.loads(builtin_channel_text("adder-classical"))
+    raw = bundled_channel_json("adder-classical")
     del raw["classical"]["1,0"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(raw))
@@ -48,7 +47,7 @@ def test_validate_malformed_json_exit_2(tmp_path, capsys):
 
 
 def test_validate_unknown_field_exit_2(tmp_path, capsys):
-    raw = json.loads(builtin_channel_text("adder-classical"))
+    raw = bundled_channel_json("adder-classical")
     raw["extra"] = 1
     path = tmp_path / "extra.json"
     path.write_text(json.dumps(raw))
@@ -128,13 +127,29 @@ def test_region_mixture_two_components(capsys):
     assert abs(bounds[3] - 0.75) < 1e-9
 
 
-@pytest.mark.parametrize("mode", [["--prior", "uniform"], ["--mixture", "1*uniform"]])
-def test_region_corners_refused_past_the_sender_cap(tmp_path, capsys, mode):
-    # 8 one-letter senders: 40320 decode orders, refused before any is formed
+def eight_sender_channel(tmp_path) -> str:
+    """A channel file of 8 one-letter senders: 40320 decode orders."""
     path = tmp_path / "eight.json"
     save_channel(CqMacChannel((1,) * 8, 2, {(0,) * 8: np.eye(2) / 2}), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("mode", [["--prior", "uniform"], ["--mixture", "1*uniform"]])
+def test_region_bounds_past_the_corner_cap(tmp_path, capsys, mode):
+    # without --corners no decode order is needed: all 255 bounds are written
+    code, out, err = run(capsys, "region", "--channel", eight_sender_channel(tmp_path), *mode)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "prior_id,subset_mask,bound_bits"
+    assert [line.split(",")[1:] for line in lines[1:]] == [[str(m), "0"] for m in range(1, 256)]
+
+
+@pytest.mark.parametrize("mode", [["--prior", "uniform"], ["--mixture", "1*uniform"]])
+def test_region_corners_refused_past_the_sender_cap(tmp_path, capsys, mode):
+    # 40320 decode orders, refused before any is formed
+    path = eight_sender_channel(tmp_path)
     start = time.perf_counter()
-    code, out, err = run(capsys, "region", "--channel", str(path), *mode, "--corners")
+    code, out, err = run(capsys, "region", "--channel", path, *mode, "--corners")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (1, "")
     assert err.splitlines() == ["error: corner enumeration needs 40320 permutations "
@@ -185,7 +200,7 @@ def region_channel(name, tmp_path):
     its own qubit), whose mixture corners can all fail membership at a
     tolerance of 5e-324."""
     if name in ("adder-classical", "qubit-pure-mac", "holevo-two-state"):
-        return name, load_builtin_channel(name)
+        return name, load_channel(name)
     rng = np.random.default_rng(5)
     if name == "product":
         r1, r2 = ([random_density(rng, 2) for _ in range(2)] for _ in range(2))
@@ -287,7 +302,7 @@ def test_injected_negative_information_raises_before_any_output(
 
     monkeypatch.setattr(entropy, "entropy_tables", broken)
     with pytest.raises(ValidationError) as want:
-        sweep_loop(load_builtin_channel("qubit-pure-mac"), 3)
+        sweep_loop(load_channel("qubit-pure-mac"), 3)
     assert str(want.value).startswith(context + ": mutual information -")
     assert str(want.value).endswith(" below -1e-9")
     for extra in ([], ["--format", "json"], ["--out", str(tmp_path / "out.csv")]):
@@ -517,7 +532,7 @@ def test_oversized_declared_table_rejected_before_enumeration(tmp_path, capsys, 
 
 
 def test_every_violation_on_one_error_line(tmp_path, capsys):
-    raw = json.loads(builtin_channel_text("adder-classical"))
+    raw = bundled_channel_json("adder-classical")
     del raw["classical"]["1,0"]
     raw["classical"]["0,1"] = [0.5, 0.6, 0.0]
     path = tmp_path / "broken.json"

@@ -6,9 +6,8 @@ import types
 import numpy as np
 import pytest
 
-from qmac import coding, entropy
-from qmac.catalog import load_builtin_channel
-from qmac.channel import CqMacChannel, Prior, block_channel
+from qmac import coding, config
+from qmac.channel import CqMacChannel, Prior, block_channel, load_channel
 from qmac.coding import (FAIL, Codebook, Povm, SequentialDecoder, TenderInstrument,
                          average_error, codebooks_from_seed, disturbance_check,
                          pgm_decoder, run_simulation, sample_codebook,
@@ -103,7 +102,7 @@ def test_sizes_from_rates():
 # --- stage word states ----------------------------------------------------------
 
 def test_single_sender_word_state_is_block_state():
-    ch = load_builtin_channel("holevo-two-state")
+    ch = load_channel("holevo-two-state")
     decoder = SequentialDecoder(ch, [Codebook(0, 2, ((0, 1),))], Prior.uniform((2,)))
     states = decoder.stage_states(0, [])
     assert len(states) == 1
@@ -112,7 +111,7 @@ def test_single_sender_word_state_is_block_state():
 
 
 def test_adder_first_stage_hand_average():
-    ch = load_builtin_channel("adder-classical")
+    ch = load_channel("adder-classical")
     books = [Codebook(0, 1, ((0,),)), Codebook(1, 1, ((1,),))]
     decoder = SequentialDecoder(ch, books, Prior.uniform((2, 2)))
     [(label, rho)] = decoder.stage_states(0, [])
@@ -132,7 +131,7 @@ def test_last_stage_with_singleton_codebooks():
 def test_empirical_equals_ensemble_on_full_enumeration():
     # with codebooks that enumerate every word, a uniform average over the
     # later senders' codebooks is the average over their uniform priors
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     n = 2
     books = full_binary_books(n)
@@ -295,7 +294,7 @@ def test_simulator_roots_each_computed_once_in_stacks(monkeypatch):
     # the simulator reads roots through the same cache as sqrt_element: each
     # outcome it reads gets one root, computed in a stacked call per stage
     # and chunk, equal to the root computed alone
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = [Codebook(0, 2, ((0, 1), (1, 1), (0, 1))), Codebook(1, 2, ((1, 0), (0, 0)))]
     decoders = []
@@ -462,14 +461,14 @@ def test_chunked_simulator_duplicate_words_and_fail_outcome():
 def test_chunk_size_does_not_change_the_report(monkeypatch, per_chunk):
     # None: 64x64 blocks (n = 6), one operator per chunk at the default size
     n = 2 if per_chunk else 6
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, n, (4, 5), master_seed=12)
     mc = dict(mode="monte_carlo", trials=9, seed=4)
     one_chunk = average_error(ch, books, prior)   # 20 tuples of 4x4 fit in one chunk
-    assert (20 if per_chunk else 1) * 16 * 4 ** n <= entropy.CHUNK_BYTES
+    assert (20 if per_chunk else 1) * 16 * 4 ** n <= config.CHUNK_BYTES
     if per_chunk:
-        monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * 16 * 4 ** n)
+        monkeypatch.setattr(config, "CHUNK_BYTES", per_chunk * 16 * 4 ** n)
     assert same_report(average_error(ch, books, prior), one_chunk)
     assert same_report(average_error(ch, books, prior, **mc),
                        average_error_loop(ch, books, prior, **mc))
@@ -497,7 +496,7 @@ def test_decoder_povms_equal_the_checked_public_build():
 def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
     # Monte Carlo reads one outcome per stage and tuple: each distinct
     # (instrument, outcome) read is formed once, in stacks, and no other
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 3, (16, 16), master_seed=5)
     lookup, build = coding._elements, coding.pgm_decoder
@@ -524,7 +523,7 @@ def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
     average_error(ch, books, prior, mode="monte_carlo", trials=6, seed=3)
     instruments = {id(p) for p in read.values()}
     assert sum(formed) == len(read) < 16 * len(instruments)
-    assert 6 * 16 * 8 * 8 <= entropy.CHUNK_BYTES   # one chunk: one stacked call per POVM
+    assert 6 * 16 * 8 * 8 <= config.CHUNK_BYTES   # one chunk: one stacked call per POVM
     assert len(formed) == len(instruments)
 
 
@@ -534,7 +533,7 @@ def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
 def test_one_pgm_build_per_cached_instrument(monkeypatch, options):
     # the benchmark counts decoder builds as pgm_decoder calls: one per
     # (stage, prefix) instrument, however often the simulator looks it up
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 2, (5, 3), master_seed=8)
     build, builds, decoders = coding.pgm_decoder, [], []
@@ -579,7 +578,7 @@ def array_bytes(obj) -> int:
 
 
 def test_cached_instrument_holds_neither_the_states_nor_every_element():
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 4, (32, 4), master_seed=6)
     decoder = SequentialDecoder(ch, books, prior)
@@ -605,7 +604,7 @@ def test_constant_channel_success_bounded():
 
 
 def test_chain_weights_non_increasing():
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 3, (2, 2), master_seed=5)
     report = average_error(ch, books, prior)
@@ -616,7 +615,7 @@ def test_chain_weights_non_increasing():
 
 
 def test_monte_carlo_reports_are_deterministic():
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     r1 = run_simulation(ch, prior, 2, (2, 2), master_seed=11, mode="monte_carlo", trials=20)
     r2 = run_simulation(ch, prior, 2, (2, 2), master_seed=11, mode="monte_carlo", trials=20)
@@ -632,7 +631,7 @@ def test_exhaustive_cap():
 
 
 def test_adder_longer_blocks_decode_better():
-    ch = load_builtin_channel("adder-classical")
+    ch = load_channel("adder-classical")
     prior = Prior.uniform((2, 2))
     quarter = [0.25 * r for r in corner_table(ch, prior)[(0, 1)].rates]
     r1 = run_simulation(ch, prior, 1, sizes_from_rates(quarter, 1), master_seed=2)
@@ -642,7 +641,7 @@ def test_adder_longer_blocks_decode_better():
 
 
 def test_stage_disturbance_respects_average_bound():
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     report = run_simulation(ch, prior, 4, (2, 2), master_seed=3)
     for dist, bound in zip(report.stage_disturbance, report.stage_disturbance_bound):

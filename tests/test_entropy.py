@@ -5,9 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from qmac.catalog import load_builtin_channel
-from qmac.channel import (CqMacChannel, Prior, channel_state, make_ensemble,
-                          mask_members)
+from qmac.channel import (CqMacChannel, Prior, channel_state, load_channel,
+                          make_ensemble, mask_members)
 from qmac.checks import random_channel, random_density, random_prior
 from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
                           check_subadditivity, conditional_entropy, entropy_table,
@@ -32,7 +31,7 @@ def two_state_ensemble():
 
 
 def adder_state(prior=None):
-    ch = load_builtin_channel("adder-classical")
+    ch = load_channel("adder-classical")
     return channel_state(ch, prior or Prior.uniform(ch.sender_alphabets))
 
 

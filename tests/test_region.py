@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qmac import entropy, operators
-from qmac.catalog import load_builtin_channel
-from qmac.channel import CqMacChannel, Prior, channel_state, mask_members
+from qmac import config, entropy, operators, region
+from qmac.channel import CqMacChannel, Prior, channel_state, load_channel, mask_members
 from qmac.checks import random_channel, random_density, random_prior
 from qmac.config import CapExceeded
 from qmac.entropy import SubsystemSelector, mutual_information, subsystem_entropy
@@ -26,7 +25,7 @@ TWO_STATE_CHI = 0.6008760366928562
 
 
 def adder():
-    return load_builtin_channel("adder-classical")
+    return load_channel("adder-classical")
 
 
 def adder_joint(vecs=((0.5, 0.5), (0.5, 0.5))):
@@ -59,7 +58,7 @@ def test_constant_channel_all_bounds_zero():
 
 
 def test_single_sender_holevo_bound():
-    ch = load_builtin_channel("holevo-two-state")
+    ch = load_channel("holevo-two-state")
     cs = constraint_set(ch, Prior.uniform((2,)))
     assert abs(cs.bounds[1] - TWO_STATE_CHI) < 1e-9
 
@@ -95,7 +94,7 @@ def test_corner_matches_classical_oracle():
 
 
 def test_single_sender_corner_is_the_bound():
-    ch = load_builtin_channel("holevo-two-state")
+    ch = load_channel("holevo-two-state")
     p = Prior.uniform((2,))
     cs = constraint_set(ch, p)
     assert abs(corner_table(ch, p)[(0,)].rates[0] - cs.bounds[1]) < 1e-12
@@ -138,6 +137,28 @@ def test_corner_cap():
     ch = CqMacChannel(alphabets, 1, states)
     with pytest.raises(CapExceeded):
         corner_table(ch, Prior.uniform(alphabets))
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_decode_order_table_is_the_permutations_and_their_before_masks(s):
+    orders, before = region._orders(s)
+    perms = list(itertools.permutations(range(s)))
+    assert orders.tolist() == [list(perm) for perm in perms]
+    # the set decoded before sender k, rebuilt per order as the chain kernel once did
+    assert before.tolist() == [[sum(1 << i for i in perm[:perm.index(k)]) for k in range(s)]
+                               for perm in perms]
+    for arr in (orders, before):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+    assert region._orders(s)[0] is orders   # built once
+
+
+def test_decode_order_table_refuses_past_the_cap():
+    with pytest.raises(CapExceeded) as err:
+        region._orders(7)
+    assert str(err.value) == ("corner enumeration needs 5040 permutations for s=7, "
+                              "configured cap is s<=6")
 
 
 # --- membership --------------------------------------------------------------------
@@ -244,7 +265,7 @@ def test_grid_priors_resolution_one():
 
 def test_sweep_single_uniform_grid_point():
     # resolution 2 on a binary sender contains the uniform prior
-    ch = load_builtin_channel("holevo-two-state")
+    ch = load_channel("holevo-two-state")
     sweep = boundary_sweep(ch, 2)
     (mids,) = np.nonzero(np.abs(sweep.per_sender[0][:, 0] - 0.5) < 1e-12)
     assert len(mids) == 1
@@ -252,7 +273,7 @@ def test_sweep_single_uniform_grid_point():
 
 
 def test_sweep_refinement_nests():
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     coarse = boundary_sweep(ch, 2)
     fine = boundary_sweep(ch, 4)
     hull = upper_boundary_2d(corner_points(fine))
@@ -269,7 +290,7 @@ def test_sweep_grid_too_large():
 
 def test_single_sender_two_state_sweep_maximizer():
     # brute-force scan: chi(p) peaks at the uniform prior for this pair
-    ch = load_builtin_channel("holevo-two-state")
+    ch = load_channel("holevo-two-state")
     sweep = boundary_sweep(ch, 64)
     best = int(np.argmax(sweep.bounds[:, 0]))
     assert abs(sweep.per_sender[0][best, 0] - 0.5) < 1e-12
@@ -336,7 +357,7 @@ def test_sweep_chunks_match_single_chunk(monkeypatch):
     sweeps = {}
     for per_chunk in (64, 1, 5, 63):                  # the grid has 4**3 = 64 priors
         eig_calls.clear()
-        monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * prior_bytes)
+        monkeypatch.setattr(config, "CHUNK_BYTES", per_chunk * prior_bytes)
         sweeps[per_chunk] = sweep_rows(boundary_sweep(ch, 3))
         assert len(eig_calls) == 8 * -(-64 // per_chunk)   # one per mask and chunk
     assert len(sweeps[64]) == 64
@@ -349,7 +370,7 @@ def test_sweep_checks_each_state_once(monkeypatch):
     check_density = operators.check_density
     monkeypatch.setattr(operators, "check_density",
                         lambda rho, name="state": names.append(name) or check_density(rho, name))
-    ch = load_builtin_channel("qubit-pure-mac")
+    ch = load_channel("qubit-pure-mac")
     assert sorted(names) == sorted(f"state {x}" for x in ch.joint_letters())
     loaded = len(names)
     assert len(boundary_sweep(ch, 4).bounds) == 25
@@ -437,7 +458,7 @@ def test_sweep_equals_per_prior_loop(monkeypatch, per_chunk):
         ch = sweep_test_channel(rng, s)
         want = loop_rows(ch, resolution)
         if per_chunk is not None:   # priors per chunk of the corner arrays
-            monkeypatch.setattr(entropy, "CHUNK_BYTES", per_chunk * 8 * math.factorial(s) * s)
+            monkeypatch.setattr(config, "CHUNK_BYTES", per_chunk * 8 * math.factorial(s) * s)
         assert sweep_rows(boundary_sweep(ch, resolution)) == want
         monkeypatch.undo()
 
