@@ -343,14 +343,15 @@ def reduced_channel(ch: CqMacChannel, prior: Prior, members: Iterable[int]) -> n
 def block_states(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
     """Kronecker products over positions of letter-tuple states, per row.
 
-    `table` is indexed by k-letter tuples, shape (a_1, ..., a_k, d, d), as
-    `ch.states` or a reduced channel is; `letters` is an integer array
+    `table` is indexed by k-letter tuples, shape (a_1, ..., a_k, d, c), as
+    `ch.states` or a reduced channel is (c = d), or a letter factor table
+    (`BlockChannel.letter_factors`, c = r); `letters` is an integer array
     (..., n, k) of tuples the caller checked to lie in the table.  Returns
-    (..., d^n, d^n): for each row, position 0's state times position 1's and
-    so on, bit-identical to reduce(np.kron, ...) of the n states.
+    (..., d^n, c^n): for each row, position 0's matrix times position 1's
+    and so on, bit-identical to reduce(np.kron, ...) of the n matrices.
     """
     letters = np.asarray(letters)
-    states = table[tuple(np.moveaxis(letters, -1, 0))]   # (..., n, d, d)
+    states = table[tuple(np.moveaxis(letters, -1, 0))]   # (..., n, d, c)
     return ops.tensor_all(states[..., k, :, :] for k in range(letters.shape[-2]))
 
 
@@ -384,11 +385,30 @@ class BlockChannel:
     def output_dim(self) -> int:
         return self.base.output_dim ** self.n
 
-    def state_for_words(self, words: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+    @functools.cached_property
+    def letter_factors(self) -> np.ndarray:
+        """Factor of each letter-tuple state, shape (a_1, ..., a_s, d, r).
+
+        A factor's columns are its state's eigenvectors times the roots of
+        their eigenvalues above SUPPORT_FLOOR, so factor times adjoint is the
+        state; r is the largest such rank, and lower-rank letters are padded
+        with zero columns.  Built once per block channel, on first use.
+        """
+        w, v = ops.eig_hermitian(self.base.states, hermitian=True)   # ascending
+        on = w > ops.SUPPORT_FLOOR
+        rank = int(on.sum(axis=-1).max())
+        factors = (v * np.sqrt(np.where(on, w, 0.0))[..., None, :])[..., -rank:]
+        factors.setflags(write=False)
+        return factors
+
+    def state_for_words(self, words: Sequence[Sequence[int]] | np.ndarray, *,
+                        factored: bool = False) -> np.ndarray:
         """Output state of one word per sender (each word is n letters).
 
         Given an integer array (..., s, n) of such word tuples instead, the
-        stack (..., d^n, d^n) of their states.
+        stack (..., d^n, d^n) of their states.  With `factored`, each state
+        F F† comes as its factor F instead, (..., d^n, r^n), the Kronecker
+        product of the word's `letter_factors`.
         """
         try:
             words = np.asarray(words, dtype=int)
@@ -401,7 +421,7 @@ class BlockChannel:
         if bad.any():   # checked first: indexing would wrap negative letters
             first = letters.reshape(-1, self.s)[np.flatnonzero(bad)[0]]
             raise ValidationError(f"no state for letter tuple {tuple(first.tolist())}")
-        return block_states(self.base.states, letters)
+        return block_states(self.letter_factors if factored else self.base.states, letters)
 
 
 def block_channel(ch: CqMacChannel, n: int) -> BlockChannel:

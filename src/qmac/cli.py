@@ -98,6 +98,11 @@ def _parse_float_list(spec: str, what: str) -> list[float]:
     raise UsageError(f"{what} must be a comma-joined list of finite floats, got {spec!r}")
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2 ** 64:
+        raise UsageError(f"seed must be an integer from 0 to 2^64 - 1, got {seed}")
+
+
 def _check_finite(value: float, what: str, positive: bool = False) -> None:
     if not math.isfinite(value) or (positive and value <= 0):
         kind = "positive and finite" if positive else "finite"
@@ -297,8 +302,7 @@ def cmd_simulate(args) -> int:
     prior = _parse_prior(args.prior, ch.sender_alphabets)
     if args.n < 1:
         raise UsageError(f"block length must be >= 1, got {args.n}")
-    if args.seed < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {args.seed}")
+    _check_seed(args.seed)
     if (args.sizes is None) == (args.rates is None):
         raise UsageError("provide exactly one of --sizes or --rates")
     if args.sizes is not None:
@@ -307,6 +311,8 @@ def cmd_simulate(args) -> int:
             raise UsageError(f"codebook sizes must be >= 1, got {sizes}")
     else:
         rates = _parse_float_list(args.rates, "--rates")
+        if any(r < 0 for r in rates):
+            raise UsageError(f"--rates must be nonnegative, got {args.rates!r}")
         _check_finite(args.delta, "--delta")
         sizes = sizes_from_rates(rates, args.n, args.delta)
     if len(sizes) != ch.s:
@@ -333,8 +339,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_check(args) -> int:
     _check_finite(args.tol, "tolerance", positive=True)
-    if args.seed < 0:
-        raise UsageError(f"seed must be a nonnegative integer, got {args.seed}")
+    _check_seed(args.seed)
     if args.trials < 0:
         raise UsageError(f"trials must be >= 0, got {args.trials}")
     if args.max_reported < 0:

@@ -7,6 +7,13 @@ at earlier stages, implemented gently as rho -> sqrt(D) rho sqrt(D) so later
 stages still see an almost undisturbed signal.  Everything here is computed
 exactly (operator chains, no sampling noise), so Monte Carlo enters only in
 the choice of message tuples.
+
+The decoder's elements D and roots sqrt(D) are dense d^n x d^n operators.
+The word states `average_error` evaluates run as factors instead: a word
+state is a Kronecker product of letter states, so it is F F† with r^n
+columns in F (one on a pure-state channel), and the chain is
+F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
+(`tests/oracles.average_error_loop`) within 1e-12.
 """
 
 from __future__ import annotations
@@ -334,10 +341,16 @@ def _trace(a: np.ndarray) -> np.ndarray:
     return np.trace(a, axis1=-2, axis2=-1).real
 
 
-def _branch_disturbance(rho: np.ndarray, roots: np.ndarray,
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a† b) of each pair of matrices of two stacks."""
+    return (a.conj() * b).real.sum(axis=(-2, -1))
+
+
+def _branch_disturbance(diff: np.ndarray,
                         leak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eps, dist) of each state of a stack under its right outcome, given
-    the stacked roots sqrt(D_b) and the leaks 1 - Tr(rho D_b).
+    """(eps, dist) of each state of a stack under its right outcome, given a
+    Hermitian stack `diff` with the trace norm of rho - sqrt(D_b) rho sqrt(D_b)
+    and the leaks 1 - Tr(rho D_b).
 
     eps is the leak floored at 0; dist is the exact deviation of the branch
     map output (with its classical outcome register) from the ideal b (x) rho:
@@ -345,7 +358,7 @@ def _branch_disturbance(rho: np.ndarray, roots: np.ndarray,
     sum_{b' != b} Tr(rho D_b'), which is 1 - Tr(rho D_b) because `Povm`
     enforces completeness (to 1e-8 per entry).
     """
-    dist = ops.trace_norm(rho - roots @ rho @ roots, hermitian=True) + leak
+    dist = ops.trace_norm(diff, hermitian=True) + leak
     return np.where(leak > 0.0, leak, 0.0), dist
 
 
@@ -365,7 +378,8 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     positions = [inst.povm._require(a) for a in labels]
     leak = 1.0 - _trace(rhos @ np.stack(_elements([inst.povm] * len(labels), positions)))
     roots = np.stack(_roots([inst.povm] * len(labels), positions))
-    eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos, roots, leak))
+    eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos - roots @ rhos @ roots,
+                                                                  leak))
     rows = []
     eps_bar = 0.0
     avg_dist = 0.0
@@ -549,21 +563,24 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     stage_dist = np.zeros(s)
     total_error = 0.0
     # message tuples go through the stages in chunks of stacked operators;
-    # per-tuple values are then added in tuple order, as one tuple at a time would
+    # per-tuple values are then added in tuple order, as one tuple at a time would.
+    # Each word state rho = F F† runs as its factor F: the leak is
+    # 1 - Re<F, D F>, the branch state is sqrt(D) F, its weight ||sqrt(D) F||^2
     for rows in chunks(len(msgs), 16 * decoder.block.output_dim ** 2):
         msg = msgs[rows]
         words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
-        sigma0 = decoder.block.state_for_words(words)
-        sigma = sigma0
+        f0 = decoder.block.state_for_words(words, factored=True)
+        f = f0
         for i in range(s):
             povms = [inst.povm for inst in _stage_instruments(decoder, i, msg[:, :i].tolist())]
             positions = [povm._position(b) for povm, b in zip(povms, msg[:, i].tolist())]
             # gentleness accounting on the undisturbed word states
-            leak = 1.0 - _trace(sigma0 @ _stack(_elements(povms, positions)))
+            leak = 1.0 - _inner(f0, _stack(_elements(povms, positions)) @ f0)
             roots = _stack(_roots(povms, positions))
-            eps, dist = _branch_disturbance(sigma0, roots, leak)
-            sigma = roots @ sigma @ roots
-            success = _trace(sigma)
+            g = roots @ f0
+            eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
+            f = g if f is f0 else roots @ f
+            success = _inner(f, f)
             for total, values in ((stage_eps, eps), (stage_dist, dist),
                                   (stage_success, success)):
                 for v in values.tolist():

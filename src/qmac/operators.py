@@ -171,9 +171,9 @@ def tensor(a, b) -> np.ndarray:
 
 
 def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
-    """Kronecker product of states the caller already checked; [[1]] when empty.
+    """Kronecker product of matrices the caller already checked; [[1]] when empty.
 
-    Factors may be stacks (..., d_k, d_k) with broadcastable leading axes, and
+    Factors may be stacks (..., m_k, c_k) with broadcastable leading axes, and
     the product is taken per row.  It is built left to right by broadcasting,
     in the order and with the products of reduce(np.kron, mats), so each row
     equals np.kron's result bit for bit.
@@ -184,8 +184,8 @@ def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     out = mats[0]
     for a in mats[1:]:
         prod = out[..., :, None, :, None] * a[..., None, :, None, :]
-        side = out.shape[-1] * a.shape[-1]
-        out = prod.reshape(prod.shape[:-4] + (side, side))
+        shape = (out.shape[-2] * a.shape[-2], out.shape[-1] * a.shape[-1])
+        out = prod.reshape(prod.shape[:-4] + shape)
     return out
 
 
@@ -218,6 +218,18 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
         out = np.trace(out, axis1=i, axis2=i + out.ndim // 2)
     size = int(np.prod([dims[k] for k in keep])) if keep else 1
     return out.reshape(size, size)
+
+
+def factor_difference(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Hermitian stack with the trace norm of f f† - g g†, per row.
+
+    `f` and `g` are stacks (..., D, r) of factors.  The difference is
+    compressed onto the range of [f, g]: with [f, g] = Q R,
+    f f† - g g† = Q (R_f R_f† - R_g R_g†) Q† and Q has orthonormal columns,
+    so the min(D, 2r)-sided middle has the same nonzero spectrum.
+    """
+    rf, rg = np.split(np.linalg.qr(np.concatenate([f, g], axis=-1), mode="r"), 2, axis=-1)
+    return rf @ rf.conj().swapaxes(-1, -2) - rg @ rg.conj().swapaxes(-1, -2)
 
 
 def trace_norm(a, *, hermitian: bool = False) -> float | np.ndarray:

@@ -16,9 +16,10 @@ built as one document, and an ensemble's averaged state entropy taken one
 atom state at a time.
 
 It also holds the API that only tests use: point-mass priors, random
-diagonal channels, an instrument's roots listed in POVM order, writing a
-channel back to its JSON form, and the report of every entropy and
-conditional mutual information of an ensemble.
+diagonal channels, random channels of exactly rank-deficient letters, an
+instrument's roots listed in POVM order, writing a channel back to its
+JSON form, and the report of every entropy and conditional mutual
+information of an ensemble.
 """
 
 import itertools
@@ -224,8 +225,9 @@ def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, see
     Each tuple's block state is built alone, then each stage looks up its
     instrument, adds the tuple's leak and disturbance on the undisturbed
     state, and applies the right outcome's root to the running state.  Same
-    arguments, tuple order and float operations as the chunked simulator,
-    so its report must be identical.
+    arguments and tuple order as the chunked simulator, but every state is
+    a dense d^n x d^n matrix where the simulator carries its factor, so the
+    two reports agree to rounding, not bit for bit.
     """
     t0 = time.perf_counter()
     decoder = SequentialDecoder(ch, codebooks, prior)
@@ -349,6 +351,18 @@ def random_diagonal_channel(rng, max_senders=3, max_alphabet=3, max_output_dim=4
         for letters in itertools.product(*(range(a) for a in alphabets))
     }
     return CqMacChannel(alphabets, d, states)
+
+
+def low_rank_channel(rng, alphabets, d, ranks) -> CqMacChannel:
+    """Channel whose letter tuples, in table order, have states G G† / Tr of
+    the given ranks (repeated as needed), G a random d x rank matrix: each
+    state has exactly that rank."""
+    states = {}
+    for letters, rank in zip(itertools.product(*(range(a) for a in alphabets)),
+                             itertools.cycle(ranks)):
+        g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+        states[letters] = g @ g.conj().T / np.linalg.norm(g) ** 2
+    return CqMacChannel(tuple(alphabets), d, states)
 
 
 def point_mass_prior(alphabet_sizes, letters) -> Prior:

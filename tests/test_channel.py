@@ -10,10 +10,10 @@ from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Pr
                           precompose_qq, reduced_channel)
 from qmac.checks import random_channel, random_prior
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
-from qmac.operators import ValidationError, partial_trace, tensor
+from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
 
-from oracles import (bundled_channel_json, channel_to_dict, point_mass_prior,
-                     reduced_channel_loop, save_channel)
+from oracles import (bundled_channel_json, channel_to_dict, low_rank_channel,
+                     point_mass_prior, reduced_channel_loop, save_channel)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -276,6 +276,48 @@ def test_stacked_block_states_equal_one_word_tuple_at_a_time():
         words[3, -1, -1] = ch.sender_alphabets[-1]
         with pytest.raises(ValidationError, match="no state for letter tuple"):
             blk.state_for_words(words)
+
+
+def factor_channels():
+    rng = np.random.default_rng(41)
+    return ([load_channel(name) for name in BUILTIN_CHANNELS]
+            + [random_channel(rng) for _ in range(8)]
+            + [low_rank_channel(rng, (3,), 4, (2, 2, 1))])
+
+
+@pytest.mark.parametrize("ch", factor_channels())
+def test_letter_factors_reproduce_the_states(ch):
+    factors = block_channel(ch, 1).letter_factors
+    d = ch.output_dim
+    ranks = (np.linalg.eigvalsh(ch.states) > SUPPORT_FLOOR).sum(axis=-1)
+    assert factors.shape == ch.states.shape[:-1] + (ranks.max(),)
+    assert not factors.flags.writeable
+    for letters in ch.joint_letters():
+        f = factors[letters]
+        assert np.max(np.abs(f @ f.conj().T - ch.state(letters))) <= 1e-13
+        # padding: exactly the letter's own rank of nonzero columns
+        assert np.count_nonzero(np.abs(f).sum(axis=0)) == ranks[letters] <= d
+
+
+def test_factored_block_states_are_kronecker_products_of_letter_factors():
+    rng = np.random.default_rng(43)
+    for ch in [random_channel(rng), low_rank_channel(rng, (3,), 4, (2, 2, 1)),
+               load_channel("qubit-pure-mac")]:
+        n = 2
+        blk = block_channel(ch, n)
+        words = np.stack([rng.integers(a, size=(4, n)) for a in ch.sender_alphabets], axis=1)
+        factors = blk.state_for_words(words, factored=True)
+        r = blk.letter_factors.shape[-1]
+        assert factors.shape == (4, blk.output_dim, r ** n)
+        states = blk.state_for_words(words)
+        for t in range(4):
+            letters = [tuple(words[t, :, k]) for k in range(n)]
+            want = np.kron(blk.letter_factors[letters[0]], blk.letter_factors[letters[1]])
+            assert np.array_equal(factors[t], want)
+            assert np.max(np.abs(factors[t] @ factors[t].conj().T - states[t])) <= 1e-13
+        words[1, 0, 0] = -1
+        with pytest.raises(ValidationError, match="no state for letter tuple"):
+            blk.state_for_words(words, factored=True)
 
 
 def test_block_channel_respects_cap(monkeypatch):

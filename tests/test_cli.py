@@ -479,6 +479,7 @@ CHECK = ["check", "--suite", "entropy", "--trials", "1"]
     ({}, REGION + ["--tol", "nan"], 2),
     ({}, CHECK + ["--seed", "1", "--tol", "nan"], 2),
     ({}, CHECK + ["--seed", "3", "--tol", "1e-300", "--max-reported=-1"], 2),
+    ({}, SIM + ["--rates=-1,0.5", "--seed", "1"], 2),
 ])
 def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
     for key, value in env.items():
@@ -487,6 +488,25 @@ def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
     assert code == want
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert "Traceback" not in err and "nan" not in out
+
+
+@pytest.mark.parametrize("argv", [SIM + ["--sizes", "2,2"], CHECK])
+def test_seed_range_is_the_64_bit_range(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", str(2 ** 64 - 1))
+    assert code == 0 and out and "error" not in err
+    for seed in (2 ** 64, -1, 99999999999999999999999):
+        code, out, err = run(capsys, *argv, "--seed", str(seed))
+        assert code == 2 and not out
+        assert err.splitlines() == [f"error: seed must be an integer from 0 to 2^64 - 1, "
+                                    f"got {seed}"]
+
+
+def test_negative_rates_rejected_zero_rate_kept(capsys):
+    code, out, err = run(capsys, *SIM, "--rates=0.5,-0.01", "--seed", "1")
+    assert code == 2 and not out
+    assert err.splitlines() == ["error: --rates must be nonnegative, got '0.5,-0.01'"]
+    code, out, _ = run(capsys, *SIM, "--rates", "0,0.5", "--seed", "1")
+    assert code == 0 and json.loads(out)["sizes"] == [1, 2]
 
 
 def one_letter_doc(**fields):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qmac.operators import (ValidationError, check_density, check_povm,
-                            eig_hermitian, entropy_bits, hermitize, op_sqrt,
+                            eig_hermitian, entropy_bits, factor_difference, hermitize, op_sqrt,
                             partial_trace, pinv_sqrt, tensor, tensor_all,
                             trace_norm)
 
@@ -238,7 +238,43 @@ def test_stacked_roots_norms_and_products_equal_one_at_a_time():
         prod = tensor_all(factors)
         for k in range(t):
             assert np.array_equal(prod[k], reduce(np.kron, [f[k] for f in factors]))
+        # rectangular factors (word-state factors) multiply the same way
+        rect = [rng.standard_normal((t, int(m), int(c))) for m, c in rng.integers(1, 4, (3, 2))]
+        prod = tensor_all(rect)
+        for k in range(t):
+            assert np.array_equal(prod[k], reduce(np.kron, [f[k] for f in rect]))
+        f, g = (rng.standard_normal((t, 9, 2)) + 1j * rng.standard_normal((t, 9, 2))
+                for _ in range(2))
+        diff = factor_difference(f, g)
+        for k in range(t):
+            assert np.array_equal(diff[k], factor_difference(f[k], g[k]))
     assert np.array_equal(tensor_all([]), np.eye(1))
+
+
+def random_factor(rng, dim, rank, zero_columns=0):
+    f = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    f /= np.linalg.norm(f)
+    return np.concatenate([f, np.zeros((dim, zero_columns))], axis=1)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("dim", [4, 8, 16, 64])
+def test_factor_difference_has_the_dense_trace_norm(rank, dim):
+    rng = np.random.default_rng(100 * rank + dim)
+    for pad in (0, 2):
+        f = random_factor(rng, dim, rank, pad)
+        noise = random_factor(rng, dim, rank, pad)
+        cases = [random_factor(rng, dim, rank, pad),   # an unrelated factor
+                 rng.uniform(0.2, 0.9) * f,             # a shrunk branch
+                 f,                                     # norm 0
+                 f + 1e-9 * noise]                      # norm near 0
+        for g in cases:
+            diff = factor_difference(f, g)
+            side = min(2 * (rank + pad), dim)
+            assert diff.shape == (side, side)
+            got = trace_norm(diff, hermitian=True)
+            want = trace_norm(f @ f.conj().T - g @ g.conj().T)
+            assert abs(got - want) <= 1e-13 * (1 + want)
 
 
 def test_unchecked_stack_root_still_rejects_negative_operators():
