@@ -279,7 +279,7 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
         if label_t in seen:
             raise ValidationError(f"duplicate atom for label {label_t}")
         p = float(p)
-        if p < -PROB_TOL:
+        if not p >= -PROB_TOL:   # NaN fails it
             raise ValidationError(f"atom {label_t} has negative probability {p:.3e}")
         total += p
         if p < ATOM_FLOOR:
@@ -289,7 +289,7 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
             raise ValidationError(f"atom {label_t}: state shape {rho.shape}, expected ({d}, {d})")
         rho.setflags(write=False)
         seen[label_t] = (p, ops.check_density(rho, name=f"atom {label_t}"))
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValidationError(f"atom probabilities sum to {total:.12g}, expected 1")
     ordered = tuple((label, p, rho) for label, (p, rho) in sorted(seen.items()))
     return CqEnsemble(spaces, d, ordered)
@@ -401,14 +401,13 @@ class BlockChannel:
         factors.setflags(write=False)
         return factors
 
-    def state_for_words(self, words: Sequence[Sequence[int]] | np.ndarray, *,
-                        factored: bool = False) -> np.ndarray:
-        """Output state of one word per sender (each word is n letters).
+    def state_for_words(self, words: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+        """Factor F of the output state F F† of one word per sender (each
+        word is n letters): the (d^n, r^n) Kronecker product of the word's
+        `letter_factors`.
 
         Given an integer array (..., s, n) of such word tuples instead, the
-        stack (..., d^n, d^n) of their states.  With `factored`, each state
-        F F† comes as its factor F instead, (..., d^n, r^n), the Kronecker
-        product of the word's `letter_factors`.
+        stack (..., d^n, r^n) of their factors.
         """
         try:
             words = np.asarray(words, dtype=int)
@@ -421,7 +420,7 @@ class BlockChannel:
         if bad.any():   # checked first: indexing would wrap negative letters
             first = letters.reshape(-1, self.s)[np.flatnonzero(bad)[0]]
             raise ValidationError(f"no state for letter tuple {tuple(first.tolist())}")
-        return block_states(self.letter_factors if factored else self.base.states, letters)
+        return block_states(self.letter_factors, letters)
 
 
 def block_channel(ch: CqMacChannel, n: int) -> BlockChannel:

@@ -88,7 +88,6 @@ class CheckResult:
     name: str
     seed: int
     trials: int
-    tol: float = DEFAULT_TOL
     checks: int = 0
     skipped: int = 0
     counts: Counter = field(default_factory=Counter)
@@ -126,7 +125,7 @@ def entropy_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResu
     """Dual-path entropies, mutual-information form agreement and positivity,
     and the conditional-entropy difference identity, on random channels."""
     rng = np.random.default_rng(seed)
-    res = CheckResult("entropy", seed, trials, tol)
+    res = CheckResult("entropy", seed, trials)
     for t in range(trials):
         ch = random_channel(rng)
         prior = random_prior(rng, ch)
@@ -173,7 +172,7 @@ def lemma_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResult
     """Subadditivity slack, the error-entropy bound, and the single-operator,
     per-state and averaged gentle-measurement bounds, on random instances."""
     rng = np.random.default_rng(seed)
-    res = CheckResult("lemmas", seed, trials, tol)
+    res = CheckResult("lemmas", seed, trials)
     for t in range(trials):
         # subadditivity of mutual information across two channels
         a1, a2 = int(rng.integers(2, 4)), int(rng.integers(2, 4))
@@ -231,7 +230,7 @@ def region_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResul
     """Corner telescoping, corner membership, bound-difference agreement,
     relabeling symmetry, and mixture affinity, on random channels."""
     rng = np.random.default_rng(seed)
-    res = CheckResult("region", seed, trials, tol)
+    res = CheckResult("region", seed, trials)
     for t in range(trials):
         ch = random_channel(rng)
         prior = random_prior(rng, ch)
@@ -269,8 +268,7 @@ def region_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResul
         cs_other = region.constraint_set(ch, other)
         for w in (0.0, 1.0, 0.3):
             mixed = region.mixture_constraints(
-                ch, region.MixtureSpec(((w, prior), (1.0 - w, other))),
-                max_components=max(ch.s, 2))
+                ch, region.MixtureSpec(((w, prior), (1.0 - w, other))))
             for mask in mixed.bounds:
                 want = w * cs.bounds[mask] + (1.0 - w) * cs_other.bounds[mask]
                 res.record(abs(mixed.bounds[mask] - want) <= tol, t,

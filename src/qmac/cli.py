@@ -225,6 +225,8 @@ def _per_sender_columns(per_sender) -> list[list[np.ndarray]]:
 
 def cmd_region(args) -> int:
     _check_finite(args.tol, "tolerance", positive=True)
+    if sum(x is not None for x in (args.prior, args.mixture, args.sweep)) > 1:
+        raise UsageError("provide at most one of --prior, --mixture or --sweep")
     ch = load_channel(args.channel)
     s = ch.s
     emit_corners = args.corners
@@ -243,7 +245,7 @@ def cmd_region(args) -> int:
     else:
         if args.mixture is not None:
             mix = _parse_mixture(args.mixture, ch.sender_alphabets)
-            cs = mixture_constraints(ch, mix, max_components=args.max_mixture_components)
+            cs = mixture_constraints(ch, mix)
             ids = np.array(["mix"])
             sections["priors"] = {
                 "id": np.arange(len(mix.components)),
@@ -305,6 +307,8 @@ def cmd_simulate(args) -> int:
     _check_seed(args.seed)
     if (args.sizes is None) == (args.rates is None):
         raise UsageError("provide exactly one of --sizes or --rates")
+    if args.delta is not None and args.rates is None:
+        raise UsageError("--delta needs --rates")
     if args.sizes is not None:
         sizes = _parse_int_list(args.sizes, "--sizes")
         if any(L < 1 for L in sizes):
@@ -313,13 +317,16 @@ def cmd_simulate(args) -> int:
         rates = _parse_float_list(args.rates, "--rates")
         if any(r < 0 for r in rates):
             raise UsageError(f"--rates must be nonnegative, got {args.rates!r}")
-        _check_finite(args.delta, "--delta")
-        sizes = sizes_from_rates(rates, args.n, args.delta)
+        delta = 0.0 if args.delta is None else args.delta
+        _check_finite(delta, "--delta")
+        sizes = sizes_from_rates(rates, args.n, delta)
     if len(sizes) != ch.s:
         raise UsageError(f"channel has {ch.s} senders but {len(sizes)} sizes were given")
     mode = "monte_carlo" if args.mode == "mc" else "exhaustive"
     if mode == "monte_carlo" and args.trials is None:
         raise UsageError("--mode mc needs --trials")
+    if mode == "exhaustive" and args.trials is not None:
+        raise UsageError("--trials needs --mode mc")
 
     report = run_simulation(ch, prior, args.n, sizes, args.seed, mode=mode, trials=args.trials)
     if args.format == "csv":
@@ -384,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep all product priors with numerators summing to RES "
                         "(an integer or '{\"resolution\": RES}')")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-mixture-components", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_region)
@@ -395,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="block length")
     p.add_argument("--sizes", default=None, help="codebook sizes 'L1,L2,...'")
     p.add_argument("--rates", default=None, help="target rates 'R1,R2,...' in bits/use")
-    p.add_argument("--delta", type=float, default=0.0,
-                   help="rate back-off: sizes are ceil(2^(n (R - delta)))")
+    p.add_argument("--delta", type=float, default=None,
+                   help="rate back-off, default 0: sizes are ceil(2^(n (R - delta)))")
     p.add_argument("--seed", type=int, required=True, help="64-bit master seed")
     p.add_argument("--mode", choices=("exhaustive", "mc"), default="exhaustive")
     p.add_argument("--trials", type=int, default=None, help="Monte Carlo message tuples")

@@ -268,7 +268,7 @@ def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -
         raise ValidationError(
             f"q must have shape ({len(v1)}, {len(v2)}), got {q.shape}"
         )
-    if np.any(q < 0) or abs(q.sum() - 1.0) > PROB_TOL:
+    if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= PROB_TOL):   # NaN fails it
         raise ValidationError("q is not a probability distribution")
     d1 = np.asarray(v1[0]).shape[0]
     d2 = np.asarray(v2[0]).shape[0]
@@ -294,7 +294,8 @@ def fano_bound_check(e: CqEnsemble, x_povm, y_povm) -> tuple[float, float]:
 
     `x_povm` is a diagonal POVM over the joint labels: an array of shape
     (k, num_labels), entries in [0, 1], columns summing to 1.  `y_povm` is a
-    POVM on the quantum part with the same number of outcomes.  Returns
+    POVM on the quantum part with the same number of outcomes, given as a
+    sequence of its matrices.  Returns
     (H(labels | quantum), 1 + P_e * log2(num_labels)); the bound asserts
     lhs <= rhs up to 1e-9.
     """
@@ -302,11 +303,11 @@ def fano_bound_check(e: CqEnsemble, x_povm, y_povm) -> tuple[float, float]:
     n_labels = e.num_labels
     if x.ndim != 2 or x.shape[1] != n_labels:
         raise ValidationError(f"x_povm must have shape (k, {n_labels}), got {x.shape}")
-    if np.any(x < -1e-10) or np.any(x > 1 + 1e-10):
+    if not np.all((x >= -1e-10) & (x <= 1 + 1e-10)):   # NaN fails it
         raise ValidationError("x_povm entries must lie in [0, 1]")
-    if np.max(np.abs(x.sum(axis=0) - 1.0)) > 1e-8:
+    if not np.max(np.abs(x.sum(axis=0) - 1.0)) <= 1e-8:
         raise ValidationError("x_povm columns must sum to 1")
-    y_elements = [np.asarray(m, dtype=complex) for m in getattr(y_povm, "matrices", None) or y_povm]
+    y_elements = [np.asarray(m, dtype=complex) for m in y_povm]
     if len(y_elements) != x.shape[0]:
         raise ValidationError(
             f"POVMs must share an index set: {x.shape[0]} vs {len(y_elements)} outcomes"

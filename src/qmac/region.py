@@ -72,13 +72,17 @@ class RateConstraintSet:
 
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Convex combination of priors for the mixture outer bound."""
+    """Convex combination of priors for the mixture outer bound: at most
+    `config.DEFAULT_MAX_GRID_POINTS` components, the prior cap of a sweep."""
 
     components: tuple[tuple[float, Prior], ...]
 
     def __post_init__(self):
         if not self.components:
             raise ValidationError("mixture needs at least one component")
+        if len(self.components) > DEFAULT_MAX_GRID_POINTS:
+            raise CapExceeded(f"mixture has {len(self.components)} components, "
+                              f"configured cap is {DEFAULT_MAX_GRID_POINTS}")
         weights = [float(w) for w, _ in self.components]
         if not all(math.isfinite(w) and w >= 0 for w in weights):
             raise ValidationError(f"mixture weights must be finite and nonnegative, got {weights}")
@@ -255,19 +259,12 @@ def is_member(point: RatePoint, cs: RateConstraintSet, tol: float = MEMBER_TOL) 
     )
 
 
-def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec,
-                        max_components: int | None = None) -> RateConstraintSet:
-    """Weighted average of the component constraint sets (mixture outer bound).
-
-    The default component cap is s, enough for any single-receiver region;
-    pass a larger max_components to lift it.
+def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec) -> RateConstraintSet:
+    """Weighted average of the component constraint sets (mixture outer bound):
+    the bounds of time sharing over the component priors, for any number of
+    components `MixtureSpec` accepts.  Components of weight 0 are skipped;
+    the others' tables come from one `prior_tables` call.
     """
-    cap = ch.s if max_components is None else int(max_components)
-    if len(mix.components) > cap:
-        raise ValidationError(
-            f"mixture has {len(mix.components)} components, cap is {cap} "
-            "(pass max_components to allow more)"
-        )
     bounds = {mask: 0.0 for mask in range(1, 1 << ch.s)}
     live = [(w, prior) for w, prior in mix.components if w != 0.0]
     tables = prior_tables(ch, [prior for _, prior in live])

@@ -3,7 +3,8 @@
 Everything here is written from scratch on plain probability arrays and
 scalar math so the library's entropy/region/decoding paths are checked
 against genuinely different computations: classical Shannon quantities for
-diagonal channels, 2x2 closed forms, maximum-posterior decoding, a full
+diagonal channels, 2x2 closed forms, maximum-posterior decoding, dense
+word states as Kronecker products of letter states, a full
 outcome-tree enumeration of the sequential decoder, the element-by-element
 leak of a gentle instrument, a reduced channel averaged one letter tuple at
 a time, membership in a two-sender hull by
@@ -22,6 +23,7 @@ JSON form, and the report of every entropy and conditional mutual
 information of an ensemble.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -152,6 +154,16 @@ def two_pure_state_pgm_success(overlap_sq: float) -> float:
     return float(0.5 * (1.0 + np.sqrt(1.0 - overlap_sq)))
 
 
+def word_states(ch, words) -> np.ndarray:
+    """Dense output state of one word per sender, (s, n) letters, or the
+    stack of states of a stack (..., s, n) of such word tuples: the Kronecker
+    product over positions of `ch.state` of each position's letter tuple."""
+    words = np.asarray(words, dtype=int)
+    states = [functools.reduce(np.kron, [ch.state(letters) for letters in w.T])
+              for w in words.reshape((-1,) + words.shape[-2:])]
+    return np.array(states).reshape(words.shape[:-2] + states[0].shape)
+
+
 def decode_tree(channel, codebooks, prior, messages, stage_instrument, word_state):
     """Enumerate every outcome chain of the sequential decoder.
 
@@ -222,12 +234,13 @@ def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, see
                        master_seed=None) -> SimReport:
     """`qmac.coding.average_error` one message tuple at a time.
 
-    Each tuple's block state is built alone, then each stage looks up its
-    instrument, adds the tuple's leak and disturbance on the undisturbed
-    state, and applies the right outcome's root to the running state.  Same
-    arguments and tuple order as the chunked simulator, but every state is
-    a dense d^n x d^n matrix where the simulator carries its factor, so the
-    two reports agree to rounding, not bit for bit.
+    Each tuple's dense block state is built alone by `word_states`, then
+    each stage looks up its instrument, adds the tuple's leak and
+    disturbance on the undisturbed state, and applies the right outcome's
+    root to the running state.  Same arguments and tuple order as the
+    chunked simulator, but every state is a dense d^n x d^n matrix where the
+    simulator carries its factor, so the two reports agree to rounding, not
+    bit for bit.
     """
     t0 = time.perf_counter()
     decoder = SequentialDecoder(ch, codebooks, prior)
@@ -258,7 +271,7 @@ def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, see
     total_error = 0.0
     for msg in tuples:
         words = [cb.words[m] for cb, m in zip(codebooks, msg)]
-        sigma0 = decoder.block.state_for_words(words)
+        sigma0 = word_states(ch, words)
         sigma = sigma0
         for i in range(s):
             inst = decoder.stage_instrument(i, words[:i])
@@ -529,8 +542,7 @@ def corners_csv(corner_rows, s) -> str:
     return "\n".join(lines) + "\n"
 
 
-def region_report(ch, *, resolution=None, prior=None, mixture=None, corners=False,
-                  tol=1e-9, max_components=None):
+def region_report(ch, *, resolution=None, prior=None, mixture=None, corners=False, tol=1e-9):
     """`qmac region`'s numbers by the per-prior path, as (the JSON document,
     the region CSV text, the corner CSV text or None): a sweep of the grid
     at `resolution` through `sweep_loop`, else the mixture outer bound of
@@ -548,7 +560,7 @@ def region_report(ch, *, resolution=None, prior=None, mixture=None, corners=Fals
         if s == 2:
             hull_doc = [list(p.rates) for p in region.upper_boundary_2d(points)]
     elif mixture is not None:
-        cs = region.mixture_constraints(ch, mixture, max_components=max_components)
+        cs = region.mixture_constraints(ch, mixture)
         priors_doc = [{"id": u, "weight": w, "per_sender": [v.tolist() for v in pr.per_sender]}
                       for u, (w, pr) in enumerate(mixture.components)]
         bound_rows = [("mix", mask, cs.bounds[mask]) for mask in sorted(cs.bounds)]

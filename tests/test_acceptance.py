@@ -259,7 +259,7 @@ def test_criterion_09_achievability_trend(monkeypatch):
     for msg in itertools.product(*(range(L) for L in sizes)):
         correct, total = oracles.decode_tree(
             ch, books, prior, msg, decoder.stage_instrument,
-            decoder.block.state_for_words)
+            lambda words: oracles.word_states(ch, words))
         assert abs(total - 1.0) <= TOL
         tree_err += 1.0 - correct
         count += 1

@@ -13,7 +13,7 @@ from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
 
 from oracles import (bundled_channel_json, channel_to_dict, low_rank_channel,
-                     point_mass_prior, reduced_channel_loop, save_channel)
+                     point_mass_prior, reduced_channel_loop, save_channel, word_states)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -245,18 +245,22 @@ def test_block_channel_n1_equals_base():
     blk = block_channel(ch, 1)
     for letters in ch.joint_letters():
         words = tuple((x,) for x in letters)
-        assert np.array_equal(blk.state_for_words(words), ch.state(letters))
+        f = blk.state_for_words(words)
+        assert np.array_equal(f, blk.letter_factors[letters])
+        assert np.max(np.abs(f @ f.conj().T - ch.state(letters))) <= 1e-13
 
 
 def test_block_channel_products():
     ch = CqMacChannel((2, 2), 2, qubit_table())
     blk = block_channel(ch, 2)
     got = blk.state_for_words(((0, 1), (0, 1)))
+    got = got @ got.conj().T
     want = tensor(ch.state((0, 0)), ch.state((1, 1)))
     assert np.allclose(got, want)
     assert abs(np.trace(got) - 1.0) < 1e-12
     # product of two pure states stays pure
     pure = blk.state_for_words(((0, 1), (0, 0)))
+    pure = pure @ pure.conj().T
     assert abs(np.trace(pure @ pure).real - 1.0) < 1e-12
 
 
@@ -268,7 +272,7 @@ def test_stacked_block_states_equal_one_word_tuple_at_a_time():
         blk = block_channel(ch, n)
         words = np.stack([rng.integers(a, size=(5, n)) for a in ch.sender_alphabets], axis=1)
         stack = blk.state_for_words(words)
-        assert stack.shape == (5, blk.output_dim, blk.output_dim)
+        assert stack.shape == (5, blk.output_dim, blk.letter_factors.shape[-1] ** n)
         for t in range(5):
             assert np.array_equal(stack[t], blk.state_for_words(words[t].tolist()))
         with pytest.raises(ValidationError, match=f"expected {ch.s} words of {n} letters"):
@@ -306,10 +310,10 @@ def test_factored_block_states_are_kronecker_products_of_letter_factors():
         n = 2
         blk = block_channel(ch, n)
         words = np.stack([rng.integers(a, size=(4, n)) for a in ch.sender_alphabets], axis=1)
-        factors = blk.state_for_words(words, factored=True)
+        factors = blk.state_for_words(words)
         r = blk.letter_factors.shape[-1]
         assert factors.shape == (4, blk.output_dim, r ** n)
-        states = blk.state_for_words(words)
+        states = word_states(ch, words)
         for t in range(4):
             letters = [tuple(words[t, :, k]) for k in range(n)]
             want = np.kron(blk.letter_factors[letters[0]], blk.letter_factors[letters[1]])
@@ -317,7 +321,20 @@ def test_factored_block_states_are_kronecker_products_of_letter_factors():
             assert np.max(np.abs(factors[t] @ factors[t].conj().T - states[t])) <= 1e-13
         words[1, 0, 0] = -1
         with pytest.raises(ValidationError, match="no state for letter tuple"):
-            blk.state_for_words(words, factored=True)
+            blk.state_for_words(words)
+
+
+@pytest.mark.parametrize("ch", factor_channels())
+def test_word_state_factors_equal_the_dense_oracle(ch):
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        blk = block_channel(ch, n)
+        words = np.stack([rng.integers(a, size=(3, n)) for a in ch.sender_alphabets], axis=1)
+        dense = word_states(ch, words)
+        factors = blk.state_for_words(words)
+        assert np.max(np.abs(factors @ factors.conj().swapaxes(-1, -2) - dense)) <= 1e-13
+        single = blk.state_for_words(words[0].tolist())
+        assert np.max(np.abs(single @ single.conj().T - word_states(ch, words[0]))) <= 1e-13
 
 
 def test_block_channel_respects_cap(monkeypatch):
@@ -359,6 +376,12 @@ def test_make_ensemble_drops_tiny_atoms():
 def test_make_ensemble_rejects_bad_total():
     with pytest.raises(ValidationError):
         make_ensemble((2,), 2, [((0,), 0.7, np.eye(2) / 2)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_make_ensemble_rejects_non_finite_probabilities(bad):
+    with pytest.raises(ValidationError, match="probabilit"):
+        make_ensemble((2,), 1, [((0,), bad, [[1]]), ((1,), 1.0, [[1]])])
 
 
 def test_make_ensemble_rejects_duplicate_labels():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmac import checks, entropy
+from qmac import checks, entropy, region
 from qmac.channel import CqMacChannel, Prior, load_channel
 from qmac.checks import random_density
 from qmac.cli import main
@@ -232,6 +232,11 @@ REGION_CASES = [
      {"mixture": MixtureSpec(((0.5, Prior.uniform((2, 3, 2))),
                               (0.5, Prior((np.array([0.2, 0.8]), np.array([0.1, 0.3, 0.6]),
                                            np.array([1.0, 0.0])))))),
+      "corners": True}),
+    ("qubit-pure-mac", ["--mixture", "0.4*uniform+0.3*1,0;0,1+0.3*0,1;1,0", "--corners"],
+     {"mixture": MixtureSpec(((0.4, UNIFORM), (0.3, Prior((np.array([1.0, 0.0]),
+                                                            np.array([0.0, 1.0])))),
+                              (0.3, Prior((np.array([0.0, 1.0]), np.array([1.0, 0.0])))))),
       "corners": True}),
     ("product", ["--mixture", "1*0.1,0.9;0.5,0.5", "--corners", "--tol", "5e-324"],
      {"mixture": MixtureSpec(((1.0, Prior((np.array([0.1, 0.9]), np.array([0.5, 0.5])))),)),
@@ -480,6 +485,11 @@ CHECK = ["check", "--suite", "entropy", "--trials", "1"]
     ({}, CHECK + ["--seed", "1", "--tol", "nan"], 2),
     ({}, CHECK + ["--seed", "3", "--tol", "1e-300", "--max-reported=-1"], 2),
     ({}, SIM + ["--rates=-1,0.5", "--seed", "1"], 2),
+    ({}, REGION + ["--sweep", "1", "--mixture", "0.5*uniform+0.5*1,0;0,1"], 2),
+    ({}, REGION + ["--prior", "uniform", "--sweep", "1"], 2),
+    ({}, REGION + ["--prior", "uniform", "--mixture", "1*uniform"], 2),
+    ({}, SIM + ["--sizes", "2,2", "--delta", "5", "--seed", "0"], 2),
+    ({}, SIM + ["--sizes", "2,2", "--trials", "5", "--seed", "0"], 2),
 ])
 def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
     for key, value in env.items():
@@ -507,6 +517,15 @@ def test_negative_rates_rejected_zero_rate_kept(capsys):
     assert err.splitlines() == ["error: --rates must be nonnegative, got '0.5,-0.01'"]
     code, out, _ = run(capsys, *SIM, "--rates", "0,0.5", "--seed", "1")
     assert code == 0 and json.loads(out)["sizes"] == [1, 2]
+
+
+def test_mixture_over_the_component_cap_exit_1(monkeypatch, capsys):
+    tables = []
+    monkeypatch.setattr(region, "DEFAULT_MAX_GRID_POINTS", 2)
+    monkeypatch.setattr(entropy, "entropy_tables", lambda *args: tables.append(args))
+    code, out, err = run(capsys, *REGION, "--mixture", "0.4*uniform+0.3*1,0;0,1+0.3*0,1;1,0")
+    assert (code, out, tables) == (1, "", [])
+    assert err.splitlines() == ["error: mixture has 3 components, configured cap is 2"]
 
 
 def one_letter_doc(**fields):

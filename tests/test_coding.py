@@ -19,7 +19,7 @@ from qmac.operators import ValidationError, check_povm, op_sqrt, trace_norm
 from qmac.region import corner_table
 
 from oracles import (average_error_loop, explicit_leak, low_rank_channel, map_error,
-                     sqrt_elements, tender_apply, two_pure_state_pgm_success)
+                     sqrt_elements, tender_apply, two_pure_state_pgm_success, word_states)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -137,14 +137,13 @@ def test_empirical_equals_ensemble_on_full_enumeration():
     n = 2
     books = full_binary_books(n)
     decoder = SequentialDecoder(ch, books, prior)
-    block = block_channel(ch, n)
     words = books[0].words
     for m, rho in decoder.stage_states(0, []):
-        want = sum(block.state_for_words([words[m], w]) for w in words) / len(words)
+        want = sum(word_states(ch, [words[m], w]) for w in words) / len(words)
         assert np.max(np.abs(rho - want)) <= 1e-12
     for prefix in words:
         for m, rho in decoder.stage_states(1, [prefix]):
-            assert np.max(np.abs(rho - block.state_for_words([prefix, words[m]]))) <= 1e-12
+            assert np.max(np.abs(rho - word_states(ch, [prefix, words[m]]))) <= 1e-12
 
 
 # --- pretty-good measurement ---------------------------------------------------------
@@ -370,6 +369,11 @@ def test_disturbance_rejects_bad_spectrum():
         disturbance_check(Z0, np.diag([1.5, 0.0]))
 
 
+def test_disturbance_rejects_certain_failure():
+    with pytest.raises(ValidationError, match="epsilon must be < 1, got 1"):
+        disturbance_check(Z0, np.diag([0.0, 1.0]))
+
+
 def test_tender_bound_check_pgm():
     rng = np.random.default_rng(52)
     for _ in range(50):
@@ -533,9 +537,9 @@ def test_letter_factors_built_once_per_simulation(monkeypatch):
         built.append(self)
         return table.func(self)
 
-    def counted_states(self, *args, **kwargs):
-        calls.append(kwargs)
-        return words_states(self, *args, **kwargs)
+    def counted_states(self, words):
+        calls.append(words)
+        return words_states(self, words)
 
     prop = functools.cached_property(counted_table)
     prop.__set_name__(BlockChannel, "letter_factors")
@@ -546,7 +550,7 @@ def test_letter_factors_built_once_per_simulation(monkeypatch):
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 2, (3, 4), master_seed=5)
     assert average_error(ch, books, prior).messages_evaluated == 12
-    assert calls == [{"factored": True}] * 12
+    assert len(calls) == 12
     assert len(built) == 1
 
 

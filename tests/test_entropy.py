@@ -390,6 +390,13 @@ def test_subadditivity_constant_channels():
     assert abs(check_subadditivity(v, v, q)) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_subadditivity_rejects_non_finite_q(bad):
+    q = np.array([[0.5, bad], [0.25, 0.25]])
+    with pytest.raises(ValidationError, match="not a probability distribution"):
+        check_subadditivity([Z0, Z1], [Z0, Z1], q)
+
+
 # --- error-entropy bound ----------------------------------------------------------------
 
 def test_fano_perfectly_distinguishable():
@@ -422,6 +429,13 @@ def test_fano_mismatched_index_sets():
     e = make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, Z1)])
     with pytest.raises(ValidationError, match="index set"):
         fano_bound_check(e, np.eye(2), [Z0, Z1, np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fano_rejects_non_finite_x_povm(bad):
+    e = make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, Z1)])
+    with pytest.raises(ValidationError, match=r"entries must lie in \[0, 1\]"):
+        fano_bound_check(e, np.array([[1.0, bad], [0.0, 1.0]]), [Z0, Z1])
 
 
 # --- report ------------------------------------------------------------------------------

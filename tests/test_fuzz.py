@@ -230,9 +230,6 @@ def region_argvs(draw) -> list[str]:
         spec = "+".join(f"{w!r}*{prior_spec(draw, senders)}" for w in weights)
         argv.append("--mixture=" + value(draw, st.just(spec), [
             "", "*", "0.5*", "x*uniform", "uniform", "0.5*uniform+", "nan*uniform"]))
-        if draw(st.booleans()):
-            argv.append("--max-mixture-components=" + value(draw, st.integers(1, 3),
-                                                           ["0", "-1", "x"]))
     elif mode == "sweep":
         argv.append("--sweep=" + value(draw, st.integers(1, 4), [
             "0", "-1", "x", "", "1.5", '{"resolution": 2}', '{"resolution": -1}',

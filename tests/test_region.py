@@ -242,13 +242,33 @@ def test_mixture_weight_validation():
             MixtureSpec(((bad, p), (1.0, p)))
 
 
-def test_mixture_component_cap():
-    ch = adder()
+def test_mixture_with_more_components_than_senders():
+    # time sharing over three priors of two senders, one of them repeated
+    # and one weight 0: each bound is the weighted sum of the components'
+    ch = load_channel("qubit-pure-mac")
+    rng = np.random.default_rng(29)
+    p, q = random_prior(rng, ch), random_prior(rng, ch)
+    components = ((0.0, p), (0.6, q), (0.4, p))
+    mixed = mixture_constraints(ch, MixtureSpec(components))
+    for mask in mixed.bounds:
+        want = sum(w * constraint_set(ch, prior).bounds[mask] for w, prior in components)
+        assert abs(mixed.bounds[mask] - want) <= 1e-12
+
+
+def test_mixture_components_capped_like_sweep_priors(monkeypatch):
+    tables = []
+    monkeypatch.setattr(entropy, "entropy_tables", lambda *args: tables.append(args))
     p = Prior.uniform((2, 2))
-    with pytest.raises(ValidationError, match="components"):
-        mixture_constraints(ch, MixtureSpec(((0.4, p), (0.3, p), (0.3, p))))
-    mixture_constraints(ch, MixtureSpec(((0.4, p), (0.3, p), (0.3, p))),
-                        max_components=3)
+    count = config.DEFAULT_MAX_GRID_POINTS + 1
+    with pytest.raises(CapExceeded, match=f"mixture has {count} components, "
+                                          f"configured cap is {count - 1}"):
+        mixture_constraints(adder(), MixtureSpec(((1.0 / count, p),) * count))
+    assert tables == []
+    monkeypatch.undo()
+    monkeypatch.setattr(region, "DEFAULT_MAX_GRID_POINTS", 3)
+    mixture_constraints(adder(), MixtureSpec(((0.5, p), (0.25, p), (0.25, p))))
+    with pytest.raises(CapExceeded):
+        MixtureSpec(((0.25, p),) * 4)
 
 
 # --- sweeps ----------------------------------------------------------------------------
@@ -524,7 +544,7 @@ def test_corner_routes_equal_the_scalar_loop(monkeypatch, s, signed_zeros):
         point_mass = point_mass_prior(ch.sender_alphabets,
                                       [rng.integers(a) for a in ch.sender_alphabets])
         mixed = mixture_constraints(ch, MixtureSpec(((0.5, random_prior(rng, ch)),
-                                                     (0.5, point_mass))), max_components=2)
+                                                     (0.5, point_mass))))
         for prior in (random_prior(rng, ch), point_mass):
             assert (rate_pairs(corner_table(ch, prior).items())
                     == rate_pairs(corner_table_loop(ch, prior).items()))
