@@ -135,6 +135,48 @@ def _table_shape(sender_alphabets: Sequence[int],
     return alphabets, d
 
 
+def _complete_table(states: Mapping, alphabets: tuple[int, ...], d: int) -> np.ndarray | None:
+    """The (a_1, ..., a_s, d, d) array of a mapping whose keys are exactly
+    the letter tuples and whose entries are all d x d, else None."""
+    keys = list(np.ndindex(alphabets))
+    if len(states) != len(keys) or not all(x in states for x in keys):
+        return None
+    mats = [np.asarray(states[x], dtype=complex) for x in keys]
+    if any(m.shape != (d, d) for m in mats):
+        return None
+    return np.stack(mats).reshape(alphabets + (d, d))
+
+
+def _checked_table(states: Mapping, alphabets: tuple[int, ...],
+                   d: int) -> tuple[list[str], np.ndarray | None]:
+    """Every violation of a mapping's state table, each entry checked by
+    `check_density`, in letter-tuple order; with none, the table."""
+    expected = set(np.ndindex(alphabets))
+    problems: list[str] = []
+    checked: dict[tuple[int, ...], np.ndarray] = {}
+    for key in sorted(states):
+        key_t = tuple(int(x) for x in key)
+        if key_t not in expected:
+            problems.append(f"unexpected state for letter tuple {key_t}")
+            continue
+        mat = np.asarray(states[key], dtype=complex)
+        if mat.shape != (d, d):
+            problems.append(f"state {key_t}: shape {mat.shape}, expected ({d}, {d})")
+            continue
+        try:
+            checked[key_t] = ops.check_density(mat, name=f"state {key_t}")
+        except ValidationError as exc:
+            problems.append(str(exc))
+    missing = expected - {tuple(int(x) for x in k) for k in states}
+    problems += [f"missing state {key_t}" for key_t in sorted(missing)]
+    if problems:
+        return problems, None
+    table = np.empty(alphabets + (d, d), dtype=complex)  # complete: no larger than the input
+    for key_t, mat in checked.items():
+        table[key_t] = mat
+    return problems, table
+
+
 @dataclass(frozen=True)
 class CqMacChannel:
     """Complete table of output states, one per joint letter tuple.
@@ -145,6 +187,16 @@ class CqMacChannel:
     or non-PSD states, traces away from 1) is collected into one
     ValidationError, one line each, naming its letter tuple.  `states` is
     then stored as one read-only complex array of that shape.
+
+    A complete, well-shaped table (an array of that shape, or a mapping
+    with exactly the expected keys) is stacked and checked at once by
+    `operators.densities_pass`.  Only when that fails, or the table is
+    incomplete, does the per-state `check_density` loop run; it alone
+    writes the messages, so they and their order do not depend on the
+    stacked check.
+
+    `table_memo` keeps the entropy tables `region.prior_tables` computed
+    for this channel, one per prior.
     """
 
     sender_alphabets: tuple[int, ...]
@@ -155,41 +207,35 @@ class CqMacChannel:
     def __post_init__(self):
         alphabets, d = _table_shape(self.sender_alphabets, self.output_dim)
         states = self.states
-        if not isinstance(states, Mapping):
+        if isinstance(states, Mapping):
+            table = _complete_table(states, alphabets, d)
+        else:
             states = np.asarray(states, dtype=complex)
             if states.shape != alphabets + (d, d):
                 raise ValidationError(
                     f"state table has shape {states.shape}, expected {alphabets + (d, d)}")
-            states = dict(zip(np.ndindex(alphabets), states.reshape(-1, d, d)))
-        expected = set(np.ndindex(alphabets))
-        problems: list[str] = []
-        checked: dict[tuple[int, ...], np.ndarray] = {}
-        for key in sorted(states):
-            key_t = tuple(int(x) for x in key)
-            if key_t not in expected:
-                problems.append(f"unexpected state for letter tuple {key_t}")
-                continue
-            mat = np.asarray(states[key], dtype=complex)
-            if mat.shape != (d, d):
-                problems.append(f"state {key_t}: shape {mat.shape}, expected ({d}, {d})")
-                continue
-            try:
-                checked[key_t] = ops.check_density(mat, name=f"state {key_t}")
-            except ValidationError as exc:
-                problems.append(str(exc))
-        missing = expected - {tuple(int(x) for x in k) for k in states}
-        problems += [f"missing state {key_t}" for key_t in sorted(missing)]
-        if problems:
-            raise ValidationError("\n".join(problems))
-        table = np.empty(alphabets + (d, d), dtype=complex)  # complete: no larger than the input
-        for key_t, mat in checked.items():
-            table[key_t] = mat
+            table = np.array(states, order="C")   # a copy, so the caller cannot change it
+            states = dict(zip(np.ndindex(alphabets), table.reshape(-1, d, d)))
+        if table is None or not ops.densities_pass(table.reshape(-1, d, d)):
+            problems, table = _checked_table(states, alphabets, d)
+            if problems:
+                raise ValidationError("\n".join(problems))
         table.setflags(write=False)
         object.__setattr__(self, "sender_alphabets", alphabets)
         object.__setattr__(self, "output_dim", d)
         object.__setattr__(self, "states", table)
         object.__setattr__(self, "sender_names", tuple(self.sender_names)
                            or tuple(f"S{i + 1}" for i in range(len(alphabets))))
+
+    @functools.cached_property
+    def table_memo(self) -> dict:
+        """Entropy tables of this channel's state, by the prior's per-sender
+        vector bytes (see `region.prior_tables`).
+
+        Held in the instance dict, not in a field, so `eq` and `repr` ignore
+        it; it stays valid because the state array is read-only.
+        """
+        return {}
 
     @property
     def s(self) -> int:
@@ -576,7 +622,8 @@ def channel_from_dict(raw: Mapping) -> CqMacChannel:
         if table == "states":
             pairs = _numbers(entry, (d, d, 2),
                              f"state {key!r}: expected a {d}x{d} matrix of [re, im] pairs")
-            states[_parse_key(key, len(alphabets))] = pairs[..., 0] + 1j * pairs[..., 1]
+            with np.errstate(invalid="ignore"):   # an infinite part: non-finite, rejected
+                states[_parse_key(key, len(alphabets))] = pairs[..., 0] + 1j * pairs[..., 1]
         else:
             vec = _numbers(entry, (d,), f"classical row {key!r}: expected {d} output probabilities")
             states[_parse_key(key, len(alphabets))] = np.diag(vec).astype(complex)

@@ -31,9 +31,9 @@ from .coding import run_simulation, sizes_from_rates
 from .config import CapExceeded, UsageError, chunks
 from .checks import run_suites
 from .operators import ValidationError
-from .region import (MixtureSpec, RatePoint, boundary_sweep, constraint_set,
-                     corners_with_perms, member_corners, mixture_constraints,
-                     prior_tables, upper_boundary_2d)
+from .region import (MixtureSpec, RatePoint, boundary_sweep, check_mixture_size,
+                     constraint_set, corners_with_perms, member_corners,
+                     mixture_constraints, prior_tables, upper_boundary_2d)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -67,9 +67,12 @@ def _parse_prior(spec: str | None, alphabets: tuple[int, ...]) -> Prior:
 
 
 def _parse_mixture(spec: str, alphabets: tuple[int, ...]) -> MixtureSpec:
-    """Mixture syntax: 'w*PRIOR+w*PRIOR', e.g. '0.5*uniform+0.5*1,0;0,1'."""
+    """Mixture syntax: 'w*PRIOR+w*PRIOR', e.g. '0.5*uniform+0.5*1,0;0,1'.
+    The components are counted against the cap before any is parsed."""
+    parts = spec.split("+")
+    check_mixture_size(len(parts))
     components = []
-    for chunk in spec.split("+"):
+    for chunk in parts:
         if "*" not in chunk:
             raise UsageError(f"mixture component {chunk!r} must look like WEIGHT*PRIOR")
         w_str, prior_str = chunk.split("*", 1)

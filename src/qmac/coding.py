@@ -32,6 +32,10 @@ from .config import DEFAULT_MAX_MESSAGES, CapExceeded, chunks
 from .operators import ValidationError
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
+# A stage's eps_bar averages leaks 1 - Tr(rho D), each rounded on a scale of
+# ulps of 1 (2.2e-16); below this floor it is rounding and is reported as 0,
+# so that its sqrt(8 eps) + eps bound (3e-8 at eps = 1.1e-16) is 0 too.
+EPS_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +528,18 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     """Mean decoding error over message tuples, with per-stage gentleness stats.
 
     "exhaustive" enumerates every message tuple (product of codebook sizes
-    capped at 4096); "monte_carlo" samples `trials` tuples (1 to 4096)
-    uniformly using `seed`.  For each stage the report carries the average
-    stage error on undisturbed inputs and the exact average disturbance the
-    gentle measurement inflicts, with its sqrt(8 eps) + eps bound.
+    capped at 4096) and takes no `trials`; "monte_carlo" samples `trials`
+    tuples (1 to 4096) uniformly using `seed`.  For each stage the report
+    carries the average stage error on undisturbed inputs and the exact
+    average disturbance the gentle measurement inflicts, with its
+    sqrt(8 eps) + eps bound; an eps below EPS_FLOOR is reported as 0.
     """
     t0 = time.perf_counter()
     decoder = SequentialDecoder(ch, codebooks, prior)
     sizes = tuple(cb.size for cb in codebooks)
     if mode == "exhaustive":
+        if trials is not None:
+            raise ValidationError("trials= needs monte_carlo mode")
         count = int(np.prod(sizes))
         if count > DEFAULT_MAX_MESSAGES:
             raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
@@ -588,6 +595,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     count = len(msgs)
     stage_success /= count
     stage_eps /= count
+    stage_eps[stage_eps < EPS_FLOOR] = 0.0
     stage_dist /= count
     total_error /= count
     bounds = tuple(float(np.sqrt(8.0 * e) + e) for e in stage_eps)
@@ -596,7 +604,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         sizes=sizes,
         rates=tuple(float(np.log2(L)) / n for L in sizes),
         mode=mode,
-        trials=trials if mode == "monte_carlo" else None,
+        trials=trials,
         master_seed=master_seed,
         codebook_seeds=tuple(cb.seed for cb in codebooks),
         trial_seed=trial_seed,

@@ -52,20 +52,27 @@ def check_hermitian(a, name: str = "operator") -> np.ndarray:
     return a
 
 
+def _psd_shifted(a: np.ndarray) -> np.ndarray:
+    """2 (hermitize(a) + PSD_CLAMP I), of a matrix or of each matrix of a
+    stack: doubling is exact in floating point and saves hermitize's division."""
+    h = a + a.conj().swapaxes(-1, -2)
+    diag = np.arange(h.shape[-1])
+    h[..., diag, diag] += 2 * PSD_CLAMP
+    return h
+
+
 def _negative_eigenvalue(a: np.ndarray) -> float | None:
     """Smallest eigenvalue of hermitize(a) when it is below -PSD_CLAMP, else None.
 
-    A Cholesky factorization of hermitize(a) + PSD_CLAMP * I succeeds exactly
-    when that eigenvalue is above -PSD_CLAMP, up to rounding, at a quarter of
-    the cost of eigvalsh at d=128.  Twice that matrix is factored instead:
-    doubling is exact in floating point and saves hermitize's division.
-    eigvalsh runs only when the factorization fails, so that a rounding
-    disagreement is settled by the eigenvalue and a rejection can report it.
+    A Cholesky factorization of hermitize(a) + PSD_CLAMP * I (as
+    `_psd_shifted`) succeeds exactly when that eigenvalue is above
+    -PSD_CLAMP, up to rounding, at a quarter of the cost of eigvalsh at
+    d=128.  eigvalsh runs only when the factorization fails, so that a
+    rounding disagreement is settled by the eigenvalue and a rejection can
+    report it.
     """
-    h = a + a.conj().T
-    h.flat[:: h.shape[0] + 1] += 2 * PSD_CLAMP
     try:
-        np.linalg.cholesky(h)
+        np.linalg.cholesky(_psd_shifted(a))
         return None
     except np.linalg.LinAlgError:
         w0 = float(np.linalg.eigvalsh(hermitize(a))[0])
@@ -82,6 +89,29 @@ def check_density(rho, name: str = "state") -> np.ndarray:
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError(f"{name} has trace {tr:.12g}, expected 1")
     return rho
+
+
+def densities_pass(stack: np.ndarray) -> bool:
+    """Whether every matrix of a complex (N, d, d) stack passes check_density.
+
+    One test of each kind covers the whole stack: finiteness, the largest
+    Hermitian deviation, one batched Cholesky of the matrices
+    `_negative_eigenvalue` factors, and the traces, each computed as
+    check_density computes it.  False means only that some matrix may fail:
+    a failed factorization is settled by eigvalsh in check_density alone,
+    so a caller runs check_density on each matrix for the verdict and its
+    message.
+    """
+    if not (np.all(np.isfinite(stack.real)) and np.all(np.isfinite(stack.imag))):
+        return False
+    if np.max(np.abs(stack - stack.conj().swapaxes(-1, -2))) > HERMITIAN_TOL:
+        return False
+    try:
+        np.linalg.cholesky(_psd_shifted(stack))
+    except np.linalg.LinAlgError:
+        return False
+    traces = np.trace(stack, axis1=-2, axis2=-1).real
+    return float(np.max(np.abs(traces - 1.0))) <= TRACE_TOL
 
 
 def check_povm(elements: Sequence[np.ndarray], dim: int | None = None,

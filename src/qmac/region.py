@@ -70,19 +70,25 @@ class RateConstraintSet:
             raise ValidationError("bounds must be finite and nonnegative")
 
 
+def check_mixture_size(count: int) -> None:
+    """Refuse a mixture of more than `config.DEFAULT_MAX_GRID_POINTS`
+    components, the prior cap of a sweep."""
+    if count > DEFAULT_MAX_GRID_POINTS:
+        raise CapExceeded(f"mixture has {count} components, "
+                          f"configured cap is {DEFAULT_MAX_GRID_POINTS}")
+
+
 @dataclass(frozen=True)
 class MixtureSpec:
-    """Convex combination of priors for the mixture outer bound: at most
-    `config.DEFAULT_MAX_GRID_POINTS` components, the prior cap of a sweep."""
+    """Convex combination of priors for the mixture outer bound, of at most
+    as many components as `check_mixture_size` allows."""
 
     components: tuple[tuple[float, Prior], ...]
 
     def __post_init__(self):
         if not self.components:
             raise ValidationError("mixture needs at least one component")
-        if len(self.components) > DEFAULT_MAX_GRID_POINTS:
-            raise CapExceeded(f"mixture has {len(self.components)} components, "
-                              f"configured cap is {DEFAULT_MAX_GRID_POINTS}")
+        check_mixture_size(len(self.components))
         weights = [float(w) for w, _ in self.components]
         if not all(math.isfinite(w) and w >= 0 for w in weights):
             raise ValidationError(f"mixture weights must be finite and nonnegative, got {weights}")
@@ -101,13 +107,31 @@ def _sender_tables(ch: CqMacChannel, per_sender: Sequence[np.ndarray]) -> np.nda
 
 
 def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyTable]:
-    """Entropy table of the channel state under each prior, in prior order."""
+    """Entropy table of the channel state under each prior, in prior order.
+
+    Each table is computed once per channel: `ch.table_memo` keeps it under
+    the bytes of the prior's per-sender vectors, and the priors not yet in
+    it, each once however often it repeats, are tabled by one
+    `_sender_tables` call.  A batched row equals the row of a one-prior
+    call bit for bit (the tests check it over random channels), so a table
+    does not depend on which call made it.  The memo lives and dies with
+    the channel; `boundary_sweep` calls `_sender_tables` directly, so a
+    sweep's tables are not kept.  Every call returns fresh lists.
+    """
     for prior in priors:
         if prior.alphabet_sizes != ch.sender_alphabets:
             raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
                                   f"do not match channel {ch.sender_alphabets}")
-    per_sender = [np.array([prior.per_sender[i] for prior in priors]) for i in range(ch.s)]
-    return _sender_tables(ch, per_sender).tolist()
+    memo = ch.table_memo
+    keys = [b"".join(v.tobytes() for v in prior.per_sender) for prior in priors]
+    misses = {key: prior for key, prior in zip(keys, priors) if key not in memo}
+    if misses:
+        per_sender = [np.array([prior.per_sender[i] for prior in misses.values()])
+                      for i in range(ch.s)]
+        tables = _sender_tables(ch, per_sender)
+        tables.setflags(write=False)
+        memo.update(zip(misses, tables))
+    return [memo[key].tolist() for key in keys]
 
 
 def constraint_set(ch: CqMacChannel, prior: Prior | None, *,

@@ -19,8 +19,8 @@ atom state at a time.
 It also holds the API that only tests use: point-mass priors, random
 diagonal channels, random channels of exactly rank-deficient letters, an
 instrument's roots listed in POVM order, writing a channel back to its
-JSON form, and the report of every entropy and conditional mutual
-information of an ensemble.
+JSON form, a recorder of every state a check reads, and the report of
+every entropy and conditional mutual information of an ensemble.
 """
 
 import functools
@@ -376,6 +376,25 @@ def low_rank_channel(rng, alphabets, d, ranks) -> CqMacChannel:
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
         states[letters] = g @ g.conj().T / np.linalg.norm(g) ** 2
     return CqMacChannel(tuple(alphabets), d, states)
+
+
+def count_checked_states(monkeypatch) -> list:
+    """Record every state checked from now on: one entry per `check_density`
+    call, and one per matrix of each stack `densities_pass` checks."""
+    checked = []
+    check_density, densities_pass = ops.check_density, ops.densities_pass
+
+    def one(rho, *args, **kwargs):
+        checked.append(np.array(rho))
+        return check_density(rho, *args, **kwargs)
+
+    def stacked(stack):
+        checked.extend(np.array(stack))
+        return densities_pass(stack)
+
+    monkeypatch.setattr(ops, "check_density", one)
+    monkeypatch.setattr(ops, "densities_pass", stacked)
+    return checked
 
 
 def point_mass_prior(alphabet_sizes, letters) -> Prior:

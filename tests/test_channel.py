@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,9 @@ from qmac.checks import random_channel, random_prior
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
 
-from oracles import (bundled_channel_json, channel_to_dict, low_rank_channel,
-                     point_mass_prior, reduced_channel_loop, save_channel, word_states)
+from oracles import (bundled_channel_json, channel_to_dict, count_checked_states,
+                     low_rank_channel, point_mass_prior, reduced_channel_loop, save_channel,
+                     word_states)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -62,6 +64,53 @@ def test_validate_collects_every_violation():
     assert "state (0, 0)" in text
     assert "state (1, 1)" in text
     assert "missing state (0, 1)" in text
+
+
+def built(states, alphabets=(2, 2), d=2):
+    """(error text, None) or (None, state table bytes) of one channel build."""
+    try:
+        return None, CqMacChannel(alphabets, d, states).states.tobytes()
+    except ValidationError as exc:
+        return str(exc), None
+
+
+def per_state_loop(monkeypatch):
+    """Make the constructor skip the stacked check, as when it fails."""
+    import qmac.operators as ops
+    monkeypatch.setattr(ops, "densities_pass", lambda stack: False)
+
+
+def test_two_bad_states_reported_as_by_the_per_state_loop(monkeypatch):
+    table = qubit_table()
+    table[(0, 1)] = np.diag([0.5, 0.4]).astype(complex)
+    table[(1, 0)] = np.array([[0.5, 0.5], [0.4, 0.5]], dtype=complex)
+    want = ("state (0, 1) has trace 0.9, expected 1\n"
+            "state (1, 0) is not Hermitian (max deviation 1.000e-01)")
+    array = np.array(list(table.values())).reshape(2, 2, 2, 2)   # keys in letter order
+    stacked = built(table), built(array)
+    per_state_loop(monkeypatch)
+    assert stacked == (built(table), built(array)) == ((want, None), (want, None))
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5e-10, 0.99e-10, 1.01e-10, 2e-10, 1e-6])
+@pytest.mark.parametrize("kind", ["eigenvalue", "trace", "hermitian"])
+def test_stacked_check_agrees_with_the_loop_at_the_tolerances(monkeypatch, kind, x):
+    # a state at, inside or past each 1e-10 tolerance, among good states
+    bad = {"eigenvalue": np.diag([1.0 + x, -x]), "trace": np.diag([0.5 + x, 0.5]),
+           "hermitian": np.array([[0.5, 0.25 + x], [0.25, 0.5]])}[kind].astype(complex)
+    table = {**qubit_table(), (1, 1): bad}
+    stacked = built(table)
+    per_state_loop(monkeypatch)
+    assert stacked == built(table)
+    assert (stacked[0] is None) == (x < 1e-10)
+
+
+def test_infinite_imaginary_part_rejected_without_a_warning():
+    doc = {"senders": [{"alphabet": 1}], "output_dim": 1, "states": {"0": [[[1.0, np.inf]]]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"state \(0,\) has non-finite entries"):
+            channel_from_dict(doc)
 
 
 def test_states_stored_as_one_read_only_array():
@@ -138,25 +187,24 @@ def test_channel_state_trusts_the_checked_table(monkeypatch):
     # the constructor checks each state once; channel_state builds the same
     # ensemble as make_ensemble (same floor, same label order) without
     # checking them again, while make_ensemble still checks every kept atom
-    import qmac.operators as ops
-    calls = []
-    real = ops.check_density
-    monkeypatch.setattr(ops, "check_density", lambda *a, **k: calls.append(1) or real(*a, **k))
+    checked = count_checked_states(monkeypatch)
     rng = np.random.default_rng(18)
     for _ in range(10):
         ch = random_channel(rng)
-        assert len(calls) == int(np.prod(ch.sender_alphabets))
+        assert len(checked) == int(np.prod(ch.sender_alphabets))
+        assert all(np.array_equal(rho, ch.states[x])
+                   for rho, x in zip(checked, ch.joint_letters()))
         prior = random_prior(rng, ch)
         vecs = [v.copy() for v in prior.per_sender]
         vecs[0][0] = 0.0   # a dropped atom per trial
         prior = Prior(tuple(v / v.sum() for v in vecs))
-        calls.clear()
+        checked.clear()
         e = channel_state(ch, prior)
-        assert not calls
+        assert not checked
         atoms = [(x, prior.prob(x), ch.states[x]) for x in ch.joint_letters()]
         want = make_ensemble(ch.sender_alphabets, ch.output_dim, atoms)
-        assert len(calls) == len(want.atoms) < len(atoms)
-        calls.clear()
+        assert len(checked) == len(want.atoms) < len(atoms)
+        checked.clear()
         assert (e.label_spaces, e.quantum_dim) == (want.label_spaces, want.quantum_dim)
         assert [(x, p) for x, p, _ in e.atoms] == [(x, p) for x, p, _ in want.atoms]
         assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(e.atoms, want.atoms))

@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qmac import entropy as ent
 from qmac.channel import CqMacChannel, Prior
+from qmac.cli import main
 from qmac.checks import (CheckResult, entropy_suite, random_channel,
                          random_density, random_povm, relabel_channel,
                          run_suites)
@@ -93,3 +95,14 @@ def test_entropy_suite_restricts_each_block_once(monkeypatch):
     assert entropy_suite(30, 0).passed
     pairs = Counter((id(e), sel) for e, sel in calls)
     assert pairs and max(pairs.values()) == 1
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_check_all_output_equals_the_stored_text(capsys, seed):
+    # the stored stdout of `qmac check --suite all --trials 30` at the seed
+    want = (GOLDEN / f"check-all-trials-30-seed-{seed}.txt").read_text(encoding="utf-8")
+    code = main(["check", "--suite", "all", "--trials", "30", "--seed", str(seed)])
+    assert (code, capsys.readouterr().out) == (0, want)

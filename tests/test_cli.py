@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmac import checks, entropy, region
+from qmac import checks, cli, config, entropy, region
 from qmac.channel import CqMacChannel, Prior, load_channel
 from qmac.checks import random_density
 from qmac.cli import main
@@ -526,6 +526,18 @@ def test_mixture_over_the_component_cap_exit_1(monkeypatch, capsys):
     code, out, err = run(capsys, *REGION, "--mixture", "0.4*uniform+0.3*1,0;0,1+0.3*0,1;1,0")
     assert (code, out, tables) == (1, "", [])
     assert err.splitlines() == ["error: mixture has 3 components, configured cap is 2"]
+
+
+def test_mixture_components_counted_before_any_prior_is_parsed(monkeypatch, capsys):
+    parsed = []
+    parse_prior = cli._parse_prior
+    monkeypatch.setattr(cli, "_parse_prior",
+                        lambda *args: parsed.append(args) or parse_prior(*args))
+    count = config.DEFAULT_MAX_GRID_POINTS + 1
+    code, out, err = run(capsys, *REGION, "--mixture", "+".join(["1e-5*uniform"] * count))
+    assert (code, out, parsed) == (1, "", [])
+    assert err.splitlines() == [f"error: mixture has {count} components, "
+                                f"configured cap is {count - 1}"]
 
 
 def one_letter_doc(**fields):

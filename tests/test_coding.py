@@ -710,6 +710,32 @@ def test_exhaustive_cap():
         average_error(ch, books, Prior.uniform((2, 2)))
 
 
+def test_exhaustive_mode_refuses_trials():
+    # the library twin of `simulate --trials` without `--mode mc`
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    with pytest.raises(ValidationError, match=r"^trials= needs monte_carlo mode$"):
+        run_simulation(ch, prior, 2, (2, 2), 1, trials=5)
+    books = codebooks_from_seed(ch, prior, 2, (2, 2), 1)
+    with pytest.raises(ValidationError, match=r"^trials= needs monte_carlo mode$"):
+        average_error(ch, books, prior, mode="exhaustive", trials=5)
+    assert run_simulation(ch, prior, 2, (2, 2), 1).trials is None
+
+
+def test_stage_eps_below_the_rounding_floor_reported_as_zero():
+    # one letter at d = 1 decodes perfectly; the factored accounting leaves
+    # eps at 1.1e-16, whose bound sqrt(8 eps) + eps would read 3e-8
+    rng = np.random.default_rng(100 * 1 + 10 * 1 + 1)   # KERNEL_CASES[0]'s draws
+    ch = random_cq_channel(rng, (1,), 1)
+    prior = Prior(tuple(rng.dirichlet(np.ones(a)) for a in (1,)))
+    books = random_books(rng, (1,), 1, (1,))
+    for report in (average_error(ch, books, prior),
+                   average_error(ch, books, prior, mode="monte_carlo", trials=7, seed=4)):
+        assert report.stage_eps_bar == (0.0,)
+        assert report.stage_disturbance_bound == (0.0,)
+    assert coding.EPS_FLOOR == 1e-14
+
+
 def test_adder_longer_blocks_decode_better():
     ch = load_channel("adder-classical")
     prior = Prior.uniform((2, 2))

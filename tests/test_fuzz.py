@@ -6,7 +6,10 @@ types, booleans, NaN and infinities, ragged rows, dropped or misnamed
 entries, and oversized declared alphabets or output dimensions.  Whatever
 the document, `qmac validate` and `qmac region` must end with exit 0, 1 or 2,
 print at most one stderr line (an `error:` line), emit no warning and never
-raise.
+raise.  The same documents, and valid ones with a few numbers shifted
+around the 1e-10 state tolerances or made non-finite, must build the same
+channel, or fail with the same error text, whether the constructor's
+stacked state check runs or only its per-state loop.
 
 `qmac simulate` argument lists mix small valid values (so each run takes
 milliseconds) with malformed, negative, non-finite and oversized ones; each
@@ -36,12 +39,17 @@ import json
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qmac import operators
+from qmac.channel import ChannelFormatError, channel_from_dict
 from qmac.cli import main
+from qmac.config import CapExceeded
+from qmac.operators import ValidationError
 
 JUNK = st.one_of(
     st.sampled_from([True, False, None, "x", "1", [], {}, [[1]], {"a": 1},
@@ -116,8 +124,7 @@ def mutate(draw, doc: dict) -> None:
                 row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
 
 
-@st.composite
-def channel_docs(draw) -> dict:
+def valid_doc(draw) -> dict:
     alphabets = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -128,8 +135,35 @@ def channel_docs(draw) -> dict:
                             for x in letters}
     else:
         doc["states"] = {letter_key(x): density_pairs(rng, d) for x in letters}
+    return doc
+
+
+@st.composite
+def channel_docs(draw) -> dict:
+    doc = valid_doc(draw)
     for _ in range(draw(st.sampled_from([1, 2, 3, 0]))):   # mostly broken documents
         mutate(draw, doc)
+    return doc
+
+
+# shifts of one number of a valid table, around the state checks' 1e-10 tolerances
+SHIFTS = [0.5e-10, -0.5e-10, 2e-10, -2e-10, 1e-6, -0.5, 3.0,
+          float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def perturbed_docs(draw) -> dict:
+    """A valid channel document with up to three of its numbers shifted
+    (or made non-finite), so that its states fail, or barely pass, the
+    Hermiticity, positivity and trace checks."""
+    doc = valid_doc(draw)
+    table = doc["states"] if "states" in doc else doc["classical"]
+    for _ in range(draw(st.integers(0, 3))):
+        leaf = table[draw(st.sampled_from(sorted(table)))]
+        while isinstance(leaf[0], list):   # a matrix row, then an [re, im] pair
+            leaf = leaf[draw(st.integers(0, len(leaf) - 1))]
+        i = draw(st.integers(0, len(leaf) - 1))
+        leaf[i] += draw(st.sampled_from(SHIFTS))
     return doc
 
 
@@ -154,6 +188,25 @@ def test_any_channel_document_ends_with_one_line(doc):
                 assert len(lines) == (code != 0)
             if command == "region":
                 assert "nan" not in out.getvalue().lower()
+
+
+def built_channel(doc: dict) -> tuple:
+    """(error type, error text) of building the channel of a document, or
+    (None, the bytes of its state table)."""
+    try:
+        ch = channel_from_dict(doc)
+    except (ChannelFormatError, ValidationError, CapExceeded) as exc:
+        return type(exc), str(exc)
+    return None, ch.states.tobytes()
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(doc=st.one_of(channel_docs(), perturbed_docs()))
+def test_stacked_state_check_reports_as_the_per_state_loop(doc):
+    stacked = built_channel(doc)
+    with mock.patch.object(operators, "densities_pass", lambda stack: False):
+        loop = built_channel(doc)
+    assert stacked == loop
 
 
 SENDERS = {"qubit-pure-mac": 2, "adder-classical": 2, "holevo-two-state": 1,

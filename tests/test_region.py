@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmac import config, entropy, operators, region
+from qmac import config, entropy, region
 from qmac.channel import CqMacChannel, Prior, channel_state, load_channel, mask_members
 from qmac.checks import random_channel, random_density, random_prior
 from qmac.config import CapExceeded
@@ -13,13 +13,13 @@ from qmac.operators import ValidationError
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          all_corners, boundary_sweep, constraint_set,
                          corner_from_bounds, corner_table, is_member,
-                         member_corners, mixture_constraints, prior_grid,
+                         member_corners, mixture_constraints, prior_grid, prior_tables,
                          upper_boundary_2d)
 
 from oracles import (classical_bound, classical_corner, classical_joint, corner_table_loop,
-                     corners_loop, dedup_points, hull_member_2d, info_report,
-                     member_corners_loop, point_mass_prior, random_diagonal_channel, signed,
-                     sweep_loop)
+                     corners_loop, count_checked_states, dedup_points, hull_member_2d,
+                     info_report, member_corners_loop, point_mass_prior,
+                     random_diagonal_channel, signed, sweep_loop)
 
 TWO_STATE_CHI = 0.6008760366928562
 
@@ -271,6 +271,64 @@ def test_mixture_components_capped_like_sweep_priors(monkeypatch):
         MixtureSpec(((0.25, p),) * 4)
 
 
+# --- one table per (channel, prior) ----------------------------------------------------
+
+def table_bytes(tables):
+    return [np.array(table).tobytes() for table in tables]
+
+
+def test_memo_tables_equal_one_prior_tables_bit_for_bit():
+    rng = np.random.default_rng(90)
+    for _ in range(40):
+        ch = random_channel(rng, max_senders=4, max_output_dim=5)
+        letters = [int(rng.integers(a)) for a in ch.sender_alphabets]
+        priors = ([random_prior(rng, ch) for _ in range(4)]
+                  + [point_mass_prior(ch.sender_alphabets, letters),
+                     Prior.uniform(ch.sender_alphabets)])
+        # each prior alone, on channels whose memo is empty
+        alone = [table_bytes(prior_tables(CqMacChannel(ch.sender_alphabets, ch.output_dim,
+                                                       ch.states), [p]))[0] for p in priors]
+        batch = prior_tables(CqMacChannel(ch.sender_alphabets, ch.output_dim, ch.states),
+                             priors[::-1])
+        assert table_bytes(batch) == alone[::-1]
+        for _ in range(4):   # any composition and order, repeats included
+            picks = rng.integers(len(priors), size=int(rng.integers(1, 9))).tolist()
+            got = prior_tables(ch, [priors[i] for i in picks])
+            assert table_bytes(got) == [alone[i] for i in picks]
+            got[0][-1][1] = 99.0   # fresh lists: a caller cannot change the memo
+        assert table_bytes(prior_tables(ch, priors)) == alone
+        assert len(ch.table_memo) == len(priors)
+
+
+def test_each_prior_tabled_once_per_channel(monkeypatch):
+    counts = []
+    entropy_tables = entropy.entropy_tables
+    monkeypatch.setattr(entropy, "entropy_tables",
+                        lambda factors, states: counts.append(len(factors[0]))
+                        or entropy_tables(factors, states))
+    rng = np.random.default_rng(91)
+    ch = random_channel(rng)
+    p, q, r = (random_prior(rng, ch) for _ in range(3))
+    constraint_set(ch, p)
+    corner_table(ch, p)
+    all_corners(ch, p)
+    constraint_set(ch, q)
+    for w in (0.0, 1.0, 0.3):
+        mixture_constraints(ch, MixtureSpec(((w, p), (1.0 - w, q))))
+    assert counts == [1, 1]
+    mixture_constraints(ch, MixtureSpec(((0.2, r), (0.3, p), (0.1, r), (0.4, r))))
+    assert counts == [1, 1, 1]   # r once, however often it repeats
+    same = CqMacChannel(ch.sender_alphabets, ch.output_dim, ch.states)
+    constraint_set(same, p)      # the memo belongs to one channel object
+    assert counts == [1, 1, 1, 1]
+
+
+def test_sweep_keeps_no_tables():
+    ch = load_channel("qubit-pure-mac")
+    assert len(boundary_sweep(ch, 4).bounds) == 25
+    assert ch.table_memo == {}
+
+
 # --- sweeps ----------------------------------------------------------------------------
 
 def corner_points(sweep):
@@ -386,15 +444,12 @@ def test_sweep_chunks_match_single_chunk(monkeypatch):
 
 
 def test_sweep_checks_each_state_once(monkeypatch):
-    names = []
-    check_density = operators.check_density
-    monkeypatch.setattr(operators, "check_density",
-                        lambda rho, name="state": names.append(name) or check_density(rho, name))
+    checked = count_checked_states(monkeypatch)
     ch = load_channel("qubit-pure-mac")
-    assert sorted(names) == sorted(f"state {x}" for x in ch.joint_letters())
-    loaded = len(names)
+    assert len(checked) == 4
+    assert all(np.array_equal(rho, ch.states[x]) for rho, x in zip(checked, ch.joint_letters()))
     assert len(boundary_sweep(ch, 4).bounds) == 25
-    assert len(names) == loaded           # the sweep itself checks none
+    assert len(checked) == 4              # the sweep itself checks none
 
 
 @pytest.mark.parametrize("bad, problem", [
@@ -546,6 +601,9 @@ def test_corner_routes_equal_the_scalar_loop(monkeypatch, s, signed_zeros):
         mixed = mixture_constraints(ch, MixtureSpec(((0.5, random_prior(rng, ch)),
                                                      (0.5, point_mass))))
         for prior in (random_prior(rng, ch), point_mass):
+            # the fake tables depend on a prior's place in its batch: each
+            # route below reads the prior's table of a one-prior call
+            ch.table_memo.clear()
             assert (rate_pairs(corner_table(ch, prior).items())
                     == rate_pairs(corner_table_loop(ch, prior).items()))
             assert (signed([point.rates for point in all_corners(ch, prior)])
@@ -555,6 +613,7 @@ def test_corner_routes_equal_the_scalar_loop(monkeypatch, s, signed_zeros):
                     assert (rate_pairs(member_corners(cs, tol))
                             == rate_pairs(member_corners_loop(cs, tol)))
         resolution = 2 if s < 4 else 1   # the grid of point masses at s = 4
+        ch.table_memo.clear()   # so that the loop's batch is the whole grid
         assert sweep_rows(boundary_sweep(ch, resolution)) == loop_rows(ch, resolution)
 
 
