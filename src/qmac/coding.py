@@ -14,11 +14,23 @@ state is a Kronecker product of letter states, so it is F F† with r^n
 columns in F (one on a pure-state channel), and the chain is
 F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
 (`tests/oracles.average_error_loop`) within 1e-12.
+
+From block dimension 64 on, where one operator fills a chunk, every
+instrument, element and root the message tuples read can be built before
+they run, as independent tasks on a pool of threads (`_plan`): one per CPU
+the process may use, divided by the BLAS threads of each call, and no more
+than keep the extra threads' operators within `config.THREAD_BYTES`
+(`_workers`).  With BLAS at its default of one thread per CPU that is one,
+and the decoder is built as below 64.  Only the calling thread keeps the
+results, in plan order.  Each is the same computation on the same operands
+as on one thread, so reports do not depend on the number of threads.
+Smaller decoders are built where the tuples first read them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
@@ -28,7 +40,8 @@ import numpy as np
 from . import operators as ops
 from .channel import (PROB_TOL, CqMacChannel, Prior, block_channel, block_states,
                       reduced_channel)
-from .config import DEFAULT_MAX_MESSAGES, CapExceeded, chunks
+from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
+                     chunks, per_chunk)
 from .operators import ValidationError
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
@@ -451,34 +464,141 @@ class SequentialDecoder:
 
     def stage_instrument(self, stage: int,
                          prefix_words: Sequence[Sequence[int]]) -> TenderInstrument:
+        key = self._key(stage, prefix_words)
+        inst = self._cache.get(key)
+        if inst is None:
+            inst = self._cache[key] = self._instrument(key)
+        return inst
+
+    def _key(self, stage: int, prefix_words: Sequence[Sequence[int]]) -> tuple:
+        """Cache key of the stage's instrument given decoded prefix words."""
         if stage < 0 or stage >= self.channel.s:
             raise ValidationError(f"stage {stage} out of range")
         if len(prefix_words) != stage:
             raise ValidationError(f"stage {stage} needs {stage} prefix words")
-        key = (stage, tuple(tuple(int(x) for x in w) for w in prefix_words))
-        inst = self._cache.get(key)
-        if inst is None:
-            table, letters = self._stage_letters(stage, key[1])
-            povm = pgm_decoder(self.stage_states(stage, key[1]),
-                               rebuild=lambda idx: block_states(table, letters[idx]))
-            inst = TenderInstrument.from_povm(povm)
-            self._cache[key] = inst
-        return inst
+        return (stage, tuple(tuple(int(x) for x in w) for w in prefix_words))
+
+    def _instrument(self, key: tuple) -> TenderInstrument:
+        """The instrument of a cache key, built without reading or writing
+        the cache, so that builds can run at once."""
+        stage, prefix = key
+        table, letters = self._stage_letters(stage, prefix)
+        povm = pgm_decoder(self.stage_states(stage, prefix),
+                           rebuild=lambda idx: block_states(table, letters[idx]))
+        return TenderInstrument.from_povm(povm)
 
 
-def _stage_instruments(decoder: SequentialDecoder, stage: int,
-                       prefixes: list[list[int]]) -> list[TenderInstrument]:
-    """The stage's instrument for each row of decoded prefix messages, looked
-    up once per distinct prefix."""
-    found: dict[tuple[int, ...], TenderInstrument] = {}
+def _prefix_words(decoder: SequentialDecoder, prefix: Sequence[int]) -> list[tuple[int, ...]]:
+    """The words of decoded prefix messages, one per earlier stage."""
+    return [decoder.codebooks[j].words[m] for j, m in enumerate(prefix)]
+
+
+def _reads(decoder: SequentialDecoder, msg: np.ndarray) -> list[tuple[list[Povm], list[int]]]:
+    """Per stage, the POVM each message tuple (row of `msg`) reads and the
+    position of its outcome; each distinct prefix's instrument is looked up
+    once."""
     out = []
-    for prefix in map(tuple, prefixes):
-        inst = found.get(prefix)
-        if inst is None:
-            inst = found[prefix] = decoder.stage_instrument(
-                stage, [decoder.codebooks[j].words[m] for j, m in enumerate(prefix)])
-        out.append(inst)
+    for i in range(decoder.channel.s):
+        found: dict[tuple[int, ...], Povm] = {}
+        povms = []
+        for prefix in map(tuple, msg[:, :i].tolist()):
+            if prefix not in found:
+                found[prefix] = decoder.stage_instrument(i, _prefix_words(decoder, prefix)).povm
+            povms.append(found[prefix])
+        out.append((povms, [povm._position(b) for povm, b in zip(povms, msg[:, i].tolist())]))
     return out
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform (macOS)
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads the BLAS library runs each call on, as its environment sets
+    them; unset, OpenBLAS and MKL take one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            return max(1, int(os.environ[var]))
+        except (KeyError, ValueError):
+            continue
+    return _cpus()
+
+
+def _workers(dim: int) -> int:
+    """Threads that build the decoder of block dimension `dim` at once.
+
+    One, unless one operator fills a chunk; then as many as the CPUs left
+    over by the BLAS threads of each, and no more than keep the operators
+    of all threads beyond the first within THREAD_BYTES.
+    """
+    item = 16 * dim * dim
+    if per_chunk(item) > 1:
+        return 1
+    return max(1, min(_cpus() // _blas_threads(), 1 + THREAD_BYTES // (TASK_OPERATORS * item)))
+
+
+def _element_and_root(item: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Element and root of outcome `i` of a POVM, for `item` = (povm, i, its
+    `_form` rule, its element or None when it is not formed yet): what
+    `_elements` and `_roots` compute for a chunk of one message tuple.
+    Nothing is read from or kept in the POVM, so such tasks can run at once.
+    """
+    _, i, form, element = item
+    if element is None:
+        element = form(np.array([i]))[0]
+    return element, ops.op_sqrt(element[None], hermitian=True)[0]
+
+
+def _keep(item: tuple, out: tuple[np.ndarray, np.ndarray]) -> None:
+    """Keep an `_element_and_root` result in its POVM; a POVM with every
+    element formed drops its rule."""
+    povm, i = item[:2]
+    povm._formed[i], povm._root_cache[i] = out
+    if len(povm._formed) == len(povm._labels):
+        povm._form = None
+
+
+def _plan(decoder: SequentialDecoder, msgs: np.ndarray,
+          rows: Sequence[slice]) -> Iterable[list[tuple[list[Povm], list[int]]]]:
+    """What each chunk `msgs[rows[c]]` of message tuples reads (`_reads`).
+
+    With several `_workers`, everything the chunks read is built first, on
+    a pool of that many threads: each distinct (stage, prefix) instrument,
+    then each distinct element and its root, each alone, as a chunk of one
+    tuple builds them, so each is the same computation on the same
+    operands.  The calling thread stores each result, in order, as it comes
+    in.  At the first failed task in order, the tasks not yet started are
+    cancelled and its error is raised once the pool's threads are joined.
+    With one worker each chunk builds what it reads when it reads it.
+    """
+    workers = _workers(decoder.block.output_dim)
+    if workers == 1:
+        return (_reads(decoder, msgs[r]) for r in rows)
+    from concurrent.futures import ThreadPoolExecutor   # loaded on this path only
+
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            keys = list(dict.fromkeys(
+                decoder._key(i, _prefix_words(decoder, prefix))
+                for i in range(decoder.channel.s)
+                for prefix in dict.fromkeys(map(tuple, msgs[:, :i].tolist()))))
+            for key, inst in zip(keys, pool.map(decoder._instrument, keys)):
+                decoder._cache[key] = inst
+            reads = [_reads(decoder, msgs[r]) for r in rows]
+            pairs = dict.fromkeys(pair for chunk in reads for stage in chunk
+                                  for pair in zip(*stage))
+            items = [(povm, i, povm._form, povm._formed.get(i)) for povm, i in pairs
+                     if i not in povm._root_cache]
+            for item, out in zip(items, pool.map(_element_and_root, items)):
+                _keep(item, out)
+        except BaseException:   # a failed task, or an interrupt while waiting
+            pool.shutdown(cancel_futures=True)
+            raise
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -570,14 +690,13 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     # per-tuple values are then added in tuple order, as one tuple at a time would.
     # Each word state rho = F F† runs as its factor F: the leak is
     # 1 - Re<F, D F>, the branch state is sqrt(D) F, its weight ||sqrt(D) F||^2
-    for rows in chunks(len(msgs), 16 * decoder.block.output_dim ** 2):
-        msg = msgs[rows]
+    rows = list(chunks(len(msgs), 16 * decoder.block.output_dim ** 2))
+    for chunk, reads in zip(rows, _plan(decoder, msgs, rows)):
+        msg = msgs[chunk]
         words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
         f0 = decoder.block.state_for_words(words)
         f = f0
-        for i in range(s):
-            povms = [inst.povm for inst in _stage_instruments(decoder, i, msg[:, :i].tolist())]
-            positions = [povm._position(b) for povm, b in zip(povms, msg[:, i].tolist())]
+        for i, (povms, positions) in enumerate(reads):
             # gentleness accounting on the undisturbed word states
             leak = 1.0 - _inner(f0, _stack(_elements(povms, positions)) @ f0)
             roots = _stack(_roots(povms, positions))

@@ -40,6 +40,14 @@ ENV_MAX_DIM = "QMAC_MAX_DIM"
 # d=4 sweep by about 0.4 MB.
 CHUNK_BYTES = 1 << 16
 
+# Each decoder-building thread beyond the first (`coding._workers`) holds
+# about TASK_OPERATORS more block operators of 16 D^2 bytes (peak resident set
+# at D = 512 and 1024: 18 to 30 MB per thread at 4 MiB an operator, 72 to 77
+# MB at 16 MiB).  Threads are limited so that these stay within THREAD_BYTES
+# whatever the CPU count.
+TASK_OPERATORS = 6
+THREAD_BYTES = 1 << 28
+
 
 class CapExceeded(RuntimeError):
     """A computation would exceed a configured size cap."""
@@ -71,9 +79,15 @@ def require_dim(dim: int, what: str = "matrix") -> None:
         )
 
 
+def per_chunk(item_bytes: int) -> int:
+    """Items of `item_bytes` each in one chunk: as many as fit in CHUNK_BYTES,
+    and at least one."""
+    return max(1, CHUNK_BYTES // item_bytes)
+
+
 def chunks(count: int, item_bytes: int) -> Iterator[slice]:
-    """Consecutive slices of `count` items of `item_bytes` each, as many per
-    slice as fit in CHUNK_BYTES, and at least one."""
-    step = max(1, CHUNK_BYTES // item_bytes)
+    """Consecutive slices of `count` items of `item_bytes` each, `per_chunk`
+    items per slice."""
+    step = per_chunk(item_bytes)
     for lo in range(0, count, step):
         yield slice(lo, lo + step)

@@ -258,7 +258,8 @@ def factor_difference(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     f f† - g g† = Q (R_f R_f† - R_g R_g†) Q† and Q has orthonormal columns,
     so the min(D, 2r)-sided middle has the same nonzero spectrum.
     """
-    rf, rg = np.split(np.linalg.qr(np.concatenate([f, g], axis=-1), mode="r"), 2, axis=-1)
+    r = np.linalg.qr(np.concatenate([f, g], axis=-1), mode="r")
+    rf, rg = r[..., :f.shape[-1]], r[..., f.shape[-1]:]
     return rf @ rf.conj().swapaxes(-1, -2) - rg @ rg.conj().swapaxes(-1, -2)
 
 

@@ -1,11 +1,12 @@
 import json
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from qmac import checks, cli, config, entropy, region
+from qmac import checks, cli, coding, config, entropy, region
 from qmac.channel import CqMacChannel, Prior, load_channel
 from qmac.checks import random_density
 from qmac.cli import main
@@ -346,6 +347,27 @@ def test_simulate_rerun_byte_identical(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_simulate_decoder_task_error_is_one_line(monkeypatch, capsys):
+    # at 64 x 64 blocks the decoder can be built by tasks on a thread pool;
+    # a failed build still ends the command with exit 1 and one line
+    threads = threading.active_count()
+    build, builds = coding.pgm_decoder, []
+
+    def failing_build(*args, **kwargs):
+        builds.append(1)
+        if len(builds) == 2:
+            raise ValidationError("PGM state 0 has negative eigenvalue -1.000e-03\nsecond line")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(coding, "_workers", lambda dim: 2)
+    monkeypatch.setattr(coding, "pgm_decoder", failing_build)
+    code, out, err = run(capsys, "simulate", "--channel", "qubit-pure-mac", "--n", "6",
+                         "--sizes", "3,3", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: PGM state 0 has negative eigenvalue -1.000e-03; second line\n"
+    assert threading.active_count() == threads
 
 
 def test_simulate_rates_and_delta(capsys):

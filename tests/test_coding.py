@@ -2,6 +2,10 @@ import functools
 import gc
 import itertools
 import json
+import os
+import signal
+import threading
+import time
 import types
 
 import numpy as np
@@ -788,3 +792,233 @@ def test_diagonal_pgm_equals_map_on_disjoint_supports():
     success = 0.5 * np.trace(np.diag(qs[0]) @ povm.element(0)).real \
         + 0.5 * np.trace(np.diag(qs[1]) @ povm.element(1)).real
     assert abs((1.0 - success) - map_error(qs, [0.5, 0.5])) <= 1e-9
+
+
+# --- decoder tasks on several threads ---------------------------------------------
+
+def recorded_decoders(monkeypatch) -> list:
+    """Make every SequentialDecoder that average_error builds join the returned list."""
+    decoders = []
+
+    class Recorded(SequentialDecoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            decoders.append(self)
+
+    monkeypatch.setattr(coding, "SequentialDecoder", Recorded)
+    return decoders
+
+
+def stored_bytes(decoder) -> dict:
+    """Bytes of every element and root the decoder keeps, by (key, kind, position)."""
+    out = {}
+    for key, inst in decoder._cache.items():
+        povm = inst.povm
+        out[key, "labels"] = repr(povm._labels).encode()
+        for kind, store in (("element", povm._formed), ("root", povm._root_cache)):
+            for i, m in store.items():
+                out[key, kind, i] = m.tobytes()
+    return out
+
+
+# (channel, block length, codebook sizes): block dimensions 64, 128 and 256
+TASK_CASES = [("qubit-pure-mac", 6, (4, 4)), ("qubit-pure-mac", 7, (4, 3)),
+              ("qubit-pure-mac", 8, (2, 2)), ("mixed", 6, (3, 4)), ("mixed", 7, (3, 2)),
+              ("three-senders", 6, (2, 3, 2))]
+
+
+def recorded_tasks(monkeypatch) -> list:
+    """Make each element-and-root task record the thread it runs on."""
+    threads, task = [], coding._element_and_root
+
+    def recorded(item):
+        threads.append(threading.get_ident())
+        return task(item)
+
+    monkeypatch.setattr(coding, "_element_and_root", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize("kind, n, sizes", TASK_CASES)
+def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, mode):
+    # the threads build the same elements and roots, bit for bit, as one
+    # thread reading the chunks in order, and so the same report
+    rng = np.random.default_rng(70 + n + len(sizes))
+    ch = {"qubit-pure-mac": lambda: load_channel("qubit-pure-mac"),
+          "mixed": lambda: random_cq_channel(rng, (2, 2), 2),
+          "three-senders": lambda: random_cq_channel(rng, (2, 2, 2), 2)}[kind]()
+    prior = Prior(tuple(rng.dirichlet(np.ones(a)) for a in ch.sender_alphabets))
+    books = codebooks_from_seed(ch, prior, n, sizes, master_seed=int(rng.integers(1 << 30)))
+    options = {"mode": mode}
+    if mode == "monte_carlo":
+        options.update(trials=7, seed=int(rng.integers(1 << 30)))
+    assert config.per_chunk(16 * block_channel(ch, n).output_dim ** 2) == 1
+    decoders = recorded_decoders(monkeypatch)
+    tasks = recorded_tasks(monkeypatch)
+    monkeypatch.setattr(coding, "_workers", lambda dim: 1)
+    alone = average_error(ch, books, prior, **options)
+    assert not tasks   # one worker: each chunk builds what it reads
+    monkeypatch.setattr(coding, "_workers", lambda dim: 3)
+    threaded = average_error(ch, books, prior, **options)
+    assert tasks and threading.get_ident() not in tasks
+    assert alone.to_json_dict() == threaded.to_json_dict()
+    one, many = (stored_bytes(d) for d in decoders)
+    assert one == many
+
+
+def test_small_operators_are_built_where_they_are_read(monkeypatch):
+    # below one operator per chunk the plan runs no tasks, on any CPU count
+    monkeypatch.setattr(coding, "_cpus", lambda: 8)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    tasks = recorded_tasks(monkeypatch)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 5, (3, 3), master_seed=2)
+    assert config.per_chunk(16 * 32 ** 2) > 1
+    assert average_error(ch, books, prior).messages_evaluated == 9
+    assert not tasks
+
+
+def test_cpu_count_is_the_affinity_set(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert coding._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert coding._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert coding._cpus() == 1
+
+
+def test_workers_leave_the_cpus_to_blas_threads_and_bound_memory(monkeypatch):
+    # BLAS at its default of one thread per CPU leaves no CPU for helpers
+    monkeypatch.setattr(coding, "_cpus", lambda: 8)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert coding._workers(128) == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert coding._workers(128) == 4
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    assert coding._workers(128) == 8
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert coding._workers(128) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")   # not read by BLAS either
+    assert coding._workers(128) == 8
+    assert coding._workers(32) == 1   # operators below a chunk
+    # helpers hold their operators within THREAD_BYTES at any CPU count
+    monkeypatch.setattr(coding, "_cpus", lambda: 512)
+    for dim in (64, 128, 512, 1024, 2048, 4096):
+        helpers = coding._workers(dim) - 1
+        assert helpers * config.TASK_OPERATORS * 16 * dim ** 2 <= config.THREAD_BYTES
+    assert (coding._workers(1024), coding._workers(2048)) == (3, 1)
+
+
+def stage_one_key(books, m) -> tuple:
+    """Cache key of the stage-1 instrument after sender 1's message m."""
+    return 1, (tuple(int(x) for x in books[0].words[m]),)
+
+
+def test_first_failed_decoder_task_in_order_raises_in_the_caller(monkeypatch):
+    # stage 1's first instrument fails late, its third at once: the error
+    # is the first in plan order, no element task runs after it, and the
+    # pool's threads are gone
+    threads = threading.active_count()
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6, (3, 8), master_seed=4)
+    build = SequentialDecoder._instrument
+
+    def failing(self, key):
+        if key == stage_one_key(books, 0):
+            time.sleep(0.1)
+            raise ValidationError("first in order")
+        if key == stage_one_key(books, 2):
+            raise CapExceeded("first in time")
+        return build(self, key)
+
+    monkeypatch.setattr(SequentialDecoder, "_instrument", failing)
+    monkeypatch.setattr(coding, "_workers", lambda dim: 3)
+    tasks = recorded_tasks(monkeypatch)
+    with pytest.raises(ValidationError, match="^first in order$"):
+        average_error(ch, books, prior)
+    assert not tasks
+    assert threading.active_count() == threads
+
+
+def test_no_decoder_task_starts_after_a_failure_is_raised(monkeypatch):
+    # the first of nine instrument builds fails at once; of the others only
+    # those already taken by the two threads run
+    threads = threading.active_count()
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6, (8, 2), master_seed=4)
+    started = []
+
+    def failing(self, key):
+        started.append(key)
+        if key[0] == 0:
+            raise ValidationError("bad build")
+        time.sleep(0.2)
+        raise CapExceeded("later build")
+
+    monkeypatch.setattr(SequentialDecoder, "_instrument", failing)
+    monkeypatch.setattr(coding, "_workers", lambda dim: 2)
+    with pytest.raises(ValidationError, match="^bad build$"):
+        average_error(ch, books, prior)
+    assert 1 <= len(started) <= 3
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("error", [ValidationError("bad build"), CapExceeded("too big"),
+                                   KeyboardInterrupt()], ids=lambda e: type(e).__name__)
+def test_failed_decoder_task_raises_in_the_caller(monkeypatch, error):
+    # from the third instrument build on, builds fail on the pool's
+    # threads: average_error raises the error, and the threads are gone
+    threads = threading.active_count()
+    build, builds = coding.pgm_decoder, []
+
+    def failing_build(*args, **kwargs):
+        builds.append(1)
+        if len(builds) >= 3:
+            raise error
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(coding, "_workers", lambda dim: 2)
+    monkeypatch.setattr(coding, "pgm_decoder", failing_build)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6, (3, 8), master_seed=4)
+    with pytest.raises(type(error)):
+        average_error(ch, books, prior)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+def test_interrupt_while_waiting_for_decoder_tasks(monkeypatch):
+    # Ctrl-C reaches the calling thread while it waits for the pool (after
+    # the pool has started its threads): the interrupt is raised once the
+    # running builds end, and the threads are gone
+    threads = threading.active_count()
+    main = threading.main_thread().ident
+    build = SequentialDecoder._instrument
+
+    def interrupting(self, key):
+        if key[0] == 0:
+            time.sleep(0.05)
+            signal.pthread_kill(main, signal.SIGINT)
+            time.sleep(0.2)
+        return build(self, key)
+
+    monkeypatch.setattr(SequentialDecoder, "_instrument", interrupting)
+    monkeypatch.setattr(coding, "_workers", lambda dim: 2)
+    tasks = recorded_tasks(monkeypatch)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6, (3, 8), master_seed=4)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            average_error(ch, books, prior)
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert not tasks
+    assert threading.active_count() == threads
