@@ -15,16 +15,13 @@ columns in F (one on a pure-state channel), and the chain is
 F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
 (`tests/oracles.average_error_loop`) within 1e-12.
 
-From block dimension 64 on, where one operator fills a chunk, every
-instrument, element and root the message tuples read can be built before
-they run, as independent tasks on a pool of threads (`_plan`): one per CPU
-the process may use, divided by the BLAS threads of each call, and no more
-than keep the extra threads' operators within `config.THREAD_BYTES`
-(`_workers`).  With BLAS at its default of one thread per CPU that is one,
-and the decoder is built as below 64.  Only the calling thread keeps the
-results, in plan order.  Each is the same computation on the same operands
-as on one thread, so reports do not depend on the number of threads.
-Smaller decoders are built where the tuples first read them.
+Every element and root is made by one kernel, `_element_and_root`, and
+kept in its POVM by `_keep`.  Below block dimension 64 the tuples build
+what they first read, a chunk at a time.  From 64 on, where one operator
+fills a chunk, `_plan` can build all of it first on a pool of `_workers`
+threads: the CPUs BLAS leaves over (none at its default of one thread per
+CPU), within `config.THREAD_BYTES`.  Each task is the kernel on one item,
+as a chunk of one tuple runs it, so reports do not depend on the pool.
 """
 
 from __future__ import annotations
@@ -165,7 +162,7 @@ class Povm:
 
     @property
     def matrices(self) -> list[np.ndarray]:
-        return _elements([self] * len(self._labels), range(len(self._labels)))
+        return _elements(self, range(len(self._labels)))
 
     def _position(self, label: Hashable) -> int | None:
         """Index of the outcome in `elements`, or None when there is none."""
@@ -181,7 +178,7 @@ class Povm:
         return i
 
     def element(self, label: Hashable) -> np.ndarray:
-        return _elements([self], [self._require(label)])[0]
+        return _elements(self, [self._require(label)])[0]
 
 
 @dataclass(frozen=True)
@@ -215,21 +212,57 @@ def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _roots(povms: Sequence[Povm], positions: Sequence[int]) -> list[np.ndarray]:
-    """Root of outcome `positions[t]` of `povms[t]`, for each t.
-
-    Roots not yet kept are computed in one stacked op_sqrt (the POVM
-    checked its elements, or built them as Hermitian) and kept, so each
-    root is computed once, and equals the root computed alone.
-    """
-    todo = {(id(povm), i): (povm, i) for povm, i in zip(povms, positions)
-            if i not in povm._root_cache}
-    if todo:
-        elements = _elements([povm for povm, _ in todo.values()],
-                             [i for _, i in todo.values()])
-        roots = ops.op_sqrt(_stack(elements), hermitian=True)
-        for (povm, i), root in zip(todo.values(), roots):
-            povm._root_cache[i] = root
+    """Root of outcome `positions[t]` of `povms[t]`, for each t.  Those not
+    kept yet are made by one `_element_and_root` call and kept, so each is
+    computed once, and equals the root computed alone."""
+    items = _missing(zip(povms, positions))
+    if items:
+        _keep(items, *_element_and_root(items))
     return [povm._root_cache[i] for povm, i in zip(povms, positions)]
+
+
+def _missing(pairs: Iterable[tuple[Povm, int]]) -> list[tuple]:
+    """`_element_and_root` items of the distinct (POVM, outcome) pairs whose
+    roots are not kept yet, in order."""
+    return [(povm, i, povm._form, povm._formed.get(i))
+            for povm, i in dict.fromkeys(pairs) if i not in povm._root_cache]
+
+
+def _formed(items: Sequence[tuple]) -> list[np.ndarray]:
+    """The element of each item (povm, i, its `_form` rule, its element or
+    None): missing ones are formed in sorted order, one stacked call per POVM
+    and chunk."""
+    missing: dict[Povm, tuple[Callable, list[int]]] = {}
+    for povm, i, form, element in items:
+        if element is None:
+            missing.setdefault(povm, (form, []))[1].append(i)
+    formed = {}
+    for povm, (form, idx) in missing.items():
+        idx = np.array(sorted(idx))
+        for rows in chunks(len(idx), 16 * povm.dim ** 2):
+            formed.update(zip([(povm, i) for i in idx[rows].tolist()], form(idx[rows])))
+    return [formed.get((povm, i), element) for povm, i, _, element in items]
+
+
+def _element_and_root(items: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Elements (`_formed`) and roots of `items`, the roots in one stacked
+    op_sqrt (elements are checked, or formed Hermitian): the decoder's one
+    kernel.  It reads and keeps nothing in a POVM, so calls can run at once;
+    each element and root equals the one computed alone."""
+    elements = _formed(items)
+    stack = elements[0][None] if len(elements) == 1 else np.stack(elements)
+    return elements, ops.op_sqrt(stack, hermitian=True)
+
+
+def _keep(items: Sequence[tuple], elements: Sequence[np.ndarray], roots: Sequence = ()) -> None:
+    """Keep the elements, and any roots, of `items` (POVM and outcome first);
+    a POVM with every element formed drops its rule."""
+    for (povm, i, *_), element in zip(items, elements):
+        povm._formed[i] = element
+        if len(povm._formed) == len(povm._labels):
+            povm._form = None   # nothing is left to form
+    for (povm, i, *_), root in zip(items, roots):
+        povm._root_cache[i] = root
 
 
 FAIL = None  # outcome label of the PGM's residual (off-support) element
@@ -251,26 +284,15 @@ def _state_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
     return w
 
 
-def _elements(povms: Sequence[Povm], positions: Iterable[int]) -> list[np.ndarray]:
-    """Element of outcome `positions[t]` of `povms[t]`, for each t.
-
-    Elements not yet formed (a PGM's candidates) are formed by the POVM's
-    `_form` in one stacked call per POVM and chunk and kept, so each is
-    formed once, and equals the element formed with all of its POVM's
-    others.  Once all are formed, the rule is dropped.
-    """
+def _elements(povm: Povm, positions: Iterable[int]) -> list[np.ndarray]:
+    """Element of each outcome in `positions` of the POVM.  Those not formed
+    yet (a PGM's candidates) are formed together (`_formed`) and kept, so
+    each is formed once, and equals the element formed with all others."""
     positions = list(positions)
-    todo: dict[int, tuple[Povm, dict[int, None]]] = {}
-    for povm, i in zip(povms, positions):
-        if i not in povm._formed:
-            todo.setdefault(id(povm), (povm, {}))[1][i] = None
-    for povm, wanted in todo.values():
-        idx = np.array(sorted(wanted))
-        for rows in chunks(len(idx), 16 * povm.dim ** 2):
-            povm._formed.update(zip(idx[rows].tolist(), povm._form(idx[rows])))
-        if len(povm._formed) == len(povm._labels):
-            povm._form = None   # nothing is left to form
-    return [povm._formed[i] for povm, i in zip(povms, positions)]
+    items = [(povm, i, povm._form, None) for i in dict.fromkeys(positions)
+             if i not in povm._formed]
+    _keep(items, _formed(items))
+    return [povm._formed[i] for i in positions]
 
 
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
@@ -390,7 +412,7 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     labels = [a for a, _ in states]
     rhos = np.stack([ops.check_density(rho, name=f"state {a!r}") for a, rho in states])
     positions = [inst.povm._require(a) for a in labels]
-    leak = 1.0 - _trace(rhos @ np.stack(_elements([inst.povm] * len(labels), positions)))
+    leak = 1.0 - _trace(rhos @ np.stack(_elements(inst.povm, positions)))
     roots = np.stack(_roots([inst.povm] * len(labels), positions))
     eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos - roots @ rhos @ roots,
                                                                   leak))
@@ -499,12 +521,10 @@ def _reads(decoder: SequentialDecoder, msg: np.ndarray) -> list[tuple[list[Povm]
     once."""
     out = []
     for i in range(decoder.channel.s):
-        found: dict[tuple[int, ...], Povm] = {}
-        povms = []
-        for prefix in map(tuple, msg[:, :i].tolist()):
-            if prefix not in found:
-                found[prefix] = decoder.stage_instrument(i, _prefix_words(decoder, prefix)).povm
-            povms.append(found[prefix])
+        prefixes = list(map(tuple, msg[:, :i].tolist()))
+        found = {prefix: decoder.stage_instrument(i, _prefix_words(decoder, prefix)).povm
+                 for prefix in dict.fromkeys(prefixes)}
+        povms = [found[prefix] for prefix in prefixes]
         out.append((povms, [povm._position(b) for povm, b in zip(povms, msg[:, i].tolist())]))
     return out
 
@@ -518,12 +538,13 @@ def _cpus() -> int:
 
 
 def _blas_threads() -> int:
-    """Threads the BLAS library runs each call on, as its environment sets
-    them; unset, OpenBLAS and MKL take one per CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    """Threads OpenBLAS runs each call on: the first of the variables it
+    reads, in its order, that holds a positive integer, else one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
-            return max(1, int(os.environ[var]))
-        except (KeyError, ValueError):
+            if (threads := int(os.environ.get(var, ""))) > 0:
+                return threads
+        except ValueError:   # unset, or not a number
             continue
     return _cpus()
 
@@ -541,39 +562,17 @@ def _workers(dim: int) -> int:
     return max(1, min(_cpus() // _blas_threads(), 1 + THREAD_BYTES // (TASK_OPERATORS * item)))
 
 
-def _element_and_root(item: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Element and root of outcome `i` of a POVM, for `item` = (povm, i, its
-    `_form` rule, its element or None when it is not formed yet): what
-    `_elements` and `_roots` compute for a chunk of one message tuple.
-    Nothing is read from or kept in the POVM, so such tasks can run at once.
-    """
-    _, i, form, element = item
-    if element is None:
-        element = form(np.array([i]))[0]
-    return element, ops.op_sqrt(element[None], hermitian=True)[0]
-
-
-def _keep(item: tuple, out: tuple[np.ndarray, np.ndarray]) -> None:
-    """Keep an `_element_and_root` result in its POVM; a POVM with every
-    element formed drops its rule."""
-    povm, i = item[:2]
-    povm._formed[i], povm._root_cache[i] = out
-    if len(povm._formed) == len(povm._labels):
-        povm._form = None
-
-
 def _plan(decoder: SequentialDecoder, msgs: np.ndarray,
           rows: Sequence[slice]) -> Iterable[list[tuple[list[Povm], list[int]]]]:
     """What each chunk `msgs[rows[c]]` of message tuples reads (`_reads`).
 
-    With several `_workers`, everything the chunks read is built first, on
-    a pool of that many threads: each distinct (stage, prefix) instrument,
-    then each distinct element and its root, each alone, as a chunk of one
-    tuple builds them, so each is the same computation on the same
-    operands.  The calling thread stores each result, in order, as it comes
-    in.  At the first failed task in order, the tasks not yet started are
-    cancelled and its error is raised once the pool's threads are joined.
-    With one worker each chunk builds what it reads when it reads it.
+    With one worker each chunk builds what it reads when it reads it.  With
+    several, everything the chunks read is built first, on a pool of that
+    many threads: each distinct (stage, prefix) instrument, then each
+    missing element and root, by the kernel on one item.  The calling
+    thread keeps each result, in order, as it comes in.  At the first failed
+    task in order, the tasks not yet started are cancelled and its error is
+    raised once the pool's threads are joined.
     """
     workers = _workers(decoder.block.output_dim)
     if workers == 1:
@@ -589,12 +588,9 @@ def _plan(decoder: SequentialDecoder, msgs: np.ndarray,
             for key, inst in zip(keys, pool.map(decoder._instrument, keys)):
                 decoder._cache[key] = inst
             reads = [_reads(decoder, msgs[r]) for r in rows]
-            pairs = dict.fromkeys(pair for chunk in reads for stage in chunk
-                                  for pair in zip(*stage))
-            items = [(povm, i, povm._form, povm._formed.get(i)) for povm, i in pairs
-                     if i not in povm._root_cache]
-            for item, out in zip(items, pool.map(_element_and_root, items)):
-                _keep(item, out)
+            items = _missing(pair for chunk in reads for stage in chunk for pair in zip(*stage))
+            for item, out in zip(items, pool.map(lambda item: _element_and_root([item]), items)):
+                _keep([item], *out)
         except BaseException:   # a failed task, or an interrupt while waiting
             pool.shutdown(cancel_futures=True)
             raise
@@ -697,9 +693,10 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         f0 = decoder.block.state_for_words(words)
         f = f0
         for i, (povms, positions) in enumerate(reads):
+            kept = _roots(povms, positions)   # keeps each element beside its root
             # gentleness accounting on the undisturbed word states
-            leak = 1.0 - _inner(f0, _stack(_elements(povms, positions)) @ f0)
-            roots = _stack(_roots(povms, positions))
+            leak = 1.0 - _inner(f0, _stack([p._formed[b] for p, b in zip(povms, positions)]) @ f0)
+            roots = _stack(kept)
             g = roots @ f0
             eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
             f = g if f is f0 else roots @ f

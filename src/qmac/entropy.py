@@ -259,7 +259,8 @@ def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -
     """Slack I(A1 A2 ^ Z1 Z2) - I(A1 ^ Z1) - I(A2 ^ Z2) in bits.
 
     Built on the joint ensemble that pairs letter (a1, a2) with the product
-    state V1_a1 (x) V2_a2 under the joint distribution q.  The slack is
+    state V1_a1 (x) V2_a2 under the joint distribution q; each factor is
+    checked once, in its marginal ensemble, and no product.  The slack is
     always <= 0 up to numerics (mutual information is subadditive across
     independent channels); callers assert `slack <= 1e-9`.
     """
@@ -272,17 +273,18 @@ def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -
         raise ValidationError("q is not a probability distribution")
     d1 = np.asarray(v1[0]).shape[0]
     d2 = np.asarray(v2[0]).shape[0]
-    joint = make_ensemble(
-        (len(v1), len(v2)), d1 * d2,
-        (((a1, a2), q[a1, a2], ops.tensor(v1[a1], v2[a2]))
-         for a1 in range(len(v1)) for a2 in range(len(v2))),
-    )
-    e1 = make_ensemble((len(v1),), d1,
-                       (((a1,), q[a1].sum(), np.asarray(v1[a1], dtype=complex))
-                        for a1 in range(len(v1))))
-    e2 = make_ensemble((len(v2),), d2,
-                       (((a2,), q[:, a2].sum(), np.asarray(v2[a2], dtype=complex))
-                        for a2 in range(len(v2))))
+    e1 = make_ensemble((len(v1),), d1, (((a1,), q[a1].sum(), v1[a1]) for a1 in range(len(v1))))
+    e2 = make_ensemble((len(v2),), d2, (((a2,), q[:, a2].sum(), v2[a2]) for a2 in range(len(v2))))
+    # products of checked factors are states, so the joint ensemble is built as
+    # channel_state builds its own; a kept atom's factors have kept marginals
+    factors = [{a: rho for (a,), _, rho in e.atoms} for e in (e1, e2)]
+    atoms = []
+    for (a1, a2), p in np.ndenumerate(q):
+        if p >= ATOM_FLOOR:
+            rho = np.kron(factors[0][a1], factors[1][a2])
+            rho.setflags(write=False)
+            atoms.append(((a1, a2), float(p), rho))
+    joint = CqEnsemble((len(v1), len(v2)), d1 * d2, tuple(atoms))
     i_joint = mutual_information(joint, (0, 1))
     i_1 = mutual_information(e1, (0,))
     i_2 = mutual_information(e2, (0,))

@@ -324,6 +324,18 @@ def test_simulator_roots_each_computed_once_in_stacks(monkeypatch):
     assert not computed   # every root read above was the simulator's
 
 
+def test_outcomes_sharing_one_element_array_get_their_roots():
+    # a POVM built with one array object for two outcomes: one stacked root
+    # call serves both, and each gets the root of its element
+    half = np.eye(2, dtype=complex) / 2
+    inst = TenderInstrument(Povm(2, [(0, half), (1, half)]))
+    states = [(0, np.eye(2, dtype=complex) / 2), (1, Z0)]
+    check = tender_bound_check(states, inst)
+    assert [row[0] for row in check.per_state] == [0, 1]
+    for b in (0, 1):
+        assert np.array_equal(inst.sqrt_element(b), op_sqrt(half))
+
+
 def test_identity_leak_equals_explicit_sum():
     rng = np.random.default_rng(54)
     for _ in range(40):
@@ -583,11 +595,10 @@ def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
     ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 3, (16, 16), master_seed=5)
-    lookup, build = coding._elements, coding.pgm_decoder
+    lookup, build = coding._roots, coding.pgm_decoder
     read, formed = {}, []
 
     def recorded_lookup(povms, positions):
-        positions = list(positions)
         read.update(((id(p), i), p) for p, i in zip(povms, positions))
         return lookup(povms, positions)
 
@@ -602,7 +613,7 @@ def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
         povm._form = counted_form
         return povm
 
-    monkeypatch.setattr(coding, "_elements", recorded_lookup)
+    monkeypatch.setattr(coding, "_roots", recorded_lookup)
     monkeypatch.setattr(coding, "pgm_decoder", counted_build)
     average_error(ch, books, prior, mode="monte_carlo", trials=6, seed=3)
     instruments = {id(p) for p in read.values()}
@@ -821,19 +832,22 @@ def stored_bytes(decoder) -> dict:
     return out
 
 
-# (channel, block length, codebook sizes): block dimensions 64, 128 and 256
+# (channel, block length, codebook sizes): block dimensions 64, 128 and 256,
+# where a chunk holds one tuple, then 16 and 32, where it holds several
 TASK_CASES = [("qubit-pure-mac", 6, (4, 4)), ("qubit-pure-mac", 7, (4, 3)),
               ("qubit-pure-mac", 8, (2, 2)), ("mixed", 6, (3, 4)), ("mixed", 7, (3, 2)),
-              ("three-senders", 6, (2, 3, 2))]
+              ("three-senders", 6, (2, 3, 2)),
+              ("qubit-pure-mac", 4, (4, 4)), ("qubit-pure-mac", 5, (4, 3)),
+              ("mixed", 4, (3, 4)), ("three-senders", 5, (2, 3, 2))]
 
 
 def recorded_tasks(monkeypatch) -> list:
-    """Make each element-and-root task record the thread it runs on."""
+    """Make each element-and-root kernel call record the thread it runs on."""
     threads, task = [], coding._element_and_root
 
-    def recorded(item):
+    def recorded(items):
         threads.append(threading.get_ident())
-        return task(item)
+        return task(items)
 
     monkeypatch.setattr(coding, "_element_and_root", recorded)
     return threads
@@ -843,7 +857,8 @@ def recorded_tasks(monkeypatch) -> list:
 @pytest.mark.parametrize("kind, n, sizes", TASK_CASES)
 def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, mode):
     # the threads build the same elements and roots, bit for bit, as one
-    # thread reading the chunks in order, and so the same report
+    # thread reading the chunks in order, and so the same report: both
+    # schedules run the one kernel, alone or on a chunk's stack
     rng = np.random.default_rng(70 + n + len(sizes))
     ch = {"qubit-pure-mac": lambda: load_channel("qubit-pure-mac"),
           "mixed": lambda: random_cq_channel(rng, (2, 2), 2),
@@ -853,12 +868,13 @@ def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, 
     options = {"mode": mode}
     if mode == "monte_carlo":
         options.update(trials=7, seed=int(rng.integers(1 << 30)))
-    assert config.per_chunk(16 * block_channel(ch, n).output_dim ** 2) == 1
     decoders = recorded_decoders(monkeypatch)
     tasks = recorded_tasks(monkeypatch)
     monkeypatch.setattr(coding, "_workers", lambda dim: 1)
     alone = average_error(ch, books, prior, **options)
-    assert not tasks   # one worker: each chunk builds what it reads
+    # one worker: each chunk builds what it reads, on the calling thread
+    assert tasks and set(tasks) == {threading.get_ident()}
+    tasks.clear()
     monkeypatch.setattr(coding, "_workers", lambda dim: 3)
     threaded = average_error(ch, books, prior, **options)
     assert tasks and threading.get_ident() not in tasks
@@ -868,7 +884,8 @@ def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, 
 
 
 def test_small_operators_are_built_where_they_are_read(monkeypatch):
-    # below one operator per chunk the plan runs no tasks, on any CPU count
+    # below one operator per chunk the plan starts no pool, on any CPU count:
+    # every kernel call runs on the calling thread
     monkeypatch.setattr(coding, "_cpus", lambda: 8)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     tasks = recorded_tasks(monkeypatch)
@@ -877,7 +894,7 @@ def test_small_operators_are_built_where_they_are_read(monkeypatch):
     books = codebooks_from_seed(ch, prior, 5, (3, 3), master_seed=2)
     assert config.per_chunk(16 * 32 ** 2) > 1
     assert average_error(ch, books, prior).messages_evaluated == 9
-    assert not tasks
+    assert tasks and set(tasks) == {threading.get_ident()}
 
 
 def test_cpu_count_is_the_affinity_set(monkeypatch):
@@ -890,19 +907,32 @@ def test_cpu_count_is_the_affinity_set(monkeypatch):
 
 
 def test_workers_leave_the_cpus_to_blas_threads_and_bound_memory(monkeypatch):
-    # BLAS at its default of one thread per CPU leaves no CPU for helpers
+    # BLAS at its default of one thread per CPU leaves no CPU for helpers;
+    # OpenBLAS reads OPENBLAS_, then GOTO_, then OMP_NUM_THREADS, and a
+    # variable counts only when it holds a positive integer
     monkeypatch.setattr(coding, "_cpus", lambda: 8)
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
+    assert coding._workers(128) == 1
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")   # not read by OpenBLAS
     assert coding._workers(128) == 1
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert coding._workers(128) == 4
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    monkeypatch.setenv("GOTO_NUM_THREADS", "1")
     assert coding._workers(128) == 8
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
     assert coding._workers(128) == 1
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "many")   # not read by BLAS either
+    for unread in ("many", "0", "-2"):   # OpenBLAS reads on, to GOTO_NUM_THREADS
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", unread)
+        assert coding._workers(128) == 8
+    monkeypatch.delenv("GOTO_NUM_THREADS")
+    assert coding._workers(128) == 4   # and on to OMP_NUM_THREADS
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
     assert coding._workers(128) == 8
+    monkeypatch.setenv("OMP_NUM_THREADS", "0")
+    assert coding._workers(128) == 1   # none counts: one BLAS thread per CPU
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert coding._workers(32) == 1   # operators below a chunk
     # helpers hold their operators within THREAD_BYTES at any CPU count
     monkeypatch.setattr(coding, "_cpus", lambda: 512)

@@ -15,8 +15,8 @@ from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
 from qmac.operators import ValidationError
 from qmac.region import constraint_set
 
-from oracles import (classical_bound, classical_joint, info_report, shannon,
-                     state_entropy_loop, two_pure_state_chi)
+from oracles import (classical_bound, classical_joint, count_checked_states, info_report,
+                     shannon, state_entropy_loop, two_pure_state_chi)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -388,6 +388,31 @@ def test_subadditivity_constant_channels():
     v = [np.eye(2) / 2, np.eye(2) / 2]
     q = np.full((2, 2), 0.25)
     assert abs(check_subadditivity(v, v, q)) <= 1e-12
+
+
+def test_subadditivity_checks_each_factor_once_and_no_product(monkeypatch):
+    # the factors are checked once each, in letter order, and the products
+    # not at all; the slack equals the one computed from ensembles that
+    # make_ensemble checks atom by atom.  Sender 1's last letter has
+    # probability 0, so neither it nor its products are read
+    rng = np.random.default_rng(84)
+    v1 = [random_density(rng, 2) for _ in range(2)] + [np.full((2, 2), np.nan)]
+    v2 = [random_density(rng, 3) for _ in range(3)]
+    q = np.zeros((3, 3))
+    q[:2] = rng.dirichlet(np.ones(6)).reshape(2, 3)
+    joint = make_ensemble((3, 3), 6, (((a1, a2), q[a1, a2], np.kron(v1[a1], v2[a2]))
+                                      for a1 in range(3) for a2 in range(3)))
+    e1 = make_ensemble((3,), 2, (((a,), q[a].sum(), v1[a]) for a in range(3)))
+    e2 = make_ensemble((3,), 3, (((a,), q[:, a].sum(), v2[a]) for a in range(3)))
+    slack = (mutual_information(joint, (0, 1)) - mutual_information(e1, (0,))
+             - mutual_information(e2, (0,)))
+    checked = count_checked_states(monkeypatch)
+    assert check_subadditivity(v1, v2, q) == slack
+    assert len(checked) == 5
+    assert all(np.array_equal(c, v) for c, v in zip(checked, v1[:2] + v2))
+    bad = v2[:2] + [np.diag([1.2, -0.1, -0.1]).astype(complex)]
+    with pytest.raises(ValidationError, match=r"atom \(2,\) has negative eigenvalue"):
+        check_subadditivity(v1, bad, q)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
