@@ -393,7 +393,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", default=None, metavar="RES",
                    help="sweep all product priors with numerators summing to RES "
                         "(an integer or '{\"resolution\": RES}')")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="read by --mixture --corners only: corners must lie in the mixture "
+                        "region within TOL, and a corner within TOL of an earlier one is "
+                        "dropped; single-prior and sweep corners are deduplicated within a "
+                        "fixed 1e-9 (region.CORNER_DEDUP_TOL)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_region)

@@ -3,10 +3,12 @@
 `entropy_tables` is the one entropy table: for a stack of label
 distributions sharing one table of states it returns H of every (label
 subset, with or without the quantum part) block, by the block formula
-H = H_Shannon(group masses) + sum_g p(g) S(state_g), with every conditional
-state of a batch formed by one einsum per label subset and diagonalized by
-one batched eigvalsh.  Every conditional mutual information is a signed sum
-of table entries (`table_mi`).  `restrict`, `subsystem_entropy` and
+H = H_Shannon(group masses) + sum_g p(g) S(state_g).  A conditional state
+depends only on the weights of the labels it averages over, so per label
+subset each is formed and diagonalized once per distinct such weights, by
+one einsum and one batched eigvalsh per chunk, and ensembles that share
+them share its entropy.  Every conditional mutual information is a signed
+sum of table entries (`table_mi`).  `restrict`, `subsystem_entropy` and
 `mutual_information` (two entropy identities, which must agree) are the
 per-block oracle path, with a dense-matrix oracle (expand, partial-trace,
 diagonalize) beside them.  The per-block path computes each block of an
@@ -148,38 +150,88 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
     when q == 1.  Entry [0][0], the empty block, is 0, so that
     chain-rule differences need no special case.
 
-    As in `restrict`, labels below 1e-15 are dropped, a group's mass is the
-    sum of its labels' weights, and its state is the weighted average of
-    theirs, hermitized.  Each chunk of ensembles (`config.chunks`) costs one
-    einsum and one batched eigvalsh per mask; its weights and conditional
-    states are formed per chunk.
+    A group's mass is the sum of its labels' full weights, labels below
+    1e-15 dropped as in `restrict`, so a group below that floor has mass 0.
+    A group's state depends only on the factors that average, those with a
+    broadcast axis outside `mask`; the others are constant over the averaged
+    labels and cancel.  It is the average of its labels' (hermitized)
+    states under the product of the averaging factors, a label left out
+    when that averaging weight is below ATOM_FLOOR = 1e-15.  So each mask
+    forms and diagonalizes the group states once per distinct key, the
+    bytes of an ensemble's averaging factor rows (as `region.prior_tables`
+    keys its memo), and ensemble p adds sum_g mass_pg S[key_p, g].  At the
+    full mask no factor averages: the group states are the letter states,
+    one stack for every ensemble.  Group states are formed in chunks of
+    keys, masses and Shannon parts in chunks of ensembles (`config.chunks`),
+    and a row does not depend on the other ensembles of the stack.
     """
     num = factors[0].shape[0]
     spaces = states.shape[:-2]
     s, d = len(spaces), states.shape[-1]
     labels = list(range(1, s + 1))
+    item = 16 * d * d * int(np.prod(spaces))
+    kept = [[ax for ax in labels if mask >> (ax - 1) & 1] for mask in range(1 << s)]
+    summed = [tuple(ax for ax in labels if ax not in k) for k in kept]
     table = np.zeros((num, 1 << s, 2))
-    for rows in chunks(num, 16 * d * d * int(np.prod(spaces))):
+    group_h = [None] * (1 << s)
+    if d > 1 and num:   # a one-dimensional quantum part adds no entropy
+        states = ops.hermitize(states)   # so every group state is Hermitian
+        axes = [sum(1 << (ax - 1) for ax in labels if f.shape[ax] > 1) for f in factors]
+        row_bytes = []
+        for f in factors:
+            raw = f.tobytes()
+            size = len(raw) // num
+            row_bytes.append([raw[at:at + size] for at in range(0, len(raw), size)])
+        group_h = [_group_entropies([i for i, a in enumerate(axes) if a & ~mask], factors,
+                                    row_bytes, states, kept[mask], summed[mask], item)
+                   for mask in range(1 << s)]
+    for rows in chunks(num, item):
         w = functools.reduce(np.multiply, (f[rows] for f in factors))
         w = np.where(w >= ATOM_FLOOR, w, 0.0)
-        for mask in range(1 << s):
-            kept = [1 + i for i in range(s) if mask >> i & 1]
-            mass = w.sum(axis=tuple(ax for ax in labels if ax not in kept))
-            flat = mass.reshape(len(w), -1)
+        for mask, by_key in enumerate(group_h):
+            flat = w.sum(axis=summed[mask]).reshape(len(w), -1)
             h = shannon_bits(flat)
-            table[rows, mask, 1] = h
             if mask:
                 table[rows, mask, 0] = h
-            if d == 1:  # a one-dimensional quantum part adds no entropy
-                continue
-            blocks = np.einsum(w, [0, *labels], states, [*labels, s + 1, s + 2],
-                               [0, *kept, s + 1, s + 2])
-            live = flat >= ATOM_FLOOR
-            blocks = blocks.reshape(-1, d, d) / np.where(live, flat, 1.0).reshape(-1, 1, 1)
-            spectra = np.linalg.eigvalsh(ops.hermitize(blocks))
-            block_h = shannon_bits(spectra).reshape(flat.shape)
-            table[rows, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
+            if by_key is not None:   # a group below the floor has mass 0 and adds 0
+                key_h, key_of = by_key
+                mine = key_h[rows] if key_of is None else key_h[key_of[rows]]
+                h = h + (flat * mine).sum(axis=1)
+            table[rows, mask, 1] = h
     return table
+
+
+def _group_entropies(averaging: list[int], factors: Sequence[np.ndarray],
+                     row_bytes: list[list[bytes]], states: np.ndarray, kept: list[int],
+                     summed: tuple[int, ...], item: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """For the label axes `kept` of `entropy_tables`, the axes `summed`
+    averaged by the factors numbered `averaging`: the entropy of each group
+    state per distinct key, shape (keys, groups), and each ensemble's key
+    index, shape (P,), or None when no two ensembles share a key and key p
+    is ensemble p.  `row_bytes[i][p]` is the bytes of row p of `factors[i]`."""
+    num = len(row_bytes[0])
+    keys = list(zip(*(row_bytes[i] for i in averaging))) or [()] * num
+    last = dict(zip(keys, range(num)))   # each key's last ensemble, keys in first-seen order
+    members = list(last.values())
+    key_of = None
+    if len(members) < num:
+        key_of = np.array(list(map(dict(zip(last, range(len(members)))).__getitem__, keys)))
+    if not averaging:   # the group states are the letter states
+        return shannon_bits(np.linalg.eigvalsh(states)).reshape(1, -1), key_of
+    s = states.ndim - 2
+    labels = list(range(1, s + 1))
+    key_h = []
+    for part in chunks(len(members), item):
+        pick = part if key_of is None else members[part]
+        u = functools.reduce(np.multiply, (factors[i][pick] for i in averaging))
+        u = np.where(u >= ATOM_FLOOR, u, 0.0)
+        # a group's averaging mass is 0 or at least ATOM_FLOOR: the maximum
+        # only keeps an empty group's zero weights from dividing by 0
+        u = u / np.maximum(u.sum(axis=summed, keepdims=True), ATOM_FLOOR)
+        blocks = np.einsum(u, [0, *labels], states, [*labels, s + 1, s + 2],
+                           [0, *kept, s + 1, s + 2])
+        key_h.append(shannon_bits(np.linalg.eigvalsh(blocks)).reshape(len(u), -1))
+    return np.concatenate(key_h), key_of
 
 
 def entropy_table(e: CqEnsemble) -> EntropyTable:

@@ -100,7 +100,9 @@ def _sender_tables(ch: CqMacChannel, per_sender: Sequence[np.ndarray]) -> np.nda
     """(P, 2^s, 2) entropy tables of the P priors whose sender i has the
     distribution `per_sender[i][p]`: one `entropy.entropy_tables` call over
     the channel's state array, one weight factor per sender, multiplied in
-    sender order as Prior.prob does."""
+    sender order as Prior.prob does.  Per sender subset kept, the group
+    states are diagonalized once per distinct vectors of the senders
+    averaged out, however many priors share them."""
     factors = [v.reshape((len(v),) + tuple(a if j == i else 1 for j in range(ch.s)))
                for i, (v, a) in enumerate(zip(per_sender, ch.sender_alphabets))]
     return ent.entropy_tables(factors, ch.states)
@@ -112,9 +114,10 @@ def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyT
     Each table is computed once per channel: `ch.table_memo` keeps it under
     the bytes of the prior's per-sender vectors, and the priors not yet in
     it, each once however often it repeats, are tabled by one
-    `_sender_tables` call.  A batched row equals the row of a one-prior
-    call bit for bit (the tests check it over random channels), so a table
-    does not depend on which call made it.  The memo lives and dies with
+    `_sender_tables` call, which shares group states between priors that
+    share the vectors of the senders averaged out.  A batched row equals
+    the row of a one-prior call bit for bit (the tests check it over random
+    channels), so a table does not depend on which call made it.  The memo lives and dies with
     the channel; `boundary_sweep` calls `_sender_tables` directly, so a
     sweep's tables are not kept.  Every call returns fresh lists.
     """
@@ -361,7 +364,10 @@ def prior_grid(alphabet_sizes: Sequence[int],
 def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     """Constraint sets and corners over the deterministic prior grid.
 
-    One `entropy.entropy_tables` call covers every grid prior.  Each prior's
+    One `entropy.entropy_tables` call covers every grid prior; it
+    diagonalizes each sender subset's group states once per composition
+    tuple of the senders averaged out (729 states for three binary senders
+    at resolution 6, against 9,261 taken prior by prior).  Each prior's
     bounds come from its `constraint_set`, which also rejects a non-finite
     table entry; its corners are read off the tables, chunk by chunk, by
     `corner_table`'s kernel and deduplicated as `corners_with_perms` does.

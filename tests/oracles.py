@@ -13,8 +13,11 @@ eigendecomposition, the branches of a gentle instrument, the simulator's
 average error taken one message tuple at a time, corners taken one decode
 order and one stage at a time and deduplicated one point at a time, the
 prior sweep taken one validated prior at a time, the region report
-built as one document, and an ensemble's averaged state entropy taken one
-atom state at a time.
+built as one document, an ensemble's averaged state entropy taken one
+atom state at a time, the entropy table with every group state averaged
+under its ensemble's full weights, an extended-precision (mpmath)
+eigendecomposition and square root, and the closed-form root of a rank-1
+operator.
 
 It also holds the API that only tests use: point-mass priors, random
 diagonal channels, random channels of exactly rank-deficient letters, an
@@ -36,7 +39,7 @@ import numpy as np
 from qmac import entropy as ent
 from qmac import operators as ops
 from qmac import region
-from qmac.channel import CqMacChannel, Prior, mask_members
+from qmac.channel import ATOM_FLOOR, CqMacChannel, Prior, mask_members
 from qmac.checks import random_prior_vec
 from qmac.coding import SequentialDecoder, SimReport
 from qmac.config import DEFAULT_MAX_MESSAGES, CapExceeded
@@ -468,6 +471,77 @@ def state_entropy_loop(e) -> float:
     """sum_l p(l) S(state_l) in bits of an ensemble's atoms, one eigvalsh per
     state, the terms added in atom order."""
     return float(sum(p * ops.shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in e.atoms))
+
+
+def entropy_tables_full(factors, states) -> np.ndarray:
+    """`entropy.entropy_tables` by full weights: each ensemble's group states
+    are averaged under its own product weights, labels below ATOM_FLOOR
+    dropped, and diagonalized, every ensemble and mask in one stack."""
+    num = factors[0].shape[0]
+    spaces = states.shape[:-2]
+    s, d = len(spaces), states.shape[-1]
+    labels = list(range(1, s + 1))
+    table = np.zeros((num, 1 << s, 2))
+    w = functools.reduce(np.multiply, factors)
+    w = np.where(w >= ATOM_FLOOR, w, 0.0)
+    for mask in range(1 << s):
+        kept = [1 + i for i in range(s) if mask >> i & 1]
+        flat = w.sum(axis=tuple(ax for ax in labels if ax not in kept)).reshape(num, -1)
+        h = ops.shannon_bits(flat)
+        table[:, mask, 1] = h
+        if mask:
+            table[:, mask, 0] = h
+        if d == 1:
+            continue
+        blocks = np.einsum(w, [0, *labels], states, [*labels, s + 1, s + 2],
+                           [0, *kept, s + 1, s + 2])
+        live = flat >= ATOM_FLOOR
+        blocks = blocks.reshape(-1, d, d) / np.where(live, flat, 1.0).reshape(-1, 1, 1)
+        block_h = ops.shannon_bits(np.linalg.eigvalsh(ops.hermitize(blocks))).reshape(flat.shape)
+        table[:, mask, 1] += np.where(live, flat * block_h, 0.0).sum(axis=1)
+    return table
+
+
+def eigh_mp(a, dps=50) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian
+    matrix of dimension at most 16, computed by mpmath in `dps` digits from
+    the matrix's exact entries and rounded to double at the end."""
+    import mpmath
+
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if n > 16:
+        raise ValueError(f"eigh_mp takes dimension <= 16, got {n}")
+    with mpmath.workdps(dps):
+        values, vectors = mpmath.eighe(mpmath.matrix(a.tolist()))
+        values = np.array([float(x) for x in values])
+        vectors = np.array([[complex(vectors[i, j]) for j in range(n)] for i in range(n)])
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
+def op_sqrt_mp(a, dps=50) -> np.ndarray:
+    """Square root of a PSD matrix of dimension at most 16 in `dps` digits:
+    mpmath's eigendecomposition, eigenvalues below 0 clipped, the root
+    rebuilt in the same precision."""
+    import mpmath
+
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    if n > 16:
+        raise ValueError(f"op_sqrt_mp takes dimension <= 16, got {n}")
+    with mpmath.workdps(dps):
+        values, vectors = mpmath.eighe(mpmath.matrix(a.tolist()))
+        roots = mpmath.diag([mpmath.sqrt(max(x, 0)) for x in values])
+        root = vectors * roots * vectors.transpose_conj()
+        return np.array([[complex(root[i, j]) for j in range(n)] for i in range(n)])
+
+
+def rank1_root(mu) -> np.ndarray:
+    """Closed-form square root |mu><mu| / ||mu|| of the rank-1 operator
+    |mu><mu|, at any dimension."""
+    mu = np.asarray(mu, dtype=complex)
+    return np.outer(mu, mu.conj()) / np.linalg.norm(mu)
 
 
 def grid_priors(alphabet_sizes, resolution) -> list:

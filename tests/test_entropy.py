@@ -13,10 +13,11 @@ from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
                           entropy_tables, fano_bound_check, mutual_information,
                           restrict, subsystem_entropy, subsystem_entropy_dense)
 from qmac.operators import ValidationError
-from qmac.region import constraint_set
+from qmac.region import constraint_set, prior_grid, prior_tables
 
-from oracles import (classical_bound, classical_joint, count_checked_states, info_report,
-                     shannon, state_entropy_loop, two_pure_state_chi)
+from oracles import (classical_bound, classical_joint, count_checked_states,
+                     entropy_tables_full, info_report, shannon, state_entropy_loop,
+                     two_pure_state_chi)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -167,8 +168,12 @@ def test_entropy_tables_match_restrict_oracle():
         states = np.array([ch.state(x) for x in ch.joint_letters()]).reshape(
             ch.sender_alphabets + (ch.output_dim,) * 2)
         tables = entropy_tables([joint_weights(priors)], states).tolist()
-        # per-sender factors multiply to the same weights in the same order
-        assert entropy_tables(sender_factors(priors), states).tolist() == tables
+        # per-sender factors multiply to the same weights in the same order, so
+        # the classical columns agree bit for bit; a kept sender's factor does
+        # not enter the group states, so the quantum columns agree within 1e-12
+        by_sender = entropy_tables(sender_factors(priors), states)
+        assert by_sender[:, :, 0].tolist() == np.array(tables)[:, :, 0].tolist()
+        assert np.max(np.abs(by_sender - tables)) <= 1e-12
         assert np.shape(tables) == (len(priors), 1 << ch.s, 2)
         for prior, table in zip(priors, tables):
             e = channel_state(ch, prior)
@@ -180,6 +185,50 @@ def test_entropy_tables_match_restrict_oracle():
                         oracle = subsystem_entropy(
                             e, SubsystemSelector.of(mask_members(mask), quantum))
                         assert abs(table[mask][quantum] - oracle) <= 1e-12
+
+
+def assert_tables_match_full_weights(priors, states):
+    """Both factor forms, the whole stack and each prior alone (P = 1),
+    within 1e-12 of the full-weight oracle."""
+    oracle = entropy_tables_full(sender_factors(priors), states)
+    for form in (sender_factors, lambda ps: [joint_weights(ps)]):
+        assert np.max(np.abs(entropy_tables(form(priors), states) - oracle)) <= 1e-12
+        for prior, row in zip(priors, oracle):
+            assert np.max(np.abs(entropy_tables(form([prior]), states)[0] - row)) <= 1e-12
+
+
+def test_keyed_group_states_match_the_full_weight_oracle():
+    rng = np.random.default_rng(76)
+    for trial in range(32):   # random 1-4-sender channels, d = 1 among them
+        s = 1 + trial % 4
+        ch = kernel_channel(rng, s, max_alphabet=3 if s < 4 else 2, max_dim=4 if s < 4 else 3)
+        assert_tables_match_full_weights(edge_priors(rng, ch.sender_alphabets), ch.states)
+    for s in (1, 2, 3):       # d = 1 by construction
+        alphabets = tuple(int(a) for a in rng.integers(1, 4, size=s))
+        ch = CqMacChannel(alphabets, 1, {x: np.eye(1) for x in itertools.product(
+            *map(range, alphabets))})
+        assert_tables_match_full_weights(edge_priors(rng, alphabets), ch.states)
+    # a 3-sender binary grid: 7 vectors per sender, each shared by 49 priors
+    ch = CqMacChannel((2, 2, 2), 3, {x: random_density(rng, 3)
+                                     for x in itertools.product(range(2), repeat=3)})
+    compositions, index = prior_grid(ch.sender_alphabets, 6)
+    grid = [Prior(tuple(c[i] for c, i in zip(compositions, column))) for column in index.T]
+    assert_tables_match_full_weights(grid, ch.states)
+    # a mixture's priors that share sender vectors, and the channel's table memo
+    ch = kernel_channel(rng, 3, max_dim=4)
+    vecs = [[rng.dirichlet(np.ones(a)) for _ in range(2)] for a in ch.sender_alphabets]
+    mixture = [Prior(tuple(vecs[i][pick >> i & 1] for i in range(3))) for pick in (0, 1, 3, 5, 6)]
+    assert_tables_match_full_weights(mixture, ch.states)
+    oracle = entropy_tables_full(sender_factors(mixture), ch.states)
+    assert np.max(np.abs(np.array(prior_tables(ch, mixture)) - oracle)) <= 1e-12
+
+
+def test_a_label_below_the_floor_leaves_its_group_state():
+    # label 1 weighs 5e-16, below the 1e-15 floor, so the averaged state is
+    # |0><0| and H(Y) is H(X); kept, label 1 would add about 7e-16 to H(Y)
+    states = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    table = entropy_tables([np.array([[1 - 5e-16, 5e-16]])], states)[0]
+    assert table[0][1] == table[1][0]
 
 
 def test_table_bounds_match_mutual_information_up_to_four_senders():

@@ -8,7 +8,7 @@ from qmac.operators import (ValidationError, check_density, check_povm,
                             partial_trace, pinv_sqrt, tensor, tensor_all,
                             trace_norm)
 
-from oracles import psd_within, smallest_eigenvalue
+from oracles import eigh_mp, op_sqrt_mp, psd_within, rank1_root, smallest_eigenvalue
 
 
 def random_hermitian(rng, d):
@@ -348,3 +348,42 @@ def test_zero_dimension_rejected():
         entropy_bits(empty)
     with pytest.raises(ValidationError, match="dimension 0"):
         check_povm([empty])
+
+
+# --- the extended-precision root oracle ---------------------------------------------
+
+def spread_density(rng, d):
+    """A random density whose eigenvalues are k / (d (d + 1) / 2), k = 1..d:
+    at least 1/136 apart and from zero at d = 16, so its eigenvectors and
+    root are well conditioned."""
+    u = random_unitary(rng, d)
+    values = np.arange(1, d + 1) / (d * (d + 1) / 2)
+    return hermitize((u * values) @ u.conj().T)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 16])
+def test_mp_oracle_matches_numpy_on_well_conditioned_states(d):
+    rng = np.random.default_rng(93 + d)
+    for _ in range(3):
+        rho = spread_density(rng, d)
+        values, vectors = eigh_mp(rho)
+        assert np.max(np.abs(values - np.linalg.eigvalsh(rho))) <= 1e-12
+        # distinct eigenvalues: each eigenvector is fixed up to a phase
+        overlaps = np.abs(np.sum(vectors.conj() * np.linalg.eigh(rho)[1], axis=0))
+        assert np.max(np.abs(overlaps - 1.0)) <= 1e-12
+        assert np.max(np.abs(op_sqrt_mp(rho) - op_sqrt(rho))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16])
+def test_rank1_root_matches_mp_root(d):
+    rng = np.random.default_rng(97 + d)
+    for _ in range(3):
+        # small Gaussian-integer entries make |mu><mu| exact in double
+        # precision, so the mp oracle roots an operator of rank exactly 1
+        mu = rng.integers(-3, 4, size=d) + 1j * rng.integers(-3, 4, size=d)
+        mu[0] += 4
+        e = np.outer(mu, mu.conj())
+        root = rank1_root(mu)
+        scale = np.linalg.norm(mu)
+        assert np.max(np.abs(root - op_sqrt_mp(e))) <= 1e-12 * scale
+        assert np.max(np.abs(root @ root - e)) <= 1e-12 * scale ** 2

@@ -17,8 +17,8 @@ from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          upper_boundary_2d)
 
 from oracles import (classical_bound, classical_corner, classical_joint, corner_table_loop,
-                     corners_loop, count_checked_states, dedup_points, hull_member_2d,
-                     info_report, member_corners_loop, point_mass_prior,
+                     corners_loop, count_checked_states, dedup_points, entropy_tables_full,
+                     hull_member_2d, info_report, member_corners_loop, point_mass_prior,
                      random_diagonal_channel, signed, sweep_loop)
 
 TWO_STATE_CHI = 0.6008760366928562
@@ -437,10 +437,33 @@ def test_sweep_chunks_match_single_chunk(monkeypatch):
         eig_calls.clear()
         monkeypatch.setattr(config, "CHUNK_BYTES", per_chunk * prior_bytes)
         sweeps[per_chunk] = sweep_rows(boundary_sweep(ch, 3))
-        assert len(eig_calls) == 8 * -(-64 // per_chunk)   # one per mask and chunk
+        # one per mask and chunk of distinct keys: each sender has 4 distinct
+        # vectors, so a mask averaging over c senders has 4**c keys
+        keys = [4 ** (3 - bin(mask).count("1")) for mask in range(8)]
+        assert len(eig_calls) == sum(-(-k // per_chunk) for k in keys)
     assert len(sweeps[64]) == 64
     for per_chunk in (1, 5, 63):
         assert sweeps[per_chunk] == sweeps[64]
+
+
+def test_sweep_diagonalizes_each_group_state_once_per_key(monkeypatch):
+    rng = np.random.default_rng(77)
+    letters = list(itertools.product(range(2), repeat=3))
+    ch = CqMacChannel((2, 2, 2), 2, {x: random_density(rng, 2) for x in letters})
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: rows.append(a.size // 4) or eigvalsh(a))
+    assert len(boundary_sweep(ch, 6).bounds) == 343
+    # 7 vectors per sender: a mask keeping k senders has 7**(3 - k) keys of
+    # 2**k group states each, 9**3 in all; per prior there would be 343 * 3**3
+    assert sum(rows) == 729
+    compositions, index = prior_grid(ch.sender_alphabets, 6)
+    factors = [c[i].reshape((-1,) + tuple(2 if j == k else 1 for j in range(3)))
+               for k, (c, i) in enumerate(zip(compositions, index))]
+    rows.clear()
+    entropy_tables_full(factors, ch.states)
+    assert sum(rows) == 9261
 
 
 def test_sweep_checks_each_state_once(monkeypatch):
