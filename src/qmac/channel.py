@@ -290,8 +290,9 @@ class CqEnsemble:
         """
         return {}
 
+    @functools.cached_property
     def dense_matrix(self) -> np.ndarray:
-        """Expand to the full block-diagonal matrix (verification oracle only)."""
+        """The full block-diagonal matrix, read-only (verification oracle only)."""
         dim = self.num_labels * self.quantum_dim
         require_dim(dim, what="dense ensemble expansion")
         out = np.zeros((dim, dim), dtype=complex)
@@ -299,6 +300,7 @@ class CqEnsemble:
         for label, p, rho in self.atoms:
             b = self.label_index(label)
             out[b * d:(b + 1) * d, b * d:(b + 1) * d] += p * rho
+        out.setflags(write=False)
         return out
 
 

@@ -227,7 +227,10 @@ def _per_sender_columns(per_sender) -> list[list[np.ndarray]]:
 
 
 def cmd_region(args) -> int:
-    _check_finite(args.tol, "tolerance", positive=True)
+    if args.tol is not None:
+        _check_finite(args.tol, "tolerance", positive=True)
+        if args.mixture is None or not args.corners:
+            raise UsageError("--tol needs --mixture and --corners")
     if sum(x is not None for x in (args.prior, args.mixture, args.sweep)) > 1:
         raise UsageError("provide at most one of --prior, --mixture or --sweep")
     ch = load_channel(args.channel)
@@ -257,7 +260,8 @@ def cmd_region(args) -> int:
                     for i in range(s)),
                 "weight": np.array([w for w, _ in mix.components]),
             }
-            corners = member_corners(cs, args.tol) if emit_corners else []
+            tol = 1e-9 if args.tol is None else args.tol
+            corners = member_corners(cs, tol) if emit_corners else []
         else:
             prior = _parse_prior(args.prior, ch.sender_alphabets)
             (table,) = prior_tables(ch, [prior])
@@ -393,11 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", default=None, metavar="RES",
                    help="sweep all product priors with numerators summing to RES "
                         "(an integer or '{\"resolution\": RES}')")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="read by --mixture --corners only: corners must lie in the mixture "
-                        "region within TOL, and a corner within TOL of an earlier one is "
-                        "dropped; single-prior and sweep corners are deduplicated within a "
-                        "fixed 1e-9 (region.CORNER_DEDUP_TOL)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="needs --mixture --corners (default 1e-9): corners must lie in the "
+                        "mixture region within TOL, and a corner within TOL of an earlier "
+                        "one is dropped; single-prior and sweep corners are deduplicated "
+                        "within a fixed 1e-9 (region.CORNER_DEDUP_TOL)")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_region)

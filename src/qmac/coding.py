@@ -439,6 +439,12 @@ class SequentialDecoder:
     conditioned on the words decoded at earlier stages; senders not yet
     decoded are averaged over their priors, so the stage-i decoder does not
     depend on their codebooks.  Instruments are cached per (stage, prefix).
+
+    Random codebooks repeat words.  A candidate's state depends only on its
+    word, given the prefix, and its weight is uniform, so messages with one
+    word have equal elements and roots: `_first[i][m]` is the first message
+    of stage i with message m's word, and the decoder forms and keeps one
+    element and one root per distinct word (`_reads`).
     """
 
     def __init__(self, ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior):
@@ -459,6 +465,11 @@ class SequentialDecoder:
         self.n = codebooks[0].n
         self.block = block_channel(ch, self.n)
         self._words = [np.array(cb.words, dtype=int) for cb in codebooks]   # (L_i, n) each
+        self._first = []
+        for words in self._words:
+            _, first, inverse = np.unique(words, axis=0, return_index=True,
+                                          return_inverse=True)
+            self._first.append(first[inverse.ravel()])
         # letter table for stage i: senders 0..i explicit, senders > i averaged
         self._stage_tables = [
             reduced_channel(ch, prior, range(i + 1)) for i in range(ch.s)
@@ -518,14 +529,16 @@ def _prefix_words(decoder: SequentialDecoder, prefix: Sequence[int]) -> list[tup
 def _reads(decoder: SequentialDecoder, msg: np.ndarray) -> list[tuple[list[Povm], list[int]]]:
     """Per stage, the POVM each message tuple (row of `msg`) reads and the
     position of its outcome; each distinct prefix's instrument is looked up
-    once."""
+    once.  A PGM's positions are its labels, and a message reads the outcome
+    of the first message with its word (`SequentialDecoder._first`), which
+    has an equal element and root, so each is formed once per word."""
     out = []
     for i in range(decoder.channel.s):
         prefixes = list(map(tuple, msg[:, :i].tolist()))
         found = {prefix: decoder.stage_instrument(i, _prefix_words(decoder, prefix)).povm
                  for prefix in dict.fromkeys(prefixes)}
         povms = [found[prefix] for prefix in prefixes]
-        out.append((povms, [povm._position(b) for povm, b in zip(povms, msg[:, i].tolist())]))
+        out.append((povms, decoder._first[i][msg[:, i]].tolist()))
     return out
 
 

@@ -249,7 +249,7 @@ def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Same quantity by the dense oracle: expand the whole ensemble to its
     block-diagonal matrix, partial-trace to the selector, diagonalize."""
     sel.validate(e)
-    gamma = e.dense_matrix()
+    gamma = e.dense_matrix
     dims = list(e.label_spaces) + [e.quantum_dim]
     keep = sorted(sel.classical) + ([len(e.label_spaces)] if sel.quantum else [])
     sigma = ops.partial_trace(gamma, dims, keep)

@@ -448,8 +448,9 @@ def test_make_ensemble_checks_each_atom_state():
 
 def test_dense_matrix_blocks():
     e = make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, PLUS)])
-    dense = e.dense_matrix()
+    dense = e.dense_matrix
     assert dense.shape == (4, 4)
+    assert e.dense_matrix is dense and not dense.flags.writeable   # expanded once
     assert np.allclose(dense[:2, :2], 0.5 * Z0)
     assert np.allclose(dense[2:, 2:], 0.5 * PLUS)
     assert np.allclose(partial_trace(dense, [2, 2], [0]), np.eye(2) / 2)

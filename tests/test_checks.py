@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qmac import channel
 from qmac import entropy as ent
 from qmac.channel import CqMacChannel, Prior
 from qmac.cli import main
@@ -95,6 +96,27 @@ def test_entropy_suite_restricts_each_block_once(monkeypatch):
     assert entropy_suite(30, 0).passed
     pairs = Counter((id(e), sel) for e, sel in calls)
     assert pairs and max(pairs.values()) == 1
+
+
+def test_dense_oracle_expands_each_ensemble_once(monkeypatch):
+    # the dense oracle partial-traces per selector, from one block-diagonal
+    # matrix per ensemble
+    real, require = ent.subsystem_entropy_dense, channel.require_dim
+    ensembles, expanded = [], []
+
+    def oracle(e, sel):
+        ensembles.append(e)    # holding e keeps its id from being reused
+        return real(e, sel)
+
+    def counting(dim, what="matrix"):
+        expanded.append(what)
+        return require(dim, what=what)
+
+    monkeypatch.setattr(ent, "subsystem_entropy_dense", oracle)
+    monkeypatch.setattr(channel, "require_dim", counting)
+    assert entropy_suite(30, 10).passed
+    distinct = len({id(e) for e in ensembles})
+    assert len(ensembles) > distinct == expanded.count("dense ensemble expansion")
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

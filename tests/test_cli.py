@@ -1,4 +1,5 @@
 import json
+import pathlib
 import threading
 import time
 import warnings
@@ -20,6 +21,9 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 # --- validate -------------------------------------------------------------------
@@ -349,6 +353,17 @@ def test_simulate_rerun_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_simulate_repeated_codewords_output_equals_the_stored_text(capsys):
+    # the stored stdout of `qmac simulate --channel qubit-pure-mac --n 4
+    # --sizes 32,32 --seed 0`, whose codebooks hold at most 16 distinct words
+    # of 32, so that messages share elements and roots
+    want = (GOLDEN / "simulate-qubit-pure-mac-n-4-sizes-32-32-seed-0.txt").read_text(
+        encoding="utf-8")
+    code, out, _ = run(capsys, "simulate", "--channel", "qubit-pure-mac", "--n", "4",
+                       "--sizes", "32,32", "--seed", "0")
+    assert (code, out) == (0, want)
+
+
 def test_simulate_decoder_task_error_is_one_line(monkeypatch, capsys):
     # at 64 x 64 blocks the decoder can be built by tasks on a thread pool;
     # a failed build still ends the command with exit 1 and one line
@@ -512,6 +527,9 @@ CHECK = ["check", "--suite", "entropy", "--trials", "1"]
     ({}, REGION + ["--prior", "uniform", "--mixture", "1*uniform"], 2),
     ({}, SIM + ["--sizes", "2,2", "--delta", "5", "--seed", "0"], 2),
     ({}, SIM + ["--sizes", "2,2", "--trials", "5", "--seed", "0"], 2),
+    ({}, REGION + ["--sweep", "8", "--tol", "0.5"], 2),
+    ({}, REGION + ["--mixture", "1*uniform", "--tol", "0.5"], 2),
+    ({}, REGION + ["--corners", "--tol", "0.5"], 2),
 ])
 def test_bad_input_one_error_line(monkeypatch, capsys, env, argv, want):
     for key, value in env.items():

@@ -311,13 +311,14 @@ def test_simulator_roots_each_computed_once_in_stacks(monkeypatch):
     monkeypatch.setattr("qmac.coding.SequentialDecoder", Recorded)
     computed = counting_roots(monkeypatch)
     average_error(ch, books, prior)
-    # read: every stage-0 outcome, and at stage 1 every outcome of each
-    # distinct stage-0 word (the duplicate word shares its instrument)
-    assert sum(computed) == 3 + 2 * 2
+    # read: the outcome of each distinct stage-0 word (message 2 repeats
+    # message 0's word and reads its outcome), and at stage 1 every outcome
+    # of each distinct stage-0 word (the duplicate word shares its instrument)
+    assert sum(computed) == 2 + 2 * 2
     assert len(computed) == 2   # one chunk, one stacked call per stage
     [decoder] = decoders
     computed.clear()
-    for i, prefix, labels in [(0, [], range(3))] + [(1, [w], range(2)) for w in books[0].words]:
+    for i, prefix, labels in [(0, [], range(2))] + [(1, [w], range(2)) for w in books[0].words]:
         inst = decoder.stage_instrument(i, prefix)
         for b in labels:
             assert np.array_equal(inst.sqrt_element(b), op_sqrt(inst.povm.element(b)))
@@ -1052,3 +1053,64 @@ def test_interrupt_while_waiting_for_decoder_tasks(monkeypatch):
         signal.signal(signal.SIGINT, previous)
     assert not tasks
     assert threading.active_count() == threads
+
+
+def repeated_books(n: int) -> list[Codebook]:
+    """Two qubit-pure-mac codebooks of n-letter words in which words repeat,
+    also at the first and last messages."""
+    a, b, c = (0,) * n, (1,) * n, (0, 1) * (n // 2)
+    return [Codebook(0, n, (a, b, a, c, a, b)), Codebook(1, n, (c, c, b, a, c))]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize("n", [2, 6], ids=["lazy", "pool"])
+def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
+    # a candidate's state depends only on its word, given the prefix, and its
+    # weight is uniform: the kernel forms one element and root per distinct
+    # (instrument, codeword) read, below block dimension 64 a chunk at a time
+    # and from 64 on on the pool, and a repeated word's own element and root
+    # equal the shared ones, bit for bit
+    monkeypatch.setattr(coding, "_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert coding._workers(2 ** n) == (1 if n == 2 else 2)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = repeated_books(n)
+    options = {"mode": mode}
+    if mode == "monte_carlo":
+        options.update(trials=40, seed=3)
+    decoders, plans, items = recorded_decoders(monkeypatch), [], []
+    plan, kernel = coding._plan, coding._element_and_root
+
+    def recorded_plan(decoder, msgs, rows):
+        plans.append(msgs)
+        return plan(decoder, msgs, rows)
+
+    def recorded_kernel(batch):
+        items.extend((povm, i, threading.get_ident()) for povm, i, *_ in batch)
+        return kernel(batch)
+
+    monkeypatch.setattr(coding, "_plan", recorded_plan)
+    monkeypatch.setattr(coding, "_element_and_root", recorded_kernel)
+    report = average_error(ch, books, prior, **options)
+    [decoder], [msgs] = decoders, plans
+    keys = {id(inst.povm): key for key, inst in decoder._cache.items()}
+    formed = [(keys[id(povm)], books[keys[id(povm)][0]].words[i]) for povm, i, _ in items]
+    reads = {((i, tuple(books[j].words[m] for j, m in enumerate(row[:i]))), row[i])
+             for row in msgs.tolist() for i in range(ch.s)}
+    words = {(key, books[key[0]].words[m]) for key, m in reads}
+    assert len(words) < len(reads)   # some messages read repeat a word
+    assert sorted(formed) == sorted(words)
+    assert (threading.get_ident() in {t for *_, t in items}) == (n == 2)
+    shared = 0
+    for key, inst in decoder._cache.items():
+        book = books[key[0]].words
+        for b, word in enumerate(book):
+            first = book.index(word)
+            if first != b and first in inst.povm._root_cache:
+                element = inst.povm.element(b)
+                assert np.array_equal(element, inst.povm._formed[first])
+                assert np.array_equal(op_sqrt(element), inst.povm._root_cache[first])
+                shared += 1
+    assert shared
+    assert close_report(report, average_error_loop(ch, books, prior, **options))
