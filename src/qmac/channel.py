@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -33,6 +34,15 @@ CHOI_PSD_TOL = 1e-8     # how negative a Choi eigenvalue may be before rejection
 
 class ChannelFormatError(ValueError):
     """The channel file or raw description is malformed (schema level)."""
+
+
+def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:
+    """Letters (or labels) as Python ints; numpy integers pass, but a float or
+    a string raises ValidationError instead of being rounded or parsed."""
+    try:
+        return tuple(operator.index(x) for x in letters)
+    except TypeError:
+        raise ValidationError(f"{what} {letters!r} must hold integer letters") from None
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +255,7 @@ class CqMacChannel:
         return itertools.product(*(range(a) for a in self.sender_alphabets))
 
     def state(self, letters: Sequence[int]) -> np.ndarray:
-        key = tuple(int(x) for x in letters)
+        key = letter_tuple(letters, "letter tuple")
         if len(key) != self.s or not all(0 <= x < a for x, a in zip(key, self.sender_alphabets)):
             raise ValidationError(f"no state for letter tuple {key}")
         return self.states[key]   # checked first: indexing would wrap negative letters
@@ -319,7 +329,7 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
     seen: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
     total = 0.0
     for label, p, rho in atoms:
-        label_t = tuple(int(x) for x in label)
+        label_t = letter_tuple(label, "label")
         if len(label_t) != len(spaces):
             raise ValidationError(f"label {label_t} has arity {len(label_t)}, expected {len(spaces)}")
         if any(x < 0 or x >= a for x, a in zip(label_t, spaces)):

@@ -19,13 +19,14 @@ Every element and root is made by one kernel, `_element_and_root`, and
 kept in its POVM by `_keep`.  Below block dimension 64 the tuples build
 what they first read, a chunk at a time.  From 64 on, where one operator
 fills a chunk, `_plan` can build all of it first on a pool of `_workers`
-threads: the CPUs BLAS leaves over (none at its default of one thread per
-CPU), within `config.THREAD_BYTES`.  Each task is the kernel on one item,
-as a chunk of one tuple runs it, so reports do not depend on the pool.
+threads, one per CPU within `config.THREAD_BYTES`, since `average_error`
+runs BLAS on one thread.  Each task is the kernel on one item, as a chunk
+of one tuple runs it, so reports do not depend on the pool.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import os
 import time
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import operators as ops
 from .channel import (PROB_TOL, CqMacChannel, Prior, block_channel, block_states,
-                      reduced_channel)
+                      letter_tuple, reduced_channel)
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
 from .operators import ValidationError
@@ -64,7 +65,7 @@ class Codebook:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
-        words = tuple(tuple(int(x) for x in w) for w in self.words)
+        words = tuple(letter_tuple(w, "word") for w in self.words)
         if not words:
             raise ValidationError("codebook must contain at least one word")
         for w in words:
@@ -93,8 +94,7 @@ def sample_codebook(prior_vec, n: int, size: int, seed: int,
         raise CapExceeded(f"codebook of {size} words, cap is {DEFAULT_MAX_MESSAGES}")
     rng = np.random.default_rng(seed)
     letters = rng.choice(p.size, size=(size, n), p=p)
-    return Codebook(sender, n, tuple(tuple(int(x) for x in row) for row in letters),
-                    seed=int(seed))
+    return Codebook(sender, n, letters.tolist(), seed=int(seed))
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
@@ -550,29 +550,31 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """Threads OpenBLAS runs each call on: the first of the variables it
-    reads, in its order, that holds a positive integer, else one per CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            if (threads := int(os.environ.get(var, ""))) > 0:
-                return threads
-        except ValueError:   # unset, or not a number
-            continue
-    return _cpus()
+def _blas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """Get and set calls of the thread count of numpy's bundled OpenBLAS, by
+    ctypes as in threadpoolctl; None where numpy links another BLAS."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_threads = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):   # no such module, library or symbol
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
 
 
 def _workers(dim: int) -> int:
     """Threads that build the decoder of block dimension `dim` at once.
 
-    One, unless one operator fills a chunk; then as many as the CPUs left
-    over by the BLAS threads of each, and no more than keep the operators
-    of all threads beyond the first within THREAD_BYTES.
+    One, unless one operator fills a chunk and `_blas` finds OpenBLAS; then
+    as many as the CPUs left over by its threads per call, and no more than
+    keep the operators of all threads beyond the first within THREAD_BYTES.
     """
     item = 16 * dim * dim
-    if per_chunk(item) > 1:
+    if per_chunk(item) > 1 or (blas := _blas()) is None:
         return 1
-    return max(1, min(_cpus() // _blas_threads(), 1 + THREAD_BYTES // (TASK_OPERATORS * item)))
+    return max(1, min(_cpus() // blas[0](), 1 + THREAD_BYTES // (TASK_OPERATORS * item)))
 
 
 def _plan(decoder: SequentialDecoder, msgs: np.ndarray,
@@ -662,90 +664,99 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     carries the average stage error on undisturbed inputs and the exact
     average disturbance the gentle measurement inflicts, with its
     sqrt(8 eps) + eps bound; an eps below EPS_FLOOR is reported as 0.
+    BLAS runs on one thread for the call (where `_blas` finds OpenBLAS), and
+    at the caller's count again after it.
     """
     t0 = time.perf_counter()
-    decoder = SequentialDecoder(ch, codebooks, prior)
-    sizes = tuple(cb.size for cb in codebooks)
-    if mode == "exhaustive":
-        if trials is not None:
-            raise ValidationError("trials= needs monte_carlo mode")
-        count = int(np.prod(sizes))
-        if count > DEFAULT_MAX_MESSAGES:
-            raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
-                              f"cap is {DEFAULT_MAX_MESSAGES}")
-        msgs = np.indices(sizes).reshape(len(sizes), -1).T   # lexicographic order
-        trial_seed = None
-    elif mode == "monte_carlo":
-        if trials is None or seed is None:
-            raise ValidationError("monte_carlo mode needs trials= and seed=")
-        if trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {trials}")
-        if trials > DEFAULT_MAX_MESSAGES:
-            raise CapExceeded(f"Monte Carlo decoding needs {trials} message tuples, "
-                              f"cap is {DEFAULT_MAX_MESSAGES}")
-        rng = np.random.default_rng(int(seed))
-        msgs = np.array([[int(rng.integers(L)) for L in sizes] for _ in range(trials)])
-        trial_seed = int(seed)
-    else:
-        raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")
+    get, set_threads = _blas() or (lambda: None, lambda threads: None)
+    caller = get()
+    set_threads(1)
+    try:
+        decoder = SequentialDecoder(ch, codebooks, prior)
+        sizes = tuple(cb.size for cb in codebooks)
+        if mode == "exhaustive":
+            if trials is not None:
+                raise ValidationError("trials= needs monte_carlo mode")
+            count = int(np.prod(sizes))
+            if count > DEFAULT_MAX_MESSAGES:
+                raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
+                                  f"cap is {DEFAULT_MAX_MESSAGES}")
+            msgs = np.indices(sizes).reshape(len(sizes), -1).T   # lexicographic order
+            trial_seed = None
+        elif mode == "monte_carlo":
+            if trials is None or seed is None:
+                raise ValidationError("monte_carlo mode needs trials= and seed=")
+            if trials < 1:
+                raise ValidationError(f"trials must be >= 1, got {trials}")
+            if trials > DEFAULT_MAX_MESSAGES:
+                raise CapExceeded(f"Monte Carlo decoding needs {trials} message tuples, "
+                                  f"cap is {DEFAULT_MAX_MESSAGES}")
+            rng = np.random.default_rng(int(seed))
+            msgs = np.array([[int(rng.integers(L)) for L in sizes] for _ in range(trials)])
+            trial_seed = int(seed)
+        else:
+            raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")
 
-    s = ch.s
-    n = decoder.n
-    stage_success = np.zeros(s)
-    stage_eps = np.zeros(s)
-    stage_dist = np.zeros(s)
-    total_error = 0.0
-    # message tuples go through the stages in chunks of stacked operators;
-    # per-tuple values are then added in tuple order, as one tuple at a time would.
-    # Each word state rho = F F† runs as its factor F: the leak is
-    # 1 - Re<F, D F>, the branch state is sqrt(D) F, its weight ||sqrt(D) F||^2
-    rows = list(chunks(len(msgs), 16 * decoder.block.output_dim ** 2))
-    for chunk, reads in zip(rows, _plan(decoder, msgs, rows)):
-        msg = msgs[chunk]
-        words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
-        f0 = decoder.block.state_for_words(words)
-        f = f0
-        for i, (povms, positions) in enumerate(reads):
-            kept = _roots(povms, positions)   # keeps each element beside its root
-            # gentleness accounting on the undisturbed word states
-            leak = 1.0 - _inner(f0, _stack([p._formed[b] for p, b in zip(povms, positions)]) @ f0)
-            roots = _stack(kept)
-            g = roots @ f0
-            eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
-            f = g if f is f0 else roots @ f
-            success = _inner(f, f)
-            for total, values in ((stage_eps, eps), (stage_dist, dist),
-                                  (stage_success, success)):
-                for v in values.tolist():
-                    total[i] += v
-        for v in success.tolist():   # the last stage's success: every sender decoded
-            total_error += 1.0 - v
+        s = ch.s
+        n = decoder.n
+        stage_success = np.zeros(s)
+        stage_eps = np.zeros(s)
+        stage_dist = np.zeros(s)
+        total_error = 0.0
+        # message tuples go through the stages in chunks of stacked operators;
+        # per-tuple values are then added in tuple order, as one tuple at a time would.
+        # Each word state rho = F F† runs as its factor F: the leak is
+        # 1 - Re<F, D F>, the branch state is sqrt(D) F, its weight ||sqrt(D) F||^2
+        rows = list(chunks(len(msgs), 16 * decoder.block.output_dim ** 2))
+        for chunk, reads in zip(rows, _plan(decoder, msgs, rows)):
+            msg = msgs[chunk]
+            words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
+            f0 = decoder.block.state_for_words(words)
+            f = f0
+            for i, (povms, positions) in enumerate(reads):
+                kept = _roots(povms, positions)   # keeps each element beside its root
+                # gentleness accounting on the undisturbed word states
+                elements = _stack([p._formed[b] for p, b in zip(povms, positions)])
+                leak = 1.0 - _inner(f0, elements @ f0)
+                roots = _stack(kept)
+                g = roots @ f0
+                eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
+                f = g if f is f0 else roots @ f
+                success = _inner(f, f)
+                for total, values in ((stage_eps, eps), (stage_dist, dist),
+                                      (stage_success, success)):
+                    for v in values.tolist():
+                        total[i] += v
+            for v in success.tolist():   # the last stage's success: every sender decoded
+                total_error += 1.0 - v
 
-    count = len(msgs)
-    stage_success /= count
-    stage_eps /= count
-    stage_eps[stage_eps < EPS_FLOOR] = 0.0
-    stage_dist /= count
-    total_error /= count
-    bounds = tuple(float(np.sqrt(8.0 * e) + e) for e in stage_eps)
-    return SimReport(
-        n=n,
-        sizes=sizes,
-        rates=tuple(float(np.log2(L)) / n for L in sizes),
-        mode=mode,
-        trials=trials,
-        master_seed=master_seed,
-        codebook_seeds=tuple(cb.seed for cb in codebooks),
-        trial_seed=trial_seed,
-        messages_evaluated=count,
-        avg_error=float(total_error),
-        stage_success=tuple(float(x) for x in stage_success),
-        stage_errors=tuple(float(1.0 - x) for x in stage_success),
-        stage_eps_bar=tuple(float(x) for x in stage_eps),
-        stage_disturbance=tuple(float(x) for x in stage_dist),
-        stage_disturbance_bound=bounds,
-        wall_clock_s=time.perf_counter() - t0,
-    )
+        count = len(msgs)
+        stage_success /= count
+        stage_eps /= count
+        stage_eps[stage_eps < EPS_FLOOR] = 0.0
+        stage_dist /= count
+        total_error /= count
+        bounds = tuple(float(np.sqrt(8.0 * e) + e) for e in stage_eps)
+        return SimReport(
+            n=n,
+            sizes=sizes,
+            rates=tuple(float(np.log2(L)) / n for L in sizes),
+            mode=mode,
+            trials=trials,
+            master_seed=master_seed,
+            codebook_seeds=tuple(cb.seed for cb in codebooks),
+            trial_seed=trial_seed,
+            messages_evaluated=count,
+            avg_error=float(total_error),
+            stage_success=tuple(float(x) for x in stage_success),
+            stage_errors=tuple(float(1.0 - x) for x in stage_success),
+            stage_eps_bar=tuple(float(x) for x in stage_eps),
+            stage_disturbance=tuple(float(x) for x in stage_dist),
+            stage_disturbance_bound=bounds,
+            wall_clock_s=time.perf_counter() - t0,
+        )
+    finally:
+        set_threads(caller)
 
 
 def run_simulation(ch: CqMacChannel, prior: Prior, n: int, sizes: Sequence[int],

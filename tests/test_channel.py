@@ -10,6 +10,7 @@ from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Pr
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
 from qmac.checks import random_channel, random_prior
+from qmac.coding import Codebook
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
 
@@ -141,6 +142,27 @@ def test_state_rejects_letters_outside_the_table(letters):
     if len(letters) == 2:
         with pytest.raises(ValidationError, match="no state for letter tuple"):
             block_channel(ch, 2).state_for_words([(0, letters[0]), (0, letters[1])])
+
+
+NON_INTEGER_LETTERS = {
+    "codebook": lambda letters: Codebook(0, len(letters), (letters,)).words[0],
+    "channel-state": lambda letters: CqMacChannel((2, 2), 2, qubit_table()).state(letters),
+    "ensemble-label": lambda letters: make_ensemble(
+        [2] * len(letters), 2, [(letters, 1.0, np.eye(2) / 2)]).atoms[0][0],
+}
+
+
+@pytest.mark.parametrize("entry", NON_INTEGER_LETTERS)
+def test_non_integer_letters_are_refused_where_they_enter(entry):
+    # a float is not rounded and a string not parsed into a letter; numpy
+    # integers pass as the Python ints they equal
+    enter = NON_INTEGER_LETTERS[entry]
+    for letters in [(1.7, 0), ("1", 0), (np.float64(1.0), 0), (0.9,), (None, 1)]:
+        with pytest.raises(ValidationError, match="must hold integer letters"):
+            enter(letters)
+    kept = enter((np.int64(1), np.uint8(0)))
+    assert np.array_equal(kept, enter((1, 0)))
+    assert not isinstance(kept, tuple) or all(type(x) is int for x in kept)
 
 
 @pytest.mark.parametrize("alphabets, d, problem", [

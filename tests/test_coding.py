@@ -888,7 +888,7 @@ def test_small_operators_are_built_where_they_are_read(monkeypatch):
     # below one operator per chunk the plan starts no pool, on any CPU count:
     # every kernel call runs on the calling thread
     monkeypatch.setattr(coding, "_cpus", lambda: 8)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(coding, "_blas", lambda: blas_reporting(1))
     tasks = recorded_tasks(monkeypatch)
     ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
@@ -907,33 +907,41 @@ def test_cpu_count_is_the_affinity_set(monkeypatch):
     assert coding._cpus() == 1
 
 
+def blas_reporting(threads: int) -> tuple:
+    """`coding._blas` calls of a BLAS that reports `threads` threads per call
+    and ignores counts set."""
+    return (lambda: threads), (lambda count: None)
+
+
+def recorded_counts(monkeypatch, get) -> list:
+    """Make each element-and-root kernel call record the BLAS count `get` reads."""
+    counts, task = [], coding._element_and_root
+
+    def recorded(items):
+        counts.append(get())
+        return task(items)
+
+    monkeypatch.setattr(coding, "_element_and_root", recorded)
+    return counts
+
+
 def test_workers_leave_the_cpus_to_blas_threads_and_bound_memory(monkeypatch):
-    # BLAS at its default of one thread per CPU leaves no CPU for helpers;
-    # OpenBLAS reads OPENBLAS_, then GOTO_, then OMP_NUM_THREADS, and a
-    # variable counts only when it holds a positive integer
+    # the pool takes the CPUs left over by the threads BLAS reports, and a
+    # variable set or cleared once BLAS is loaded changes nothing of that
     monkeypatch.setattr(coding, "_cpus", lambda: 8)
+    dims = (32, 64, 128, 1024)
+    workers = [coding._workers(dim) for dim in dims]
     for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    assert coding._workers(128) == 1
-    monkeypatch.setenv("MKL_NUM_THREADS", "1")   # not read by OpenBLAS
-    assert coding._workers(128) == 1
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")
-    assert coding._workers(128) == 4
-    monkeypatch.setenv("GOTO_NUM_THREADS", "1")
-    assert coding._workers(128) == 8
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
-    assert coding._workers(128) == 1
-    for unread in ("many", "0", "-2"):   # OpenBLAS reads on, to GOTO_NUM_THREADS
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", unread)
-        assert coding._workers(128) == 8
-    monkeypatch.delenv("GOTO_NUM_THREADS")
-    assert coding._workers(128) == 4   # and on to OMP_NUM_THREADS
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    assert coding._workers(128) == 8
-    monkeypatch.setenv("OMP_NUM_THREADS", "0")
-    assert coding._workers(128) == 1   # none counts: one BLAS thread per CPU
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        for value in ("1", "2", "8", "0", None):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+            assert [coding._workers(dim) for dim in dims] == workers
+    for threads, helpers in ((8, 0), (3, 1), (2, 3), (1, 7)):
+        monkeypatch.setattr(coding, "_blas", lambda: blas_reporting(threads))
+        assert coding._workers(128) == 1 + helpers
     assert coding._workers(32) == 1   # operators below a chunk
     # helpers hold their operators within THREAD_BYTES at any CPU count
     monkeypatch.setattr(coding, "_cpus", lambda: 512)
@@ -941,6 +949,77 @@ def test_workers_leave_the_cpus_to_blas_threads_and_bound_memory(monkeypatch):
         helpers = coding._workers(dim) - 1
         assert helpers * config.TASK_OPERATORS * 16 * dim ** 2 <= config.THREAD_BYTES
     assert (coding._workers(1024), coding._workers(2048)) == (3, 1)
+
+
+needs_openblas = pytest.mark.skipif(coding._blas() is None,
+                                    reason="numpy links no bundled OpenBLAS")
+
+
+@needs_openblas
+@pytest.mark.parametrize("sizes, options, error", [
+    ((3, 8), {}, None),
+    ((3, 8), {"mode": "monte_carlo", "trials": 5, "seed": 1}, None),
+    ((3, 8), {"trials": 5}, ValidationError),
+    ((65, 65), {}, CapExceeded),
+], ids=["exhaustive", "monte_carlo", "trials-exhaustive", "over-cap"])
+def test_average_error_runs_one_blas_thread_and_restores_the_callers(monkeypatch, sizes,
+                                                                     options, error):
+    # from building the decoder to the report, or to the error, BLAS runs
+    # on one thread; the caller's count is back on return and on raise
+    get, set_threads = coding._blas()
+    caller = get()
+    built = []
+
+    class Recorded(SequentialDecoder):
+        def __init__(self, *args):
+            built.append(get())
+            super().__init__(*args)
+
+    monkeypatch.setattr(coding, "SequentialDecoder", Recorded)
+    counts = recorded_counts(monkeypatch, get)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6 if error is None else 1, sizes, master_seed=4)
+    set_threads(3)
+    try:
+        if error is None:
+            assert average_error(ch, books, prior, **options).messages_evaluated
+        else:
+            with pytest.raises(error):
+                average_error(ch, books, prior, **options)
+        assert get() == 3
+    finally:
+        set_threads(caller)
+    assert built == [1] and set(counts) == ({1} if error is None else set())
+
+
+def test_without_openblas_blas_is_left_alone_on_one_decoder_thread(monkeypatch):
+    # where the symbol lookup fails (numpy linked to MKL, Accelerate or a
+    # source build), no BLAS count is set, the decoder builds on the calling
+    # thread, and the report equals the one made with one BLAS thread
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6, (2, 3), master_seed=4)
+    capped = average_error(ch, books, prior)
+    get, set_threads = coding._blas() or (lambda: None, lambda threads: None)
+    threads = min(2, coding._cpus())   # more BLAS threads than CPUs can take minutes
+    monkeypatch.setattr(coding, "_cpus", lambda: 8)
+    monkeypatch.setattr(coding.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+    assert coding._blas() is None
+    assert [coding._workers(dim) for dim in (32, 64, 1024)] == [1, 1, 1]
+    tasks = recorded_tasks(monkeypatch)
+    counts = recorded_counts(monkeypatch, get)
+    caller = get()
+    set_threads(threads)
+    held = None if caller is None else threads   # what get() reads while it is set
+    try:
+        report = average_error(ch, books, prior)
+        assert get() == held
+    finally:
+        set_threads(caller)
+    assert counts and set(counts) == {held}
+    assert tasks and set(tasks) == {threading.get_ident()}
+    assert report.to_json_dict() == capped.to_json_dict()
 
 
 def stage_one_key(books, m) -> tuple:
@@ -1071,7 +1150,7 @@ def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
     # and from 64 on on the pool, and a repeated word's own element and root
     # equal the shared ones, bit for bit
     monkeypatch.setattr(coding, "_cpus", lambda: 2)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(coding, "_blas", lambda: blas_reporting(1))
     assert coding._workers(2 ** n) == (1 if n == 2 else 2)
     ch = load_channel("qubit-pure-mac")
     prior = Prior.uniform((2, 2))
