@@ -14,7 +14,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import operators as ops
 from .config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded, max_dim, require_dim
-from .operators import ValidationError
+from .operators import ValidationError, as_index, letter_tuple
 
 PROB_TOL = 1e-10        # tolerance for probability vectors summing to 1
 ATOM_FLOOR = 1e-15      # ensemble atoms below this probability are dropped
@@ -34,15 +33,6 @@ CHOI_PSD_TOL = 1e-8     # how negative a Choi eigenvalue may be before rejection
 
 class ChannelFormatError(ValueError):
     """The channel file or raw description is malformed (schema level)."""
-
-
-def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:
-    """Letters (or labels) as Python ints; numpy integers pass, but a float or
-    a string raises ValidationError instead of being rounded or parsed."""
-    try:
-        return tuple(operator.index(x) for x in letters)
-    except TypeError:
-        raise ValidationError(f"{what} {letters!r} must hold integer letters") from None
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +49,7 @@ def mask_members(mask: int) -> frozenset[int]:
 
 
 def normalize_subset(members: Iterable[int], s: int) -> frozenset[int]:
-    sub = frozenset(int(i) for i in members)
+    sub = frozenset(as_index(i, "members") for i in members)
     if any(i < 0 or i >= s for i in sub):
         raise ValidationError(f"sender subset {sorted(sub)} not within 0..{s - 1}")
     if not sub:
@@ -124,8 +114,8 @@ def _table_shape(sender_alphabets: Sequence[int],
                  output_dim: int) -> tuple[tuple[int, ...], int]:
     """Alphabets and output dimension of a channel table, checked before
     anything of the size they declare is parsed, allocated or enumerated."""
-    alphabets = tuple(int(a) for a in sender_alphabets)
-    d = int(output_dim)
+    alphabets = tuple(as_index(a, "sender_alphabets") for a in sender_alphabets)
+    d = as_index(output_dim, "output_dim")
     problems: list[str] = []
     if not alphabets:
         problems.append("channel needs at least one sender")
@@ -165,25 +155,24 @@ def _checked_table(states: Mapping, alphabets: tuple[int, ...],
     problems: list[str] = []
     checked: dict[tuple[int, ...], np.ndarray] = {}
     for key in sorted(states):
-        key_t = tuple(int(x) for x in key)
-        if key_t not in expected:
-            problems.append(f"unexpected state for letter tuple {key_t}")
+        if key not in expected:
+            problems.append(f"unexpected state for letter tuple {key}")
             continue
         mat = np.asarray(states[key], dtype=complex)
         if mat.shape != (d, d):
-            problems.append(f"state {key_t}: shape {mat.shape}, expected ({d}, {d})")
+            problems.append(f"state {key}: shape {mat.shape}, expected ({d}, {d})")
             continue
         try:
-            checked[key_t] = ops.check_density(mat, name=f"state {key_t}")
+            checked[key] = ops.check_density(mat, name=f"state {key}")
         except ValidationError as exc:
             problems.append(str(exc))
-    missing = expected - {tuple(int(x) for x in k) for k in states}
-    problems += [f"missing state {key_t}" for key_t in sorted(missing)]
+    missing = expected - set(states)
+    problems += [f"missing state {key}" for key in sorted(missing)]
     if problems:
         return problems, None
     table = np.empty(alphabets + (d, d), dtype=complex)  # complete: no larger than the input
-    for key_t, mat in checked.items():
-        table[key_t] = mat
+    for key, mat in checked.items():
+        table[key] = mat
     return problems, table
 
 
@@ -218,6 +207,7 @@ class CqMacChannel:
         alphabets, d = _table_shape(self.sender_alphabets, self.output_dim)
         states = self.states
         if isinstance(states, Mapping):
+            states = {letter_tuple(key, "letter tuple"): mat for key, mat in states.items()}
             table = _complete_table(states, alphabets, d)
         else:
             states = np.asarray(states, dtype=complex)
@@ -324,8 +314,8 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
     kept state must pass `check_density`, the one check that entropies trust.
     Each kept state is stored as a read-only copy.
     """
-    spaces = tuple(int(a) for a in label_spaces)
-    d = int(quantum_dim)
+    spaces = tuple(as_index(a, "label_spaces") for a in label_spaces)
+    d = as_index(quantum_dim, "quantum_dim")
     seen: dict[tuple[int, ...], tuple[float, np.ndarray]] = {}
     total = 0.0
     for label, p, rho in atoms:
@@ -482,7 +472,7 @@ class BlockChannel:
 
 
 def block_channel(ch: CqMacChannel, n: int) -> BlockChannel:
-    return BlockChannel(ch, int(n))
+    return BlockChannel(ch, as_index(n, "n"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import coding, entropy as ent, region
 from .channel import CqMacChannel, Prior, channel_state, mask_members
 from .config import DEFAULT_MAX_CHECK_TRIALS, CapExceeded
 from .entropy import SubsystemSelector
-from .operators import ValidationError
+from .operators import ValidationError, as_index
 
 DEFAULT_TOL = 1e-9
 
@@ -70,7 +70,7 @@ def random_prior(rng: np.random.Generator, ch: CqMacChannel) -> Prior:
 
 def relabel_channel(ch: CqMacChannel, perm) -> CqMacChannel:
     """Channel with senders permuted: new sender i is old sender perm[i]."""
-    perm = tuple(int(i) for i in perm)
+    perm = tuple(as_index(i, "perm") for i in perm)
     if sorted(perm) != list(range(ch.s)):
         raise ValidationError(f"{perm} is not a permutation of 0..{ch.s - 1}")
     return CqMacChannel(tuple(ch.sender_alphabets[p] for p in perm), ch.output_dim,
@@ -234,11 +234,9 @@ def region_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResul
     for t in range(trials):
         ch = random_channel(rng)
         prior = random_prior(rng, ch)
-        (table,) = region.prior_tables(ch, [prior])
-        cs = region.constraint_set(ch, prior, table=table)
+        cs = region.constraint_set(ch, prior)
         full_mask = (1 << ch.s) - 1
-        corners = region.corner_table(ch, prior, table=table)
-        for perm, point in corners.items():
+        for perm, point in region.corner_table(ch, prior).items():
             res.record(
                 abs(sum(point.rates) - cs.bounds[full_mask]) <= tol, t,
                 "corner telescoping", f"perm {perm}",

@@ -32,8 +32,8 @@ from .config import CapExceeded, UsageError, chunks
 from .checks import run_suites
 from .operators import ValidationError
 from .region import (MixtureSpec, RatePoint, boundary_sweep, check_mixture_size,
-                     constraint_set, corners_with_perms, member_corners,
-                     mixture_constraints, prior_tables, upper_boundary_2d)
+                     constraint_set, member_corners, mixture_constraints, prior_tables,
+                     table_corners, upper_boundary_2d)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -260,41 +260,40 @@ def cmd_region(args) -> int:
                     for i in range(s)),
                 "weight": np.array([w for w, _ in mix.components]),
             }
-            tol = 1e-9 if args.tol is None else args.tol
-            corners = member_corners(cs, tol) if emit_corners else []
+            if emit_corners:
+                perms, rates = member_corners(cs, 1e-9 if args.tol is None else args.tol)
+                corner_prior = np.zeros(len(rates), dtype=int)
         else:
             prior = _parse_prior(args.prior, ch.sender_alphabets)
             (table,) = prior_tables(ch, [prior])
             cs = constraint_set(ch, prior, table=table)
-            corners = corners_with_perms(ch, table) if emit_corners else []
+            if emit_corners:
+                corner_prior, perms, rates = table_corners(np.array([table]), s)
             ids = np.array([0])
             sections["priors"] = {"id": ids, "per_sender": _per_sender_columns(
                 v[None] for v in prior.per_sender)}
         bounds = np.array([list(cs.bounds.values())])
-        corner_prior = np.zeros(len(corners), dtype=int)
-        perms = np.array([perm for perm, _ in corners], dtype=int).reshape(-1, s)
-        rates = np.array([point.rates for _, point in corners]).reshape(-1, s)
 
     # every number is computed and checked; now the rows are written
     masks = np.tile(np.arange(1, bounds.shape[1] + 1), len(bounds))
     bound_ids = ids[np.repeat(np.arange(len(bounds)), bounds.shape[1])]
-    corner_ids = ids[corner_prior]
     if args.format == "json":
         sections["region"] = {"bound_bits": bounds.ravel(), "prior_id": bound_ids,
                               "subset_mask": masks}
         if emit_corners:
-            sections["corners"] = {"perm": list(perms.T + 1), "prior_id": corner_ids,
+            sections["corners"] = {"perm": list(perms.T + 1), "prior_id": ids[corner_prior],
                                    "rates": list(rates.T)}
         with _output(args.out) as fh:
             _write_json(fh, sections)
         return EXIT_OK
     region_csv = ("prior_id,subset_mask,bound_bits", "%s,%s,%.12g\n",
                   [bound_ids, masks, bounds.ravel()])
-    corners_csv = (
-        "prior_id,perm," + ",".join(f"R_{i + 1}" for i in range(s)),
-        "%s," + "-".join(["%s"] * s) + "," + ",".join(["%.12g"] * s) + "\n",
-        [corner_ids, *(perms.T + 1), *rates.T],
-    )
+    if emit_corners:
+        corners_csv = (
+            "prior_id,perm," + ",".join(f"R_{i + 1}" for i in range(s)),
+            "%s," + "-".join(["%s"] * s) + "," + ",".join(["%.12g"] * s) + "\n",
+            [ids[corner_prior], *(perms.T + 1), *rates.T],
+        )
     with _output(args.out) as fh:
         _write_csv(fh, *region_csv)
         if emit_corners and args.out is None:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import os
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence
@@ -36,11 +37,10 @@ from typing import Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from . import operators as ops
-from .channel import (PROB_TOL, CqMacChannel, Prior, block_channel, block_states,
-                      letter_tuple, reduced_channel)
+from .channel import PROB_TOL, CqMacChannel, Prior, block_channel, block_states, reduced_channel
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
-from .operators import ValidationError
+from .operators import ValidationError, as_index, letter_tuple
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
 # A stage's eps_bar averages leaks 1 - Tr(rho D), each rounded on a scale of
@@ -99,7 +99,8 @@ def sample_codebook(prior_vec, n: int, size: int, seed: int,
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Fixed splitting rule: one 64-bit master seed to `count` child seeds."""
-    state = np.random.SeedSequence(int(master_seed)).generate_state(count, dtype=np.uint64)
+    seed = np.random.SeedSequence(as_index(master_seed, "master_seed"))
+    state = seed.generate_state(count, dtype=np.uint64)
     return [int(x) for x in state]
 
 
@@ -110,17 +111,22 @@ def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
         raise ValidationError(f"expected {ch.s} codebook sizes, got {len(sizes)}")
     seeds = derive_seeds(master_seed, ch.s + 1)[: ch.s]
     return [
-        sample_codebook(prior.per_sender[i], n, int(sizes[i]), seeds[i], sender=i)
+        sample_codebook(prior.per_sender[i], n, as_index(sizes[i], "sizes"), seeds[i], sender=i)
         for i in range(ch.s)
     ]
 
 
 def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list[int]:
     """Codebook sizes ceil(2^{n (R_i - delta)}), floored at one word, capped like
-    `sample_codebook`; a size beyond the cap raises before it is computed."""
-    bits = [n * (float(r) - delta) for r in rates]
+    `sample_codebook`; a size beyond the cap raises before it is computed.
+    Rates must be finite and nonnegative, and delta finite."""
+    rates = [float(r) for r in rates]
+    if not all(np.isfinite(r) and r >= 0 for r in rates) or not np.isfinite(delta):
+        raise ValidationError(f"rates must be finite and nonnegative and delta finite, "
+                              f"got rates {rates} and delta {delta}")
+    bits = [n * (r - delta) for r in rates]
     if any(b > np.log2(DEFAULT_MAX_MESSAGES) for b in bits):
-        raise CapExceeded(f"rates {list(rates)} at n={n} need codebooks of 2^{max(bits):.6g} "
+        raise CapExceeded(f"rates {rates} at n={n} need codebooks of 2^{max(bits):.6g} "
                           f"words, cap is {DEFAULT_MAX_MESSAGES}")
     return [max(1, int(np.ceil(2.0 ** b))) for b in bits]
 
@@ -504,12 +510,18 @@ class SequentialDecoder:
         return inst
 
     def _key(self, stage: int, prefix_words: Sequence[Sequence[int]]) -> tuple:
-        """Cache key of the stage's instrument given decoded prefix words."""
+        """Cache key of the stage's instrument given decoded prefix words,
+        word j an n-letter word of sender j's alphabet."""
         if stage < 0 or stage >= self.channel.s:
             raise ValidationError(f"stage {stage} out of range")
         if len(prefix_words) != stage:
             raise ValidationError(f"stage {stage} needs {stage} prefix words")
-        return (stage, tuple(tuple(int(x) for x in w) for w in prefix_words))
+        words = tuple(letter_tuple(w, "prefix word") for w in prefix_words)
+        for j, (w, a) in enumerate(zip(words, self.channel.sender_alphabets)):
+            if len(w) != self.n or not all(0 <= x < a for x in w):
+                raise ValidationError(f"prefix word {w} is not a {self.n}-letter word "
+                                      f"of sender {j}'s alphabet")
+        return (stage, words)
 
     def _instrument(self, key: tuple) -> TenderInstrument:
         """The instrument of a cache key, built without reading or writing
@@ -562,6 +574,23 @@ def _blas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     get.argtypes, get.restype = [], ctypes.c_int
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     return get, set_threads
+
+
+_pin_lock = threading.Lock()
+_pin_calls = 0       # `average_error` calls running on one BLAS thread
+_pin_caller = None   # the BLAS count the first of them found
+
+
+def _pin(step: int) -> None:
+    """Enter (step 1) or leave (step -1) one-thread BLAS: the first of
+    overlapping calls saves the caller's count, the last sets it back."""
+    global _pin_calls, _pin_caller
+    get, set_threads = _blas() or (lambda: None, lambda threads: None)
+    with _pin_lock:
+        if _pin_calls == 0:
+            _pin_caller = get()
+        _pin_calls += step
+        set_threads(1 if _pin_calls else _pin_caller)
 
 
 def _workers(dim: int) -> int:
@@ -665,12 +694,11 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
     average disturbance the gentle measurement inflicts, with its
     sqrt(8 eps) + eps bound; an eps below EPS_FLOOR is reported as 0.
     BLAS runs on one thread for the call (where `_blas` finds OpenBLAS), and
-    at the caller's count again after it.
+    at the caller's count again after it; overlapping calls from several
+    threads share one pin (`_pin`), set back when the last returns.
     """
     t0 = time.perf_counter()
-    get, set_threads = _blas() or (lambda: None, lambda threads: None)
-    caller = get()
-    set_threads(1)
+    _pin(1)
     try:
         decoder = SequentialDecoder(ch, codebooks, prior)
         sizes = tuple(cb.size for cb in codebooks)
@@ -686,14 +714,15 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         elif mode == "monte_carlo":
             if trials is None or seed is None:
                 raise ValidationError("monte_carlo mode needs trials= and seed=")
+            trials, seed = as_index(trials, "trials"), as_index(seed, "seed")
             if trials < 1:
                 raise ValidationError(f"trials must be >= 1, got {trials}")
             if trials > DEFAULT_MAX_MESSAGES:
                 raise CapExceeded(f"Monte Carlo decoding needs {trials} message tuples, "
                                   f"cap is {DEFAULT_MAX_MESSAGES}")
-            rng = np.random.default_rng(int(seed))
+            rng = np.random.default_rng(seed)
             msgs = np.array([[int(rng.integers(L)) for L in sizes] for _ in range(trials)])
-            trial_seed = int(seed)
+            trial_seed = seed
         else:
             raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")
 
@@ -756,7 +785,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
             wall_clock_s=time.perf_counter() - t0,
         )
     finally:
-        set_threads(caller)
+        _pin(-1)
 
 
 def run_simulation(ch: CqMacChannel, prior: Prior, n: int, sizes: Sequence[int],

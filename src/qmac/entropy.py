@@ -29,7 +29,7 @@ from . import operators as ops
 from .channel import (ATOM_FLOOR, PROB_TOL, CqEnsemble, make_ensemble, mask_members,
                       normalize_subset, subset_mask)
 from .config import chunks
-from .operators import ValidationError, shannon_bits
+from .operators import ValidationError, as_index, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
 MI_CLAMP = 1e-9         # raw values in [-MI_CLAMP, 0) are reported as 0
@@ -48,7 +48,8 @@ class SubsystemSelector:
 
     @staticmethod
     def of(classical: Iterable[int] = (), quantum: bool = False) -> "SubsystemSelector":
-        return SubsystemSelector(frozenset(int(i) for i in classical), bool(quantum))
+        return SubsystemSelector(frozenset(as_index(i, "classical") for i in classical),
+                                 bool(quantum))
 
     @property
     def is_empty(self) -> bool:

@@ -10,6 +10,7 @@ All entropies produced downstream are in bits (log base 2).
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +27,24 @@ POVM_SUM_TOL = 1e-8     # max-entry deviation of sum(elements) from identity
 
 class ValidationError(ValueError):
     """An operator, distribution or table violates a documented invariant."""
+
+
+def as_index(value, what: str) -> int:
+    """A caller's integer as a Python int; numpy integers pass, but a float
+    or a string raises ValidationError naming `what` instead of being
+    rounded or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what}: {value!r} is not an integer") from None
+
+
+def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:
+    """Letters (or labels) as Python ints, each read as `as_index` reads one."""
+    try:
+        return tuple(operator.index(x) for x in letters)
+    except TypeError:
+        raise ValidationError(f"{what} {letters!r} must hold integer letters") from None
 
 
 def as_operator(a, name: str = "matrix") -> np.ndarray:
@@ -231,7 +250,7 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
         matrix [[Tr a]].
     """
     a = as_operator(a)
-    dims = [int(d) for d in factor_dims]
+    dims = [as_index(d, "factor_dims") for d in factor_dims]
     if any(d < 1 for d in dims):
         raise ValidationError(f"factor dimensions must be positive, got {dims}")
     total = int(np.prod(dims))
@@ -239,7 +258,7 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
         raise ValidationError(
             f"factor dimensions {dims} give total {total}, matrix has dimension {a.shape[0]}"
         )
-    keep = sorted(set(int(k) for k in keep))
+    keep = sorted(set(as_index(k, "keep") for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValidationError(f"keep indices {keep} out of range for {len(dims)} factors")
     drop = [i for i in range(len(dims)) if i not in keep]

@@ -7,11 +7,12 @@ extremal points (corners) are the successive-decoding rate tuples, one per
 decoding order.  Bounds and corners are both read off the entropy table of
 the channel state (`entropy.entropy_tables`), which a sweep computes for all
 of its priors in one batched call.  Corners are chain-rule entropy
-differences, exact and LP-free, read off stacked tables by one kernel
-(`_chain_rates`) and deduplicated by one rule (`_distinct`).  Every decode
-order comes from one cached table (`_orders`), which refuses to form any
-past the sender cap.  An independent route recovers corners from suffix
-differences of the bounds for cross-checking.
+differences, exact and LP-free: one routine (`table_corners`) selects the
+distinct corners of any stack of tables, with one kernel (`_chain_rates`)
+and one dedup rule (`_distinct`).  Every decode order comes from one cached
+table (`_orders`), which refuses to form any past the sender cap.  An
+independent route recovers corners from suffix differences of the bounds
+for cross-checking.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import entropy as ent
 from .channel import PROB_TOL, CqMacChannel, Prior, mask_members
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded, chunks
-from .operators import ValidationError
+from .operators import ValidationError, as_index
 
 MEMBER_TOL = 1e-9
 CORNER_DEDUP_TOL = 1e-9
@@ -156,7 +157,7 @@ def constraint_set(ch: CqMacChannel, prior: Prior | None, *,
 
 
 def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
-    perm = tuple(int(i) for i in perm)
+    perm = tuple(as_index(i, "perm") for i in perm)
     if sorted(perm) != list(range(s)):
         raise ValidationError(f"{perm} is not a permutation of 0..{s - 1}")
     return perm
@@ -181,44 +182,46 @@ def _orders(s: int) -> tuple[np.ndarray, np.ndarray]:
     return orders, before
 
 
-def corner_table(ch: CqMacChannel, prior: Prior | None, *,
-                 table: ent.EntropyTable | None = None) -> dict[tuple[int, ...], RatePoint]:
-    """Corner for every decoding order, computed off one shared entropy table
-    (`table` and `prior` as in `constraint_set`) by `_chain_rates`.
+def corner_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, ...], RatePoint]:
+    """Corner for every decoding order, computed off the prior's entropy
+    table by `_chain_rates`.
 
     Stage i decodes sender perm[i] against the joint of the output and the
     already-decoded senders: R = H(X_k) + H(X_A, Y) - H(X_A + k, Y).  The
     rates of each corner telescope: their total equals the full-set bound.
     """
     orders, _ = _orders(ch.s)
-    if table is None:
-        (table,) = prior_tables(ch, [prior])
-    (rates,) = _chain_rates(np.array([table]), ch.s).tolist()
+    (rates,) = _chain_rates(np.array(prior_tables(ch, [prior])), ch.s).tolist()
     return dict(zip(map(tuple, orders.tolist()), map(RatePoint, rates)))
 
 
-def member_corners(cs: RateConstraintSet, tol: float
-                   ) -> list[tuple[tuple[int, ...], RatePoint]]:
+def table_corners(tables: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct corners (within CORNER_DEDUP_TOL) of the entropy tables
+    (P, 2^s, 2), listed by table, each with its first decode order: the
+    table index, the 0-based order and the rates of each, as arrays."""
+    orders, _ = _orders(s)
+    rates = _chain_rates(tables, s)
+    p_idx, j_idx = np.nonzero(_distinct(rates, CORNER_DEDUP_TOL))
+    return p_idx, orders[j_idx], rates[p_idx, j_idx]
+
+
+def member_corners(cs: RateConstraintSet, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Distinct corners (within tol) of a constraint set that lie in it
-    (within tol), each with its first decode order; the corners come from
-    the bounds (`corner_from_bounds`), as for a mixture of priors."""
-    pairs = ((perm, corner_from_bounds(cs, perm))
-             for perm in map(tuple, _orders(cs.s)[0].tolist()))
-    return _distinct_pairs([(perm, point) for perm, point in pairs
-                            if is_member(point, cs, tol)], cs.s, tol)
-
-
-def corners_with_perms(ch: CqMacChannel, table: ent.EntropyTable
-                       ) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """Distinct corners (within 1e-9) of an entropy table, each with its first permutation."""
-    pairs = corner_table(ch, None, table=table).items()
-    return _distinct_pairs(list(pairs), ch.s, CORNER_DEDUP_TOL)
+    (within tol), as arrays of their first decode orders and of their
+    rates; the corners come from the bounds (`corner_from_bounds`), as for
+    a mixture of priors."""
+    orders = _orders(cs.s)[0]
+    points = [corner_from_bounds(cs, perm) for perm in orders.tolist()]
+    members = np.flatnonzero([is_member(point, cs, tol) for point in points])
+    rates = np.array([points[j].rates for j in members]).reshape(-1, cs.s)
+    keep = _distinct(rates[None], tol)[0]
+    return orders[members[keep]], rates[keep]
 
 
 def all_corners(ch: CqMacChannel, prior: Prior) -> list[RatePoint]:
     """Distinct corners (within 1e-9), ordered by first achieving permutation."""
-    (table,) = prior_tables(ch, [prior])
-    return [point for _, point in corners_with_perms(ch, table)]
+    _, _, rates = table_corners(np.array(prior_tables(ch, [prior])), ch.s)
+    return [RatePoint(r) for r in rates.tolist()]
 
 
 def _chain_rates(tables: np.ndarray, s: int) -> np.ndarray:
@@ -251,13 +254,6 @@ def _distinct(rates: np.ndarray, tol: float) -> np.ndarray:
         gap = np.abs(by_sender[:, :, :j] - by_sender[:, :, j, None]).max(axis=1)
         keep[:, j] = ~((gap <= tol) & keep[:, :j]).any(axis=1)
     return keep
-
-
-def _distinct_pairs(pairs: list[tuple[tuple[int, ...], RatePoint]], s: int,
-                    tol: float) -> list[tuple[tuple[int, ...], RatePoint]]:
-    """The (perm, point) pairs whose points `_distinct` keeps."""
-    rates = np.array([point.rates for _, point in pairs]).reshape(1, -1, s)
-    return [pair for pair, keep in zip(pairs, _distinct(rates, tol)[0].tolist()) if keep]
 
 
 def corner_from_bounds(cs: RateConstraintSet, perm: Sequence[int]) -> RatePoint:
@@ -314,7 +310,7 @@ class Sweep:
     for the nonempty sender subset `mask` is `bounds[p, mask - 1]`.  Corner j
     belongs to prior `corner_prior[j]`, has the 0-based decode order
     `corner_perm[j]` and the rates `corner_rates[j]`; the corners are listed
-    by prior, and each prior's as `corners_with_perms` lists them.
+    by prior, and each prior's as `table_corners` lists them.
     """
 
     per_sender: tuple[np.ndarray, ...]
@@ -345,7 +341,7 @@ def prior_grid(alphabet_sizes: Sequence[int],
     resolution grows, and any coarser grid's priors reappear in every
     multiple of it.
     """
-    k = int(resolution)
+    k = as_index(resolution, "resolution")
     if k < 1:
         raise ValidationError(f"grid resolution must be >= 1, got {resolution}")
     count = 1
@@ -370,27 +366,23 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     at resolution 6, against 9,261 taken prior by prior).  Each prior's
     bounds come from its `constraint_set`, which also rejects a non-finite
     table entry; its corners are read off the tables, chunk by chunk, by
-    `corner_table`'s kernel and deduplicated as `corners_with_perms` does.
-    The convex hull of all corners plus the origin under-approximates the
-    capacity region and grows monotonically under grid refinement.
+    `table_corners`.  The convex hull of all corners plus the origin
+    under-approximates the capacity region and grows monotonically under
+    grid refinement.
     """
     orders, _ = _orders(ch.s)   # before the tables of the whole grid are computed
     compositions, index = prior_grid(ch.sender_alphabets, resolution)
     per_sender = tuple(c[i] for c, i in zip(compositions, index))
     tables = _sender_tables(ch, per_sender)
     bounds = np.empty((len(tables), (1 << ch.s) - 1))
-    kept_prior, kept_perm, kept_rates = [], [], []
+    kept = []   # (prior, order, rates) arrays of each chunk's corners
     for rows in chunks(len(tables), 8 * orders.size):   # one prior: s! x s rates
         chunk = tables[rows]
         for p, row in enumerate(chunk.tolist(), rows.start):
             bounds[p] = list(constraint_set(ch, None, table=row).bounds.values())
-        rates = _chain_rates(chunk, ch.s)
-        p_idx, j_idx = np.nonzero(_distinct(rates, CORNER_DEDUP_TOL))
-        kept_prior.append(p_idx + rows.start)
-        kept_perm.append(j_idx)
-        kept_rates.append(rates[p_idx, j_idx])
-    return Sweep(per_sender, bounds, np.concatenate(kept_prior),
-                 orders[np.concatenate(kept_perm)], np.concatenate(kept_rates))
+        p_idx, perms, rates = table_corners(chunk, ch.s)
+        kept.append((p_idx + rows.start, perms, rates))
+    return Sweep(per_sender, bounds, *map(np.concatenate, zip(*kept)))
 
 
 # ---------------------------------------------------------------------------

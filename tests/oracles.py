@@ -589,7 +589,8 @@ def dedup_points(pairs, tol=region.CORNER_DEDUP_TOL) -> list:
 
 
 def corners_loop(ch, prior, table=None) -> list:
-    """`qmac.region.corners_with_perms` by `corner_table_loop` and `dedup_points`."""
+    """`qmac.region.table_corners` of one prior's table, as (perm, RatePoint)
+    pairs, by `corner_table_loop` and `dedup_points`."""
     return dedup_points(sorted(corner_table_loop(ch, prior, table).items()))
 
 

@@ -9,10 +9,12 @@ from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Pr
                           block_channel, channel_from_dict, channel_state,
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
-from qmac.checks import random_channel, random_prior
-from qmac.coding import Codebook
+from qmac.checks import random_channel, random_prior, relabel_channel
+from qmac.coding import Codebook, average_error, codebooks_from_seed, run_simulation
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
+from qmac.entropy import SubsystemSelector, mutual_information
 from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
+from qmac.region import boundary_sweep, constraint_set, corner_from_bounds
 
 from oracles import (bundled_channel_json, channel_to_dict, count_checked_states,
                      low_rank_channel, point_mass_prior, reduced_channel_loop, save_channel,
@@ -163,6 +165,63 @@ def test_non_integer_letters_are_refused_where_they_enter(entry):
     kept = enter((np.int64(1), np.uint8(0)))
     assert np.array_equal(kept, enter((1, 0)))
     assert not isinstance(kept, tuple) or all(type(x) is int for x in kept)
+
+
+def pure_mac():
+    return load_channel("qubit-pure-mac"), Prior.uniform((2, 2))
+
+
+def monte_carlo(**options):
+    ch, prior = pure_mac()
+    books = codebooks_from_seed(ch, prior, 1, (2, 2), 0)
+    return average_error(ch, books, prior, mode="monte_carlo", **options)
+
+
+# entry point: (its call with one caller integer v, values it refuses, a numpy integer
+# it takes, the name its error gives)
+CALLER_INTEGERS = {
+    "channel-alphabets": (lambda v: CqMacChannel((v,), 2, {(0,): Z0, (1,): Z1}),
+                          [2.7, "2"], np.int64(2), "sender_alphabets"),
+    "channel-output-dim": (lambda v: CqMacChannel((2,), v, {(0,): Z0, (1,): Z1}),
+                           [2.9, "2"], np.int64(2), "output_dim"),
+    "channel-letter-keys": (lambda v: CqMacChannel((1,), 2, {(v,): Z0}),
+                            [0.4, "0", 0.0], np.int64(0), "letter tuple"),
+    "block-length": (lambda v: block_channel(pure_mac()[0], v), [2.5], np.int64(2), "n"),
+    "simulation-sizes": (lambda v: run_simulation(*pure_mac(), 1, (v, 2), 0),
+                         [2.7], np.int64(2), "sizes"),
+    "master-seed": (lambda v: run_simulation(*pure_mac(), 1, (2, 2), v),
+                    [1.5], np.uint64(1), "master_seed"),
+    "trial-seed": (lambda v: monte_carlo(trials=2, seed=v), [1.9], np.int64(1), "seed"),
+    "trials": (lambda v: monte_carlo(trials=v, seed=1), [2.5], np.int64(2), "trials"),
+    "sweep-resolution": (lambda v: boundary_sweep(pure_mac()[0], v),
+                         ["3", 2.0], np.int64(2), "resolution"),
+    "decode-order": (lambda v: corner_from_bounds(constraint_set(*pure_mac()), (v, 1)),
+                     [0.5], np.int64(0), "perm"),
+    "relabel-order": (lambda v: relabel_channel(pure_mac()[0], (v, 0)),
+                      [1.2], np.int64(1), "perm"),
+    "selector": (lambda v: SubsystemSelector.of([v]), [0.7], np.int64(0), "classical"),
+    "mi-members": (lambda v: mutual_information(channel_state(*pure_mac()), [v]),
+                   [0.9], np.int64(0), "members"),
+    "trace-dims": (lambda v: partial_trace(np.eye(4) / 4, [v, 2], [0]),
+                   [2.5], np.int64(2), "factor_dims"),
+    "trace-keep": (lambda v: partial_trace(np.eye(4) / 4, [2, 2], [v]),
+                   [0.5], np.int64(0), "keep"),
+    "ensemble-labels": (lambda v: make_ensemble([v], 2, [((0,), 1.0, Z0)]),
+                        [1.5], np.int64(1), "label_spaces"),
+    "ensemble-dim": (lambda v: make_ensemble([1], v, [((0,), 1.0, Z0)]),
+                     [2.2], np.int64(2), "quantum_dim"),
+}
+
+
+@pytest.mark.parametrize("entry", CALLER_INTEGERS)
+def test_caller_integers_are_refused_unless_whole(entry):
+    # a float is not truncated and a string not parsed where an integer
+    # enters; the error names the parameter, and numpy integers pass
+    enter, refused, taken, name = CALLER_INTEGERS[entry]
+    for value in refused:
+        with pytest.raises(ValidationError, match=name):
+            enter(value)
+    enter(taken)
 
 
 @pytest.mark.parametrize("alphabets, d, problem", [

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import signal
+import sys
 import threading
 import time
 import types
@@ -102,6 +103,16 @@ def test_sizes_from_rates():
         sizes_from_rates([1e6, 1.0], 2)
     with pytest.raises(CapExceeded):
         sizes_from_rates([1.0], 13)
+
+
+@pytest.mark.parametrize("rates, delta", [
+    ([float("nan"), 1.0], 0.0), ([-np.inf, 1.0], 0.0), ([-3.0], 0.0), ([np.inf], 0.0),
+    ([1.0], float("nan")), ([1.0], np.inf), ([1.0], -np.inf),
+])
+def test_sizes_from_rates_refuses_non_finite_or_negative_rates(rates, delta):
+    # not a conversion error, a one-word codebook or a cap error
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        sizes_from_rates(rates, 4, delta)
 
 
 # --- stage word states ----------------------------------------------------------
@@ -1193,3 +1204,82 @@ def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
                 shared += 1
     assert shared
     assert close_report(report, average_error_loop(ch, books, prior, **options))
+
+
+@needs_openblas
+def test_overlapping_average_error_calls_share_one_pin(monkeypatch):
+    # call A holds its decoder build until call B has pinned BLAS, and B
+    # builds only after A has returned: both build on one BLAS thread, and
+    # the caller's count is back once both have returned.  Then more calls
+    # than CPUs overlap with thread switches forced often: a lost update of
+    # the shared pin would leave a build, or the caller, at a wrong count
+    get, set_threads = coding._blas()
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 2, (2, 3), master_seed=4)
+    b_pinned, a_returned = threading.Event(), threading.Event()
+    built, errors = {}, []
+
+    class Held(SequentialDecoder):
+        def __init__(self, *args):
+            name = threading.current_thread().name
+            if name == "A":
+                assert b_pinned.wait(30)
+            elif name == "B":
+                b_pinned.set()
+                assert a_returned.wait(30)
+            built.setdefault(name, set()).add(get())
+            super().__init__(*args)
+
+    def call(times=1):
+        try:
+            for _ in range(times):
+                average_error(ch, books, prior)
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            if threading.current_thread().name == "A":
+                a_returned.set()
+
+    def overlap(calls):
+        set_threads(2)
+        try:
+            for thread in calls:
+                thread.start()
+            for thread in calls:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in calls)
+            return get()
+        finally:
+            set_threads(caller)
+
+    monkeypatch.setattr(coding, "SequentialDecoder", Held)
+    caller = get()
+    assert overlap([threading.Thread(target=call, name=name) for name in "AB"]) == 2
+    assert not errors and built == {"A": {1}, "B": {1}}
+    built.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        calls = [threading.Thread(target=call, args=(5,), name=f"C{i}")
+                 for i in range(2 * coding._cpus() + 2)]
+        assert overlap(calls) == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and set().union(*built.values()) == {1} and len(built) == len(calls)
+
+
+@pytest.mark.parametrize("prefix, problem", [
+    ([(1.7, 0)], "must hold integer letters"),
+    ([(1, 0, 1)], "not a 2-letter word"),
+    ([(5, 0)], "not a 2-letter word"),
+    ([(-1, 0)], "not a 2-letter word"),
+], ids=["float-letter", "long-word", "letter-outside-alphabet", "negative-letter"])
+def test_stage_instrument_refuses_prefix_words_off_the_code_space(prefix, problem):
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    decoder = SequentialDecoder(ch, codebooks_from_seed(ch, prior, 2, (2, 2), 0), prior)
+    cached = decoder.stage_instrument(1, [(1, 0)])
+    assert decoder.stage_instrument(1, [np.array([1, 0])]) is cached   # numpy letters pass
+    with pytest.raises(ValidationError, match=problem):
+        decoder.stage_instrument(1, prefix)

@@ -633,7 +633,8 @@ def test_corner_routes_equal_the_scalar_loop(monkeypatch, s, signed_zeros):
                     == signed([point.rates for _, point in corners_loop(ch, prior)]))
             for cs in (constraint_set(ch, prior), mixed):
                 for tol in (0.0, 1e-12, 1e-9, 1e-3, 0.1):
-                    assert (rate_pairs(member_corners(cs, tol))
+                    perms, rates = member_corners(cs, tol)
+                    assert (signed(list(zip(perms.tolist(), rates.tolist())))
                             == rate_pairs(member_corners_loop(cs, tol)))
         resolution = 2 if s < 4 else 1   # the grid of point masses at s = 4
         ch.table_memo.clear()   # so that the loop's batch is the whole grid
