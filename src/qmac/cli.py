@@ -30,7 +30,7 @@ from .channel import ChannelFormatError, Prior, load_channel
 from .coding import run_simulation, sizes_from_rates
 from .config import CapExceeded, UsageError, chunks
 from .checks import run_suites
-from .operators import ValidationError
+from .operators import ValidationError, as_seed
 from .region import (MixtureSpec, RatePoint, boundary_sweep, check_mixture_size,
                      constraint_set, member_corners, mixture_constraints, prior_tables,
                      table_corners, upper_boundary_2d)
@@ -102,8 +102,10 @@ def _parse_float_list(spec: str, what: str) -> list[float]:
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 2 ** 64:
-        raise UsageError(f"seed must be an integer from 0 to 2^64 - 1, got {seed}")
+    try:
+        as_seed(seed, "seed")
+    except ValidationError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _check_finite(value: float, what: str, positive: bool = False) -> None:

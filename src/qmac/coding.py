@@ -15,9 +15,15 @@ columns in F (one on a pure-state channel), and the chain is
 F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
 (`tests/oracles.average_error_loop`) within 1e-12.
 
+Message tuples with the same words have the same values, so each distinct
+word tuple runs through the chain once, and the per-tuple values are then
+added in tuple order: reports equal those of a run over every tuple, bit
+for bit.  The distinct tuples run sorted, so those reading one (stage,
+prefix) instrument are consecutive, and it is released after the last.
+
 Every element and root is made by one kernel, `_element_and_root`, and
-kept in its POVM by `_keep`.  Below block dimension 64 the tuples build
-what they first read, a chunk at a time.  From 64 on, where one operator
+kept in its POVM by `_keep`.  Below block dimension 64 the distinct tuples
+build what they first read, a chunk at a time.  From 64 on, where one operator
 fills a chunk, `_plan` can build all of it first on a pool of `_workers`
 threads, one per CPU within `config.THREAD_BYTES`, since `average_error`
 runs BLAS on one thread.  Each task is the kernel on one item, as a chunk
@@ -40,7 +46,7 @@ from . import operators as ops
 from .channel import PROB_TOL, CqMacChannel, Prior, block_channel, block_states, reduced_channel
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
-from .operators import ValidationError, as_index, letter_tuple
+from .operators import ValidationError, as_index, as_seed, letter_tuple
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
 # A stage's eps_bar averages leaks 1 - Tr(rho D), each rounded on a scale of
@@ -88,18 +94,19 @@ def sample_codebook(prior_vec, n: int, size: int, seed: int,
     random coding ensemble.
     """
     p = np.asarray(prior_vec, dtype=float).ravel()
+    n, size, seed = as_index(n, "n"), as_index(size, "size"), as_seed(seed, "seed")
     if size < 1 or n < 1:
         raise ValidationError("codebook size and block length must be >= 1")
     if size > DEFAULT_MAX_MESSAGES:
         raise CapExceeded(f"codebook of {size} words, cap is {DEFAULT_MAX_MESSAGES}")
     rng = np.random.default_rng(seed)
     letters = rng.choice(p.size, size=(size, n), p=p)
-    return Codebook(sender, n, letters.tolist(), seed=int(seed))
+    return Codebook(sender, n, letters.tolist(), seed=seed)
 
 
 def derive_seeds(master_seed: int, count: int) -> list[int]:
     """Fixed splitting rule: one 64-bit master seed to `count` child seeds."""
-    seed = np.random.SeedSequence(as_index(master_seed, "master_seed"))
+    seed = np.random.SeedSequence(as_seed(master_seed, "master_seed"))
     state = seed.generate_state(count, dtype=np.uint64)
     return [int(x) for x in state]
 
@@ -119,7 +126,10 @@ def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
 def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list[int]:
     """Codebook sizes ceil(2^{n (R_i - delta)}), floored at one word, capped like
     `sample_codebook`; a size beyond the cap raises before it is computed.
-    Rates must be finite and nonnegative, and delta finite."""
+    Rates must be finite and nonnegative, delta finite, and n at least 1."""
+    n = as_index(n, "n")
+    if n < 1:
+        raise ValidationError(f"block length must be >= 1, got {n}")
     rates = [float(r) for r in rates]
     if not all(np.isfinite(r) and r >= 0 for r in rates) or not np.isfinite(delta):
         raise ValidationError(f"rates must be finite and nonnegative and delta finite, "
@@ -512,6 +522,7 @@ class SequentialDecoder:
     def _key(self, stage: int, prefix_words: Sequence[Sequence[int]]) -> tuple:
         """Cache key of the stage's instrument given decoded prefix words,
         word j an n-letter word of sender j's alphabet."""
+        stage = as_index(stage, "stage")
         if stage < 0 or stage >= self.channel.s:
             raise ValidationError(f"stage {stage} out of range")
         if len(prefix_words) != stage:
@@ -608,7 +619,7 @@ def _workers(dim: int) -> int:
 
 def _plan(decoder: SequentialDecoder, msgs: np.ndarray,
           rows: Sequence[slice]) -> Iterable[list[tuple[list[Povm], list[int]]]]:
-    """What each chunk `msgs[rows[c]]` of message tuples reads (`_reads`).
+    """What each chunk `msgs[rows[c]]` of distinct message tuples reads (`_reads`).
 
     With one worker each chunk builds what it reads when it reads it.  With
     several, everything the chunks read is built first, on a pool of that
@@ -714,7 +725,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         elif mode == "monte_carlo":
             if trials is None or seed is None:
                 raise ValidationError("monte_carlo mode needs trials= and seed=")
-            trials, seed = as_index(trials, "trials"), as_index(seed, "seed")
+            trials, seed = as_index(trials, "trials"), as_seed(seed, "seed")
             if trials < 1:
                 raise ValidationError(f"trials must be >= 1, got {trials}")
             if trials > DEFAULT_MAX_MESSAGES:
@@ -728,17 +739,18 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
 
         s = ch.s
         n = decoder.n
-        stage_success = np.zeros(s)
-        stage_eps = np.zeros(s)
-        stage_dist = np.zeros(s)
-        total_error = 0.0
-        # message tuples go through the stages in chunks of stacked operators;
-        # per-tuple values are then added in tuple order, as one tuple at a time would.
+        # each distinct tuple of first messages (`SequentialDecoder._first`)
+        # runs once, sorted, in chunks of stacked operators.
         # Each word state rho = F F† runs as its factor F: the leak is
         # 1 - Re<F, D F>, the branch state is sqrt(D) F, its weight ||sqrt(D) F||^2
-        rows = list(chunks(len(msgs), 16 * decoder.block.output_dim ** 2))
-        for chunk, reads in zip(rows, _plan(decoder, msgs, rows)):
-            msg = msgs[chunk]
+        canon = np.stack([decoder._first[i][msgs[:, i]] for i in range(s)], axis=1)
+        # return_index makes np.unique run the stable sort the decoder's own call
+        # ran, whose code is resident; its default sort raised peak memory 0.1 MB
+        distinct, _, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
+        values = np.zeros((3, s, len(distinct)))   # eps, dist and success per stage
+        rows = list(chunks(len(distinct), 16 * decoder.block.output_dim ** 2))
+        for chunk, reads in zip(rows, _plan(decoder, distinct, rows)):
+            msg = distinct[chunk]
             words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
             f0 = decoder.block.state_for_words(words)
             f = f0
@@ -751,13 +763,23 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
                 g = roots @ f0
                 eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
                 f = g if f is f0 else roots @ f
-                success = _inner(f, f)
-                for total, values in ((stage_eps, eps), (stage_dist, dist),
-                                      (stage_success, success)):
-                    for v in values.tolist():
-                        total[i] += v
-            for v in success.tolist():   # the last stage's success: every sender decoded
-                total_error += 1.0 - v
+                values[:, i, chunk] = eps, dist, _inner(f, f)
+            # later chunks read none of the instruments this one did not read
+            read = {p for povms, _ in reads for p in povms}
+            for key in [k for k, inst in decoder._cache.items() if inst.povm not in read]:
+                del decoder._cache[key]
+
+        # per-tuple values are added in tuple order, as one tuple at a time would
+        order = inverse.ravel()
+        totals = np.zeros((3, s))
+        for k in range(3):
+            for i in range(s):
+                for v in values[k, i][order].tolist():
+                    totals[k, i] += v
+        stage_eps, stage_dist, stage_success = totals
+        total_error = 0.0
+        for v in values[2, -1][order].tolist():   # the last stage's success: every sender decoded
+            total_error += 1.0 - v
 
         count = len(msgs)
         stage_success /= count

@@ -39,6 +39,14 @@ def as_index(value, what: str) -> int:
         raise ValidationError(f"{what}: {value!r} is not an integer") from None
 
 
+def as_seed(value, what: str) -> int:
+    """A caller's seed, read as `as_index` reads an integer, from 0 to 2^64 - 1."""
+    seed = as_index(value, what)
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"{what} must be an integer from 0 to 2^64 - 1, got {seed}")
+    return seed
+
+
 def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:
     """Letters (or labels) as Python ints, each read as `as_index` reads one."""
     try:

@@ -233,6 +233,16 @@ def tender_apply(inst, rho) -> list:
     return out
 
 
+def message_tuples(sizes, trials=None, seed=None) -> list[tuple[int, ...]]:
+    """The message tuples `qmac.coding.average_error` evaluates, in its
+    order: every tuple in lexicographic order, or `trials` tuples drawn with
+    `seed` (Monte Carlo)."""
+    if trials is None:
+        return list(itertools.product(*(range(L) for L in sizes)))
+    rng = np.random.default_rng(int(seed))
+    return [tuple(int(rng.integers(L)) for L in sizes) for _ in range(trials)]
+
+
 def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, seed=None,
                        master_seed=None) -> SimReport:
     """`qmac.coding.average_error` one message tuple at a time.
@@ -253,15 +263,14 @@ def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, see
         if count > DEFAULT_MAX_MESSAGES:
             raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
                               f"cap is {DEFAULT_MAX_MESSAGES}")
-        tuples = list(itertools.product(*(range(L) for L in sizes)))
+        tuples = message_tuples(sizes)
         trial_seed = None
     elif mode == "monte_carlo":
         if trials is None or seed is None:
             raise ValidationError("monte_carlo mode needs trials= and seed=")
         if trials < 1:
             raise ValidationError(f"trials must be >= 1, got {trials}")
-        rng = np.random.default_rng(int(seed))
-        tuples = [tuple(int(rng.integers(L)) for L in sizes) for _ in range(trials)]
+        tuples = message_tuples(sizes, trials, seed)
         trial_seed = int(seed)
     else:
         raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")

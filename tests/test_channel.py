@@ -10,7 +10,8 @@ from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Pr
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
 from qmac.checks import random_channel, random_prior, relabel_channel
-from qmac.coding import Codebook, average_error, codebooks_from_seed, run_simulation
+from qmac.coding import (Codebook, SequentialDecoder, average_error, codebooks_from_seed,
+                         run_simulation, sample_codebook, sizes_from_rates)
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.entropy import SubsystemSelector, mutual_information
 from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
@@ -177,6 +178,12 @@ def monte_carlo(**options):
     return average_error(ch, books, prior, mode="monte_carlo", **options)
 
 
+def stage_instrument(stage):
+    ch, prior = pure_mac()
+    decoder = SequentialDecoder(ch, codebooks_from_seed(ch, prior, 2, (2, 2), 0), prior)
+    return decoder.stage_instrument(stage, [(1, 0)])
+
+
 # entry point: (its call with one caller integer v, values it refuses, a numpy integer
 # it takes, the name its error gives)
 CALLER_INTEGERS = {
@@ -193,6 +200,9 @@ CALLER_INTEGERS = {
                     [1.5], np.uint64(1), "master_seed"),
     "trial-seed": (lambda v: monte_carlo(trials=2, seed=v), [1.9], np.int64(1), "seed"),
     "trials": (lambda v: monte_carlo(trials=v, seed=1), [2.5], np.int64(2), "trials"),
+    "codebook-size": (lambda v: sample_codebook([0.5, 0.5], 2, v, 0), [2.5], np.int64(2), "size"),
+    "decoder-stage": (stage_instrument, [1.0], np.int64(1), "stage"),
+    "rates-block-length": (lambda v: sizes_from_rates([1.0], v), [2.5], np.int64(2), "n"),
     "sweep-resolution": (lambda v: boundary_sweep(pure_mac()[0], v),
                          ["3", 2.0], np.int64(2), "resolution"),
     "decode-order": (lambda v: corner_from_bounds(constraint_set(*pure_mac()), (v, 1)),

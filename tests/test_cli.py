@@ -364,6 +364,18 @@ def test_simulate_repeated_codewords_output_equals_the_stored_text(capsys):
     assert (code, out) == (0, want)
 
 
+def test_simulate_repeated_tuples_monte_carlo_output_equals_the_stored_text(capsys):
+    # the stored stdout of `qmac simulate --channel qubit-pure-mac --n 2
+    # --sizes 8,8 --mode mc --trials 200 --seed 3`, made by the simulator that
+    # ran every drawn tuple: its 200 tuples hold few distinct word pairs, and
+    # each tuple's values are still added in draw order
+    want = (GOLDEN / "simulate-qubit-pure-mac-n-2-sizes-8-8-mc-trials-200-seed-3.txt").read_text(
+        encoding="utf-8")
+    code, out, _ = run(capsys, "simulate", "--channel", "qubit-pure-mac", "--n", "2",
+                       "--sizes", "8,8", "--mode", "mc", "--trials", "200", "--seed", "3")
+    assert (code, out) == (0, want)
+
+
 def test_simulate_decoder_task_error_is_one_line(monkeypatch, capsys):
     # at 64 x 64 blocks the decoder can be built by tasks on a thread pool;
     # a failed build still ends the command with exit 1 and one line

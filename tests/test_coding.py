@@ -15,7 +15,7 @@ import pytest
 from qmac import coding, config
 from qmac.channel import BlockChannel, CqMacChannel, Prior, block_channel, load_channel
 from qmac.coding import (FAIL, Codebook, Povm, SequentialDecoder, TenderInstrument,
-                         average_error, codebooks_from_seed, disturbance_check,
+                         average_error, codebooks_from_seed, derive_seeds, disturbance_check,
                          pgm_decoder, run_simulation, sample_codebook,
                          sizes_from_rates, tender_bound_check)
 from qmac.config import CapExceeded
@@ -24,7 +24,8 @@ from qmac.operators import ValidationError, check_povm, op_sqrt, trace_norm
 from qmac.region import corner_table
 
 from oracles import (average_error_loop, explicit_leak, low_rank_channel, map_error,
-                     sqrt_elements, tender_apply, two_pure_state_pgm_success, word_states)
+                     message_tuples, sqrt_elements, tender_apply, two_pure_state_pgm_success,
+                     word_states)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -92,6 +93,36 @@ def test_derived_seeds_are_stable():
     books2 = codebooks_from_seed(orthogonal_channel(), Prior.uniform((2, 2)), 3, (2, 2), 7)
     assert [b.words for b in books1] == [b.words for b in books2]
     assert [b.seed for b in books1] == [b.seed for b in books2]
+
+
+MASTER_SEED_ENTRIES = {
+    "run-simulation": lambda seed: run_simulation(constant_channel(), Prior.uniform((2, 2)),
+                                                  1, (2, 2), seed),
+    "derive-seeds": lambda seed: derive_seeds(seed, 3),
+    "codebook": lambda seed: sample_codebook([0.5, 0.5], 2, 2, seed),
+    "trial-seed": lambda seed: average_error(constant_channel(), full_binary_books(),
+                                             Prior.uniform((2, 2)), mode="monte_carlo",
+                                             trials=2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", MASTER_SEED_ENTRIES)
+def test_seeds_outside_64_bits_are_refused(entry):
+    # the CLI's seed range holds in the library too: no numpy ValueError
+    # for a negative seed, and no report of a seed past 2^64 - 1
+    enter = MASTER_SEED_ENTRIES[entry]
+    for seed in (-1, 2 ** 64, -2 ** 70):
+        with pytest.raises(ValidationError, match=r"from 0 to 2\^64 - 1, got"):
+            enter(seed)
+    enter(0)
+    enter(2 ** 64 - 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sizes_from_rates_refuses_block_lengths_below_one(n):
+    # not one-word codebooks for a block length no code has
+    with pytest.raises(ValidationError, match=f"block length must be >= 1, got {n}"):
+        sizes_from_rates([1.0], n)
 
 
 def test_sizes_from_rates():
@@ -556,8 +587,8 @@ def test_factored_simulator_agrees_with_the_dense_loop(kind, n, rank):
 
 
 def test_letter_factors_built_once_per_simulation(monkeypatch):
-    # one chunk per message tuple: one state_for_words call each, and one
-    # letter factor table for all of them
+    # one chunk per distinct word tuple: one state_for_words call each, and
+    # one letter factor table for all of them
     built, calls = [], []
     table, words_states = BlockChannel.letter_factors, BlockChannel.state_for_words
 
@@ -578,7 +609,9 @@ def test_letter_factors_built_once_per_simulation(monkeypatch):
     prior = Prior.uniform((2, 2))
     books = codebooks_from_seed(ch, prior, 2, (3, 4), master_seed=5)
     assert average_error(ch, books, prior).messages_evaluated == 12
-    assert len(calls) == 12
+    distinct = {(a, b) for a in books[0].words for b in books[1].words}
+    assert len(distinct) < 12   # the codebooks repeat words
+    assert sorted(tuple(map(tuple, words[0].tolist())) for words in calls) == sorted(distinct)
     assert len(built) == 1
 
 
@@ -832,10 +865,26 @@ def recorded_decoders(monkeypatch) -> list:
     return decoders
 
 
-def stored_bytes(decoder) -> dict:
-    """Bytes of every element and root the decoder keeps, by (key, kind, position)."""
+def recorded_instruments(monkeypatch) -> dict:
+    """Make every instrument a SequentialDecoder builds join the returned dict,
+    as {decoder: [(key, instrument), ...]} in the order built; `average_error`
+    releases an instrument from the decoder's cache once no later tuple reads it."""
+    built, build = {}, SequentialDecoder._instrument
+
+    def recorded(self, key):
+        inst = build(self, key)
+        built.setdefault(self, []).append((key, inst))
+        return inst
+
+    monkeypatch.setattr(SequentialDecoder, "_instrument", recorded)
+    return built
+
+
+def stored_bytes(instruments: dict) -> dict:
+    """Bytes of every element and root the instruments (by cache key) keep,
+    by (key, kind, position)."""
     out = {}
-    for key, inst in decoder._cache.items():
+    for key, inst in instruments.items():
         povm = inst.povm
         out[key, "labels"] = repr(povm._labels).encode()
         for kind, store in (("element", povm._formed), ("root", povm._root_cache)):
@@ -880,7 +929,7 @@ def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, 
     options = {"mode": mode}
     if mode == "monte_carlo":
         options.update(trials=7, seed=int(rng.integers(1 << 30)))
-    decoders = recorded_decoders(monkeypatch)
+    decoders, built = recorded_decoders(monkeypatch), recorded_instruments(monkeypatch)
     tasks = recorded_tasks(monkeypatch)
     monkeypatch.setattr(coding, "_workers", lambda dim: 1)
     alone = average_error(ch, books, prior, **options)
@@ -891,7 +940,8 @@ def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, 
     threaded = average_error(ch, books, prior, **options)
     assert tasks and threading.get_ident() not in tasks
     assert alone.to_json_dict() == threaded.to_json_dict()
-    one, many = (stored_bytes(d) for d in decoders)
+    assert all(len(dict(built[d])) == len(built[d]) for d in decoders)   # each built once
+    one, many = (stored_bytes(dict(built[d])) for d in decoders)
     assert one == many
 
 
@@ -1169,31 +1219,28 @@ def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
     options = {"mode": mode}
     if mode == "monte_carlo":
         options.update(trials=40, seed=3)
-    decoders, plans, items = recorded_decoders(monkeypatch), [], []
-    plan, kernel = coding._plan, coding._element_and_root
-
-    def recorded_plan(decoder, msgs, rows):
-        plans.append(msgs)
-        return plan(decoder, msgs, rows)
+    decoders, built, items = recorded_decoders(monkeypatch), recorded_instruments(monkeypatch), []
+    kernel = coding._element_and_root
 
     def recorded_kernel(batch):
         items.extend((povm, i, threading.get_ident()) for povm, i, *_ in batch)
         return kernel(batch)
 
-    monkeypatch.setattr(coding, "_plan", recorded_plan)
     monkeypatch.setattr(coding, "_element_and_root", recorded_kernel)
     report = average_error(ch, books, prior, **options)
-    [decoder], [msgs] = decoders, plans
-    keys = {id(inst.povm): key for key, inst in decoder._cache.items()}
+    [decoder] = decoders
+    instruments = dict(built[decoder])
+    keys = {id(inst.povm): key for key, inst in instruments.items()}
     formed = [(keys[id(povm)], books[keys[id(povm)][0]].words[i]) for povm, i, _ in items]
+    msgs = message_tuples([b.size for b in books], options.get("trials"), options.get("seed"))
     reads = {((i, tuple(books[j].words[m] for j, m in enumerate(row[:i]))), row[i])
-             for row in msgs.tolist() for i in range(ch.s)}
+             for row in msgs for i in range(ch.s)}
     words = {(key, books[key[0]].words[m]) for key, m in reads}
     assert len(words) < len(reads)   # some messages read repeat a word
     assert sorted(formed) == sorted(words)
     assert (threading.get_ident() in {t for *_, t in items}) == (n == 2)
     shared = 0
-    for key, inst in decoder._cache.items():
+    for key, inst in instruments.items():
         book = books[key[0]].words
         for b, word in enumerate(book):
             first = book.index(word)
@@ -1203,6 +1250,37 @@ def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
                 assert np.array_equal(op_sqrt(element), inst.povm._root_cache[first])
                 shared += 1
     assert shared
+    assert close_report(report, average_error_loop(ch, books, prior, **options))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize("senders", [2, 3])
+def test_each_distinct_word_tuple_runs_once_across_chunks(monkeypatch, senders, mode):
+    # codebooks of 16 two-letter binary words hold at most 4 distinct words:
+    # each distinct tuple of first messages runs once, sorted, three to a
+    # chunk, so the tuples reading one (stage, prefix) instrument straddle
+    # chunks.  Each instrument is built once, the cache releases it after
+    # the last chunk reading it (all but stage 0's), and per-tuple values
+    # are added in tuple order, as the one-tuple loop adds them
+    rng = np.random.default_rng(90 + senders)
+    ch = (load_channel("qubit-pure-mac") if senders == 2
+          else random_cq_channel(rng, (2, 2, 2), 2))
+    prior = Prior(tuple(rng.dirichlet(np.ones(2)) for _ in range(senders)))
+    books = random_books(rng, ch.sender_alphabets, 2, (16,) * senders)
+    options = {"mode": mode}
+    if mode == "monte_carlo":
+        options.update(trials=300, seed=int(rng.integers(1 << 30)))
+    decoders, built = recorded_decoders(monkeypatch), recorded_instruments(monkeypatch)
+    dim = block_channel(ch, 2).output_dim
+    monkeypatch.setattr(config, "CHUNK_BYTES", 3 * 16 * dim ** 2)
+    report = average_error(ch, books, prior, **options)
+    [decoder] = decoders
+    keys = [key for key, _ in built[decoder]]
+    msgs = message_tuples([b.size for b in books], options.get("trials"), options.get("seed"))
+    assert len(keys) == len(set(keys)) == len(
+        {(i, tuple(books[j].words[m] for j, m in enumerate(row[:i])))
+         for row in msgs for i in range(senders)})
+    assert (0, ()) in decoder._cache and len(decoder._cache) < len(keys)
     assert close_report(report, average_error_loop(ch, books, prior, **options))
 
 
