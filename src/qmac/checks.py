@@ -21,7 +21,7 @@ from . import coding, entropy as ent, region
 from .channel import CqMacChannel, Prior, channel_state, mask_members
 from .config import DEFAULT_MAX_CHECK_TRIALS, CapExceeded
 from .entropy import SubsystemSelector
-from .operators import ValidationError, as_index
+from .operators import ValidationError, as_index, as_seed
 
 DEFAULT_TOL = 1e-9
 
@@ -131,7 +131,7 @@ def entropy_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResu
         prior = random_prior(rng, ch)
         e = channel_state(ch, prior)
         arity = ch.s
-        table = ent.entropy_table(e)
+        (table,) = region.prior_tables(ch, [prior])   # as the region commands read it
         for mask, quantum in itertools.product(range(1 << arity), (0, 1)):
             if not (mask or quantum):
                 continue
@@ -284,6 +284,11 @@ SUITES = {
 
 def run_suites(which: str, trials: int, seed: int,
                tol: float = DEFAULT_TOL) -> list[CheckResult]:
+    """The named suite, or every suite ("all"), each over `trials` random
+    instances drawn from `seed`."""
+    trials, seed = as_index(trials, "trials"), as_seed(seed, "seed")
+    if trials < 0:
+        raise ValidationError(f"trials must be >= 0, got {trials}")
     if which == "all":
         names = list(SUITES)
     elif which in SUITES:

@@ -15,11 +15,14 @@ columns in F (one on a pure-state channel), and the chain is
 F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
 (`tests/oracles.average_error_loop`) within 1e-12.
 
-Message tuples with the same words have the same values, so each distinct
-word tuple runs through the chain once, and the per-tuple values are then
-added in tuple order: reports equal those of a run over every tuple, bit
-for bit.  The distinct tuples run sorted, so those reading one (stage,
-prefix) instrument are consecutive, and it is released after the last.
+Message tuples with the same words have the same values, so `average_error`
+maps each tuple to its distinct word tuple once, as the tuple of the first
+messages with its words, and everything below it reads only those: each
+runs through the chain once, and the per-tuple values are then added in
+tuple order (`_in_tuple_order`): reports equal those of a run over every
+tuple, bit for bit.  The distinct tuples run sorted, so those reading one
+(stage, prefix) instrument are consecutive, and it is released after the
+last.
 
 Every element and root is made by one kernel, `_element_and_root`, and
 kept in its POVM by `_keep`.  Below block dimension 64 the distinct tuples
@@ -180,15 +183,12 @@ class Povm:
     def matrices(self) -> list[np.ndarray]:
         return _elements(self, range(len(self._labels)))
 
-    def _position(self, label: Hashable) -> int | None:
-        """Index of the outcome in `elements`, or None when there is none."""
-        try:
-            return self._index.get(label)
-        except TypeError:   # an unhashable label names no outcome
-            return None
-
     def _require(self, label: Hashable) -> int:
-        i = self._position(label)
+        """Index of the outcome in `elements`."""
+        try:
+            i = self._index.get(label)
+        except TypeError:   # an unhashable label names no outcome
+            i = None
         if i is None:
             raise ValidationError(f"POVM has no outcome {label!r}")
         return i
@@ -211,12 +211,6 @@ class TenderInstrument:
     @classmethod
     def from_povm(cls, povm: Povm) -> "TenderInstrument":
         return cls(povm)
-
-    def sqrt_element(self, label: Hashable) -> np.ndarray:
-        i = self.povm._position(label)
-        if i is None:
-            raise ValidationError(f"instrument has no outcome {label!r}")
-        return _roots([self.povm], [i])[0]
 
 
 def _stack(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -311,15 +305,14 @@ def _elements(povm: Povm, positions: Iterable[int]) -> list[np.ndarray]:
     return [povm._formed[i] for i in positions]
 
 
-def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
-                weights: Sequence[float] | None = None, *,
+def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
                 rebuild: Callable[[np.ndarray], np.ndarray] | None = None) -> Povm:
-    """Square-root measurement of a weighted state family.
+    """Square-root measurement of a family of k equally likely states.
 
-    With S the weighted average, each element is S^{-1/2} w_c rho_c S^{-1/2}
-    on the (numerically resolvable) support of S; whatever identity mass
-    lies off the support becomes a residual outcome labeled FAIL (present
-    only when nonzero).  The states are checked as density matrices, and the
+    With S their average, each element is S^{-1/2} (rho_c / k) S^{-1/2} on
+    the (numerically resolvable) support of S; whatever identity mass lies
+    off the support becomes a residual outcome labeled FAIL (present only
+    when nonzero).  The states are checked as density matrices, and the
     result, which holds every element, as a POVM.
 
     `rebuild(idx)` builds the stacked states of an index array again.
@@ -335,7 +328,7 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]],
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValidationError("PGM states must share one dimension")
-    w = _state_weights(weights, len(mats))
+    w = np.full(len(mats), 1.0 / len(mats))
     avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
     inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
     states_of = rebuild or (lambda idx: np.stack([mats[i] for i in idx]))
@@ -459,8 +452,9 @@ class SequentialDecoder:
     Random codebooks repeat words.  A candidate's state depends only on its
     word, given the prefix, and its weight is uniform, so messages with one
     word have equal elements and roots: `_first[i][m]` is the first message
-    of stage i with message m's word, and the decoder forms and keeps one
-    element and one root per distinct word (`_reads`).
+    of stage i with message m's word.  `average_error` maps each message
+    tuple to these first messages once, so the decoder forms and keeps one
+    element and one root per distinct word.
     """
 
     def __init__(self, ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior):
@@ -469,18 +463,18 @@ class SequentialDecoder:
         ns = {cb.n for cb in codebooks}
         if len(ns) != 1:
             raise ValidationError(f"codebooks disagree on block length: {sorted(ns)}")
-        for i, cb in enumerate(codebooks):
-            for w in cb.words:
-                if any(x >= ch.sender_alphabets[i] for x in w):
-                    raise ValidationError(
-                        f"codebook for sender {i} contains letters outside its alphabet"
-                    )
+        # (L_i, n) each; a letter too large for int64 widens the dtype, and is refused
+        self._words = [np.array(cb.words) for cb in codebooks]
+        for i, (words, a) in enumerate(zip(self._words, ch.sender_alphabets)):
+            if np.any(words >= a):
+                raise ValidationError(
+                    f"codebook for sender {i} contains letters outside its alphabet"
+                )
         self.channel = ch
         self.codebooks = tuple(codebooks)
         self.prior = prior
         self.n = codebooks[0].n
         self.block = block_channel(ch, self.n)
-        self._words = [np.array(cb.words, dtype=int) for cb in codebooks]   # (L_i, n) each
         self._first = []
         for words in self._words:
             _, first, inverse = np.unique(words, axis=0, return_index=True,
@@ -552,16 +546,16 @@ def _prefix_words(decoder: SequentialDecoder, prefix: Sequence[int]) -> list[tup
 def _reads(decoder: SequentialDecoder, msg: np.ndarray) -> list[tuple[list[Povm], list[int]]]:
     """Per stage, the POVM each message tuple (row of `msg`) reads and the
     position of its outcome; each distinct prefix's instrument is looked up
-    once.  A PGM's positions are its labels, and a message reads the outcome
-    of the first message with its word (`SequentialDecoder._first`), which
-    has an equal element and root, so each is formed once per word."""
+    once.  A PGM's positions are its labels, so a tuple reads the outcome of
+    its own message: `average_error` passes only tuples of first messages
+    (`SequentialDecoder._first`), so each element and root is formed once
+    per word."""
     out = []
     for i in range(decoder.channel.s):
         prefixes = list(map(tuple, msg[:, :i].tolist()))
         found = {prefix: decoder.stage_instrument(i, _prefix_words(decoder, prefix)).povm
                  for prefix in dict.fromkeys(prefixes)}
-        povms = [found[prefix] for prefix in prefixes]
-        out.append((povms, decoder._first[i][msg[:, i]].tolist()))
+        out.append(([found[prefix] for prefix in prefixes], msg[:, i].tolist()))
     return out
 
 
@@ -693,14 +687,24 @@ class SimReport:
         return header, row
 
 
+def _in_tuple_order(values: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.floating]:
+    """Per stage, the sums over message tuples of the (eps, dist, success)
+    `values[:, i, order[t]]` of tuple t, and the sum of 1 - success at the
+    last stage (every sender decoded).  Each is added left to right in tuple
+    order, as one tuple at a time would add it: accumulate adds sequentially,
+    where np.sum adds pairwise."""
+    per_tuple = values[:, :, order]
+    return np.cumsum(per_tuple, axis=-1)[..., -1], np.cumsum(1.0 - per_tuple[2, -1])[-1]
+
+
 def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
                   mode: str = "exhaustive", trials: int | None = None,
                   seed: int | None = None, master_seed: int | None = None) -> SimReport:
     """Mean decoding error over message tuples, with per-stage gentleness stats.
 
     "exhaustive" enumerates every message tuple (product of codebook sizes
-    capped at 4096) and takes no `trials`; "monte_carlo" samples `trials`
-    tuples (1 to 4096) uniformly using `seed`.  For each stage the report
+    capped at 4096) and takes no `trials` or `seed`; "monte_carlo" samples
+    `trials` tuples (1 to 4096) uniformly using `seed`.  For each stage the report
     carries the average stage error on undisturbed inputs and the exact
     average disturbance the gentle measurement inflicts, with its
     sqrt(8 eps) + eps bound; an eps below EPS_FLOOR is reported as 0.
@@ -716,6 +720,8 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         if mode == "exhaustive":
             if trials is not None:
                 raise ValidationError("trials= needs monte_carlo mode")
+            if seed is not None:
+                raise ValidationError("seed= needs monte_carlo mode")
             count = int(np.prod(sizes))
             if count > DEFAULT_MAX_MESSAGES:
                 raise CapExceeded(f"exhaustive decoding needs {count} message tuples, "
@@ -739,8 +745,9 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
 
         s = ch.s
         n = decoder.n
-        # each distinct tuple of first messages (`SequentialDecoder._first`)
-        # runs once, sorted, in chunks of stacked operators.
+        # each tuple becomes the tuple of the first messages with its words
+        # (`SequentialDecoder._first`), the only message index below here; each
+        # distinct one runs once, sorted, in chunks of stacked operators.
         # Each word state rho = F F† runs as its factor F: the leak is
         # 1 - Re<F, D F>, the branch state is sqrt(D) F, its weight ||sqrt(D) F||^2
         canon = np.stack([decoder._first[i][msgs[:, i]] for i in range(s)], axis=1)
@@ -769,18 +776,8 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
             for key in [k for k, inst in decoder._cache.items() if inst.povm not in read]:
                 del decoder._cache[key]
 
-        # per-tuple values are added in tuple order, as one tuple at a time would
-        order = inverse.ravel()
-        totals = np.zeros((3, s))
-        for k in range(3):
-            for i in range(s):
-                for v in values[k, i][order].tolist():
-                    totals[k, i] += v
-        stage_eps, stage_dist, stage_success = totals
-        total_error = 0.0
-        for v in values[2, -1][order].tolist():   # the last stage's success: every sender decoded
-            total_error += 1.0 - v
-
+        (stage_eps, stage_dist, stage_success), total_error = _in_tuple_order(
+            values, inverse.ravel())
         count = len(msgs)
         stage_success /= count
         stage_eps /= count

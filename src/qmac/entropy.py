@@ -235,17 +235,6 @@ def _group_entropies(averaging: list[int], factors: Sequence[np.ndarray],
     return np.concatenate(key_h), key_of
 
 
-def entropy_table(e: CqEnsemble) -> EntropyTable:
-    """H of every (label subset mask, include-quantum) block of one ensemble:
-    the `entropy_tables` row of its atoms."""
-    weights = np.zeros((1,) + e.label_spaces)
-    states = np.zeros(e.label_spaces + (e.quantum_dim,) * 2, dtype=complex)
-    for label, p, rho in e.atoms:
-        weights[(0,) + label] = p
-        states[label] = rho
-    return entropy_tables([weights], states)[0].tolist()
-
-
 def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Same quantity by the dense oracle: expand the whole ensemble to its
     block-diagonal matrix, partial-trace to the selector, diagonalize."""

@@ -21,9 +21,10 @@ operator.
 
 It also holds the API that only tests use: point-mass priors, random
 diagonal channels, random channels of exactly rank-deficient letters, an
-instrument's roots listed in POVM order, writing a channel back to its
-JSON form, a recorder of every state a check reads, and the report of
-every entropy and conditional mutual information of an ensemble.
+instrument's root of one outcome and its roots listed in POVM order,
+writing a channel back to its JSON form, a recorder of every state a
+check reads, the entropy table of one ensemble, and the report of every
+entropy and conditional mutual information of an ensemble.
 """
 
 import functools
@@ -41,7 +42,7 @@ from qmac import operators as ops
 from qmac import region
 from qmac.channel import ATOM_FLOOR, CqMacChannel, Prior, mask_members
 from qmac.checks import random_prior_vec
-from qmac.coding import SequentialDecoder, SimReport
+from qmac.coding import SequentialDecoder, SimReport, _roots
 from qmac.config import DEFAULT_MAX_MESSAGES, CapExceeded
 from qmac.operators import ValidationError
 
@@ -201,16 +202,23 @@ def decode_tree(channel, codebooks, prior, messages, stage_instrument, word_stat
             if lab is None:
                 total += prob * p   # residual outcome: decoding fails outright
                 continue
-            root = inst.sqrt_element(lab)
+            root = sqrt_element(inst, lab)
             post = (root @ state @ root) / p
             stack.append((outcomes + (lab,), prob * p, post))
         total += prob * max(remaining, 0.0)
     return correct, total
 
 
+def sqrt_element(inst, label):
+    """The root of a gentle instrument's outcome `label`, read through the
+    POVM's root cache as the simulator reads it (made on the first read and
+    kept)."""
+    return _roots([inst.povm], [inst.povm._require(label)])[0]
+
+
 def sqrt_elements(inst) -> tuple:
     """Every (label, root) pair of a gentle instrument, in POVM order."""
-    return tuple((lab, inst.sqrt_element(lab)) for lab, _ in inst.povm.elements)
+    return tuple((lab, sqrt_element(inst, lab)) for lab, _ in inst.povm.elements)
 
 
 def tender_apply(inst, rho) -> list:
@@ -287,7 +295,7 @@ def average_error_loop(ch, codebooks, prior, mode="exhaustive", trials=None, see
         sigma = sigma0
         for i in range(s):
             inst = decoder.stage_instrument(i, words[:i])
-            root = inst.sqrt_element(msg[i])
+            root = sqrt_element(inst, msg[i])
             leak = 1.0 - float(np.trace(sigma0 @ inst.povm.element(msg[i])).real)
             dist = ops.trace_norm(sigma0 - root @ sigma0 @ root, hermitian=True) + leak
             stage_eps[i] += max(0.0, leak)
@@ -466,7 +474,7 @@ def info_report(e) -> InfoReport:
     """All subsystem entropies and all I(X(J) ^ Y | X(Jc)) of an ensemble,
     read off the library's entropy table."""
     arity = len(e.label_spaces)
-    table = ent.entropy_table(e)
+    table = entropy_table(e)
     entropies = {
         ent.SubsystemSelector.of(mask_members(mask), quantum).key(): table[mask][quantum]
         for mask in range(1 << arity) for quantum in (0, 1) if mask or quantum
@@ -480,6 +488,17 @@ def state_entropy_loop(e) -> float:
     """sum_l p(l) S(state_l) in bits of an ensemble's atoms, one eigvalsh per
     state, the terms added in atom order."""
     return float(sum(p * ops.shannon_bits(np.linalg.eigvalsh(rho)) for _, p, rho in e.atoms))
+
+
+def entropy_table(e) -> list:
+    """H of every (label subset mask, include-quantum) block of one ensemble:
+    the `entropy.entropy_tables` row of its atoms."""
+    weights = np.zeros((1,) + e.label_spaces)
+    states = np.zeros(e.label_spaces + (e.quantum_dim,) * 2, dtype=complex)
+    for label, p, rho in e.atoms:
+        weights[(0,) + label] = p
+        states[label] = rho
+    return ent.entropy_tables([weights], states)[0].tolist()
 
 
 def entropy_tables_full(factors, states) -> np.ndarray:

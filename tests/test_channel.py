@@ -9,7 +9,7 @@ from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Pr
                           block_channel, channel_from_dict, channel_state,
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
-from qmac.checks import random_channel, random_prior, relabel_channel
+from qmac.checks import random_channel, random_prior, relabel_channel, run_suites
 from qmac.coding import (Codebook, SequentialDecoder, average_error, codebooks_from_seed,
                          run_simulation, sample_codebook, sizes_from_rates)
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
@@ -200,6 +200,8 @@ CALLER_INTEGERS = {
                     [1.5], np.uint64(1), "master_seed"),
     "trial-seed": (lambda v: monte_carlo(trials=2, seed=v), [1.9], np.int64(1), "seed"),
     "trials": (lambda v: monte_carlo(trials=v, seed=1), [2.5], np.int64(2), "trials"),
+    "check-trials": (lambda v: run_suites("lemmas", v, 0), [2.5, "1"], np.int64(1), "trials"),
+    "check-seed": (lambda v: run_suites("lemmas", 0, v), [1.5], np.uint64(1), "seed"),
     "codebook-size": (lambda v: sample_codebook([0.5, 0.5], 2, v, 0), [2.5], np.int64(2), "size"),
     "decoder-stage": (stage_instrument, [1.0], np.int64(1), "stage"),
     "rates-block-length": (lambda v: sizes_from_rates([1.0], v), [2.5], np.int64(2), "n"),

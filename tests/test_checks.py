@@ -70,6 +70,13 @@ def test_unknown_suite_rejected():
         run_suites("bogus", 1, 1)
 
 
+def test_negative_trials_rejected():
+    # not a vacuous pass over -1 trials
+    for which in ("all", "entropy"):
+        with pytest.raises(ValidationError, match=r"^trials must be >= 0, got -1$"):
+            run_suites(which, -1, 0)
+
+
 def test_check_result_records_failures():
     res = CheckResult("demo", seed=5, trials=1)
     res.record(True, 0, "ok-kind")

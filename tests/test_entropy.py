@@ -9,13 +9,13 @@ from qmac.channel import (CqMacChannel, Prior, channel_state, load_channel,
                           make_ensemble, mask_members)
 from qmac.checks import random_channel, random_density, random_prior
 from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
-                          check_subadditivity, conditional_entropy, entropy_table,
+                          check_subadditivity, conditional_entropy,
                           entropy_tables, fano_bound_check, mutual_information,
                           restrict, subsystem_entropy, subsystem_entropy_dense)
 from qmac.operators import ValidationError
 from qmac.region import constraint_set, prior_grid, prior_tables
 
-from oracles import (classical_bound, classical_joint, count_checked_states,
+from oracles import (classical_bound, classical_joint, count_checked_states, entropy_table,
                      entropy_tables_full, info_report, shannon, state_entropy_loop,
                      two_pure_state_chi)
 
