@@ -250,6 +250,12 @@ class CqMacChannel:
             raise ValidationError(f"no state for letter tuple {key}")
         return self.states[key]   # checked first: indexing would wrap negative letters
 
+    def check_prior(self, prior: Prior) -> None:
+        """Refuse a prior whose per-sender alphabets are not the channel's."""
+        if prior.alphabet_sizes != self.sender_alphabets:
+            raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
+                                  f"do not match channel {self.sender_alphabets}")
+
 
 # ---------------------------------------------------------------------------
 # labeled classical-quantum ensembles
@@ -350,10 +356,7 @@ def channel_state(ch: CqMacChannel, prior: Prior) -> CqEnsemble:
     the channel's output state.  Together with the prior this is a faithful
     stand-in for the channel itself.
     """
-    if prior.alphabet_sizes != ch.sender_alphabets:
-        raise ValidationError(
-            f"prior alphabets {prior.alphabet_sizes} do not match channel {ch.sender_alphabets}"
-        )
+    ch.check_prior(prior)
     # the states were checked by the channel's constructor, so the ensemble
     # is built directly, with make_ensemble's floor and label order
     atoms = tuple((x, p, ch.states[x]) for x in ch.joint_letters()
@@ -370,8 +373,7 @@ def reduced_channel(ch: CqMacChannel, prior: Prior, members: Iterable[int]) -> n
     the complement's letter tuples.
     """
     sub = normalize_subset(members, ch.s)
-    if prior.alphabet_sizes != ch.sender_alphabets:
-        raise ValidationError("prior does not match channel alphabets")
+    ch.check_prior(prior)
     inside = sorted(sub)
     outside = [i for i in range(ch.s) if i not in sub]
     d = ch.output_dim
@@ -415,6 +417,7 @@ class BlockChannel:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_index(self.n, "n"))
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
         d, cap = self.base.output_dim, max_dim()
@@ -472,7 +475,7 @@ class BlockChannel:
 
 
 def block_channel(ch: CqMacChannel, n: int) -> BlockChannel:
-    return BlockChannel(ch, as_index(n, "n"))
+    return BlockChannel(ch, n)
 
 
 # ---------------------------------------------------------------------------

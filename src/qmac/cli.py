@@ -31,7 +31,7 @@ from .coding import run_simulation, sizes_from_rates
 from .config import CapExceeded, UsageError, chunks
 from .checks import run_suites
 from .operators import ValidationError, as_seed
-from .region import (MixtureSpec, RatePoint, boundary_sweep, check_mixture_size,
+from .region import (MixtureSpec, boundary_sweep, check_mixture_size,
                      constraint_set, member_corners, mixture_constraints, prior_tables,
                      table_corners, upper_boundary_2d)
 
@@ -156,10 +156,11 @@ def _json_doc(doc: dict) -> str:
 
 def _pieces(template: str, columns: list[np.ndarray], sep: str) -> Iterator[str]:
     """`template % row` for every row of the equal-length columns, joined by
-    sep, in pieces of as many rows as `config.CHUNK_BYTES` holds float64
-    numbers.  Values reach the template from `tolist`, as Python ints,
-    floats and strings, so a float's %s is float.__repr__."""
-    for rows in chunks(len(columns[0]), 8):
+    sep, in pieces of as many rows as `config.CHUNK_BYTES` holds at a row's
+    Python footprint.  Values reach the template from `tolist`, as Python
+    ints, floats and strings, so a float's %s is float.__repr__."""
+    # about 64 bytes a value with its list slot, and 64 for the row's text
+    for rows in chunks(len(columns[0]), 64 * (len(columns) + 1)):
         values = zip(*(column[rows].tolist() for column in columns))
         yield (sep if rows.start else "") + sep.join(template % row for row in values)
 
@@ -248,8 +249,7 @@ def cmd_region(args) -> int:
         bounds = sweep.bounds
         corner_prior, perms, rates = sweep.corner_prior, sweep.corner_perm, sweep.corner_rates
         if s == 2:
-            hull = upper_boundary_2d(map(RatePoint, rates.tolist()))
-            sections["hull"] = list(np.array([p.rates for p in hull]).T)
+            sections["hull"] = list(upper_boundary_2d(rates).T)
     else:
         if args.mixture is not None:
             mix = _parse_mixture(args.mixture, ch.sender_alphabets)

@@ -72,6 +72,7 @@ class Codebook:
     seed: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_index(self.n, "n"))
         if self.n < 1:
             raise ValidationError(f"block length must be >= 1, got {self.n}")
         words = tuple(letter_tuple(w, "word") for w in self.words)
@@ -117,6 +118,7 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
 def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
                         sizes: Sequence[int], master_seed: int) -> list[Codebook]:
     """One codebook per sender, seeded by the first s seeds split off the master."""
+    ch.check_prior(prior)
     if len(sizes) != ch.s:
         raise ValidationError(f"expected {ch.s} codebook sizes, got {len(sizes)}")
     seeds = derive_seeds(master_seed, ch.s + 1)[: ch.s]
@@ -312,13 +314,14 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
     With S their average, each element is S^{-1/2} (rho_c / k) S^{-1/2} on
     the (numerically resolvable) support of S; whatever identity mass lies
     off the support becomes a residual outcome labeled FAIL (present only
-    when nonzero).  The states are checked as density matrices, and the
-    result, which holds every element, as a POVM.
+    when nonzero), so the elements sum to the identity by construction
+    (Hausladen et al. 1996).  The states are checked as density matrices;
+    the result is not, and each element is formed on its first read.
 
     `rebuild(idx)` builds the stacked states of an index array again.
     Passing it says the states were built from checked ones (as the
-    sequential decoder builds its candidates): nothing is checked, and each
-    element is formed on its first read from rebuilt states, keeping none.
+    sequential decoder builds its candidates): nothing is checked, and
+    elements are formed from rebuilt states, keeping none.
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
@@ -343,8 +346,6 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
         labels.append(FAIL)
     povm = Povm.__new__(Povm)
     povm._setup(dim, labels, formed, form)
-    if not rebuild:
-        ops.check_povm(povm.matrices, dim)
     return povm
 
 
@@ -601,14 +602,14 @@ def _pin(step: int) -> None:
 def _workers(dim: int) -> int:
     """Threads that build the decoder of block dimension `dim` at once.
 
-    One, unless one operator fills a chunk and `_blas` finds OpenBLAS; then
-    as many as the CPUs left over by its threads per call, and no more than
+    One, unless one operator fills a chunk and `_blas` finds OpenBLAS, which
+    `average_error` runs on one thread; then one per CPU, and no more than
     keep the operators of all threads beyond the first within THREAD_BYTES.
     """
     item = 16 * dim * dim
-    if per_chunk(item) > 1 or (blas := _blas()) is None:
+    if per_chunk(item) > 1 or _blas() is None:
         return 1
-    return max(1, min(_cpus() // blas[0](), 1 + THREAD_BYTES // (TASK_OPERATORS * item)))
+    return min(_cpus(), 1 + THREAD_BYTES // (TASK_OPERATORS * item))
 
 
 def _plan(decoder: SequentialDecoder, msgs: np.ndarray,

@@ -196,35 +196,30 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
                 table[rows, mask, 0] = h
             if by_key is not None:   # a group below the floor has mass 0 and adds 0
                 key_h, key_of = by_key
-                mine = key_h[rows] if key_of is None else key_h[key_of[rows]]
-                h = h + (flat * mine).sum(axis=1)
+                h = h + (flat * key_h.take(key_of[rows], axis=0)).sum(axis=1)
             table[rows, mask, 1] = h
     return table
 
 
 def _group_entropies(averaging: list[int], factors: Sequence[np.ndarray],
                      row_bytes: list[list[bytes]], states: np.ndarray, kept: list[int],
-                     summed: tuple[int, ...], item: int) -> tuple[np.ndarray, np.ndarray | None]:
+                     summed: tuple[int, ...], item: int) -> tuple[np.ndarray, list[int]]:
     """For the label axes `kept` of `entropy_tables`, the axes `summed`
     averaged by the factors numbered `averaging`: the entropy of each group
-    state per distinct key, shape (keys, groups), and each ensemble's key
-    index, shape (P,), or None when no two ensembles share a key and key p
-    is ensemble p.  `row_bytes[i][p]` is the bytes of row p of `factors[i]`."""
+    state per distinct key, shape (keys, groups), and the key index of each
+    of the P ensembles.  `row_bytes[i][p]` is the bytes of row p of `factors[i]`."""
     num = len(row_bytes[0])
     keys = list(zip(*(row_bytes[i] for i in averaging))) or [()] * num
-    last = dict(zip(keys, range(num)))   # each key's last ensemble, keys in first-seen order
-    members = list(last.values())
-    key_of = None
-    if len(members) < num:
-        key_of = np.array(list(map(dict(zip(last, range(len(members)))).__getitem__, keys)))
+    index: dict = {}   # keys numbered in first-seen order
+    key_of = [index.setdefault(key, len(index)) for key in keys]
+    members = list(dict(zip(key_of, range(num))).values())   # each key's last ensemble
     if not averaging:   # the group states are the letter states
         return shannon_bits(np.linalg.eigvalsh(states)).reshape(1, -1), key_of
     s = states.ndim - 2
     labels = list(range(1, s + 1))
     key_h = []
     for part in chunks(len(members), item):
-        pick = part if key_of is None else members[part]
-        u = functools.reduce(np.multiply, (factors[i][pick] for i in averaging))
+        u = functools.reduce(np.multiply, (factors[i].take(members[part], 0) for i in averaging))
         u = np.where(u >= ATOM_FLOOR, u, 0.0)
         # a group's averaging mass is 0 or at least ATOM_FLOOR: the maximum
         # only keeps an empty group's zero weights from dividing by 0

@@ -123,9 +123,7 @@ def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyT
     sweep's tables are not kept.  Every call returns fresh lists.
     """
     for prior in priors:
-        if prior.alphabet_sizes != ch.sender_alphabets:
-            raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
-                                  f"do not match channel {ch.sender_alphabets}")
+        ch.check_prior(prior)
     memo = ch.table_memo
     keys = [b"".join(v.tobytes() for v in prior.per_sender) for prior in priors]
     misses = {key: prior for key, prior in zip(keys, priors) if key not in memo}
@@ -366,9 +364,10 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     at resolution 6, against 9,261 taken prior by prior).  Each prior's
     bounds come from its `constraint_set`, which also rejects a non-finite
     table entry; its corners are read off the tables, chunk by chunk, by
-    `table_corners`.  The convex hull of all corners plus the origin
-    under-approximates the capacity region and grows monotonically under
-    grid refinement.
+    `table_corners`, in chunks of as many priors as `config.CHUNK_BYTES`
+    holds s! x s corner rates, each prior's table made Python floats alone.
+    The convex hull of all corners plus the origin under-approximates the
+    capacity region and grows monotonically under grid refinement.
     """
     orders, _ = _orders(ch.s)   # before the tables of the whole grid are computed
     compositions, index = prior_grid(ch.sender_alphabets, resolution)
@@ -377,10 +376,9 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     bounds = np.empty((len(tables), (1 << ch.s) - 1))
     kept = []   # (prior, order, rates) arrays of each chunk's corners
     for rows in chunks(len(tables), 8 * orders.size):   # one prior: s! x s rates
-        chunk = tables[rows]
-        for p, row in enumerate(chunk.tolist(), rows.start):
-            bounds[p] = list(constraint_set(ch, None, table=row).bounds.values())
-        p_idx, perms, rates = table_corners(chunk, ch.s)
+        for p in range(len(tables))[rows]:
+            bounds[p] = list(constraint_set(ch, None, table=tables[p].tolist()).bounds.values())
+        p_idx, perms, rates = table_corners(tables[rows], ch.s)
         kept.append((p_idx + rows.start, perms, rates))
     return Sweep(per_sender, bounds, *map(np.concatenate, zip(*kept)))
 
@@ -389,19 +387,21 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
 # two-sender hull
 # ---------------------------------------------------------------------------
 
-def upper_boundary_2d(points: Iterable[RatePoint]) -> list[RatePoint]:
+def upper_boundary_2d(rates: np.ndarray) -> np.ndarray:
     """Vertices of the Pareto part of the convex hull of two-sender rate points.
 
     The region being described is the downward-closed convex hull of the
-    points and the origin; the returned vertices are sorted by increasing
-    first rate and decreasing second rate.
+    (m, 2) rates and the origin; the returned (k, 2) vertices are sorted by
+    increasing first rate and decreasing second rate.
     """
-    rates = {p.rates for p in points}
-    if any(len(r) != 2 for r in rates):
-        raise ValidationError("upper_boundary_2d expects two-sender points")
-    pts = sorted(rates)
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[1] != 2:
+        raise ValidationError(f"upper_boundary_2d expects (m, 2) rates, got shape {rates.shape}")
+    if not (np.isfinite(rates).all() and (rates >= 0).all()):
+        raise ValidationError("rates must be finite and nonnegative")
+    pts = sorted(set(map(tuple, rates.tolist())))
     if not pts:
-        return []
+        return np.empty((0, 2))
     # upper-left anchor and lower-right anchor close the region along the axes
     x_max = max(x for x, _ in pts)
     y_max = max(y for _, y in pts)
@@ -419,4 +419,4 @@ def upper_boundary_2d(points: Iterable[RatePoint]) -> list[RatePoint]:
         (x, y) for x, y in hull
         if not any(x2 >= x - 1e-15 and y2 >= y - 1e-15 and (x2, y2) != (x, y) for x2, y2 in hull)
     ]
-    return [RatePoint(p) for p in pareto] if pareto else [RatePoint(hull[0])]
+    return np.array(pareto or hull[:1])

@@ -352,13 +352,13 @@ def psd_within(a, clamp=1e-10) -> bool:
 def hull_member_2d(point, vertices, tol=1e-9) -> bool:
     """Membership of a two-sender point in the downward-closed region whose
     upper boundary has the given vertices, sorted by increasing first rate
-    and decreasing second rate (as upper_boundary_2d returns them).
+    and decreasing second rate (the (k, 2) array upper_boundary_2d returns).
 
     The boundary runs from (0, y_max) through the vertices down to
-    (x_max, 0); the point is inside iff it lies under that polyline.
+    (x_max, 0); the point (x, y) is inside iff it lies under that polyline.
     """
-    x, y = point.rates
-    pts = [tuple(v.rates) for v in vertices]
+    x, y = point
+    pts = [tuple(v) for v in vertices.tolist()]
     x_max = max(px for px, _ in pts)
     y_max = max(py for _, py in pts)
     boundary = [(0.0, y_max)] + pts + [(x_max, 0.0)]
@@ -680,7 +680,7 @@ def region_report(ch, *, resolution=None, prior=None, mixture=None, corners=Fals
             corner_rows += [(pid, perm, point) for perm, point in pairs]
             points += [point for _, point in pairs]
         if s == 2:
-            hull_doc = [list(p.rates) for p in region.upper_boundary_2d(points)]
+            hull_doc = region.upper_boundary_2d([p.rates for p in points]).tolist()
     elif mixture is not None:
         cs = region.mixture_constraints(ch, mixture)
         priors_doc = [{"id": u, "weight": w, "per_sender": [v.tolist() for v in pr.per_sender]}

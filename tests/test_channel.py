@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qmac.channel import (BUILTIN_CHANNELS, ChannelFormatError, CqMacChannel, Prior,
-                          block_channel, channel_from_dict, channel_state,
+from qmac.channel import (BUILTIN_CHANNELS, BlockChannel, ChannelFormatError, CqMacChannel,
+                          Prior, block_channel, channel_from_dict, channel_state,
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
 from qmac.checks import random_channel, random_prior, relabel_channel, run_suites
@@ -194,6 +194,9 @@ CALLER_INTEGERS = {
     "channel-letter-keys": (lambda v: CqMacChannel((1,), 2, {(v,): Z0}),
                             [0.4, "0", 0.0], np.int64(0), "letter tuple"),
     "block-length": (lambda v: block_channel(pure_mac()[0], v), [2.5], np.int64(2), "n"),
+    "block-channel-length": (lambda v: BlockChannel(pure_mac()[0], v), [2.0, "2"],
+                             np.int64(2), "n"),
+    "codebook-length": (lambda v: Codebook(0, v, ((0, 0),)), [2.0, "2"], np.int64(2), "n"),
     "simulation-sizes": (lambda v: run_simulation(*pure_mac(), 1, (v, 2), 0),
                          [2.7], np.int64(2), "sizes"),
     "master-seed": (lambda v: run_simulation(*pure_mac(), 1, (2, 2), v),

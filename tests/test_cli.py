@@ -364,6 +364,21 @@ def test_simulate_repeated_codewords_output_equals_the_stored_text(capsys):
     assert (code, out) == (0, want)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--channel", "qubit-pure-mac", "--sweep", "8", "--format", "json"),
+     "region-qubit-pure-mac-sweep-8.json"),
+    (("--channel", "adder-classical", "--sweep", "6", "--corners"),
+     "region-adder-classical-sweep-6-corners.csv"),
+], ids=["hull-json", "corners-csv"])
+def test_region_sweep_output_equals_the_stored_text(capsys, argv, name):
+    # the stored stdout of `qmac region` with these arguments, made while the
+    # hull still took RatePoint lists; `oracles.region_report` calls the same
+    # hull routine, so only stored bytes would show a changed vertex
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "region", *argv)
+    assert (code, out) == (0, want)
+
+
 def test_simulate_repeated_tuples_monte_carlo_output_equals_the_stored_text(capsys):
     # the stored stdout of `qmac simulate --channel qubit-pure-mac --n 2
     # --sizes 8,8 --mode mc --trials 200 --seed 3`, made by the simulator that

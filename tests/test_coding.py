@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import os
+import re
 import signal
 import sys
 import threading
@@ -86,6 +87,21 @@ def test_codebook_validation():
         Codebook(0, 1, ())
     with pytest.raises(CapExceeded):
         sample_codebook([0.5, 0.5], n=1, size=4097, seed=0)
+
+
+@pytest.mark.parametrize("alphabets", [(2,), (3, 2)], ids=["one-sender", "three-letters"])
+def test_codebooks_refuse_a_prior_of_other_alphabets_before_any_seed_is_split(monkeypatch,
+                                                                                 alphabets):
+    # not a bare IndexError (a missing sender), nor a codebook of letters the
+    # channel lacks refused only later: the channel's own prior rule
+    def split(*args):
+        raise AssertionError("a seed was split")
+
+    monkeypatch.setattr(coding, "derive_seeds", split)
+    ch = load_channel("qubit-pure-mac")
+    message = f"prior alphabets {alphabets} do not match channel (2, 2)"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_simulation(ch, Prior.uniform(alphabets), 2, (2, 2), 0)
 
 
 def test_derived_seeds_are_stable():
@@ -224,6 +240,29 @@ def test_pgm_two_state_closed_form():
 def test_pgm_empty_rejected():
     with pytest.raises(ValidationError):
         pgm_decoder([])
+
+
+def test_pgm_of_random_states_is_a_povm():
+    # pgm_decoder does not check its output: its elements sum to the support
+    # projector of the average state by construction, and FAIL completes it;
+    # repeated and rank-deficient states make the FAIL residual appear
+    rng = np.random.default_rng(25)
+    fails = 0
+    for _ in range(60):
+        dim, count = int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        states = []
+        for _ in range(count):
+            if states and rng.random() < 0.3:
+                states.append(states[int(rng.integers(len(states)))])
+            else:
+                rank = int(rng.integers(1, dim + 1))
+                g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+                rho = g @ g.conj().T
+                states.append(rho / np.trace(rho).real)
+        pgm = pgm_decoder(list(enumerate(states)))
+        fails += FAIL in [lab for lab, _ in pgm.elements]
+        check_povm(pgm.matrices, dim)
+    assert 0 < fails < 60
 
 
 def test_state_weights_rejected_unless_probability_vector():
@@ -613,7 +652,7 @@ def test_letter_factors_built_once_per_simulation(monkeypatch):
 
 def test_decoder_povms_equal_the_checked_public_build():
     # the decoder's elements are formed on first read, the last one alone
-    # and the rest together; the public build forms and checks them at once
+    # and the rest together; the public build forms them from its states
     rng = np.random.default_rng(57)
     for ch, fail in [(random_cq_channel(rng, (2, 3), 2), False), (fail_outcome_channel(), True)]:
         prior = Prior.uniform(ch.sender_alphabets)
@@ -1016,9 +1055,10 @@ def recorded_counts(monkeypatch, get) -> list:
     return counts
 
 
-def test_workers_leave_the_cpus_to_blas_threads_and_bound_memory(monkeypatch):
-    # the pool takes the CPUs left over by the threads BLAS reports, and a
-    # variable set or cleared once BLAS is loaded changes nothing of that
+def test_workers_take_one_thread_per_cpu_and_bound_memory(monkeypatch):
+    # `average_error` runs BLAS on one thread, so the pool takes one thread
+    # per CPU, and a variable set or cleared once BLAS is loaded changes
+    # nothing of that
     monkeypatch.setattr(coding, "_cpus", lambda: 8)
     dims = (32, 64, 128, 1024)
     workers = [coding._workers(dim) for dim in dims]
@@ -1030,9 +1070,8 @@ def test_workers_leave_the_cpus_to_blas_threads_and_bound_memory(monkeypatch):
             else:
                 monkeypatch.setenv(var, value)
             assert [coding._workers(dim) for dim in dims] == workers
-    for threads, helpers in ((8, 0), (3, 1), (2, 3), (1, 7)):
-        monkeypatch.setattr(coding, "_blas", lambda: blas_reporting(threads))
-        assert coding._workers(128) == 1 + helpers
+    monkeypatch.setattr(coding, "_blas", lambda: blas_reporting(2))
+    assert coding._workers(128) == 8   # the count BLAS reports is not read
     assert coding._workers(32) == 1   # operators below a chunk
     # helpers hold their operators within THREAD_BYTES at any CPU count
     monkeypatch.setattr(coding, "_cpus", lambda: 512)

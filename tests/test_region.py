@@ -331,10 +331,6 @@ def test_sweep_keeps_no_tables():
 
 # --- sweeps ----------------------------------------------------------------------------
 
-def corner_points(sweep):
-    return [RatePoint(r) for r in sweep.corner_rates.tolist()]
-
-
 def test_grid_priors_resolution_one():
     (compositions,), index = prior_grid((2,), 1)
     vecs = [tuple(compositions[i]) for i in index[0]]
@@ -354,8 +350,8 @@ def test_sweep_refinement_nests():
     ch = load_channel("qubit-pure-mac")
     coarse = boundary_sweep(ch, 2)
     fine = boundary_sweep(ch, 4)
-    hull = upper_boundary_2d(corner_points(fine))
-    for point in corner_points(coarse):
+    hull = upper_boundary_2d(fine.corner_rates)
+    for point in coarse.corner_rates:
         assert hull_member_2d(point, hull, tol=1e-9)
 
 
@@ -376,17 +372,26 @@ def test_single_sender_two_state_sweep_maximizer():
 
 
 def test_upper_boundary_2d_adder():
-    hull = upper_boundary_2d(corner_points(boundary_sweep(adder(), 2)))
-    coords = [p.rates for p in hull]
+    hull = upper_boundary_2d(boundary_sweep(adder(), 2).corner_rates)
+    coords = hull.tolist()
     assert (0.5, 1.0) in [(round(a, 9), round(b, 9)) for a, b in coords]
     assert (1.0, 0.5) in [(round(a, 9), round(b, 9)) for a, b in coords]
-    assert hull_member_2d(RatePoint((0.75, 0.75)), hull)
-    assert not hull_member_2d(RatePoint((1.0, 1.0)), hull)
+    assert hull_member_2d((0.75, 0.75), hull)
+    assert not hull_member_2d((1.0, 1.0), hull)
 
 
 def test_upper_boundary_2d_rejects_three_sender_points():
-    with pytest.raises(ValidationError):
-        upper_boundary_2d([RatePoint((0.1, 0.2, 0.3)), RatePoint((0.3, 0.1, 0.0))])
+    with pytest.raises(ValidationError, match=r"\(m, 2\)"):
+        upper_boundary_2d(np.array([(0.1, 0.2, 0.3), (0.3, 0.1, 0.0)]))
+
+
+@pytest.mark.parametrize("bad, problem", [(-0.1, "nonnegative"), (np.nan, "finite")],
+                         ids=["negative", "nan"])
+def test_upper_boundary_2d_rejects_a_negative_or_nan_rate(bad, problem):
+    # the array is checked once, as RatePoint checked each point
+    rates = np.array([(0.1, 0.2), (0.3, bad), (0.4, 0.0)])
+    with pytest.raises(ValidationError, match=problem):
+        upper_boundary_2d(rates)
 
 
 # --- table route against the two-form oracle -------------------------------------
