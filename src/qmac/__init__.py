@@ -19,7 +19,7 @@ The package splits into a small dependency chain:
 """
 
 from .channel import (BlockChannel, ChannelFormatError, CqEnsemble,
-                      CqMacChannel, Prior, block_channel, channel_from_dict,
+                      CqMacChannel, Prior, channel_from_dict,
                       channel_state, load_channel, precompose_qq,
                       reduced_channel)
 from .coding import (Codebook, Povm, SimReport, TenderInstrument,
@@ -42,7 +42,7 @@ __all__ = [
     "CqEnsemble", "CqMacChannel", "MixtureSpec", "Povm",
     "Prior", "RateConstraintSet", "RatePoint", "SimReport",
     "SubsystemSelector", "TenderInstrument", "ValidationError",
-    "all_corners", "average_error", "block_channel", "boundary_sweep",
+    "all_corners", "average_error", "boundary_sweep",
     "channel_from_dict", "channel_state",
     "check_subadditivity", "conditional_entropy", "constraint_set",
     "corner_table", "disturbance_check", "eig_hermitian", "entropy_bits",

@@ -474,10 +474,6 @@ class BlockChannel:
         return block_states(self.letter_factors, letters)
 
 
-def block_channel(ch: CqMacChannel, n: int) -> BlockChannel:
-    return BlockChannel(ch, n)
-
-
 # ---------------------------------------------------------------------------
 # quantum-input channels compiled down to cq channels
 # ---------------------------------------------------------------------------

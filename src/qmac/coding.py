@@ -16,37 +16,32 @@ F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
 (`tests/oracles.average_error_loop`) within 1e-12.
 
 Message tuples with the same words have the same values, so `average_error`
-maps each tuple to its distinct word tuple once, as the tuple of the first
-messages with its words, and everything below it reads only those: each
-runs through the chain once, and the per-tuple values are then added in
-tuple order (`_in_tuple_order`): reports equal those of a run over every
-tuple, bit for bit.  The distinct tuples run sorted, so those reading one
-(stage, prefix) instrument are consecutive, and it is released after the
-last.
-
-Every element and root is made by one kernel, `_element_and_root`, and
-kept in its POVM by `_keep`.  Below block dimension 64 the distinct tuples
-build what they first read, a chunk at a time.  From 64 on, where one operator
-fills a chunk, `_plan` can build all of it first on a pool of `_workers`
-threads, one per CPU within `config.THREAD_BYTES`, since `average_error`
-runs BLAS on one thread.  Each task is the kernel on one item, as a chunk
-of one tuple runs it, so reports do not depend on the pool.
+runs each distinct word tuple once, as the tuple of the first messages with
+its words, and adds the per-tuple values in tuple order (`_in_tuple_order`),
+bit for bit as a run over every tuple.  One kernel, `_element_and_root`,
+makes every element and root; `_plan` builds what each chunk of the sorted
+distinct tuples reads and releases it after its last read (README, "Caps
+and determinism").
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
+import functools
+import itertools
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import operators as ops
-from .channel import PROB_TOL, CqMacChannel, Prior, block_channel, block_states, reduced_channel
+from .channel import (PROB_TOL, BlockChannel, CqMacChannel, Prior, block_states,
+                      reduced_channel)
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
 from .operators import ValidationError, as_index, as_seed, letter_tuple
@@ -122,10 +117,8 @@ def codebooks_from_seed(ch: CqMacChannel, prior: Prior, n: int,
     if len(sizes) != ch.s:
         raise ValidationError(f"expected {ch.s} codebook sizes, got {len(sizes)}")
     seeds = derive_seeds(master_seed, ch.s + 1)[: ch.s]
-    return [
-        sample_codebook(prior.per_sender[i], n, as_index(sizes[i], "sizes"), seeds[i], sender=i)
-        for i in range(ch.s)
-    ]
+    return [sample_codebook(prior.per_sender[i], n, as_index(sizes[i], "sizes"), seeds[i],
+                            sender=i) for i in range(ch.s)]
 
 
 def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list[int]:
@@ -267,12 +260,9 @@ def _element_and_root(items: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndar
 
 
 def _keep(items: Sequence[tuple], elements: Sequence[np.ndarray], roots: Sequence = ()) -> None:
-    """Keep the elements, and any roots, of `items` (POVM and outcome first);
-    a POVM with every element formed drops its rule."""
+    """Keep the elements, and any roots, of `items` (POVM and outcome first)."""
     for (povm, i, *_), element in zip(items, elements):
         povm._formed[i] = element
-        if len(povm._formed) == len(povm._labels):
-            povm._form = None   # nothing is left to form
     for (povm, i, *_), root in zip(items, roots):
         povm._root_cache[i] = root
 
@@ -318,34 +308,37 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
     (Hausladen et al. 1996).  The states are checked as density matrices;
     the result is not, and each element is formed on its first read.
 
-    `rebuild(idx)` builds the stacked states of an index array again.
-    Passing it says the states were built from checked ones (as the
-    sequential decoder builds its candidates): nothing is checked, and
-    elements are formed from rebuilt states, keeping none.
+    `rebuild(idx)` builds the stacked states of an index array.  Passing it
+    says the states are built from checked ones (as the sequential decoder
+    builds its candidates): `states` then holds only their labels, nothing
+    is checked, and the average adds each state as a chunk of them is built,
+    in the same order (so to the same bits), keeping none.
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
-    labels = [lab for lab, _ in states]
-    mats = [m if rebuild else ops.check_density(m, name=f"PGM state {lab!r}")
-            for lab, m in states]
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise ValidationError("PGM states must share one dimension")
-    w = np.full(len(mats), 1.0 / len(mats))
+    if rebuild is None:
+        mats = [ops.check_density(m, name=f"PGM state {lab!r}") for lab, m in states]
+        if any(m.shape[0] != mats[0].shape[0] for m in mats):
+            raise ValidationError("PGM states must share one dimension")
+        states, rebuild = [lab for lab, _ in states], lambda idx: np.stack([mats[i] for i in idx])
+    else:   # the first state gives the dimension; the others come a chunk at a time
+        first, rest = rebuild(np.arange(1)), np.arange(1, len(states))
+        mats = itertools.chain(first, (m for rows in chunks(len(rest), 16 * first.shape[-1] ** 2)
+                                       for m in rebuild(rest[rows])))
+    labels, w = list(states), np.full(len(states), 1.0 / len(states))
     avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
     inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
-    states_of = rebuild or (lambda idx: np.stack([mats[i] for i in idx]))
 
     def form(idx: np.ndarray) -> np.ndarray:
-        return ops.hermitize(inv_root @ (states_of(idx) * w[idx, None, None]) @ inv_root)
+        return ops.hermitize(inv_root @ (rebuild(idx) * w[idx, None, None]) @ inv_root)
 
     formed = {}
-    residual = ops.hermitize(np.eye(dim) - support)
+    residual = ops.hermitize(np.eye(len(avg)) - support)
     if float(np.max(np.abs(residual))) > 1e-10:
         formed[len(labels)] = residual
         labels.append(FAIL)
     povm = Povm.__new__(Povm)
-    povm._setup(dim, labels, formed, form)
+    povm._setup(len(avg), labels, formed, form)
     return povm
 
 
@@ -360,9 +353,7 @@ def disturbance_check(rho: np.ndarray, x: np.ndarray) -> tuple[float, float, flo
     rho = ops.check_density(rho)
     w, v = ops.eig_hermitian(x)
     if w[0] < -X_SPECTRUM_TOL or w[-1] > 1.0 + X_SPECTRUM_TOL:
-        raise ValidationError(
-            f"operator spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]"
-        )
+        raise ValidationError(f"operator spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]")
     w = np.clip(w, 0.0, 1.0)
     eps = max(0.0, 1.0 - float(np.trace(rho @ ((v * w) @ v.conj().T)).real))
     if eps >= 1.0:
@@ -468,23 +459,19 @@ class SequentialDecoder:
         self._words = [np.array(cb.words) for cb in codebooks]
         for i, (words, a) in enumerate(zip(self._words, ch.sender_alphabets)):
             if np.any(words >= a):
-                raise ValidationError(
-                    f"codebook for sender {i} contains letters outside its alphabet"
-                )
+                raise ValidationError(f"codebook for sender {i} contains letters outside "
+                                      "its alphabet")
         self.channel = ch
         self.codebooks = tuple(codebooks)
         self.prior = prior
         self.n = codebooks[0].n
-        self.block = block_channel(ch, self.n)
+        self.block = BlockChannel(ch, self.n)
         self._first = []
         for words in self._words:
-            _, first, inverse = np.unique(words, axis=0, return_index=True,
-                                          return_inverse=True)
+            _, first, inverse = np.unique(words, axis=0, return_index=True, return_inverse=True)
             self._first.append(first[inverse.ravel()])
         # letter table for stage i: senders 0..i explicit, senders > i averaged
-        self._stage_tables = [
-            reduced_channel(ch, prior, range(i + 1)) for i in range(ch.s)
-        ]
+        self._stage_tables = [reduced_channel(ch, prior, range(i + 1)) for i in range(ch.s)]
         self._cache: dict[tuple[int, tuple[tuple[int, ...], ...]], TenderInstrument] = {}
 
     def _stage_letters(self, stage: int, prefix_words) -> tuple[np.ndarray, np.ndarray]:
@@ -501,10 +488,8 @@ class SequentialDecoder:
         """Candidate state of each message of `stage`, given decoded prefix
         words, built as chunked stacks of block_states (`_stage_letters`)."""
         table, letters = self._stage_letters(stage, prefix_words)
-        out = []
-        for rows in chunks(len(letters), 16 * self.block.output_dim ** 2):
-            out.extend(block_states(table, letters[rows]))
-        return list(enumerate(out))
+        return list(enumerate(m for rows in chunks(len(letters), 16 * self.block.output_dim ** 2)
+                              for m in block_states(table, letters[rows])))
 
     def stage_instrument(self, stage: int,
                          prefix_words: Sequence[Sequence[int]]) -> TenderInstrument:
@@ -532,9 +517,8 @@ class SequentialDecoder:
     def _instrument(self, key: tuple) -> TenderInstrument:
         """The instrument of a cache key, built without reading or writing
         the cache, so that builds can run at once."""
-        stage, prefix = key
-        table, letters = self._stage_letters(stage, prefix)
-        povm = pgm_decoder(self.stage_states(stage, prefix),
+        table, letters = self._stage_letters(*key)
+        povm = pgm_decoder(range(len(letters)),
                            rebuild=lambda idx: block_states(table, letters[idx]))
         return TenderInstrument.from_povm(povm)
 
@@ -612,39 +596,64 @@ def _workers(dim: int) -> int:
     return min(_cpus(), 1 + THREAD_BYTES // (TASK_OPERATORS * item))
 
 
-def _plan(decoder: SequentialDecoder, msgs: np.ndarray,
-          rows: Sequence[slice]) -> Iterable[list[tuple[list[Povm], list[int]]]]:
-    """What each chunk `msgs[rows[c]]` of distinct message tuples reads (`_reads`).
-
-    With one worker each chunk builds what it reads when it reads it.  With
-    several, everything the chunks read is built first, on a pool of that
-    many threads: each distinct (stage, prefix) instrument, then each
-    missing element and root, by the kernel on one item.  The calling
-    thread keeps each result, in order, as it comes in.  At the first failed
-    task in order, the tasks not yet started are cancelled and its error is
-    raised once the pool's threads are joined.
-    """
-    workers = _workers(decoder.block.output_dim)
+@contextlib.contextmanager
+def _tasks(workers: int) -> Iterator[Callable]:
+    """`submit(fn, *args)`, which returns a call giving fn(*args): with one worker
+    fn runs on that call; with more, on a pool of that many threads, whose tasks
+    not yet started are cancelled, and its threads joined, when an error leaves."""
     if workers == 1:
-        return (_reads(decoder, msgs[r]) for r in rows)
+        yield functools.partial
+        return
     from concurrent.futures import ThreadPoolExecutor   # loaded on this path only
-
     with ThreadPoolExecutor(workers) as pool:
         try:
-            keys = list(dict.fromkeys(
-                decoder._key(i, _prefix_words(decoder, prefix))
-                for i in range(decoder.channel.s)
-                for prefix in dict.fromkeys(map(tuple, msgs[:, :i].tolist()))))
-            for key, inst in zip(keys, pool.map(decoder._instrument, keys)):
-                decoder._cache[key] = inst
-            reads = [_reads(decoder, msgs[r]) for r in rows]
-            items = _missing(pair for chunk in reads for stage in chunk for pair in zip(*stage))
-            for item, out in zip(items, pool.map(lambda item: _element_and_root([item]), items)):
-                _keep([item], *out)
+            yield lambda fn, *args: pool.submit(fn, *args).result
         except BaseException:   # a failed task, or an interrupt while waiting
             pool.shutdown(cancel_futures=True)
             raise
-    return reads
+
+
+def _plan(decoder: SequentialDecoder, msgs: np.ndarray, rows: Sequence[slice],
+          run: Callable[[slice, list[tuple[list[Povm], list[int]]]], None]) -> None:
+    """`run(rows[c], reads)` on each chunk of sorted distinct message tuples
+    `msgs[rows[c]]`, in order, once what it reads (`_reads`) is built.
+
+    While chunk c runs, the `_workers` threads (`_tasks`) build the missing
+    elements and roots of the next `ahead` chunks, one kernel call per chunk
+    and stage, and the instruments of `ahead` more.  The calling thread keeps
+    the results in order (the first failed task in order raises), and before
+    chunk c runs releases what chunk c - 1 read and chunk c does not: sorted,
+    the tuples reading an instrument, or one of its outcomes, are consecutive.
+    """
+    workers = _workers(decoder.block.output_dim)
+    ahead, end = 2 * (workers - 1), len(rows)
+    builds, keys, reads, pairs, items = {}, {}, {}, {-1: set()}, {}   # by key; by chunk
+    with _tasks(workers) as submit:
+        for c, r in enumerate(rows):
+            for j in range(c + 2 * ahead if c else 0, min(c + 2 * ahead + 1, end)):
+                keys[j] = [decoder._key(i, _prefix_words(decoder, prefix))
+                           for i in range(decoder.channel.s)
+                           for prefix in dict.fromkeys(map(tuple, msgs[rows[j], :i].tolist()))]
+                builds.update((k, submit(decoder._instrument, k)) for k in keys[j]
+                              if k not in builds and k not in decoder._cache)
+            new = range(c + ahead if c else 0, min(c + ahead + 1, end))
+            for j in new:
+                decoder._cache.update((k, builds.pop(k)()) for k in keys.pop(j) if k in builds)
+                reads[j] = _reads(decoder, msgs[rows[j]])
+                pairs[j] = {pair for stage in reads[j] for pair in zip(*stage)}
+            gone = pairs.pop(c - 1) - pairs[c]
+            for povm, i in gone:
+                del povm._formed[i], povm._root_cache[i]
+            gone = {povm for povm, _ in gone} - {povm for povm, _ in pairs[c]}
+            for key in [k for k, inst in decoder._cache.items() if inst.povm in gone]:
+                del decoder._cache[key]
+            for j in new:   # what chunk j - 1 reads is kept or on the executor
+                batches = [_missing(p for p in zip(*stage) if p not in pairs.get(j - 1, ()))
+                           for stage in reads[j]]
+                items[j] = [(b, submit(_element_and_root, b)) for b in batches if b]
+            for batch, task in items.pop(c):
+                _keep(batch, *task())
+            run(r, reads.pop(c))
 
 
 # ---------------------------------------------------------------------------
@@ -680,10 +689,8 @@ class SimReport:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
     def csv_rows(self) -> tuple[list[str], list]:
-        header = (
-            ["n"] + [f"L{i + 1}" for i in range(len(self.sizes))] + ["avg_error"]
-            + [f"stage_error_{i + 1}" for i in range(len(self.stage_errors))]
-        )
+        header = (["n"] + [f"L{i + 1}" for i in range(len(self.sizes))] + ["avg_error"]
+                  + [f"stage_error_{i + 1}" for i in range(len(self.stage_errors))])
         row = [self.n, *self.sizes, self.avg_error, *self.stage_errors]
         return header, row
 
@@ -744,8 +751,7 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         else:
             raise ValidationError(f"mode must be 'exhaustive' or 'monte_carlo', got {mode!r}")
 
-        s = ch.s
-        n = decoder.n
+        s, n = ch.s, decoder.n
         # each tuple becomes the tuple of the first messages with its words
         # (`SequentialDecoder._first`), the only message index below here; each
         # distinct one runs once, sorted, in chunks of stacked operators.
@@ -756,8 +762,8 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
         # ran, whose code is resident; its default sort raised peak memory 0.1 MB
         distinct, _, inverse = np.unique(canon, axis=0, return_index=True, return_inverse=True)
         values = np.zeros((3, s, len(distinct)))   # eps, dist and success per stage
-        rows = list(chunks(len(distinct), 16 * decoder.block.output_dim ** 2))
-        for chunk, reads in zip(rows, _plan(decoder, distinct, rows)):
+
+        def run(chunk: slice, reads: list[tuple[list[Povm], list[int]]]) -> None:
             msg = distinct[chunk]
             words = np.stack([decoder._words[i][msg[:, i]] for i in range(s)], axis=1)
             f0 = decoder.block.state_for_words(words)
@@ -772,10 +778,9 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
                 eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
                 f = g if f is f0 else roots @ f
                 values[:, i, chunk] = eps, dist, _inner(f, f)
-            # later chunks read none of the instruments this one did not read
-            read = {p for povms, _ in reads for p in povms}
-            for key in [k for k, inst in decoder._cache.items() if inst.povm not in read]:
-                del decoder._cache[key]
+
+        _plan(decoder, distinct, list(chunks(len(distinct), 16 * decoder.block.output_dim ** 2)),
+              run)
 
         (stage_eps, stage_dist, stage_success), total_error = _in_tuple_order(
             values, inverse.ravel())
@@ -816,10 +821,9 @@ def run_simulation(ch: CqMacChannel, prior: Prior, n: int, sizes: Sequence[int],
     The master seed splits into one seed per codebook plus one for Monte
     Carlo message sampling, so reports are bit-exact replayable.
     """
-    block_channel(ch, n)   # capped before n-letter words are drawn
+    BlockChannel(ch, n)   # capped before n-letter words are drawn
     codebooks = codebooks_from_seed(ch, prior, n, sizes, master_seed)
     trial_seed = derive_seeds(master_seed, ch.s + 1)[ch.s]
-    return average_error(
-        ch, codebooks, prior, mode=mode, trials=trials,
-        seed=trial_seed if mode == "monte_carlo" else None, master_seed=int(master_seed),
-    )
+    return average_error(ch, codebooks, prior, mode=mode, trials=trials,
+                         seed=trial_seed if mode == "monte_carlo" else None,
+                         master_seed=int(master_seed))

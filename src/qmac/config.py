@@ -41,11 +41,11 @@ ENV_MAX_DIM = "QMAC_MAX_DIM"
 CHUNK_BYTES = 1 << 16
 
 # Each decoder-building thread beyond the first (`coding._workers`) holds
-# about TASK_OPERATORS more block operators of 16 D^2 bytes (peak resident set
-# at D = 512 and 1024: 18 to 30 MB per thread at 4 MiB an operator, 72 to 77
-# MB at 16 MiB).  Threads are limited so that these stay within THREAD_BYTES
-# whatever the CPU count.
-TASK_OPERATORS = 6
+# about TASK_OPERATORS more block operators of 16 D^2 bytes: its task's, and
+# those of the chunks `coding._plan` builds ahead for it (peak resident set at
+# D = 512: 39 to 58 MB per thread at 4 MiB an operator).  Threads are limited
+# so that these stay within THREAD_BYTES whatever the CPU count.
+TASK_OPERATORS = 16
 THREAD_BYTES = 1 << 28
 
 

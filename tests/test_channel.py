@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmac.channel import (BUILTIN_CHANNELS, BlockChannel, ChannelFormatError, CqMacChannel,
-                          Prior, block_channel, channel_from_dict, channel_state,
+                          Prior, channel_from_dict, channel_state,
                           kraus_from_choi, load_channel, make_ensemble,
                           precompose_qq, reduced_channel)
 from qmac.checks import random_channel, random_prior, relabel_channel, run_suites
@@ -144,7 +144,7 @@ def test_state_rejects_letters_outside_the_table(letters):
         ch.state(letters)
     if len(letters) == 2:
         with pytest.raises(ValidationError, match="no state for letter tuple"):
-            block_channel(ch, 2).state_for_words([(0, letters[0]), (0, letters[1])])
+            BlockChannel(ch, 2).state_for_words([(0, letters[0]), (0, letters[1])])
 
 
 NON_INTEGER_LETTERS = {
@@ -193,7 +193,8 @@ CALLER_INTEGERS = {
                            [2.9, "2"], np.int64(2), "output_dim"),
     "channel-letter-keys": (lambda v: CqMacChannel((1,), 2, {(v,): Z0}),
                             [0.4, "0", 0.0], np.int64(0), "letter tuple"),
-    "block-length": (lambda v: block_channel(pure_mac()[0], v), [2.5], np.int64(2), "n"),
+    "block-length": (lambda v: run_simulation(*pure_mac(), v, (2, 2), 0), [2.5, "2"],
+                     np.int64(2), "n"),
     "block-channel-length": (lambda v: BlockChannel(pure_mac()[0], v), [2.0, "2"],
                              np.int64(2), "n"),
     "codebook-length": (lambda v: Codebook(0, v, ((0, 0),)), [2.0, "2"], np.int64(2), "n"),
@@ -386,7 +387,7 @@ def test_reduced_channel_empty_subset_rejected():
 
 def test_block_channel_n1_equals_base():
     ch = CqMacChannel((2, 2), 2, qubit_table())
-    blk = block_channel(ch, 1)
+    blk = BlockChannel(ch, 1)
     for letters in ch.joint_letters():
         words = tuple((x,) for x in letters)
         f = blk.state_for_words(words)
@@ -396,7 +397,7 @@ def test_block_channel_n1_equals_base():
 
 def test_block_channel_products():
     ch = CqMacChannel((2, 2), 2, qubit_table())
-    blk = block_channel(ch, 2)
+    blk = BlockChannel(ch, 2)
     got = blk.state_for_words(((0, 1), (0, 1)))
     got = got @ got.conj().T
     want = tensor(ch.state((0, 0)), ch.state((1, 1)))
@@ -413,7 +414,7 @@ def test_stacked_block_states_equal_one_word_tuple_at_a_time():
     for _ in range(10):
         ch = random_channel(rng)
         n = int(rng.integers(1, 4))
-        blk = block_channel(ch, n)
+        blk = BlockChannel(ch, n)
         words = np.stack([rng.integers(a, size=(5, n)) for a in ch.sender_alphabets], axis=1)
         stack = blk.state_for_words(words)
         assert stack.shape == (5, blk.output_dim, blk.letter_factors.shape[-1] ** n)
@@ -435,7 +436,7 @@ def factor_channels():
 
 @pytest.mark.parametrize("ch", factor_channels())
 def test_letter_factors_reproduce_the_states(ch):
-    factors = block_channel(ch, 1).letter_factors
+    factors = BlockChannel(ch, 1).letter_factors
     d = ch.output_dim
     ranks = (np.linalg.eigvalsh(ch.states) > SUPPORT_FLOOR).sum(axis=-1)
     assert factors.shape == ch.states.shape[:-1] + (ranks.max(),)
@@ -452,7 +453,7 @@ def test_factored_block_states_are_kronecker_products_of_letter_factors():
     for ch in [random_channel(rng), low_rank_channel(rng, (3,), 4, (2, 2, 1)),
                load_channel("qubit-pure-mac")]:
         n = 2
-        blk = block_channel(ch, n)
+        blk = BlockChannel(ch, n)
         words = np.stack([rng.integers(a, size=(4, n)) for a in ch.sender_alphabets], axis=1)
         factors = blk.state_for_words(words)
         r = blk.letter_factors.shape[-1]
@@ -472,7 +473,7 @@ def test_factored_block_states_are_kronecker_products_of_letter_factors():
 def test_word_state_factors_equal_the_dense_oracle(ch):
     rng = np.random.default_rng(47)
     for n in (1, 2, 3):
-        blk = block_channel(ch, n)
+        blk = BlockChannel(ch, n)
         words = np.stack([rng.integers(a, size=(3, n)) for a in ch.sender_alphabets], axis=1)
         dense = word_states(ch, words)
         factors = blk.state_for_words(words)
@@ -485,21 +486,21 @@ def test_block_channel_respects_cap(monkeypatch):
     ch = CqMacChannel((2, 2), 2, qubit_table())
     with monkeypatch.context() as m, pytest.raises(CapExceeded):
         m.setenv("QMAC_MAX_DIM", "4")
-        block_channel(ch, 3)
+        BlockChannel(ch, 3)
     # a block length whose d**n has more digits than Python prints, or more
     # bits than memory holds, is refused without forming d**n
     for n in (10 ** 5, 10 ** 18):
         with pytest.raises(CapExceeded, match=f"{n}-block output state needs dimension 2\\^{n}"):
-            block_channel(ch, n)
+            BlockChannel(ch, n)
 
 
 def test_env_var_overrides_dimension_cap(monkeypatch):
     ch = CqMacChannel((2, 2), 2, qubit_table())
     monkeypatch.setenv("QMAC_MAX_DIM", "4")
     with pytest.raises(CapExceeded):
-        block_channel(ch, 3)
+        BlockChannel(ch, 3)
     monkeypatch.setenv("QMAC_MAX_DIM", "8")
-    block_channel(ch, 3)
+    BlockChannel(ch, 3)
 
 
 def test_degenerate_single_letter_alphabet():

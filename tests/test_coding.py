@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qmac import coding, config
-from qmac.channel import BlockChannel, CqMacChannel, Prior, block_channel, load_channel
+from qmac.channel import BlockChannel, CqMacChannel, Prior, load_channel
 from qmac.coding import (FAIL, Codebook, Povm, SequentialDecoder, TenderInstrument,
                          average_error, codebooks_from_seed, derive_seeds, disturbance_check,
                          pgm_decoder, run_simulation, sample_codebook,
@@ -612,7 +612,7 @@ def test_factored_simulator_agrees_with_the_dense_loop(kind, n, rank):
     ch = {"qubit-pure-mac": lambda: load_channel("qubit-pure-mac"),
           "fail-outcome": fail_outcome_channel,
           "rank-two": lambda: low_rank_channel(rng, (2, 2), 4, (2,))}[kind]()
-    assert block_channel(ch, n).letter_factors.shape[-1] == rank
+    assert BlockChannel(ch, n).letter_factors.shape[-1] == rank
     prior = Prior(tuple(rng.dirichlet(np.ones(a)) for a in ch.sender_alphabets))
     books = codebooks_from_seed(ch, prior, n, (3, 5), master_seed=int(rng.integers(1 << 30)))
     assert close_report(average_error(ch, books, prior), average_error_loop(ch, books, prior))
@@ -652,11 +652,18 @@ def test_letter_factors_built_once_per_simulation(monkeypatch):
 
 def test_decoder_povms_equal_the_checked_public_build():
     # the decoder's elements are formed on first read, the last one alone
-    # and the rest together; the public build forms them from its states
+    # and the rest together; the public build forms them from its states.
+    # The decoder adds its average as it builds the states, a chunk at a
+    # time (one state a chunk from block dimension 64 on), the public build
+    # from the list of them: the elements are equal, bit for bit
     rng = np.random.default_rng(57)
-    for ch, fail in [(random_cq_channel(rng, (2, 3), 2), False), (fail_outcome_channel(), True)]:
+    for ch, fail, n in [(random_cq_channel(rng, (2, 3), 2), False, 2),
+                        (fail_outcome_channel(), True, 2),
+                        (random_cq_channel(rng, (2, 3), 2), False, 6),
+                        (random_cq_channel(rng, (2, 2), 2), False, 7),
+                        (fail_outcome_channel(), True, 4)]:
         prior = Prior.uniform(ch.sender_alphabets)
-        books = random_books(rng, ch.sender_alphabets, 2, (3, 4))
+        books = random_books(rng, ch.sender_alphabets, n, (3, 4))
         decoder = SequentialDecoder(ch, books, prior)
         for i, prefix in [(0, [])] + [(1, [w]) for w in books[0].words]:
             povm = decoder.stage_instrument(i, prefix).povm
@@ -949,16 +956,34 @@ def recorded_instruments(monkeypatch) -> dict:
     return built
 
 
-def stored_bytes(instruments: dict) -> dict:
-    """Bytes of every element and root the instruments (by cache key) keep,
-    by (key, kind, position)."""
+def recorded_keeps(monkeypatch) -> dict:
+    """Make `_keep` record the bytes of each element and root it stores, as
+    {(POVM, outcome): {kind: bytes}}: `average_error` releases them after
+    their last read, so its stores do not hold them all at its end."""
+    kept, keep = {}, coding._keep
+
+    def recorded(items, elements, roots=()):
+        for kind, mats in (("element", elements), ("root", roots)):
+            for (povm, i, *_), m in zip(items, mats):
+                kept.setdefault((povm, i), {})[kind] = m.tobytes()
+        keep(items, elements, roots)
+
+    monkeypatch.setattr(coding, "_keep", recorded)
+    return kept
+
+
+def stored_bytes(instruments: dict, kept: dict) -> dict:
+    """Bytes of every element and root the instruments (by cache key) stored
+    (`recorded_keeps`) or hold, such as a FAIL element, by (key, kind,
+    position), with each one's labels."""
     out = {}
     for key, inst in instruments.items():
         povm = inst.povm
         out[key, "labels"] = repr(povm._labels).encode()
         for kind, store in (("element", povm._formed), ("root", povm._root_cache)):
-            for i, m in store.items():
-                out[key, kind, i] = m.tobytes()
+            out.update(((key, kind, i), m.tobytes()) for i, m in store.items())
+        for i in povm._index.values():
+            out.update(((key, kind, i), m) for kind, m in kept.get((povm, i), {}).items())
     return out
 
 
@@ -999,7 +1024,7 @@ def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, 
     if mode == "monte_carlo":
         options.update(trials=7, seed=int(rng.integers(1 << 30)))
     decoders, built = recorded_decoders(monkeypatch), recorded_instruments(monkeypatch)
-    tasks = recorded_tasks(monkeypatch)
+    tasks, kept = recorded_tasks(monkeypatch), recorded_keeps(monkeypatch)
     monkeypatch.setattr(coding, "_workers", lambda dim: 1)
     alone = average_error(ch, books, prior, **options)
     # one worker: each chunk builds what it reads, on the calling thread
@@ -1010,8 +1035,54 @@ def test_decoder_tasks_on_threads_equal_one_worker(monkeypatch, kind, n, sizes, 
     assert tasks and threading.get_ident() not in tasks
     assert alone.to_json_dict() == threaded.to_json_dict()
     assert all(len(dict(built[d])) == len(built[d]) for d in decoders)   # each built once
-    one, many = (stored_bytes(dict(built[d])) for d in decoders)
+    one, many = (stored_bytes(dict(built[d]), kept) for d in decoders)
     assert one == many
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_held_operators_stay_within_the_window(monkeypatch, workers, n, mode):
+    # from block dimension 64 on a chunk is one tuple.  When a chunk runs,
+    # the elements and roots kept are exactly those it reads: each is
+    # released before the first chunk that does not read it.  The cached
+    # instruments are those it reads and those of the 2 (workers - 1)
+    # chunks built ahead of it, and each (instrument, outcome) is kept
+    # once, so none is built again after its release
+    monkeypatch.setattr(coding, "_workers", lambda dim: workers)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, n, (4, 4), master_seed=n)
+    options = {"mode": mode}
+    if mode == "monte_carlo":
+        options.update(trials=10, seed=5)
+    built, plan, keep, keeps, seen = (recorded_instruments(monkeypatch), coding._plan,
+                                      coding._keep, [], [])
+
+    def recorded_keep(items, elements, roots=()):
+        keeps.extend(item[:2] for item in items)
+        keep(items, elements, roots)
+
+    def recorded_plan(decoder, msgs, rows, run):
+        def checked(chunk, reads):
+            povms = [inst.povm for _, inst in built[decoder]]
+            seen.append((chunk, {pair for stage in reads for pair in zip(*stage)},
+                         {(p, i) for p in povms for i in p._root_cache},
+                         {(p, i) for p in povms for i in p._formed if p._labels[i] is not FAIL},
+                         {inst.povm for inst in decoder._cache.values()}))
+            run(chunk, reads)
+
+        plan(decoder, msgs, rows, checked)
+
+    monkeypatch.setattr(coding, "_keep", recorded_keep)
+    monkeypatch.setattr(coding, "_plan", recorded_plan)
+    average_error(ch, books, prior, **options)
+    assert all(chunk.stop - chunk.start == 1 for chunk, *_ in seen)
+    for c, (_, read, roots, elements, cached) in enumerate(seen):
+        assert roots == elements == read
+        window = {p for _, later, *_ in seen[c:c + 2 * workers - 1] for p, _ in later}
+        assert {p for p, _ in read} <= cached <= window
+    assert len(keeps) == len(set(keeps)) > max(len(read) for _, read, *_ in seen)
 
 
 def test_small_operators_are_built_where_they_are_read(monkeypatch):
@@ -1078,7 +1149,7 @@ def test_workers_take_one_thread_per_cpu_and_bound_memory(monkeypatch):
     for dim in (64, 128, 512, 1024, 2048, 4096):
         helpers = coding._workers(dim) - 1
         assert helpers * config.TASK_OPERATORS * 16 * dim ** 2 <= config.THREAD_BYTES
-    assert (coding._workers(1024), coding._workers(2048)) == (3, 1)
+    assert (coding._workers(512), coding._workers(1024), coding._workers(2048)) == (5, 2, 1)
 
 
 needs_openblas = pytest.mark.skipif(coding._blas() is None,
@@ -1289,7 +1360,7 @@ def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
     if mode == "monte_carlo":
         options.update(trials=40, seed=3)
     decoders, built, items = recorded_decoders(monkeypatch), recorded_instruments(monkeypatch), []
-    kernel = coding._element_and_root
+    kept, kernel = recorded_keeps(monkeypatch), coding._element_and_root
 
     def recorded_kernel(batch):
         items.extend((povm, i, threading.get_ident()) for povm, i, *_ in batch)
@@ -1313,10 +1384,10 @@ def test_identical_codewords_share_one_element_and_root(monkeypatch, n, mode):
         book = books[key[0]].words
         for b, word in enumerate(book):
             first = book.index(word)
-            if first != b and first in inst.povm._root_cache:
+            if first != b and (inst.povm, first) in kept:
                 element = inst.povm.element(b)
-                assert np.array_equal(element, inst.povm._formed[first])
-                assert np.array_equal(op_sqrt(element), inst.povm._root_cache[first])
+                assert element.tobytes() == kept[inst.povm, first]["element"]
+                assert op_sqrt(element).tobytes() == kept[inst.povm, first]["root"]
                 shared += 1
     assert shared
     assert close_report(report, average_error_loop(ch, books, prior, **options))
@@ -1340,7 +1411,7 @@ def test_each_distinct_word_tuple_runs_once_across_chunks(monkeypatch, senders, 
     if mode == "monte_carlo":
         options.update(trials=300, seed=int(rng.integers(1 << 30)))
     decoders, built = recorded_decoders(monkeypatch), recorded_instruments(monkeypatch)
-    dim = block_channel(ch, 2).output_dim
+    dim = BlockChannel(ch, 2).output_dim
     monkeypatch.setattr(config, "CHUNK_BYTES", 3 * 16 * dim ** 2)
     report = average_error(ch, books, prior, **options)
     [decoder] = decoders
