@@ -148,8 +148,8 @@ class Povm:
 
     Built from (label, element) pairs, which are checked.  It is also the
     decoder's one store: a pretty-good measurement (`pgm_decoder`) gives it
-    a rule (`_form`) for its candidates' elements instead, and each element
-    and root is made on its first read (`_elements`, `_roots`) and kept.
+    a rule (`_form`) for its elements instead, FAIL's included, and each
+    element and root is made on its first read (`_elements`, `_roots`) and kept.
     """
 
     def __init__(self, dim: int, elements: Sequence[tuple[Hashable, np.ndarray]]):
@@ -288,7 +288,7 @@ def _state_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
 
 def _elements(povm: Povm, positions: Iterable[int]) -> list[np.ndarray]:
     """Element of each outcome in `positions` of the POVM.  Those not formed
-    yet (a PGM's candidates) are formed together (`_formed`) and kept, so
+    yet (a PGM's) are formed together (`_formed`) and kept, so
     each is formed once, and equals the element formed with all others."""
     positions = list(positions)
     items = [(povm, i, povm._form, None) for i in dict.fromkeys(positions)
@@ -297,48 +297,57 @@ def _elements(povm: Povm, positions: Iterable[int]) -> list[np.ndarray]:
     return [povm._formed[i] for i in positions]
 
 
+def _average(rebuild: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
+    """Average by weights `w` of the states `rebuild` builds: the first alone (it gives
+    the dimension), then a chunk at a time, each added in index order, none kept."""
+    first, rest = rebuild(np.arange(1)), np.arange(1, len(w))
+    mats = itertools.chain(first, (m for rows in chunks(len(rest), 16 * first.shape[-1] ** 2)
+                                   for m in rebuild(rest[rows])))
+    return ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
+
+
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
                 rebuild: Callable[[np.ndarray], np.ndarray] | None = None) -> Povm:
     """Square-root measurement of a family of k equally likely states.
 
     With S their average, each element is S^{-1/2} (rho_c / k) S^{-1/2} on
-    the (numerically resolvable) support of S; whatever identity mass lies
-    off the support becomes a residual outcome labeled FAIL (present only
-    when nonzero), so the elements sum to the identity by construction
-    (Hausladen et al. 1996).  The states are checked as density matrices;
-    the result is not, and each element is formed on its first read.
+    the (numerically resolvable) support of S; if S has null-space
+    directions, the identity less its support projector is a residual
+    outcome labeled FAIL, so the elements sum to the identity by
+    construction (Hausladen et al. 1996).  The states are checked as density
+    matrices, and none may be labeled None (FAIL); the result is not.  It
+    keeps only S^{-1/2}, and forms each element on its first read from the
+    states built again: FAIL's from S (`_average`, which keeps none of them).
 
     `rebuild(idx)` builds the stacked states of an index array.  Passing it
     says the states are built from checked ones (as the sequential decoder
-    builds its candidates): `states` then holds only their labels, nothing
-    is checked, and the average adds each state as a chunk of them is built,
-    in the same order (so to the same bits), keeping none.
+    builds its candidates): `states` then holds only their labels, and
+    nothing is checked.
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
+    labels = list(states) if rebuild is not None else [lab for lab, _ in states]
+    if any(lab is FAIL for lab in labels):
+        raise ValidationError("PGM state label None is reserved for the FAIL outcome")
     if rebuild is None:
         mats = [ops.check_density(m, name=f"PGM state {lab!r}") for lab, m in states]
         if any(m.shape[0] != mats[0].shape[0] for m in mats):
             raise ValidationError("PGM states must share one dimension")
-        states, rebuild = [lab for lab, _ in states], lambda idx: np.stack([mats[i] for i in idx])
-    else:   # the first state gives the dimension; the others come a chunk at a time
-        first, rest = rebuild(np.arange(1)), np.arange(1, len(states))
-        mats = itertools.chain(first, (m for rows in chunks(len(rest), 16 * first.shape[-1] ** 2)
-                                       for m in rebuild(rest[rows])))
-    labels, w = list(states), np.full(len(states), 1.0 / len(states))
-    avg = ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
-    inv_root, support = ops.pinv_sqrt(avg, support_rtol=PGM_SUPPORT_RTOL)
+        rebuild = np.stack(mats).__getitem__
+    k, w = len(labels), np.full(len(labels), 1.0 / len(labels))
+    inv_root, off = ops.pinv_sqrt(_average(rebuild, w), PGM_SUPPORT_RTOL, hermitian=True)
 
-    def form(idx: np.ndarray) -> np.ndarray:
-        return ops.hermitize(inv_root @ (rebuild(idx) * w[idx, None, None]) @ inv_root)
+    def form(idx: np.ndarray) -> list[np.ndarray]:
+        """Elements of the sorted outcomes `idx`, where FAIL's, k, sorts last."""
+        cand = idx[idx < k]
+        out = [*ops.hermitize(inv_root @ (rebuild(cand) * w[cand, None, None]) @ inv_root)]
+        if cand.size < idx.size:
+            proj = ops.support_projector(_average(rebuild, w), PGM_SUPPORT_RTOL, hermitian=True)
+            out.append(ops.hermitize(np.eye(len(inv_root)) - proj))
+        return out
 
-    formed = {}
-    residual = ops.hermitize(np.eye(len(avg)) - support)
-    if float(np.max(np.abs(residual))) > 1e-10:
-        formed[len(labels)] = residual
-        labels.append(FAIL)
     povm = Povm.__new__(Povm)
-    povm._setup(len(avg), labels, formed, form)
+    povm._setup(len(inv_root), labels + [FAIL] * (off > 0), {}, form)
     return povm
 
 

@@ -190,23 +190,28 @@ def op_sqrt(a, *, hermitian: bool = False) -> np.ndarray:
     return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
-def pinv_sqrt(a, support_rtol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse square root of a PSD operator and its support projector.
-
-    Eigenvalues at or below max(1e-12, max_eig * support_rtol) are
-    treated as null space; a nonzero relative cutoff keeps the inversion
-    stable when the spectrum spans many orders of magnitude.  Returns
-    (a^{-1/2} on supp, projector onto supp).
-    """
-    w, v = eig_hermitian(a)
+def _support(a, support_rtol: float, hermitian: bool) -> tuple[np.ndarray, ...]:
+    """eig_hermitian of a PSD operator, and which eigenvalues are on its support:
+    those above max(1e-12, max_eig * support_rtol).  A nonzero relative cutoff
+    keeps the inversion stable when the spectrum spans many orders of magnitude."""
+    w, v = eig_hermitian(a, hermitian=hermitian)
     if w.size and w[0] < -PSD_HARD:
         raise ValidationError(f"operator is not PSD (eigenvalue {w[0]:.3e})")
     cutoff = max(SUPPORT_FLOOR, float(w[-1]) * support_rtol) if w.size else SUPPORT_FLOOR
-    on = w > cutoff
+    return w, v, w > cutoff
+
+
+def pinv_sqrt(a, support_rtol: float = 0.0, *, hermitian: bool = False) -> tuple[np.ndarray, int]:
+    """a^{-1/2} on the support (`_support`) of PSD `a`, and its null-space dimension."""
+    w, v, on = _support(a, support_rtol, hermitian)
     inv = np.where(on, 1.0 / np.sqrt(np.where(on, w, 1.0)), 0.0)
-    root = hermitize((v * inv) @ v.conj().T)
-    proj = hermitize((v * on.astype(float)) @ v.conj().T)
-    return root, proj
+    return hermitize((v * inv) @ v.conj().T), int(on.size - np.count_nonzero(on))
+
+
+def support_projector(a, support_rtol: float = 0.0, *, hermitian: bool = False) -> np.ndarray:
+    """Projector onto the support (`_support`) of a PSD operator."""
+    _, v, on = _support(a, support_rtol, hermitian)
+    return hermitize((v * on.astype(float)) @ v.conj().T)
 
 
 def entropy_bits(rho) -> float:

@@ -16,8 +16,9 @@ prior sweep taken one validated prior at a time, the region report
 built as one document, an ensemble's averaged state entropy taken one
 atom state at a time, the entropy table with every group state averaged
 under its ensemble's full weights, an extended-precision (mpmath)
-eigendecomposition and square root, and the closed-form root of a rank-1
-operator.
+eigendecomposition and square root, the closed-form root of a rank-1
+operator, and a pretty-good measurement's FAIL outcome decided from the
+largest entry of its residual.
 
 It also holds the API that only tests use: point-mass priors, random
 diagonal channels, random channels of exactly rank-deficient letters, an
@@ -335,6 +336,21 @@ def explicit_leak(rho, inst, b) -> float:
     by element: sum over b' != b of Tr(rho D_b')."""
     return sum(float(np.trace(rho @ elem).real)
                for lab, elem in inst.povm.elements if lab != b)
+
+
+def pgm_residual_rule(mats, support_rtol: float) -> tuple[bool, np.ndarray]:
+    """Whether the pretty-good measurement of the equally likely states `mats`
+    has a FAIL outcome, by the residual rule: an entry of the residual
+    I - P above 1e-10 in magnitude, P the projector onto the eigenvectors of
+    their average S above max(1e-12, support_rtol * max_eig).  Also returns
+    the residual, with S summed, and P and the residual formed, as the
+    decoder's FAIL element is, so that the two are equal bit for bit."""
+    w = np.full(len(mats), 1.0 / len(mats))
+    avg = ops.hermitize(sum(wi * np.asarray(m, dtype=complex) for wi, m in zip(w, mats)))
+    lam, v = np.linalg.eigh(ops.hermitize(avg))
+    on = lam > max(1e-12, float(lam[-1]) * support_rtol)
+    residual = ops.hermitize(np.eye(len(avg)) - ops.hermitize((v * on.astype(float)) @ v.conj().T))
+    return float(np.max(np.abs(residual))) > 1e-10, residual
 
 
 def smallest_eigenvalue(a) -> float:

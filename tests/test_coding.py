@@ -25,8 +25,8 @@ from qmac.operators import ValidationError, check_povm, op_sqrt, trace_norm
 from qmac.region import corner_table
 
 from oracles import (average_error_loop, explicit_leak, low_rank_channel, map_error,
-                     message_tuples, sqrt_element, sqrt_elements, tender_apply,
-                     two_pure_state_pgm_success, word_states)
+                     message_tuples, pgm_residual_rule, sqrt_element, sqrt_elements,
+                     tender_apply, two_pure_state_pgm_success, word_states)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -263,6 +263,108 @@ def test_pgm_of_random_states_is_a_povm():
         fails += FAIL in [lab for lab, _ in pgm.elements]
         check_povm(pgm.matrices, dim)
     assert 0 < fails < 60
+
+
+@pytest.mark.parametrize("states", [[(None, Z0), ("a", Z1)],
+                                    [(None, np.diag([1.0, 0, 0])), ("a", np.diag([0, 1.0, 0]))]],
+                         ids=["full-rank", "rank-deficient"])
+def test_pgm_refuses_a_state_labelled_none(states):
+    # None labels the FAIL outcome, whether or not the family misses a direction
+    with pytest.raises(ValidationError, match="None is reserved for the FAIL outcome"):
+        pgm_decoder(states)
+
+    def unread(idx):
+        raise AssertionError("states built before the labels were checked")
+
+    with pytest.raises(ValidationError, match="None is reserved for the FAIL outcome"):
+        pgm_decoder([lab for lab, _ in states], rebuild=unread)
+
+
+def straddling_family(rng, rel):
+    """Two states on C^4 whose average has eigenvalues 1/2, (0.9 - t)/2, 0.05
+    and t/2 with t = rel * PGM_SUPPORT_RTOL, in a random basis: t/2 is at or
+    below the support cutoff PGM_SUPPORT_RTOL / 2 exactly when rel <= 1."""
+    t = rel * coding.PGM_SUPPORT_RTOL
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return [u @ np.diag(d).astype(complex) @ u.conj().T
+            for d in ([1.0, 0, 0, 0], [0, 0.9 - t, t, 0.1])]
+
+
+def test_fail_outcome_by_eigenvalue_count_matches_the_residual_rule():
+    # pgm_decoder adds FAIL when its average has an eigenvalue at or below
+    # the support cutoff; the residual rule it replaced (tests/oracles) read
+    # the largest entry of I - P.  They decide the same labels, and the FAIL
+    # element read later is the residual, bit for bit
+    rng = np.random.default_rng(27)
+    families, expected = [], []
+    for _ in range(60):   # random families, full rank or not
+        dim, count = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        ranks = rng.integers(1, dim + 1, size=count) if rng.random() < 0.5 else [dim] * count
+        family = []
+        for rank in ranks:
+            g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+            family.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+        families.append(family)
+        expected.append(None)
+    for rel in (0.5, 1 - 1e-4, 1 - 1e-7, 1 + 1e-7, 1 + 1e-4, 2.0):   # around the cutoff
+        families.append(straddling_family(rng, rel))
+        expected.append(rel <= 1)
+    fails = 0
+    for family, want in zip(families, expected):
+        povm = pgm_decoder(list(enumerate(family)))
+        fail, residual = pgm_residual_rule(family, coding.PGM_SUPPORT_RTOL)
+        assert povm._labels == list(range(len(family))) + [FAIL] * fail
+        assert want is None or fail == want
+        if fail:
+            assert np.array_equal(povm.element(FAIL), residual)
+        fails += fail
+    assert 6 < fails < len(families) - 6
+
+
+def counted_fail_builds(monkeypatch) -> dict:
+    """Make `coding._average` and `operators.support_projector` count their
+    calls: a PGM build adds up its average once, and forming its FAIL
+    element adds it up again and takes its support projector."""
+    counted = {"average": 0, "projector": 0}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(coding, "_average", counting("average", coding._average))
+    monkeypatch.setattr(coding.ops, "support_projector",
+                        counting("projector", coding.ops.support_projector))
+    return counted
+
+
+def recorded_fails(monkeypatch) -> list:
+    """Make each pgm_decoder call record whether its PGM has a FAIL outcome
+    (and keep no reference to the PGM)."""
+    fails, build = [], coding.pgm_decoder
+
+    def recorded(*args, **kwargs):
+        povm = build(*args, **kwargs)
+        fails.append(FAIL in povm._labels)
+        return povm
+
+    monkeypatch.setattr(coding, "pgm_decoder", recorded)
+    return fails
+
+
+def test_fail_element_is_formed_once_on_read(monkeypatch):
+    # a PGM keeps no FAIL element: its first read builds the average again
+    # and takes its support projector, once; later reads find it kept
+    counted = counted_fail_builds(monkeypatch)
+    povm = pgm_decoder([(0, Z0), (1, Z0)])
+    assert counted == {"average": 1, "projector": 0}
+    povm.element(0)
+    assert counted == {"average": 1, "projector": 0}
+    fail = povm.element(FAIL)
+    assert counted == {"average": 2, "projector": 1}
+    assert povm.element(FAIL) is fail and np.allclose(fail, Z1)
+    assert counted == {"average": 2, "projector": 1}
 
 
 def test_state_weights_rejected_unless_probability_vector():
@@ -773,6 +875,53 @@ def test_cached_instrument_holds_neither_the_states_nor_every_element():
     assert array_bytes(inst) >= all_of_them
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_the_simulator_never_forms_a_fail_element(monkeypatch, n):
+    # L = 16 candidates span fewer than 2^n directions, so each stage-0 PGM
+    # has a FAIL outcome; no tuple reads it, so no average is built again
+    # and no support projector is taken
+    counted, fails = counted_fail_builds(monkeypatch), recorded_fails(monkeypatch)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, n, (16, 16), master_seed=n)
+    average_error(ch, books, prior, mode="monte_carlo", trials=16, seed=n)
+    assert any(fails)
+    assert counted == {"average": len(fails), "projector": 0}
+
+
+def defined_in_qmac(obj) -> bool:
+    """Whether obj is a function, or an instance of a class, of a qmac module."""
+    module = obj.__module__ if isinstance(obj, types.FunctionType) else type(obj).__module__
+    return isinstance(module, str) and module.split(".")[0] == "qmac"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_decoder_closure_waits_for_the_cyclic_collector(monkeypatch, workers):
+    # a released instrument must be freed when its last reference goes: a
+    # reference cycle through a PGM's form rule would keep its inverse root
+    # (numpy arrays are not tracked by the collector) until a collection.
+    # With the collector off, a collection that saves what it finds finds
+    # nothing of qmac after a run whose stage-0 PGMs have a FAIL outcome
+    monkeypatch.setattr(coding, "_workers", lambda dim: workers)
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 6, (16, 16), master_seed=6)
+    fails = recorded_fails(monkeypatch)
+    gc.collect()
+    gc.disable()
+    try:
+        average_error(ch, books, prior, mode="monte_carlo", trials=16, seed=6)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        found = [repr(o) for o in gc.garbage if defined_in_qmac(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert any(fails)
+    assert found == []
+
+
 def test_orthogonal_noiseless_decodes_perfectly():
     ch = orthogonal_channel()
     report = average_error(ch, full_binary_books(), Prior.uniform((2, 2)))
@@ -974,8 +1123,8 @@ def recorded_keeps(monkeypatch) -> dict:
 
 def stored_bytes(instruments: dict, kept: dict) -> dict:
     """Bytes of every element and root the instruments (by cache key) stored
-    (`recorded_keeps`) or hold, such as a FAIL element, by (key, kind,
-    position), with each one's labels."""
+    (`recorded_keeps`) or hold, by (key, kind, position), with each one's
+    labels."""
     out = {}
     for key, inst in instruments.items():
         povm = inst.povm

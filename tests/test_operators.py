@@ -5,7 +5,7 @@ import pytest
 
 from qmac.operators import (ValidationError, check_density, check_povm,
                             eig_hermitian, entropy_bits, factor_difference, hermitize, op_sqrt,
-                            partial_trace, pinv_sqrt, tensor, tensor_all,
+                            partial_trace, pinv_sqrt, support_projector, tensor, tensor_all,
                             trace_norm)
 
 from oracles import eigh_mp, op_sqrt_mp, psd_within, rank1_root, smallest_eigenvalue
@@ -99,9 +99,10 @@ def test_sqrt_rejects_negative():
 
 def test_pinv_sqrt_support():
     a = np.diag([4.0, 0.0])
-    inv, proj = pinv_sqrt(a)
+    inv, off = pinv_sqrt(a)
     assert np.allclose(inv, np.diag([0.5, 0.0]))
-    assert np.allclose(proj, np.diag([1.0, 0.0]))
+    assert off == 1
+    assert np.allclose(support_projector(a), np.diag([1.0, 0.0]))
 
 
 # --- entropy_bits ------------------------------------------------------------
