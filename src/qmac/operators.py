@@ -191,9 +191,8 @@ def op_sqrt(a, *, hermitian: bool = False) -> np.ndarray:
 
 
 def _support(a, support_rtol: float, hermitian: bool) -> tuple[np.ndarray, ...]:
-    """eig_hermitian of a PSD operator, and which eigenvalues are on its support:
-    those above max(1e-12, max_eig * support_rtol).  A nonzero relative cutoff
-    keeps the inversion stable when the spectrum spans many orders of magnitude."""
+    """eig_hermitian of a PSD operator, and which eigenvalues are on its support: those
+    above max(1e-12, max_eig * support_rtol), a relative cutoff that keeps inversion stable."""
     w, v = eig_hermitian(a, hermitian=hermitian)
     if w.size and w[0] < -PSD_HARD:
         raise ValidationError(f"operator is not PSD (eigenvalue {w[0]:.3e})")
