@@ -339,7 +339,7 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
 
     def form(idx: np.ndarray) -> list[np.ndarray]:
         """Elements of the sorted outcomes `idx`, where FAIL's, k, sorts last."""
-        fail = bool(idx[-1] == k)   # sliced, not masked: a mask maps more numpy code pages
+        fail = bool(idx[-1] == k)   # a slice: a mask maps 128 KB more numpy code (peak RSS)
         cand = idx[:len(idx) - fail]
         out = [*ops.hermitize(inv_root @ (rebuild(cand) * w[cand, None, None]) @ inv_root)]
         if fail:
