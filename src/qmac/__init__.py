@@ -30,7 +30,7 @@ from .entropy import (SubsystemSelector, check_subadditivity, conditional_entrop
                       fano_bound_check, mutual_information, restrict,
                       subsystem_entropy, subsystem_entropy_dense)
 from .operators import (ValidationError, eig_hermitian, entropy_bits, op_sqrt,
-                        partial_trace, tensor, trace_norm)
+                        partial_trace, trace_norm)
 from .region import (MixtureSpec, RateConstraintSet, RatePoint, all_corners,
                      boundary_sweep, constraint_set, corner_table, is_member,
                      mixture_constraints, upper_boundary_2d)
@@ -50,6 +50,6 @@ __all__ = [
     "mixture_constraints", "mutual_information", "op_sqrt", "partial_trace",
     "pgm_decoder", "precompose_qq", "reduced_channel", "restrict",
     "run_simulation", "sample_codebook", "subsystem_entropy",
-    "subsystem_entropy_dense", "tender_bound_check", "tensor",
-    "trace_norm", "upper_boundary_2d",
+    "subsystem_entropy_dense", "tender_bound_check", "trace_norm",
+    "upper_boundary_2d",
 ]

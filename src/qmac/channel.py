@@ -23,7 +23,7 @@ import numpy as np
 
 from . import operators as ops
 from .config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded, max_dim, require_dim
-from .operators import ValidationError, as_index, letter_tuple
+from .operators import ValidationError, as_block_length, as_index, letter_tuple
 
 PROB_TOL = 1e-10        # tolerance for probability vectors summing to 1
 ATOM_FLOOR = 1e-15      # ensemble atoms below this probability are dropped
@@ -68,21 +68,24 @@ class Prior:
     per_sender: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        vecs = []
-        for i, v in enumerate(self.per_sender):
-            v = np.asarray(v, dtype=float).ravel()
-            if v.size < 1:
-                raise ValidationError(f"prior for sender {i} is empty")
-            if not np.all(np.isfinite(v)):
-                raise ValidationError(f"prior for sender {i} has non-finite entries")
-            if np.any(v < 0):
-                raise ValidationError(f"prior for sender {i} has negative entries")
-            if abs(v.sum() - 1.0) > PROB_TOL:
-                raise ValidationError(f"prior for sender {i} sums to {v.sum():.12g}, expected 1")
-            v = v.copy()
-            v.setflags(write=False)
-            vecs.append(v)
-        object.__setattr__(self, "per_sender", tuple(vecs))
+        object.__setattr__(self, "per_sender",
+                           tuple(Prior.vector(v, i) for i, v in enumerate(self.per_sender)))
+
+    @staticmethod
+    def vector(values, sender: int) -> np.ndarray:
+        """A read-only float copy of `values`, nonempty, finite, nonnegative, summing to 1."""
+        v = np.asarray(values, dtype=float).ravel()
+        if v.size < 1:
+            raise ValidationError(f"prior for sender {sender} is empty")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError(f"prior for sender {sender} has non-finite entries")
+        if np.any(v < 0):
+            raise ValidationError(f"prior for sender {sender} has negative entries")
+        if abs(v.sum() - 1.0) > PROB_TOL:
+            raise ValidationError(f"prior for sender {sender} sums to {v.sum():.12g}, expected 1")
+        v = v.copy()
+        v.setflags(write=False)
+        return v
 
     @property
     def s(self) -> int:
@@ -417,9 +420,7 @@ class BlockChannel:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", as_index(self.n, "n"))
-        if self.n < 1:
-            raise ValidationError(f"block length must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", as_block_length(self.n))
         d, cap = self.base.output_dim, max_dim()
         # past the cap's bit length d**n > cap when d > 1, and for any d the
         # n-letter words and the n-factor products would grow without bound
@@ -485,7 +486,7 @@ def kraus_from_choi(choi: np.ndarray, dim_in: int, dim_out: int) -> list[np.ndar
         raise ValidationError(
             f"Choi matrix has dimension {choi.shape[0]}, expected {dim_in * dim_out}"
         )
-    w, v = ops.eig_hermitian(choi)
+    w, v = ops.eig_hermitian(choi, hermitian=True)
     kraus = []
     for lam, vec in zip(w, v.T):
         if lam < -CHOI_PSD_TOL:

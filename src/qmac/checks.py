@@ -70,9 +70,7 @@ def random_prior(rng: np.random.Generator, ch: CqMacChannel) -> Prior:
 
 def relabel_channel(ch: CqMacChannel, perm) -> CqMacChannel:
     """Channel with senders permuted: new sender i is old sender perm[i]."""
-    perm = tuple(as_index(i, "perm") for i in perm)
-    if sorted(perm) != list(range(ch.s)):
-        raise ValidationError(f"{perm} is not a permutation of 0..{ch.s - 1}")
+    perm = region._check_perm(perm, ch.s)
     return CqMacChannel(tuple(ch.sender_alphabets[p] for p in perm), ch.output_dim,
                         np.transpose(ch.states, perm + (ch.s, ch.s + 1)))
 
@@ -131,7 +129,7 @@ def entropy_suite(trials: int, seed: int, tol: float = DEFAULT_TOL) -> CheckResu
         prior = random_prior(rng, ch)
         e = channel_state(ch, prior)
         arity = ch.s
-        (table,) = region.prior_tables(ch, [prior])   # as the region commands read it
+        table = region.prior_tables(ch, [prior])[0].tolist()   # as the region commands read it
         for mask, quantum in itertools.product(range(1 << arity), (0, 1)):
             if not (mask or quantum):
                 continue

@@ -267,10 +267,10 @@ def cmd_region(args) -> int:
                 corner_prior = np.zeros(len(rates), dtype=int)
         else:
             prior = _parse_prior(args.prior, ch.sender_alphabets)
-            (table,) = prior_tables(ch, [prior])
-            cs = constraint_set(ch, prior, table=table)
+            tables = prior_tables(ch, [prior])
+            cs = constraint_set(ch, prior, table=tables[0])
             if emit_corners:
-                corner_prior, perms, rates = table_corners(np.array([table]), s)
+                corner_prior, perms, rates = table_corners(tables, s)
             ids = np.array([0])
             sections["priors"] = {"id": ids, "per_sender": _per_sender_columns(
                 v[None] for v in prior.per_sender)}

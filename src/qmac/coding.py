@@ -44,7 +44,7 @@ from .channel import (PROB_TOL, BlockChannel, CqMacChannel, Prior, block_states,
                       reduced_channel)
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
-from .operators import ValidationError, as_index, as_seed, letter_tuple
+from .operators import ValidationError, as_block_length, as_index, as_seed, letter_tuple
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
 # A stage's eps_bar averages leaks 1 - Tr(rho D), each rounded on a scale of
@@ -67,9 +67,10 @@ class Codebook:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", as_index(self.n, "n"))
-        if self.n < 1:
-            raise ValidationError(f"block length must be >= 1, got {self.n}")
+        object.__setattr__(self, "sender", as_index(self.sender, "sender"))
+        if self.sender < 0:
+            raise ValidationError(f"sender must be >= 0, got {self.sender}")
+        object.__setattr__(self, "n", as_block_length(self.n))
         words = tuple(letter_tuple(w, "word") for w in self.words)
         if not words:
             raise ValidationError("codebook must contain at least one word")
@@ -87,12 +88,12 @@ class Codebook:
 
 def sample_codebook(prior_vec, n: int, size: int, seed: int,
                     sender: int = 0) -> Codebook:
-    """Draw `size` words of `n` i.i.d. letters from the sender's prior.
+    """Draw `size` words of `n` i.i.d. letters from the sender's prior (`Prior.vector`).
 
     Deterministic for a fixed seed; duplicate words are kept, as in the
     random coding ensemble.
     """
-    p = np.asarray(prior_vec, dtype=float).ravel()
+    p = Prior.vector(prior_vec, sender)
     n, size, seed = as_index(n, "n"), as_index(size, "size"), as_seed(seed, "seed")
     if size < 1 or n < 1:
         raise ValidationError("codebook size and block length must be >= 1")
@@ -125,9 +126,7 @@ def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list
     """Codebook sizes ceil(2^{n (R_i - delta)}), floored at one word, capped like
     `sample_codebook`; a size beyond the cap raises before it is computed.
     Rates must be finite and nonnegative, delta finite, and n at least 1."""
-    n = as_index(n, "n")
-    if n < 1:
-        raise ValidationError(f"block length must be >= 1, got {n}")
+    n = as_block_length(n)
     rates = [float(r) for r in rates]
     if not all(np.isfinite(r) and r >= 0 for r in rates) or not np.isfinite(delta):
         raise ValidationError(f"rates must be finite and nonnegative and delta finite, "
@@ -172,11 +171,7 @@ class Povm:
 
     @property
     def elements(self) -> tuple[tuple[Hashable, np.ndarray], ...]:
-        return tuple(zip(self._labels, self.matrices))
-
-    @property
-    def matrices(self) -> list[np.ndarray]:
-        return _elements(self, range(len(self._labels)))
+        return tuple(zip(self._labels, _elements(self, range(len(self._labels)))))
 
     def _require(self, label: Hashable) -> int:
         """Index of the outcome in `elements`."""
@@ -369,7 +364,7 @@ def disturbance_check(rho: np.ndarray, x: np.ndarray) -> tuple[float, float, flo
     if eps >= 1.0:
         raise ValidationError(f"epsilon must be < 1, got {eps:.6g}")
     root = ops.hermitize((v * np.sqrt(w)) @ v.conj().T)
-    lhs = ops.trace_norm(rho - root @ rho @ root)
+    lhs = ops.trace_norm(rho - root @ rho @ root, hermitian=True)
     return eps, lhs, float(np.sqrt(8.0 * eps))
 
 
@@ -462,6 +457,9 @@ class SequentialDecoder:
     def __init__(self, ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior):
         if len(codebooks) != ch.s:
             raise ValidationError(f"expected {ch.s} codebooks, got {len(codebooks)}")
+        if [cb.sender for cb in codebooks] != list(range(ch.s)):
+            raise ValidationError("codebooks must be in sender order, got senders "
+                                  f"{[cb.sender for cb in codebooks]}")
         ns = {cb.n for cb in codebooks}
         if len(ns) != 1:
             raise ValidationError(f"codebooks disagree on block length: {sorted(ns)}")

@@ -33,8 +33,6 @@ from .operators import ValidationError, as_index, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
 MI_CLAMP = 1e-9         # raw values in [-MI_CLAMP, 0) are reported as 0
-# H in bits of each block of one ensemble, indexed [label mask][include quantum]
-EntropyTable = list[list[float]]
 
 
 @dataclass(frozen=True)
@@ -145,11 +143,11 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
     ensembles are the product of `factors`, multiplied in order, whose
     broadcast shape is (P, a_1, ..., a_s): one factor of that shape, or one
     per sender of shape (P, 1, ..., a_i, ..., 1) for product priors.  Returns
-    an array of shape (P, 2^s, 2) whose row p, as a list, is the
-    `EntropyTable` of ensemble p: entry [mask][q] is the entropy of the
-    ensemble restricted to the label factors in `mask`, with the quantum part
-    when q == 1.  Entry [0][0], the empty block, is 0, so that
-    chain-rule differences need no special case.
+    an array of shape (P, 2^s, 2) whose row p is the entropy table of
+    ensemble p: entry [mask, q] is the entropy of the ensemble restricted to
+    the label factors in `mask`, with the quantum part when q == 1.  Entry
+    [0, 0], the empty block, is 0, so that chain-rule differences need no
+    special case.
 
     A group's mass is the sum of its labels' full weights, labels below
     1e-15 dropped as in `restrict`, so a group below that floor has mass 0.
@@ -263,9 +261,9 @@ def clamp_mi(value: float, context: str) -> float:
     return max(value, 0.0)
 
 
-def table_mi(table: EntropyTable, mask: int, arity: int) -> float:
+def table_mi(table: Sequence[Sequence[float]], mask: int, arity: int) -> float:
     """Unclamped I(X(J) ^ Y | X(Jc)) = H(X(J)) + H(X(Jc) Y) - H(X(all) Y), J = mask,
-    from one ensemble's entropy table."""
+    from one ensemble's entropy table (a row of `entropy_tables`)."""
     full = (1 << arity) - 1
     return float(table[mask][0] + table[full & ~mask][1] - table[full][1])
 

@@ -39,6 +39,14 @@ def as_index(value, what: str) -> int:
         raise ValidationError(f"{what}: {value!r} is not an integer") from None
 
 
+def as_block_length(value) -> int:
+    """A caller's block length n, read as `as_index` reads an integer, at least 1."""
+    n = as_index(value, "n")
+    if n < 1:
+        raise ValidationError(f"block length must be >= 1, got {n}")
+    return n
+
+
 def as_seed(value, what: str) -> int:
     """A caller's seed, read as `as_index` reads an integer, from 0 to 2^64 - 1."""
     seed = as_index(value, what)
@@ -182,22 +190,19 @@ def op_sqrt(a, *, hermitian: bool = False) -> np.ndarray:
     With `hermitian` (see eig_hermitian) `a` may be a stack of operators;
     each root equals the one computed alone, bit for bit.
     """
-    w, v = eig_hermitian(a, hermitian=hermitian)
-    if w.size and w[..., 0].min() < -PSD_HARD:
-        raise ValidationError(f"operator is not PSD (eigenvalue {w[..., 0].min():.3e}); "
-                              "no real square root")
+    w, v, _ = _support(a, 0.0, hermitian)
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def _support(a, support_rtol: float, hermitian: bool) -> tuple[np.ndarray, ...]:
-    """eig_hermitian of a PSD operator, and which eigenvalues are on its support: those
-    above max(1e-12, max_eig * support_rtol), a relative cutoff that keeps inversion stable."""
+    """eig_hermitian of a PSD operator, or of each of a stack, refusing an eigenvalue below
+    -PSD_HARD, and which eigenvalues are on its support: those above max(1e-12, max_eig *
+    support_rtol), a relative cutoff that keeps inversion stable."""
     w, v = eig_hermitian(a, hermitian=hermitian)
-    if w.size and w[0] < -PSD_HARD:
-        raise ValidationError(f"operator is not PSD (eigenvalue {w[0]:.3e})")
-    cutoff = max(SUPPORT_FLOOR, float(w[-1]) * support_rtol) if w.size else SUPPORT_FLOOR
-    return w, v, w > cutoff
+    if w.size and w[..., 0].min() < -PSD_HARD:
+        raise ValidationError(f"operator is not PSD (eigenvalue {w[..., 0].min():.3e})")
+    return w, v, w > np.maximum(SUPPORT_FLOOR, w[..., -1:] * support_rtol)
 
 
 def pinv_sqrt(a, support_rtol: float = 0.0, *, hermitian: bool = False) -> tuple[np.ndarray, int]:
@@ -224,11 +229,6 @@ def shannon_bits(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     p = np.where(p > ENTROPY_FLOOR, p, 1.0)
     return -(p * np.log2(p)).sum(axis=-1)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product."""
-    return np.kron(as_operator(a), as_operator(b))
 
 
 def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:

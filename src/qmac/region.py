@@ -109,8 +109,8 @@ def _sender_tables(ch: CqMacChannel, per_sender: Sequence[np.ndarray]) -> np.nda
     return ent.entropy_tables(factors, ch.states)
 
 
-def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyTable]:
-    """Entropy table of the channel state under each prior, in prior order.
+def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> np.ndarray:
+    """Entropy tables (P, 2^s, 2) of the channel state under the P priors, in order.
 
     Each table is computed once per channel: `ch.table_memo` keeps it under
     the bytes of the prior's per-sender vectors, and the priors not yet in
@@ -120,7 +120,7 @@ def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyT
     the row of a one-prior call bit for bit (the tests check it over random
     channels), so a table does not depend on which call made it.  The memo lives and dies with
     the channel; `boundary_sweep` calls `_sender_tables` directly, so a
-    sweep's tables are not kept.  Every call returns fresh lists.
+    sweep's tables are not kept.  Every call returns a fresh array.
     """
     for prior in priors:
         ch.check_prior(prior)
@@ -133,20 +133,21 @@ def prior_tables(ch: CqMacChannel, priors: Sequence[Prior]) -> list[ent.EntropyT
         tables = _sender_tables(ch, per_sender)
         tables.setflags(write=False)
         memo.update(zip(misses, tables))
-    return [memo[key].tolist() for key in keys]
+    return np.array([memo[key] for key in keys]).reshape(len(keys), 1 << ch.s, 2)
 
 
 def constraint_set(ch: CqMacChannel, prior: Prior | None, *,
-                   table: ent.EntropyTable | None = None) -> RateConstraintSet:
+                   table: np.ndarray | None = None) -> RateConstraintSet:
     """All bounds I(X(J) ^ Y | X(Jc)) of the channel state, in bits, read off
-    the entropy table the corners use; `entropy.mutual_information` is their oracle.
+    the entropy table the corners use, as Python floats;
+    `entropy.mutual_information` is their oracle.
 
-    `table` is the prior's table when the caller computed it with others;
-    `prior` is then not read and may be None.
+    `table` is the prior's (2^s, 2) row of a `prior_tables` call with other
+    priors; `prior` is then not read and may be None.
     """
     if table is None:
         (table,) = prior_tables(ch, [prior])
-    s = ch.s
+    table, s = table.tolist(), ch.s
     bounds = {
         mask: ent.clamp_mi(ent.table_mi(table, mask, s), f"bound for mask {mask}")
         for mask in range(1, 1 << s)
@@ -189,7 +190,7 @@ def corner_table(ch: CqMacChannel, prior: Prior) -> dict[tuple[int, ...], RatePo
     rates of each corner telescope: their total equals the full-set bound.
     """
     orders, _ = _orders(ch.s)
-    (rates,) = _chain_rates(np.array(prior_tables(ch, [prior])), ch.s).tolist()
+    (rates,) = _chain_rates(prior_tables(ch, [prior]), ch.s).tolist()
     return dict(zip(map(tuple, orders.tolist()), map(RatePoint, rates)))
 
 
@@ -218,7 +219,7 @@ def member_corners(cs: RateConstraintSet, tol: float) -> tuple[np.ndarray, np.nd
 
 def all_corners(ch: CqMacChannel, prior: Prior) -> list[RatePoint]:
     """Distinct corners (within 1e-9), ordered by first achieving permutation."""
-    _, _, rates = table_corners(np.array(prior_tables(ch, [prior])), ch.s)
+    _, _, rates = table_corners(prior_tables(ch, [prior]), ch.s)
     return [RatePoint(r) for r in rates.tolist()]
 
 
@@ -365,7 +366,7 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     bounds come from its `constraint_set`, which also rejects a non-finite
     table entry; its corners are read off the tables, chunk by chunk, by
     `table_corners`, in chunks of as many priors as `config.CHUNK_BYTES`
-    holds s! x s corner rates, each prior's table made Python floats alone.
+    holds s! x s corner rates.
     The convex hull of all corners plus the origin under-approximates the
     capacity region and grows monotonically under grid refinement.
     """
@@ -377,7 +378,7 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     kept = []   # (prior, order, rates) arrays of each chunk's corners
     for rows in chunks(len(tables), 8 * orders.size):   # one prior: s! x s rates
         for p in range(len(tables))[rows]:
-            bounds[p] = list(constraint_set(ch, None, table=tables[p].tolist()).bounds.values())
+            bounds[p] = list(constraint_set(ch, None, table=tables[p]).bounds.values())
         p_idx, perms, rates = table_corners(tables[rows], ch.s)
         kept.append((p_idx + rows.start, perms, rates))
     return Sweep(per_sender, bounds, *map(np.concatenate, zip(*kept)))

@@ -606,6 +606,7 @@ def corner_table_loop(ch, prior, table=None) -> dict:
     each stage clamped by `entropy.clamp_mi`, each corner a RatePoint."""
     if table is None:
         (table,) = region.prior_tables(ch, [prior])
+    table = table.tolist()
     corners = {}
     for perm in itertools.permutations(range(ch.s)):
         rates = [0.0] * ch.s

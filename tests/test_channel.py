@@ -14,7 +14,7 @@ from qmac.coding import (Codebook, SequentialDecoder, average_error, codebooks_f
                          run_simulation, sample_codebook, sizes_from_rates)
 from qmac.config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded
 from qmac.entropy import SubsystemSelector, mutual_information
-from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace, tensor
+from qmac.operators import SUPPORT_FLOOR, ValidationError, partial_trace
 from qmac.region import boundary_sweep, constraint_set, corner_from_bounds
 
 from oracles import (bundled_channel_json, channel_to_dict, count_checked_states,
@@ -400,7 +400,7 @@ def test_block_channel_products():
     blk = BlockChannel(ch, 2)
     got = blk.state_for_words(((0, 1), (0, 1)))
     got = got @ got.conj().T
-    want = tensor(ch.state((0, 0)), ch.state((1, 1)))
+    want = np.kron(ch.state((0, 0)), ch.state((1, 1)))
     assert np.allclose(got, want)
     assert abs(np.trace(got) - 1.0) < 1e-12
     # product of two pure states stays pure

@@ -135,6 +135,59 @@ def test_seeds_outside_64_bits_are_refused(entry):
     enter(2 ** 64 - 1)
 
 
+BLOCK_LENGTH_ENTRIES = {
+    "codebook": lambda n: Codebook(0, n, ((0, 0),)),
+    "block-channel": lambda n: BlockChannel(load_channel("qubit-pure-mac"), n),
+    "rates": lambda n: sizes_from_rates([1.0], n),
+}
+
+
+@pytest.mark.parametrize("entry", BLOCK_LENGTH_ENTRIES)
+def test_block_length_is_read_by_one_rule(entry):
+    # below 1 or not an integer, with the messages each entry point gave before
+    enter = BLOCK_LENGTH_ENTRIES[entry]
+    for n, message in [(0, "block length must be >= 1, got 0"),
+                       (-1, "block length must be >= 1, got -1"),
+                       (2.0, "n: 2.0 is not an integer"), ("2", "n: '2' is not an integer")]:
+        with pytest.raises(ValidationError) as got:
+            enter(n)
+        assert str(got.value) == message
+    enter(np.int64(2))
+
+
+@pytest.mark.parametrize("vec, problem", [
+    ([0.5, 0.6], "sums to 1.1, expected 1"),
+    ([float("nan"), 1.0], "has non-finite entries"),
+    ([-0.5, 1.5], "has negative entries"),
+    ([], "is empty"),
+], ids=["sum", "nan", "negative", "empty"])
+def test_sample_codebook_checks_its_prior_as_a_prior(vec, problem):
+    # not numpy's bare ValueError from the draw: the Prior rule, naming the sender
+    with pytest.raises(ValidationError) as got:
+        sample_codebook(vec, 2, 2, 0, sender=1)
+    assert str(got.value) == f"prior for sender 1 {problem}"
+
+
+def test_sample_codebook_draws_as_numpy_draws_from_its_prior():
+    for vec in ([0.25, 0.75], np.array([[0.1, 0.2, 0.7]]), (1.0,)):
+        p = np.asarray(vec, dtype=float).ravel()
+        want = np.random.default_rng(5).choice(p.size, size=(6, 3), p=p).tolist()
+        assert [list(w) for w in sample_codebook(vec, 3, 6, 5).words] == want
+
+
+def test_codebooks_out_of_sender_order_are_refused():
+    ch = load_channel("qubit-pure-mac")
+    prior = Prior.uniform((2, 2))
+    books = codebooks_from_seed(ch, prior, 2, (2, 3), 0)
+    with pytest.raises(ValidationError, match=re.escape("sender order, got senders [1, 0]")):
+        average_error(ch, books[::-1], prior)
+    with pytest.raises(ValidationError, match="sender: 'x' is not an integer"):
+        Codebook("x", 2, ((0, 1),))
+    with pytest.raises(ValidationError, match="sender must be >= 0, got -1"):
+        Codebook(-1, 2, ((0, 1),))
+    assert Codebook(np.int64(1), 2, ((0, 1),)).sender == 1
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_sizes_from_rates_refuses_block_lengths_below_one(n):
     # not one-word codebooks for a block length no code has
@@ -261,7 +314,7 @@ def test_pgm_of_random_states_is_a_povm():
                 states.append(rho / np.trace(rho).real)
         pgm = pgm_decoder(list(enumerate(states)))
         fails += FAIL in [lab for lab, _ in pgm.elements]
-        check_povm(pgm.matrices, dim)
+        check_povm([m for _, m in pgm.elements], dim)
     assert 0 < fails < 60
 
 
@@ -774,8 +827,9 @@ def test_decoder_povms_equal_the_checked_public_build():
             assert [lab for lab, _ in povm.elements] == [lab for lab, _ in public.elements]
             assert (FAIL in [lab for lab, _ in povm.elements]) == fail
             assert povm.element(books[i].size - 1) is last
-            assert all(np.array_equal(a, b) for a, b in zip(povm.matrices, public.matrices))
-            check_povm(povm.matrices, povm.dim)
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(povm.elements,
+                                                                      public.elements))
+            check_povm([m for _, m in povm.elements], povm.dim)
 
 
 def test_decoder_forms_only_the_elements_it_reads(monkeypatch):
@@ -871,7 +925,7 @@ def test_cached_instrument_holds_neither_the_states_nor_every_element():
     assert array_bytes(inst) < all_of_them / 4
     sqrt_element(inst, 5)
     assert array_bytes(inst) < all_of_them / 4
-    inst.povm.matrices
+    inst.povm.elements
     assert array_bytes(inst) >= all_of_them
 
 

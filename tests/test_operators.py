@@ -5,7 +5,7 @@ import pytest
 
 from qmac.operators import (ValidationError, check_density, check_povm,
                             eig_hermitian, entropy_bits, factor_difference, hermitize, op_sqrt,
-                            partial_trace, pinv_sqrt, support_projector, tensor, tensor_all,
+                            partial_trace, pinv_sqrt, support_projector, tensor_all,
                             trace_norm)
 
 from oracles import eigh_mp, op_sqrt_mp, psd_within, rank1_root, smallest_eigenvalue
@@ -140,28 +140,14 @@ def test_entropy_rejects_bad_trace():
         entropy_bits(np.diag([0.5, 0.4]))
 
 
-# --- tensor / partial_trace --------------------------------------------------
-
-def test_tensor_identity_and_diag():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.allclose(tensor(a, np.eye(1)), a)
-    assert np.allclose(tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
-                       np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_trace_multiplicative():
-    rng = np.random.default_rng(14)
-    a = random_density(rng, 3)
-    b = random_density(rng, 4)
-    assert abs(np.trace(tensor(a, b)) - 1.0) < 1e-12
-
+# --- partial_trace -----------------------------------------------------------
 
 def test_partial_trace_of_product():
     rng = np.random.default_rng(15)
     for _ in range(20):
         da, db = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         a, b = random_density(rng, da), random_density(rng, db)
-        ab = tensor(a, b)
+        ab = np.kron(a, b)
         assert np.max(np.abs(partial_trace(ab, [da, db], [0]) - a)) <= 1e-12
         assert np.max(np.abs(partial_trace(ab, [da, db], [1]) - b)) <= 1e-12
         assert np.max(np.abs(partial_trace(ab, [da, db], [0, 1]) - ab)) <= 1e-12
@@ -207,7 +193,7 @@ def test_trace_norm_triangle_and_multiplicative():
         d = int(rng.integers(2, 6))
         a, b = random_hermitian(rng, d), random_hermitian(rng, d)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
-        assert abs(trace_norm(tensor(a, b)) - trace_norm(a) * trace_norm(b)) <= 1e-9 * (
+        assert abs(trace_norm(np.kron(a, b)) - trace_norm(a) * trace_norm(b)) <= 1e-9 * (
             1 + trace_norm(a) * trace_norm(b)
         )
 
@@ -281,6 +267,19 @@ def test_factor_difference_has_the_dense_trace_norm(rank, dim):
 def test_unchecked_stack_root_still_rejects_negative_operators():
     with pytest.raises(ValidationError, match="not PSD"):
         op_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5])]), hermitian=True)
+
+
+def test_root_inverse_root_and_support_refuse_one_negative_eigenvalue_alike():
+    # one rule owns the PSD refusal: the same message from every operator function
+    a = np.diag([1.0, -1e-5])
+    calls = [op_sqrt, pinv_sqrt, support_projector,
+             lambda m: op_sqrt(np.stack([np.eye(2), m]), hermitian=True)]
+    for call in calls:
+        with pytest.raises(ValidationError) as got:
+            call(a)
+        assert str(got.value) == "operator is not PSD (eigenvalue -1.000e-05)"
+    for call in calls[:3]:   # noise above -PSD_HARD is clamped, not refused
+        call(np.diag([1.0, -1e-7]))
 
 
 def test_trace_norm_zero_iff_zero():

@@ -6,7 +6,7 @@ import pytest
 
 from qmac import config, entropy, region
 from qmac.channel import CqMacChannel, Prior, channel_state, load_channel, mask_members
-from qmac.checks import random_channel, random_density, random_prior
+from qmac.checks import random_channel, random_density, random_prior, relabel_channel
 from qmac.config import CapExceeded
 from qmac.entropy import SubsystemSelector, mutual_information, subsystem_entropy
 from qmac.operators import ValidationError
@@ -104,6 +104,15 @@ def test_corner_rejects_bad_permutation():
     cs = constraint_set(adder(), Prior.uniform((2, 2)))
     with pytest.raises(ValidationError):
         corner_from_bounds(cs, (0, 0))
+
+
+def test_decode_orders_and_relabelings_refuse_a_non_permutation_alike():
+    ch = adder()
+    cs = constraint_set(ch, Prior.uniform((2, 2)))
+    for call in (lambda: corner_from_bounds(cs, (0, 0)), lambda: relabel_channel(ch, (0, 0))):
+        with pytest.raises(ValidationError) as got:
+            call()
+        assert str(got.value) == "(0, 0) is not a permutation of 0..1"
 
 
 def test_corners_collapse_when_one_sender_is_silent():
@@ -295,9 +304,36 @@ def test_memo_tables_equal_one_prior_tables_bit_for_bit():
             picks = rng.integers(len(priors), size=int(rng.integers(1, 9))).tolist()
             got = prior_tables(ch, [priors[i] for i in picks])
             assert table_bytes(got) == [alone[i] for i in picks]
-            got[0][-1][1] = 99.0   # fresh lists: a caller cannot change the memo
+            got[0][-1][1] = 99.0   # a fresh array: a caller cannot change the memo
         assert table_bytes(prior_tables(ch, priors)) == alone
         assert len(ch.table_memo) == len(priors)
+
+
+def test_prior_tables_are_a_fresh_array_of_the_memo_rows():
+    rng = np.random.default_rng(92)
+    ch = random_channel(rng)
+    priors = [random_prior(rng, ch) for _ in range(3)]
+    got = prior_tables(ch, priors)
+    assert got.shape == (3, 1 << ch.s, 2) and got.dtype == float
+    memo = list(ch.table_memo.values())
+    assert [row.tobytes() for row in got] == [row.tobytes() for row in memo]
+    want = got.copy()
+    got[...] = 99.0   # writable, and written into neither the memo nor a later call
+    assert [row.tobytes() for row in ch.table_memo.values()] == [row.tobytes() for row in want]
+    assert prior_tables(ch, priors).tobytes() == want.tobytes()
+    assert prior_tables(ch, []).shape == (0, 1 << ch.s, 2)
+
+
+def test_constraint_set_of_a_table_row_equals_its_own_table_bit_for_bit():
+    rng = np.random.default_rng(93)
+    for _ in range(10):
+        ch = random_channel(rng)
+        p = random_prior(rng, ch)
+        given = constraint_set(ch, p, table=prior_tables(ch, [p])[0]).bounds
+        alone = constraint_set(CqMacChannel(ch.sender_alphabets, ch.output_dim, ch.states),
+                               p).bounds
+        assert [v.hex() for v in given.values()] == [v.hex() for v in alone.values()]
+        assert all(type(v) is float for v in given.values())
 
 
 def test_each_prior_tabled_once_per_channel(monkeypatch):
