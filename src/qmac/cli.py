@@ -116,15 +116,14 @@ def _check_finite(value: float, what: str, positive: bool = False) -> None:
 
 def _parse_grid_spec(spec: str) -> int:
     """Grid resolution: a plain integer or '{"resolution": k}'."""
-    try:
+    with contextlib.suppress(ValueError):
         return int(spec)
-    except ValueError:
-        pass
-    try:
+    doc = None
+    with contextlib.suppress(json.JSONDecodeError, RecursionError):   # too deeply nested
         doc = json.loads(spec)
-    except json.JSONDecodeError:
+    if not isinstance(doc, dict):   # not JSON, or JSON of another type: 1e3, [3], "3", true
         raise UsageError(f"grid spec must be an integer or JSON object, got {spec!r}")
-    if not isinstance(doc, dict) or set(doc) != {"resolution"}:
+    if set(doc) != {"resolution"}:
         raise UsageError("grid spec object must have exactly the key 'resolution'")
     k = doc["resolution"]
     if not isinstance(k, int) or isinstance(k, bool):

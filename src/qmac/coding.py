@@ -30,7 +30,6 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
-import itertools
 import os
 import threading
 import time
@@ -293,12 +292,14 @@ def _elements(povm: Povm, positions: Iterable[int]) -> list[np.ndarray]:
 
 
 def _average(rebuild: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.ndarray:
-    """Average by weights `w` of the states `rebuild` builds: the first alone (it gives
-    the dimension), then a chunk at a time, each added in index order, none kept."""
-    first, rest = rebuild(np.arange(1)), np.arange(1, len(w))
-    mats = itertools.chain(first, (m for rows in chunks(len(rest), 16 * first.shape[-1] ** 2)
-                                   for m in rebuild(rest[rows])))
-    return ops.hermitize(sum(wi * m for wi, m in zip(w, mats)))
+    """Average by weights `w` of the states `rebuild` builds a chunk at a time, each released
+    before the next is built, added in order into one array from 0 + w[0] m_0, as sum() adds."""
+    acc = 0 + w[0] * rebuild(np.arange(1))[0]
+    for rows in chunks(len(w) - 1, 16 * acc.shape[-1] ** 2):
+        for wi, m in zip(w[1:][rows], rebuild(np.arange(1, len(w))[rows])):
+            acc += wi * m
+        del m   # a view that would keep this chunk alive while the next is built
+    return ops.hermitize(acc)
 
 
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,

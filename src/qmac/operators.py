@@ -74,9 +74,12 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a†)/2 of a matrix, or of each matrix of a stack
-    (the last two axes); suppresses drift after operator functions."""
-    return (a + a.conj().swapaxes(-1, -2)) / 2
+    """Hermitian part (a + a†)/2 of a matrix, or of each matrix of a stack (the
+    last two axes); suppresses drift after operator functions.  Halved in place by
+    that division, bit for bit (`*= 0.5`, a complex product, can flip a zero's sign)."""
+    h = a + a.conj().swapaxes(-1, -2)
+    h /= 2
+    return h
 
 
 def check_hermitian(a, name: str = "operator") -> np.ndarray:
@@ -191,8 +194,9 @@ def op_sqrt(a, *, hermitian: bool = False) -> np.ndarray:
     each root equals the one computed alone, bit for bit.
     """
     w, v, _ = _support(a, 0.0, hermitian)
-    w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    del v   # freed before hermitize allocates: one operator fewer at the peak
+    return hermitize(root)
 
 
 def _support(a, support_rtol: float, hermitian: bool) -> tuple[np.ndarray, ...]:
@@ -208,8 +212,9 @@ def _support(a, support_rtol: float, hermitian: bool) -> tuple[np.ndarray, ...]:
 def pinv_sqrt(a, support_rtol: float = 0.0, *, hermitian: bool = False) -> tuple[np.ndarray, int]:
     """a^{-1/2} on the support (`_support`) of PSD `a`, and its null-space dimension."""
     w, v, on = _support(a, support_rtol, hermitian)
-    inv = np.where(on, 1.0 / np.sqrt(np.where(on, w, 1.0)), 0.0)
-    return hermitize((v * inv) @ v.conj().T), int(on.size - np.count_nonzero(on))
+    root = (v * np.where(on, 1.0 / np.sqrt(np.where(on, w, 1.0)), 0.0)) @ v.conj().T
+    del v   # as in op_sqrt
+    return hermitize(root), int(on.size - np.count_nonzero(on))
 
 
 def support_projector(a, support_rtol: float = 0.0, *, hermitian: bool = False) -> np.ndarray:
@@ -235,18 +240,26 @@ def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of matrices the caller already checked; [[1]] when empty.
 
     Factors may be stacks (..., m_k, c_k) with broadcastable leading axes, and
-    the product is taken per row.  It is built left to right by broadcasting,
-    in the order and with the products of reduce(np.kron, mats), so each row
-    equals np.kron's result bit for bit.
+    the product is taken per row.  Each step multiplies left entries by right ones
+    in np.kron's order, so each row equals reduce(np.kron, mats) bit for bit.  A
+    step whose left factor has 1024 or more entries per row runs one long multiply
+    per right entry into one product; below that, one broadcast multiply is faster.
     """
     mats = list(mats)
     if not mats:
         return np.eye(1, dtype=complex)
     out = mats[0]
     for a in mats[1:]:
-        prod = out[..., :, None, :, None] * a[..., None, :, None, :]
-        shape = (out.shape[-2] * a.shape[-2], out.shape[-1] * a.shape[-1])
-        out = prod.reshape(prod.shape[:-4] + shape)
+        (m, c), (p, q) = out.shape[-2:], a.shape[-2:]
+        if m * c < 1024:
+            prod = out[..., :, None, :, None] * a[..., None, :, None, :]
+        else:
+            lead = np.broadcast_shapes(out.shape[:-2], a.shape[:-2])
+            prod = np.empty(lead + (m, p, c, q), np.result_type(out, a))
+            for k in range(p):
+                for l in range(q):
+                    np.multiply(out, a[..., k, l, None, None], out=prod[..., :, k, :, l])
+        out = prod.reshape(prod.shape[:-4] + (m * p, c * q))
     return out
 
 

@@ -146,6 +146,8 @@ def constraint_set(ch: CqMacChannel, prior: Prior | None, *,
     priors; `prior` is then not read and may be None.
     """
     if table is None:
+        if prior is None:
+            raise ValidationError("constraint_set needs a prior, or its table row as table=")
         (table,) = prior_tables(ch, [prior])
     table, s = table.tolist(), ch.s
     bounds = {

@@ -179,6 +179,15 @@ def test_region_sweep_accepts_resolution_object(capsys):
     assert plain == spec
 
 
+@pytest.mark.parametrize("spec", ["1e3", "[3]", '"3"', "true", "[" * 5000 + "]" * 5000],
+                         ids=["float", "list", "string", "bool", "nested-past-the-recursion-limit"])
+def test_sweep_json_other_than_an_object_is_named_as_such(capsys, spec):
+    code, out, err = run(capsys, "region", "--channel", "holevo-two-state", "--sweep", spec)
+    assert code == 2 and not out
+    assert err.splitlines() == [f"error: grid spec must be an integer or JSON object, "
+                                f"got {spec!r}"]
+
+
 def test_region_csv_files(tmp_path, capsys):
     out_path = tmp_path / "region.csv"
     code, _, _ = run(capsys, "region", "--channel", "adder-classical",

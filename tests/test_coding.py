@@ -24,9 +24,10 @@ from qmac.checks import random_density, run_suites
 from qmac.operators import ValidationError, check_povm, op_sqrt, trace_norm
 from qmac.region import corner_table
 
-from oracles import (average_error_loop, explicit_leak, low_rank_channel, map_error,
-                     message_tuples, pgm_residual_rule, sqrt_element, sqrt_elements,
-                     tender_apply, two_pure_state_pgm_success, word_states)
+from oracles import (average_error_loop, average_summed, explicit_leak, hermitize_divided,
+                     low_rank_channel, map_error, message_tuples, pgm_residual_rule, same_bits,
+                     sqrt_element, sqrt_elements, tender_apply, two_pure_state_pgm_success,
+                     word_states)
 
 Z0 = np.array([[1, 0], [0, 0]], dtype=complex)
 Z1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -418,6 +419,52 @@ def test_fail_element_is_formed_once_on_read(monkeypatch):
     assert counted == {"average": 2, "projector": 1}
     assert povm.element(FAIL) is fail and np.allclose(fail, Z1)
     assert counted == {"average": 2, "projector": 1}
+
+
+def compared_averages(monkeypatch) -> list:
+    """Make `coding._average` record, per call, whether its average equals the
+    summed form (`oracles.average_summed`) of the same states bit for bit."""
+    equal, average = [], coding._average
+
+    def compared(rebuild, w):
+        out = average(rebuild, w)
+        equal.append(same_bits(out, average_summed(rebuild, w)))
+        return out
+
+    monkeypatch.setattr(coding, "_average", compared)
+    return equal
+
+
+def test_public_pgm_average_equals_the_summed_form_bit_for_bit(monkeypatch):
+    # checked states stacked by pgm_decoder.  The diagonal ones hold -0.0 real
+    # parts off the diagonal, which sum() turns into +0.0 by starting at 0, and
+    # an imaginary part within the 1e-10 Hermitian tolerance, which keeps the
+    # sign of that zero through hermitize's complex division
+    rng = np.random.default_rng(31)
+    diagonal = []
+    for p in rng.dirichlet(np.ones(3), size=5):
+        state = np.diag(p).astype(complex)
+        state[0, 1], state[1, 0] = complex(-0.0, 0.0), complex(-0.0, 1e-12)
+        diagonal.append(state)
+    dense = [random_density(rng, 4) for _ in range(6)]
+    equal = compared_averages(monkeypatch)
+    for family in (diagonal, dense):
+        pgm_decoder(list(enumerate(family)))
+    assert equal == [True, True]
+    stack, w = np.stack(diagonal), np.full(len(diagonal), 1 / len(diagonal))
+    started_at_first = hermitize_divided(functools.reduce(np.add, (w[:, None, None] * stack)))
+    assert not same_bits(started_at_first, average_summed(stack.__getitem__, w))
+
+
+@pytest.mark.parametrize("n, sizes", [(2, "8,8"), (5, "4,4"), (7, "4,4")],
+                         ids=["one-chunk", "chunks-of-4", "chunks-of-1"])
+def test_decoder_pgm_averages_equal_the_summed_form_bit_for_bit(monkeypatch, n, sizes):
+    # the decoder's rebuild= path, whose states block_states builds again a
+    # chunk at a time, on the pool at block dimension 128
+    equal = compared_averages(monkeypatch)
+    ch = load_channel("qubit-pure-mac")
+    run_simulation(ch, Prior.uniform((2, 2)), n, [int(x) for x in sizes.split(",")], 4)
+    assert len(equal) > 1 and all(equal)
 
 
 def test_state_weights_rejected_unless_probability_vector():

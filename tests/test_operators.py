@@ -3,12 +3,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from qmac.channel import BlockChannel, block_states, load_channel
 from qmac.operators import (ValidationError, check_density, check_povm,
                             eig_hermitian, entropy_bits, factor_difference, hermitize, op_sqrt,
                             partial_trace, pinv_sqrt, support_projector, tensor_all,
                             trace_norm)
 
-from oracles import eigh_mp, op_sqrt_mp, psd_within, rank1_root, smallest_eigenvalue
+from oracles import (eigh_mp, hermitize_divided, op_sqrt_mp, psd_within, rank1_root, same_bits,
+                     smallest_eigenvalue, tensor_all_broadcast)
 
 
 def random_hermitian(rng, d):
@@ -284,6 +286,77 @@ def test_root_inverse_root_and_support_refuse_one_negative_eigenvalue_alike():
 
 def test_trace_norm_zero_iff_zero():
     assert trace_norm(np.zeros((3, 3))) == 0.0
+
+
+# --- the kernels, bit for bit against their former forms ---------------------
+
+def with_signed_zeros(rng, shape, share=0.2):
+    """Random complex entries, about `share` of the real and of the imaginary
+    parts set to -0.0, and as many to +0.0."""
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for part in (z.real, z.imag):
+        pick = rng.random(shape)
+        part[pick < share] = -0.0
+        part[(pick >= share) & (pick < 2 * share)] = 0.0
+    return z
+
+
+# block dimension d^n from 4 to 256; the per-entry steps start where the left
+# factor has 1024 entries: from n = 6 at d = 2, n = 5 at d = 3, n = 4 at d = 4
+KRON_SHAPES = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 6)] + [(4, 2), (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("d, n", KRON_SHAPES, ids=[f"{d}^{n}" for d, n in KRON_SHAPES])
+def test_tensor_all_equals_reduce_kron_bit_for_bit(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    factors = [with_signed_zeros(rng, (d, d)) for _ in range(n)]
+    prod = tensor_all(factors)
+    assert prod.shape == (d ** n, d ** n)
+    assert same_bits(prod, reduce(np.kron, factors))
+    assert same_bits(prod, tensor_all_broadcast(factors))
+
+
+RECT_SHAPES = [((2, 1), 12), ((2, 1), 6), ((4, 2), 5), ((3, 2), 6), ((2, 2), 7)]
+
+
+@pytest.mark.parametrize("shape, n", RECT_SHAPES,
+                         ids=[f"{d}x{r}^{n}" for (d, r), n in RECT_SHAPES])
+def test_tensor_all_of_rectangular_and_broadcast_stacks_bit_for_bit(shape, n):
+    # (d, r) factors as BlockChannel.letter_factors holds them, as stacks whose
+    # leading axes (3, 1), (1, 2) and () broadcast to (3, 2)
+    rng = np.random.default_rng(sum(shape) * n)
+    leads = [(3, 1), (1, 2), ()]
+    factors = [with_signed_zeros(rng, leads[k % 3] + shape) for k in range(n)]
+    prod = tensor_all(factors)
+    assert prod.shape == (3, 2, shape[0] ** n, shape[1] ** n)
+    assert same_bits(prod, tensor_all_broadcast(factors))
+    for i, j in np.ndindex(3, 2):
+        rows = [np.broadcast_to(f, (3, 2) + shape)[i, j] for f in factors]
+        assert same_bits(prod[i, j], reduce(np.kron, rows))
+
+
+def test_tensor_all_of_letter_factors_equals_reduce_kron_bit_for_bit():
+    # a rank-1 channel's (2, 1) factors, whose 2048 x 1 word factors take the
+    # per-entry form from their tenth step on
+    block = BlockChannel(load_channel("qubit-pure-mac"), 11)
+    letters = np.random.default_rng(3).integers(0, 2, size=(4, 11, 2))
+    factors = block_states(block.letter_factors, letters)
+    assert factors.shape == (4, 2048, 1)
+    for row, word in zip(factors, letters):
+        assert same_bits(row, reduce(np.kron, [block.letter_factors[tuple(x)] for x in word]))
+
+
+def test_hermitize_equals_the_divided_sum_bit_for_bit():
+    rng = np.random.default_rng(29)
+    stack = with_signed_zeros(rng, (6, 5, 5))
+    # -0.0 real parts on both sides of the diagonal and a negative imaginary
+    # part in their sum: a complex halving (`*= 0.5`) would give +0.0 there
+    stack[:, 0, 1], stack[:, 1, 0] = complex(-0.0, -1.0), complex(-0.0, 2.0)
+    for a in (stack, stack[0], stack.real, stack[2].real, np.eye(1, dtype=complex)):
+        assert same_bits(hermitize(a), hermitize_divided(a))
+    halved = stack + stack.conj().swapaxes(-1, -2)
+    halved *= 0.5
+    assert not same_bits(halved, hermitize_divided(stack))   # the data tells the two apart
 
 
 # --- density / POVM validation ----------------------------------------------
