@@ -119,7 +119,7 @@ def _parse_grid_spec(spec: str) -> int:
     with contextlib.suppress(ValueError):
         return int(spec)
     doc = None
-    with contextlib.suppress(json.JSONDecodeError, RecursionError):   # too deeply nested
+    with contextlib.suppress(ValueError, RecursionError):   # too many digits, too deeply nested
         doc = json.loads(spec)
     if not isinstance(doc, dict):   # not JSON, or JSON of another type: 1e3, [3], "3", true
         raise UsageError(f"grid spec must be an integer or JSON object, got {spec!r}")

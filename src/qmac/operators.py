@@ -75,11 +75,11 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a†)/2 of a matrix, or of each matrix of a stack (the
-    last two axes); suppresses drift after operator functions.  Halved in place by
-    that division, bit for bit (`*= 0.5`, a complex product, can flip a zero's sign)."""
+    last two axes); suppresses drift after operator functions.  An inexact sum is
+    halved in place by that division, bit for bit (`*= 0.5`, a complex product,
+    can flip a zero's sign); an integer one into a new float array."""
     h = a + a.conj().swapaxes(-1, -2)
-    h /= 2
-    return h
+    return np.true_divide(h, 2, out=h if h.dtype.kind in "fc" else None)
 
 
 def check_hermitian(a, name: str = "operator") -> np.ndarray:
@@ -240,26 +240,18 @@ def tensor_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of matrices the caller already checked; [[1]] when empty.
 
     Factors may be stacks (..., m_k, c_k) with broadcastable leading axes, and
-    the product is taken per row.  Each step multiplies left entries by right ones
-    in np.kron's order, so each row equals reduce(np.kron, mats) bit for bit.  A
-    step whose left factor has 1024 or more entries per row runs one long multiply
-    per right entry into one product; below that, one broadcast multiply is faster.
+    the product is taken per row.  It is built left to right by broadcasting,
+    in the order and with the products of reduce(np.kron, mats), so each row
+    equals np.kron's result bit for bit.
     """
     mats = list(mats)
     if not mats:
         return np.eye(1, dtype=complex)
     out = mats[0]
     for a in mats[1:]:
-        (m, c), (p, q) = out.shape[-2:], a.shape[-2:]
-        if m * c < 1024:
-            prod = out[..., :, None, :, None] * a[..., None, :, None, :]
-        else:
-            lead = np.broadcast_shapes(out.shape[:-2], a.shape[:-2])
-            prod = np.empty(lead + (m, p, c, q), np.result_type(out, a))
-            for k in range(p):
-                for l in range(q):
-                    np.multiply(out, a[..., k, l, None, None], out=prod[..., :, k, :, l])
-        out = prod.reshape(prod.shape[:-4] + (m * p, c * q))
+        prod = out[..., :, None, :, None] * a[..., None, :, None, :]
+        shape = (out.shape[-2] * a.shape[-2], out.shape[-1] * a.shape[-1])
+        out = prod.reshape(prod.shape[:-4] + shape)
     return out
 
 

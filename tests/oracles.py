@@ -18,9 +18,9 @@ atom state at a time, the entropy table with every group state averaged
 under its ensemble's full weights, an extended-precision (mpmath)
 eigendecomposition and square root, the closed-form root of a rank-1
 operator, a pretty-good measurement's FAIL outcome decided from the
-largest entry of its residual, and the former forms of three operator
-kernels: the Kronecker product as one broadcast multiply per factor, the
-PGM average summed by sum(), and the Hermitian part divided in a new array.
+largest entry of its residual, and the former forms of two operator
+kernels: the PGM average summed by sum(), and the Hermitian part divided
+in a new array.
 
 It also holds the API that only tests use: point-mass priors, random
 diagonal channels, random channels of exactly rank-deficient letters, an
@@ -353,18 +353,6 @@ def pgm_residual_rule(mats, support_rtol: float) -> tuple[bool, np.ndarray]:
     on = lam > max(1e-12, float(lam[-1]) * support_rtol)
     residual = ops.hermitize(np.eye(len(avg)) - ops.hermitize((v * on.astype(float)) @ v.conj().T))
     return float(np.max(np.abs(residual))) > 1e-10, residual
-
-
-def tensor_all_broadcast(mats) -> np.ndarray:
-    """`operators.tensor_all` in its former form: each step one broadcast
-    product of the left factor's entries by the right factor's, per row."""
-    mats = list(mats)
-    out = mats[0]
-    for a in mats[1:]:
-        prod = out[..., :, None, :, None] * a[..., None, :, None, :]
-        shape = (out.shape[-2] * a.shape[-2], out.shape[-1] * a.shape[-1])
-        out = prod.reshape(prod.shape[:-4] + shape)
-    return out
 
 
 def hermitize_divided(a) -> np.ndarray:

@@ -179,9 +179,12 @@ def test_region_sweep_accepts_resolution_object(capsys):
     assert plain == spec
 
 
-@pytest.mark.parametrize("spec", ["1e3", "[3]", '"3"', "true", "[" * 5000 + "]" * 5000],
-                         ids=["float", "list", "string", "bool", "nested-past-the-recursion-limit"])
+@pytest.mark.parametrize("spec", ["1e3", "[3]", '"3"', "true", "[" * 5000 + "]" * 5000,
+                                  "[" + "1" * 5000 + "]"],
+                         ids=["float", "list", "string", "bool", "nested-past-the-recursion-limit",
+                              "digits-past-the-int-limit"])
 def test_sweep_json_other_than_an_object_is_named_as_such(capsys, spec):
+    # where Python limits int digits, json.loads fails the long number with a plain ValueError
     code, out, err = run(capsys, "region", "--channel", "holevo-two-state", "--sweep", spec)
     assert code == 2 and not out
     assert err.splitlines() == [f"error: grid spec must be an integer or JSON object, "

@@ -3,14 +3,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qmac.channel import BlockChannel, block_states, load_channel
 from qmac.operators import (ValidationError, check_density, check_povm,
                             eig_hermitian, entropy_bits, factor_difference, hermitize, op_sqrt,
                             partial_trace, pinv_sqrt, support_projector, tensor_all,
                             trace_norm)
 
 from oracles import (eigh_mp, hermitize_divided, op_sqrt_mp, psd_within, rank1_root, same_bits,
-                     smallest_eigenvalue, tensor_all_broadcast)
+                     smallest_eigenvalue)
 
 
 def random_hermitian(rng, d):
@@ -288,7 +287,7 @@ def test_trace_norm_zero_iff_zero():
     assert trace_norm(np.zeros((3, 3))) == 0.0
 
 
-# --- the kernels, bit for bit against their former forms ---------------------
+# --- the kernels, bit for bit against np.kron and their former forms --------
 
 def with_signed_zeros(rng, shape, share=0.2):
     """Random complex entries, about `share` of the real and of the imaginary
@@ -301,9 +300,8 @@ def with_signed_zeros(rng, shape, share=0.2):
     return z
 
 
-# block dimension d^n from 4 to 256; the per-entry steps start where the left
-# factor has 1024 entries: from n = 6 at d = 2, n = 5 at d = 3, n = 4 at d = 4
-KRON_SHAPES = [(2, n) for n in range(2, 9)] + [(3, n) for n in range(2, 6)] + [(4, 2), (4, 3), (4, 4)]
+# block dimension d^n from 4 to 256
+KRON_SHAPES = [(d, n) for d, top in ((2, 8), (3, 5), (4, 4)) for n in range(2, top + 1)]
 
 
 @pytest.mark.parametrize("d, n", KRON_SHAPES, ids=[f"{d}^{n}" for d, n in KRON_SHAPES])
@@ -313,7 +311,6 @@ def test_tensor_all_equals_reduce_kron_bit_for_bit(d, n):
     prod = tensor_all(factors)
     assert prod.shape == (d ** n, d ** n)
     assert same_bits(prod, reduce(np.kron, factors))
-    assert same_bits(prod, tensor_all_broadcast(factors))
 
 
 RECT_SHAPES = [((2, 1), 12), ((2, 1), 6), ((4, 2), 5), ((3, 2), 6), ((2, 2), 7)]
@@ -329,21 +326,9 @@ def test_tensor_all_of_rectangular_and_broadcast_stacks_bit_for_bit(shape, n):
     factors = [with_signed_zeros(rng, leads[k % 3] + shape) for k in range(n)]
     prod = tensor_all(factors)
     assert prod.shape == (3, 2, shape[0] ** n, shape[1] ** n)
-    assert same_bits(prod, tensor_all_broadcast(factors))
     for i, j in np.ndindex(3, 2):
         rows = [np.broadcast_to(f, (3, 2) + shape)[i, j] for f in factors]
         assert same_bits(prod[i, j], reduce(np.kron, rows))
-
-
-def test_tensor_all_of_letter_factors_equals_reduce_kron_bit_for_bit():
-    # a rank-1 channel's (2, 1) factors, whose 2048 x 1 word factors take the
-    # per-entry form from their tenth step on
-    block = BlockChannel(load_channel("qubit-pure-mac"), 11)
-    letters = np.random.default_rng(3).integers(0, 2, size=(4, 11, 2))
-    factors = block_states(block.letter_factors, letters)
-    assert factors.shape == (4, 2048, 1)
-    for row, word in zip(factors, letters):
-        assert same_bits(row, reduce(np.kron, [block.letter_factors[tuple(x)] for x in word]))
 
 
 def test_hermitize_equals_the_divided_sum_bit_for_bit():
@@ -357,6 +342,18 @@ def test_hermitize_equals_the_divided_sum_bit_for_bit():
     halved = stack + stack.conj().swapaxes(-1, -2)
     halved *= 0.5
     assert not same_bits(halved, hermitize_divided(stack))   # the data tells the two apart
+
+
+def test_integer_input_is_halved_into_floats():
+    # eig_hermitian(hermitian=True) hermitizes its input as given, so an
+    # integer operator reaches hermitize, which cannot halve it in place
+    a = np.array([[2, 1], [1, 2]])
+    assert same_bits(hermitize(a), hermitize_divided(a))
+    w, v = eig_hermitian(a, hermitian=True)
+    assert np.allclose(w, [1, 3])
+    assert np.allclose(op_sqrt(4 * np.eye(2, dtype=int), hermitian=True), 2 * np.eye(2))
+    assert np.allclose(support_projector(np.diag([1, 0]), hermitian=True), np.diag([1, 0]))
+    assert np.allclose(pinv_sqrt(np.diag([4, 0]), hermitian=True)[0], np.diag([0.5, 0]))
 
 
 # --- density / POVM validation ----------------------------------------------

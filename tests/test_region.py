@@ -70,7 +70,6 @@ def test_constraint_set_validation():
         RateConstraintSet(1, {1: -0.5})
 
 
-
 def test_constraint_set_without_a_prior_or_a_table_names_both():
     # None is a prior only beside a table row; alone it is refused as such
     with pytest.raises(ValidationError, match="needs a prior, or its table row as table="):
