@@ -391,6 +391,22 @@ def test_region_sweep_output_equals_the_stored_text(capsys, argv, name):
     assert (code, out) == (0, want)
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("--channel", "qubit-pure-mac", "--mixture", "0.4*uniform+0.3*1,0;0,1+0.3*0,1;1,0",
+      "--corners", "--format", "json"), "region-qubit-pure-mac-mixture-3-corners.json"),
+    (("--channel", "adder-classical", "--mixture", "0.5*uniform+0.5*1,0;0,1", "--corners"),
+     "region-adder-classical-mixture-2-corners.csv"),
+], ids=["three-components-json", "two-components-csv"])
+def test_region_mixture_output_equals_the_stored_text(capsys, argv, name):
+    # the stored stdout of `qmac region` with these arguments;
+    # `oracles.region_report` calls the same MixtureSpec and
+    # mixture_constraints as the command, so only stored bytes would show a
+    # changed weight, bound or corner
+    want = (GOLDEN / name).read_text(encoding="utf-8")
+    code, out, _ = run(capsys, "region", *argv)
+    assert (code, out) == (0, want)
+
+
 def test_simulate_repeated_tuples_monte_carlo_output_equals_the_stored_text(capsys):
     # the stored stdout of `qmac simulate --channel qubit-pure-mac --n 2
     # --sizes 8,8 --mode mc --trials 200 --seed 3`, made by the simulator that
