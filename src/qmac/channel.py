@@ -23,9 +23,8 @@ import numpy as np
 
 from . import operators as ops
 from .config import DEFAULT_MAX_LETTER_TUPLES, CapExceeded, max_dim, require_dim
-from .operators import ValidationError, as_block_length, as_index, letter_tuple
+from .operators import PROB_TOL, ValidationError, as_block_length, as_index, letter_tuple
 
-PROB_TOL = 1e-10        # tolerance for probability vectors summing to 1
 ATOM_FLOOR = 1e-15      # ensemble atoms below this probability are dropped
 KRAUS_TOL = 1e-9        # completeness tolerance for trace preservation
 CHOI_PSD_TOL = 1e-8     # how negative a Choi eigenvalue may be before rejection
@@ -73,17 +72,8 @@ class Prior:
 
     @staticmethod
     def vector(values, sender: int) -> np.ndarray:
-        """A read-only float copy of `values`, nonempty, finite, nonnegative, summing to 1."""
-        v = np.asarray(values, dtype=float).ravel()
-        if v.size < 1:
-            raise ValidationError(f"prior for sender {sender} is empty")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(f"prior for sender {sender} has non-finite entries")
-        if np.any(v < 0):
-            raise ValidationError(f"prior for sender {sender} has negative entries")
-        if abs(v.sum() - 1.0) > PROB_TOL:
-            raise ValidationError(f"prior for sender {sender} sums to {v.sum():.12g}, expected 1")
-        v = v.copy()
+        """A read-only float copy of `values`, read by `operators.as_distribution`."""
+        v = ops.as_distribution(values, f"prior for sender {sender}").copy()
         v.setflags(write=False)
         return v
 
@@ -254,7 +244,9 @@ class CqMacChannel:
         return self.states[key]   # checked first: indexing would wrap negative letters
 
     def check_prior(self, prior: Prior) -> None:
-        """Refuse a prior whose per-sender alphabets are not the channel's."""
+        """Refuse anything but a Prior whose per-sender alphabets are the channel's."""
+        if not isinstance(prior, Prior):
+            raise ValidationError(f"prior must be a Prior, got {type(prior).__name__}")
         if prior.alphabet_sizes != self.sender_alphabets:
             raise ValidationError(f"prior alphabets {prior.alphabet_sizes} "
                                   f"do not match channel {self.sender_alphabets}")

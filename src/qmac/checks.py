@@ -21,7 +21,7 @@ from . import coding, entropy as ent, region
 from .channel import CqMacChannel, Prior, channel_state, mask_members
 from .config import DEFAULT_MAX_CHECK_TRIALS, CapExceeded
 from .entropy import SubsystemSelector
-from .operators import ValidationError, as_index, as_seed
+from .operators import ValidationError, as_index, as_nonnegative, as_seed
 
 DEFAULT_TOL = 1e-9
 
@@ -285,6 +285,7 @@ def run_suites(which: str, trials: int, seed: int,
     """The named suite, or every suite ("all"), each over `trials` random
     instances drawn from `seed`."""
     trials, seed = as_index(trials, "trials"), as_seed(seed, "seed")
+    tol = float(as_nonnegative(tol, "tol"))
     if trials < 0:
         raise ValidationError(f"trials must be >= 0, got {trials}")
     if which == "all":

@@ -39,11 +39,11 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import operators as ops
-from .channel import (PROB_TOL, BlockChannel, CqMacChannel, Prior, block_states,
-                      reduced_channel)
+from .channel import BlockChannel, CqMacChannel, Prior, block_states, reduced_channel
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
-from .operators import ValidationError, as_block_length, as_index, as_seed, letter_tuple
+from .operators import (ValidationError, as_block_length, as_distribution, as_index,
+                        as_nonnegative, as_reals, as_seed, letter_tuple)
 
 X_SPECTRUM_TOL = 1e-8         # allowed spectral overshoot for 0 <= X <= 1 checks
 # A stage's eps_bar averages leaks 1 - Tr(rho D), each rounded on a scale of
@@ -126,10 +126,8 @@ def sizes_from_rates(rates: Sequence[float], n: int, delta: float = 0.0) -> list
     `sample_codebook`; a size beyond the cap raises before it is computed.
     Rates must be finite and nonnegative, delta finite, and n at least 1."""
     n = as_block_length(n)
-    rates = [float(r) for r in rates]
-    if not all(np.isfinite(r) and r >= 0 for r in rates) or not np.isfinite(delta):
-        raise ValidationError(f"rates must be finite and nonnegative and delta finite, "
-                              f"got rates {rates} and delta {delta}")
+    rates = as_nonnegative(rates, "rates").ravel().tolist()
+    delta = float(as_reals(delta, "delta"))
     bits = [n * (r - delta) for r in rates]
     if any(b > np.log2(DEFAULT_MAX_MESSAGES) for b in bits):
         raise CapExceeded(f"rates {rates} at n={n} need codebooks of 2^{max(bits):.6g} "
@@ -243,14 +241,15 @@ def _formed(items: Sequence[tuple]) -> list[np.ndarray]:
     return [formed.get((povm, i), element) for povm, i, _, element in items]
 
 
-def _element_and_root(items: Sequence[tuple]) -> tuple[list[np.ndarray], np.ndarray]:
+def _element_and_root(items: Sequence[tuple]) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Elements (`_formed`) and roots of `items`, the roots in one stacked
     op_sqrt (elements are checked, or formed Hermitian): the decoder's one
     kernel.  It reads and keeps nothing in a POVM, so calls can run at once;
-    each element and root equals the one computed alone."""
+    each element and root equals the one computed alone.  Items that all
+    share one element array (`_stack`'s stack of one) share its one root."""
     elements = _formed(items)
-    stack = elements[0][None] if len(elements) == 1 else np.stack(elements)
-    return elements, ops.op_sqrt(stack, hermitian=True)
+    roots = ops.op_sqrt(_stack(elements), hermitian=True)
+    return elements, [*roots] * (len(elements) // len(roots))
 
 
 def _keep(items: Sequence[tuple], elements: Sequence[np.ndarray], roots: Sequence = ()) -> None:
@@ -267,17 +266,6 @@ FAIL = None  # outcome label of the PGM's residual (off-support) element
 # average state cannot be inverted stably in double precision; they count
 # as off-support and feed the residual outcome
 PGM_SUPPORT_RTOL = 1e-6
-
-
-def _state_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
-    """Uniform weights, or the given ones checked as a probability vector
-    (written so that NaN fails the check)."""
-    if weights is None:
-        return np.full(count, 1.0 / count)
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size != count or not (np.all(w >= 0) and abs(w.sum() - 1.0) <= PROB_TOL):
-        raise ValidationError("weights must be a probability vector over the states")
-    return w
 
 
 def _elements(povm: Povm, positions: Iterable[int]) -> list[np.ndarray]:
@@ -379,11 +367,6 @@ class TenderCheck:
     avg_bound: float
 
 
-def _trace(a: np.ndarray) -> np.ndarray:
-    """Real part of the trace of each operator of a stack."""
-    return np.trace(a, axis1=-2, axis2=-1).real
-
-
 def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(a† b) of each pair of matrices of two stacks."""
     return (a.conj() * b).real.sum(axis=(-2, -1))
@@ -415,11 +398,15 @@ def tender_bound_check(states: Sequence[tuple[Hashable, np.ndarray]],
     eps_a = 1 - Tr(rho_a D_a), and on average sqrt(8 eps) + eps with the
     averaged eps.
     """
-    wvec = _state_weights(weights, len(states))
+    wvec = (np.full(len(states), 1.0 / len(states)) if weights is None
+            else as_distribution(weights, "weights"))
+    if wvec.size != len(states):
+        raise ValidationError(f"weights has {wvec.size} entries, expected {len(states)}")
     labels = [a for a, _ in states]
     rhos = np.stack([ops.check_density(rho, name=f"state {a!r}") for a, rho in states])
     positions = [inst.povm._require(a) for a in labels]
-    leak = 1.0 - _trace(rhos @ np.stack(_elements(inst.povm, positions)))
+    leak = 1.0 - np.trace(rhos @ np.stack(_elements(inst.povm, positions)),
+                          axis1=-2, axis2=-1).real
     roots = np.stack(_roots([inst.povm] * len(labels), positions))
     eps_all, dist_all = (x.tolist() for x in _branch_disturbance(rhos - roots @ rhos @ roots,
                                                                   leak))
@@ -778,11 +765,10 @@ def average_error(ch: CqMacChannel, codebooks: Sequence[Codebook], prior: Prior,
             f0 = decoder.block.state_for_words(words)
             f = f0
             for i, (povms, positions) in enumerate(reads):
-                kept = _roots(povms, positions)   # keeps each element beside its root
                 # gentleness accounting on the undisturbed word states
                 elements = _stack([p._formed[b] for p, b in zip(povms, positions)])
                 leak = 1.0 - _inner(f0, elements @ f0)
-                roots = _stack(kept)
+                roots = _stack([p._root_cache[b] for p, b in zip(povms, positions)])
                 g = roots @ f0
                 eps, dist = _branch_disturbance(ops.factor_difference(f0, g), leak)
                 f = g if f is f0 else roots @ f

@@ -26,10 +26,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import operators as ops
-from .channel import (ATOM_FLOOR, PROB_TOL, CqEnsemble, make_ensemble, mask_members,
-                      normalize_subset, subset_mask)
+from .channel import (ATOM_FLOOR, CqEnsemble, make_ensemble, mask_members, normalize_subset,
+                      subset_mask)
 from .config import chunks
-from .operators import ValidationError, as_index, shannon_bits
+from .operators import ValidationError, as_distribution, as_index, as_reals, shannon_bits
 
 MI_FORM_TOL = 1e-9      # the two mutual-information forms must agree this tightly
 MI_CLAMP = 1e-9         # raw values in [-MI_CLAMP, 0) are reported as 0
@@ -299,13 +299,10 @@ def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -
     always <= 0 up to numerics (mutual information is subadditive across
     independent channels); callers assert `slack <= 1e-9`.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim != 2 or q.shape != (len(v1), len(v2)):
-        raise ValidationError(
-            f"q must have shape ({len(v1)}, {len(v2)}), got {q.shape}"
-        )
-    if not (np.all(q >= 0) and abs(q.sum() - 1.0) <= PROB_TOL):   # NaN fails it
-        raise ValidationError("q is not a probability distribution")
+    q = as_reals(q, "q")
+    if q.shape != (len(v1), len(v2)):
+        raise ValidationError(f"q must have shape ({len(v1)}, {len(v2)}), got {q.shape}")
+    q = as_distribution(q, "q").reshape(q.shape)
     d1 = np.asarray(v1[0]).shape[0]
     d2 = np.asarray(v2[0]).shape[0]
     e1 = make_ensemble((len(v1),), d1, (((a1,), q[a1].sum(), v1[a1]) for a1 in range(len(v1))))

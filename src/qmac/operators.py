@@ -23,6 +23,7 @@ TRACE_TOL = 1e-10
 ENTROPY_FLOOR = 1e-12   # eigenvalues below this are dropped from -sum(l*log l)
 SUPPORT_FLOOR = 1e-12   # eigenvalues below this count as outside the support
 POVM_SUM_TOL = 1e-8     # max-entry deviation of sum(elements) from identity
+PROB_TOL = 1e-10        # tolerance for probability vectors summing to 1
 
 
 class ValidationError(ValueError):
@@ -53,6 +54,41 @@ def as_seed(value, what: str) -> int:
     if not 0 <= seed < 2 ** 64:
         raise ValidationError(f"{what} must be an integer from 0 to 2^64 - 1, got {seed}")
     return seed
+
+
+def as_reals(values, what: str) -> np.ndarray:
+    """A caller's number, or array of numbers of any shape, as a float array:
+    ints, bools and numpy reals pass, but a string, None, a complex value or
+    ragged nesting raises ValidationError naming `what`, as does a NaN or inf."""
+    try:
+        a = np.asarray(values)
+    except ValueError:   # ragged nesting, refused below as an object array is
+        a = np.asarray(None)
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what} must hold real numbers")
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return a
+
+
+def as_nonnegative(values, what: str) -> np.ndarray:
+    """Caller reals read as `as_reals` reads them, none below 0."""
+    a = as_reals(values, what)
+    if (a < 0).any():
+        raise ValidationError(f"{what} has negative entries")
+    return a
+
+
+def as_distribution(values, what: str) -> np.ndarray:
+    """A caller's probability vector, read as `as_nonnegative` reads reals and
+    flattened: nonempty, summing to 1 within PROB_TOL."""
+    p = as_nonnegative(values, what).ravel()
+    if p.size < 1:
+        raise ValidationError(f"{what} is empty")
+    if abs(p.sum() - 1.0) > PROB_TOL:
+        raise ValidationError(f"{what} sums to {p.sum():.12g}, expected 1")
+    return p
 
 
 def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:

@@ -26,9 +26,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import entropy as ent
-from .channel import PROB_TOL, CqMacChannel, Prior, mask_members
+from .channel import CqMacChannel, Prior, mask_members
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded, chunks
-from .operators import ValidationError, as_index
+from .operators import ValidationError, as_distribution, as_index, as_nonnegative
 
 MEMBER_TOL = 1e-9
 CORNER_DEDUP_TOL = 1e-9
@@ -41,17 +41,12 @@ class RatePoint:
     rates: tuple[float, ...]
 
     def __post_init__(self):
-        rates = tuple(float(r) for r in self.rates)
-        if not all(math.isfinite(r) and r >= 0 for r in rates):
-            raise ValidationError(f"rates must be finite and nonnegative, got {rates}")
-        object.__setattr__(self, "rates", rates)
+        rates = as_nonnegative(self.rates, "rates").ravel()
+        object.__setattr__(self, "rates", tuple(rates.tolist()))
 
     @property
     def s(self) -> int:
         return len(self.rates)
-
-    def subset_sum(self, members: Iterable[int]) -> float:
-        return sum(self.rates[i] for i in set(members))
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,7 @@ class RateConstraintSet:
             raise ValidationError(
                 f"bounds must cover every nonempty subset mask of {self.s} senders"
             )
-        if not all(math.isfinite(v) and v >= 0 for v in self.bounds.values()):
-            raise ValidationError("bounds must be finite and nonnegative")
+        as_nonnegative(list(self.bounds.values()), "bounds")
 
 
 def check_mixture_size(count: int) -> None:
@@ -90,11 +84,11 @@ class MixtureSpec:
         if not self.components:
             raise ValidationError("mixture needs at least one component")
         check_mixture_size(len(self.components))
-        weights = [float(w) for w, _ in self.components]
-        if not all(math.isfinite(w) and w >= 0 for w in weights):
-            raise ValidationError(f"mixture weights must be finite and nonnegative, got {weights}")
-        if abs(sum(weights) - 1.0) > PROB_TOL:
-            raise ValidationError(f"mixture weights sum to {sum(weights):.12g}, expected 1")
+        weights = as_distribution([w for w, _ in self.components], "mixture weights")
+        if weights.size != len(self.components):
+            raise ValidationError("mixture weights must be one number per component")
+        object.__setattr__(self, "components",
+                           tuple(zip(weights.tolist(), (p for _, p in self.components))))
 
 
 def _sender_tables(ch: CqMacChannel, per_sender: Sequence[np.ndarray]) -> np.ndarray:
@@ -211,6 +205,7 @@ def member_corners(cs: RateConstraintSet, tol: float) -> tuple[np.ndarray, np.nd
     (within tol), as arrays of their first decode orders and of their
     rates; the corners come from the bounds (`corner_from_bounds`), as for
     a mixture of priors."""
+    tol = float(as_nonnegative(tol, "tol"))
     orders = _orders(cs.s)[0]
     points = [corner_from_bounds(cs, perm) for perm in orders.tolist()]
     members = np.flatnonzero([is_member(point, cs, tol) for point in points])
@@ -275,12 +270,11 @@ def corner_from_bounds(cs: RateConstraintSet, perm: Sequence[int]) -> RatePoint:
 
 def is_member(point: RatePoint, cs: RateConstraintSet, tol: float = MEMBER_TOL) -> bool:
     """True iff every subset sum respects its bound within tol (ties count in)."""
+    tol = float(as_nonnegative(tol, "tol"))
     if point.s != cs.s:
         raise ValidationError(f"point has {point.s} rates, constraint set has {cs.s}")
-    return all(
-        point.subset_sum(mask_members(mask)) <= bound + tol
-        for mask, bound in cs.bounds.items()
-    )
+    return all(sum(point.rates[i] for i in mask_members(mask)) <= bound + tol
+               for mask, bound in cs.bounds.items())
 
 
 def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec) -> RateConstraintSet:
@@ -397,11 +391,9 @@ def upper_boundary_2d(rates: np.ndarray) -> np.ndarray:
     (m, 2) rates and the origin; the returned (k, 2) vertices are sorted by
     increasing first rate and decreasing second rate.
     """
-    rates = np.asarray(rates, dtype=float)
+    rates = as_nonnegative(rates, "rates")
     if rates.ndim != 2 or rates.shape[1] != 2:
         raise ValidationError(f"upper_boundary_2d expects (m, 2) rates, got shape {rates.shape}")
-    if not (np.isfinite(rates).all() and (rates >= 0).all()):
-        raise ValidationError("rates must be finite and nonnegative")
     pts = sorted(set(map(tuple, rates.tolist())))
     if not pts:
         return np.empty((0, 2))

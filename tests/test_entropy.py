@@ -467,7 +467,7 @@ def test_subadditivity_checks_each_factor_once_and_no_product(monkeypatch):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_subadditivity_rejects_non_finite_q(bad):
     q = np.array([[0.5, bad], [0.25, 0.25]])
-    with pytest.raises(ValidationError, match="not a probability distribution"):
+    with pytest.raises(ValidationError, match="q has non-finite entries"):
         check_subadditivity([Z0, Z1], [Z0, Z1], q)
 
 

@@ -427,7 +427,7 @@ def test_upper_boundary_2d_rejects_three_sender_points():
         upper_boundary_2d(np.array([(0.1, 0.2, 0.3), (0.3, 0.1, 0.0)]))
 
 
-@pytest.mark.parametrize("bad, problem", [(-0.1, "nonnegative"), (np.nan, "finite")],
+@pytest.mark.parametrize("bad, problem", [(-0.1, "negative"), (np.nan, "finite")],
                          ids=["negative", "nan"])
 def test_upper_boundary_2d_rejects_a_negative_or_nan_rate(bad, problem):
     # the array is checked once, as RatePoint checked each point
