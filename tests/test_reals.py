@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qmac import channel, coding, operators
+from qmac import coding
 from qmac.channel import Prior, channel_state, load_channel, reduced_channel
 from qmac.checks import run_suites
 from qmac.coding import TenderInstrument, codebooks_from_seed, pgm_decoder, sizes_from_rates
@@ -207,8 +207,3 @@ def test_only_a_prior_passes_as_a_prior(entry, prior, kind):
     with pytest.raises(ValidationError, match=f"^prior must be a Prior, got {kind}$"):
         PRIOR_ENTRIES[entry](qubit_pure_mac(), prior)
     PRIOR_ENTRIES[entry](qubit_pure_mac(), UNIFORM)
-
-
-def test_the_probability_tolerance_has_one_home():
-    # the atom checks of `channel.make_ensemble` read the owner's tolerance
-    assert channel.PROB_TOL is operators.PROB_TOL
