@@ -327,8 +327,8 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
             raise ValidationError(f"label {label_t} outside label spaces {spaces}")
         if label_t in seen:
             raise ValidationError(f"duplicate atom for label {label_t}")
-        p = float(p)
-        if not p >= -PROB_TOL:   # NaN fails it
+        p = ops._one_real(p, f"atom {label_t} probability")
+        if p < -PROB_TOL:
             raise ValidationError(f"atom {label_t} has negative probability {p:.3e}")
         total += p
         if p < ATOM_FLOOR:

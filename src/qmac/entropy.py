@@ -230,13 +230,14 @@ def _group_entropies(averaging: list[int], factors: Sequence[np.ndarray],
 
 def subsystem_entropy_dense(e: CqEnsemble, sel: SubsystemSelector) -> float:
     """Same quantity by the dense oracle: expand the whole ensemble to its
-    block-diagonal matrix, partial-trace to the selector, diagonalize."""
+    block-diagonal matrix, partial-trace to the selector, diagonalize.  Only
+    the selector is checked: the matrix mixes the ensemble's states, checked
+    where the ensemble was built, so its partial traces are states, and the
+    unchecked cores of `partial_trace` and `entropy_bits` run on them."""
     sel.validate(e)
-    gamma = e.dense_matrix
     dims = list(e.label_spaces) + [e.quantum_dim]
     keep = sorted(sel.classical) + ([len(e.label_spaces)] if sel.quantum else [])
-    sigma = ops.partial_trace(gamma, dims, keep)
-    return ops.entropy_bits(sigma)
+    return ops._entropy_bits(ops._partial_trace(e.dense_matrix, dims, keep))
 
 
 def conditional_entropy(e: CqEnsemble, b: SubsystemSelector, c: SubsystemSelector) -> float:
@@ -333,15 +334,15 @@ def fano_bound_check(e: CqEnsemble, x_povm, y_povm) -> tuple[float, float]:
     (H(labels | quantum), 1 + P_e * log2(num_labels)); the bound asserts
     lhs <= rhs up to 1e-9.
     """
-    x = np.asarray(x_povm, dtype=float)
+    x = as_reals(x_povm, "x_povm")
     n_labels = e.num_labels
     if x.ndim != 2 or x.shape[1] != n_labels:
         raise ValidationError(f"x_povm must have shape (k, {n_labels}), got {x.shape}")
-    if not np.all((x >= -1e-10) & (x <= 1 + 1e-10)):   # NaN fails it
+    if not np.all((x >= -1e-10) & (x <= 1 + 1e-10)):
         raise ValidationError("x_povm entries must lie in [0, 1]")
     if not np.max(np.abs(x.sum(axis=0) - 1.0)) <= 1e-8:
         raise ValidationError("x_povm columns must sum to 1")
-    y_elements = [np.asarray(m, dtype=complex) for m in y_povm]
+    y_elements = [ops.as_operator(m, f"y_povm element {j}") for j, m in enumerate(y_povm)]
     if len(y_elements) != x.shape[0]:
         raise ValidationError(
             f"POVMs must share an index set: {x.shape[0]} vs {len(y_elements)} outcomes"

@@ -56,17 +56,25 @@ def as_seed(value, what: str) -> int:
     return seed
 
 
-def as_reals(values, what: str) -> np.ndarray:
-    """A caller's number, or array of numbers of any shape, as a float array:
-    ints, bools and numpy reals pass, but a string, None, a complex value or
-    ragged nesting raises ValidationError naming `what`, as does a NaN or inf."""
+def _numeric(values, what: str, kinds: str, numbers: str) -> np.ndarray:
+    """A caller's number, or array of numbers of any shape, as an array whose
+    dtype kind is one of `kinds`, decided from the dtype alone: a string,
+    None, an object array or ragged nesting raises ValidationError naming
+    `what` and saying it must hold `numbers`."""
     try:
         a = np.asarray(values)
     except ValueError:   # ragged nesting, refused below as an object array is
         a = np.asarray(None)
-    if a.dtype.kind not in "biuf":
-        raise ValidationError(f"{what} must hold real numbers")
-    a = np.asarray(a, dtype=float)
+    if a.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must hold {numbers}")
+    return a
+
+
+def as_reals(values, what: str) -> np.ndarray:
+    """A caller's number, or array of numbers of any shape, as a float array:
+    ints, bools and numpy reals pass, but a string, None, a complex value or
+    ragged nesting raises ValidationError naming `what`, as does a NaN or inf."""
+    a = np.asarray(_numeric(values, what, "biuf", "real numbers"), dtype=float)
     if not np.isfinite(a).all():
         raise ValidationError(f"{what} has non-finite entries")
     return a
@@ -91,6 +99,21 @@ def as_distribution(values, what: str) -> np.ndarray:
     return p
 
 
+def _one_real(value, what: str, read=as_reals) -> float:
+    """A caller's one real number, read by `read` (`as_reals` or a layer on
+    it), as a float; an array of any other shape than () raises
+    ValidationError naming `what`."""
+    a = read(value, what)
+    if a.ndim:
+        raise ValidationError(f"{what} must be one number, got shape {a.shape}")
+    return float(a)
+
+
+def _as_tolerance(tol) -> float:
+    """A caller's tolerance: one number, read as `as_nonnegative` reads reals."""
+    return _one_real(tol, "tol", as_nonnegative)
+
+
 def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:
     """Letters (or labels) as Python ints, each read as `as_index` reads one."""
     try:
@@ -100,8 +123,11 @@ def letter_tuple(letters: Iterable, what: str) -> tuple[int, ...]:
 
 
 def as_operator(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
-    a = np.asarray(a, dtype=complex)
+    """A caller's square matrix as a complex array, read by the `as_reals` rule
+    widened to complex: ints, bools, reals and complex values pass, but a
+    string, None, an object array or ragged nesting raises ValidationError
+    naming `name`, as does a NaN or inf entry."""
+    a = np.asarray(_numeric(a, name, "biufc", "numbers"), dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
@@ -261,7 +287,12 @@ def support_projector(a, support_rtol: float = 0.0, *, hermitian: bool = False) 
 
 def entropy_bits(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0 log 0 := 0."""
-    return float(shannon_bits(np.linalg.eigvalsh(hermitize(check_density(rho)))))
+    return _entropy_bits(check_density(rho))
+
+
+def _entropy_bits(rho: np.ndarray) -> float:
+    """`entropy_bits` of a complex matrix that passes check_density, unchecked."""
+    return float(shannon_bits(np.linalg.eigvalsh(hermitize(rho))))
 
 
 def shannon_bits(p) -> np.ndarray:
@@ -314,6 +345,13 @@ def partial_trace(a, factor_dims: Sequence[int], keep: Iterable[int]) -> np.ndar
     keep = sorted(set(as_index(k, "keep") for k in keep))
     if any(k < 0 or k >= len(dims) for k in keep):
         raise ValidationError(f"keep indices {keep} out of range for {len(dims)} factors")
+    return _partial_trace(a, dims, keep)
+
+
+def _partial_trace(a: np.ndarray, dims: list[int], keep: list[int]) -> np.ndarray:
+    """`partial_trace` of a complex matrix on factors of positive dimensions
+    `dims`, which multiply to its size, keeping the sorted distinct factor
+    indices `keep`, unchecked."""
     drop = [i for i in range(len(dims)) if i not in keep]
     out = a.reshape(dims + dims)
     for i in sorted(drop, reverse=True):

@@ -28,7 +28,8 @@ import numpy as np
 from . import entropy as ent
 from .channel import CqMacChannel, Prior, mask_members
 from .config import DEFAULT_MAX_GRID_POINTS, DEFAULT_MAX_PERM_SENDERS, CapExceeded, chunks
-from .operators import ValidationError, as_distribution, as_index, as_nonnegative
+from .operators import (ValidationError, _as_tolerance, as_distribution, as_index,
+                        as_nonnegative)
 
 MEMBER_TOL = 1e-9
 CORNER_DEDUP_TOL = 1e-9
@@ -205,7 +206,7 @@ def member_corners(cs: RateConstraintSet, tol: float) -> tuple[np.ndarray, np.nd
     (within tol), as arrays of their first decode orders and of their
     rates; the corners come from the bounds (`corner_from_bounds`), as for
     a mixture of priors."""
-    tol = float(as_nonnegative(tol, "tol"))
+    tol = _as_tolerance(tol)
     orders = _orders(cs.s)[0]
     points = [corner_from_bounds(cs, perm) for perm in orders.tolist()]
     members = np.flatnonzero([is_member(point, cs, tol) for point in points])
@@ -270,7 +271,7 @@ def corner_from_bounds(cs: RateConstraintSet, perm: Sequence[int]) -> RatePoint:
 
 def is_member(point: RatePoint, cs: RateConstraintSet, tol: float = MEMBER_TOL) -> bool:
     """True iff every subset sum respects its bound within tol (ties count in)."""
-    tol = float(as_nonnegative(tol, "tol"))
+    tol = _as_tolerance(tol)
     if point.s != cs.s:
         raise ValidationError(f"point has {point.s} rates, constraint set has {cs.s}")
     return all(sum(point.rates[i] for i in mask_members(mask)) <= bound + tol

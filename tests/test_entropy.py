@@ -12,6 +12,7 @@ from qmac.entropy import (SubsystemSelector, average_conditional_entropy,
                           check_subadditivity, conditional_entropy,
                           entropy_tables, fano_bound_check, mutual_information,
                           restrict, subsystem_entropy, subsystem_entropy_dense)
+from qmac import operators as ops
 from qmac.operators import ValidationError
 from qmac.region import constraint_set, prior_grid, prior_tables
 
@@ -113,6 +114,32 @@ def test_dense_oracle_agrees_on_examples():
                 sel = SubsystemSelector.of(members, quantum)
                 assert abs(subsystem_entropy(e, sel)
                            - subsystem_entropy_dense(e, sel)) <= 1e-9
+
+
+def test_dense_oracle_checks_no_state_and_keeps_the_checked_bits(monkeypatch):
+    # the oracle trusts what it derives from an ensemble checked where it was
+    # built: it checks no state, and each entropy equals, bit for bit, the one
+    # the checking public functions give, on a partial trace that passes
+    # check_density, so the invariant it skips is held here
+    rng = np.random.default_rng(93)
+    ensembles = [two_state_ensemble(), adder_state()]
+    for _ in range(12):
+        ch = random_channel(rng, max_output_dim=4)
+        ensembles.append(channel_state(ch, random_prior(rng, ch)))
+        ensembles.append(subadditivity_joint(rng))
+        ch = kernel_channel(rng, 2)   # a state's trace is 1 + 5e-11
+        ensembles.append(channel_state(ch, random_prior(rng, ch)))
+    checked = count_checked_states(monkeypatch)
+    for e in ensembles:
+        dims = list(e.label_spaces) + [e.quantum_dim]
+        for sel in all_selectors(len(e.label_spaces)):
+            got = subsystem_entropy_dense(e, sel)
+            assert not checked
+            keep = sorted(sel.classical) + ([len(e.label_spaces)] if sel.quantum else [])
+            sigma = ops.partial_trace(e.dense_matrix, dims, keep)
+            assert ops.check_density(sigma, name="partial trace") is sigma
+            assert got == ops.entropy_bits(sigma)
+            checked.clear()
 
 
 # --- batched table against the per-block oracle ----------------------------------
@@ -508,7 +535,7 @@ def test_fano_mismatched_index_sets():
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_fano_rejects_non_finite_x_povm(bad):
     e = make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), 0.5, Z1)])
-    with pytest.raises(ValidationError, match=r"entries must lie in \[0, 1\]"):
+    with pytest.raises(ValidationError, match="^x_povm has non-finite entries$"):
         fano_bound_check(e, np.array([[1.0, bad], [0.0, 1.0]]), [Z0, Z1])
 
 

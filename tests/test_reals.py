@@ -1,7 +1,9 @@
-"""Caller real numbers (priors, mixture weights, rates, bounds, tolerances)
-are read by one rule, `operators.as_reals` and the two layers on it: every
-entry point refuses a bad real with a ValidationError that names the
-argument, and reads every real form a caller may pass as its float."""
+"""Caller real numbers (priors, mixture weights, rates, bounds, tolerances,
+atom probabilities, a diagonal POVM) are read by one rule, `operators.as_reals`
+and the two layers on it: every entry point refuses a bad real with a
+ValidationError that names the argument, and reads every real form a caller
+may pass as its float.  Caller operators are read by the same rule widened to
+complex (`operators.as_operator`), and every valid form gives the same bits."""
 
 import re
 
@@ -9,11 +11,12 @@ import numpy as np
 import pytest
 
 from qmac import coding
-from qmac.channel import Prior, channel_state, load_channel, reduced_channel
+from qmac.channel import Prior, channel_state, load_channel, make_ensemble, reduced_channel
 from qmac.checks import run_suites
 from qmac.coding import TenderInstrument, codebooks_from_seed, pgm_decoder, sizes_from_rates
-from qmac.entropy import check_subadditivity
-from qmac.operators import ValidationError, as_distribution, as_nonnegative, as_reals
+from qmac.entropy import check_subadditivity, fano_bound_check
+from qmac.operators import (ValidationError, as_distribution, as_nonnegative, as_operator,
+                            as_reals, entropy_bits, op_sqrt, partial_trace, trace_norm)
 from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint, all_corners,
                          constraint_set, corner_table, is_member, member_corners,
                          mixture_constraints, prior_tables, upper_boundary_2d)
@@ -60,6 +63,10 @@ def constraints():
     return constraint_set(qubit_pure_mac(), UNIFORM)
 
 
+def two_atoms(p=0.5):
+    return make_ensemble((2,), 2, [((0,), 0.5, Z0), ((1,), p, Z1)])
+
+
 # entry point: (name of the argument, the call with a bad real, refused bad reals)
 ENTRIES = {
     "prior": ("prior for sender 1", lambda bad: Prior(([0.5, 0.5], vector(bad))),
@@ -85,6 +92,13 @@ ENTRIES = {
     "member-tol": ("tol", lambda bad: is_member(RatePoint((0.0, 0.0)), constraints(), bad), BAD),
     "corners-tol": ("tol", lambda bad: member_corners(constraints(), bad), BAD),
     "check-tol": ("tol", lambda bad: run_suites("region", 1, 0, bad), BAD),
+    # the atom's own rule refuses a negative probability, below -1e-10
+    "atom-probability": ("atom (1,) probability", two_atoms,
+                         {k: v for k, v in BAD.items() if k != "negative"}),
+    # and the POVM's own rule an entry outside [0, 1]
+    "fano-x-povm": ("x_povm", lambda bad: fano_bound_check(
+        two_atoms(), [[1.0, 0.0], vector(bad, 0.0)], [Z0, Z1]),
+        {k: v for k, v in BAD.items() if k != "negative"}),
 }
 CASES = [(entry, case) for entry, (_, _, bad) in ENTRIES.items() for case in bad]
 
@@ -115,6 +129,28 @@ def test_subadditivity_q_of_another_shape_is_refused_as_before():
 def test_tender_weights_of_another_size_are_refused():
     with pytest.raises(ValidationError, match="^weights has 1 entries, expected 2$"):
         coding.tender_bound_check([(0, Z0), (1, Z1)], instrument(), weights=[1.0])
+
+
+@pytest.mark.parametrize("tol", [[1e-9], np.zeros((1, 1)), [0.0, 1e-9]])
+@pytest.mark.parametrize("entry", ["member-tol", "corners-tol", "check-tol"])
+def test_a_tolerance_that_is_not_one_number_is_refused(entry, tol):
+    # not a bare TypeError from float() of an array
+    with pytest.raises(ValidationError, match=r"^tol must be one number, got shape \("):
+        ENTRIES[entry][1](tol)
+
+
+def test_an_atom_probability_that_is_not_one_number_is_refused():
+    with pytest.raises(ValidationError,
+                       match=r"^atom \(1,\) probability must be one number, got shape \(1,\)$"):
+        two_atoms([0.5])
+
+
+def test_an_atom_probability_keeps_its_own_rules():
+    with pytest.raises(ValidationError, match=r"^atom \(1,\) has negative probability -1\.000e-09$"):
+        two_atoms(-1e-9)
+    # tolerated down to -1e-10, and dropped below the floor
+    e = make_ensemble((2,), 2, [((0,), 1.0, Z0), ((1,), -1e-11, Z1)])
+    assert [(label, p) for label, p, _ in e.atoms] == [((0,), 1.0)]
 
 
 def test_a_tolerance_of_zero_is_accepted():
@@ -207,3 +243,94 @@ def test_only_a_prior_passes_as_a_prior(entry, prior, kind):
     with pytest.raises(ValidationError, match=f"^prior must be a Prior, got {kind}$"):
         PRIOR_ENTRIES[entry](qubit_pure_mac(), prior)
     PRIOR_ENTRIES[entry](qubit_pure_mac(), UNIFORM)
+
+
+def test_atom_probabilities_and_x_povm_read_each_real_form_as_its_float():
+    want = two_atoms(0.5)
+    for p in (np.float32(0.5), np.float64(0.5), np.array(0.5)):
+        got = two_atoms(p)
+        assert [(label, q, type(q)) for label, q, _ in got.atoms] == [
+            (label, q, float) for label, q, _ in want.atoms]
+    e = make_ensemble((2,), 2, [((0,), True, Z0), ((1,), 0, Z1)])
+    assert [(label, p) for label, p, _ in e.atoms] == [((0,), 1.0)]
+    want = fano_bound_check(want, [[1.0, 0.0], [0.0, 1.0]], [Z0, Z1])
+    for x_povm in ([[1, 0], [0, 1]], [[True, False], [False, True]], np.eye(2, dtype=np.float32),
+                   [[np.float32(1), np.array(0.0)], [0, np.int64(1)]]):
+        assert fano_bound_check(two_atoms(), x_povm, [Z0, Z1]) == want
+
+
+# --- caller operators: the same rule, widened to complex ---------------------------
+
+IDENTITY = np.eye(2, dtype=complex)
+# entry point: (the name its messages give the operator, the call on one operator)
+OPERATOR_ENTRIES = {
+    "as-operator": ("matrix", as_operator),
+    "entropy-bits": ("state", lambda a: entropy_bits(a)),
+    "op-sqrt": ("operator", lambda a: op_sqrt(a)),
+    "trace-norm": ("operator", lambda a: trace_norm(a)),
+    "partial-trace": ("matrix", lambda a: partial_trace(a, [2], [0])),
+    "pgm-decoder": ("PGM state 1", lambda a: pgm_decoder([(0, Z0), (1, a)])),
+    "fano-y-povm": ("y_povm element 1", lambda a: fano_bound_check(
+        two_atoms(), np.eye(2), [np.diag([0.5, 0.5]), a])),
+}
+# each bad operator; the string one would read as the identity if parsed
+NOT_OPERATORS = {
+    "strings": [["1", "0"], ["0", "1"]],
+    "none": None,
+    "none-entry": [[1.0, None], [0.0, 1.0]],
+    "object": np.array([[1, 0], [0, 1]], dtype=object),
+    "ragged": [[1, 2], [3]],
+    "ragged-entry": [[1.0, 0.0], [0.0, [1.0]]],
+}
+OPERATOR_CASES = [(e, c) for e in OPERATOR_ENTRIES for c in NOT_OPERATORS]
+
+
+@pytest.mark.parametrize("entry, case", OPERATOR_CASES,
+                         ids=[f"{e}-{c}" for e, c in OPERATOR_CASES])
+def test_a_bad_operator_is_refused_naming_its_argument(entry, case):
+    # not parsed from strings, and not numpy's bare ValueError for ragged nesting
+    what, enter = OPERATOR_ENTRIES[entry]
+    with pytest.raises(ValidationError, match=f"^{re.escape(what)} must hold numbers$"):
+        enter(NOT_OPERATORS[case])
+
+
+@pytest.mark.parametrize("entry", OPERATOR_ENTRIES)
+def test_a_non_finite_operator_is_refused_as_before(entry):
+    what, enter = OPERATOR_ENTRIES[entry]
+    for bad in (np.nan, complex(0, np.inf), complex(np.inf, np.nan)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(what)} has non-finite entries$"):
+            enter([[0.5, 0.0], [0.0, bad]])
+
+
+# the mixed state diag(1/2, 1/2), in each number form a caller may pass
+OPERATOR_FORMS = [
+    [[0.5, 0], [0, 0.5]],
+    [[0.5 + 0j, 0j], [0j, 0.5 + 0j]],
+    [[np.float32(0.5), 0], [np.int64(0), np.float64(0.5)]],
+    [[np.array(0.5), False], [np.complex64(0), np.array(0.5 + 0j)]],
+    np.diag(np.array([0.5, 0.5], dtype=np.float32)),
+]
+
+
+def test_the_operator_rule_reads_each_number_form_as_its_complex():
+    want = np.diag([0.5, 0.5]).astype(complex)
+    for a in OPERATOR_FORMS + [want]:
+        got = as_operator(a)
+        assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    assert as_operator([[1, 0], [0, True]]).tobytes() == IDENTITY.tobytes()
+    assert as_operator(want) is want   # a complex matrix is not copied
+
+
+@pytest.mark.parametrize("entry", OPERATOR_ENTRIES)
+def test_every_number_form_of_an_operator_gives_the_same_bits(entry):
+    _, enter = OPERATOR_ENTRIES[entry]
+
+    def result(a):
+        out = enter(a)
+        if entry == "pgm-decoder":
+            return [(lab, m.tobytes()) for lab, m in out.elements]
+        return np.asarray(out).tobytes()
+
+    want = result(np.diag([0.5, 0.5]).astype(complex))
+    for a in OPERATOR_FORMS:
+        assert result(a) == want
