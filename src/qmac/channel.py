@@ -333,7 +333,7 @@ def make_ensemble(label_spaces: Sequence[int], quantum_dim: int,
         total += p
         if p < ATOM_FLOOR:
             continue
-        rho = np.array(rho, dtype=complex)   # a copy, so the caller cannot change it
+        rho = np.array(ops._complex(rho, f"atom {label_t}"))   # a copy: the caller's stays theirs
         if rho.shape != (d, d):
             raise ValidationError(f"atom {label_t}: state shape {rho.shape}, expected ({d}, {d})")
         rho.setflags(write=False)
@@ -515,13 +515,17 @@ def precompose_qq(input_states: Sequence[Sequence[np.ndarray]],
         dims.append(mats[0].shape[0])
     dim_in = int(np.prod(dims))
     if choi is not None:
+        choi = ops.as_operator(choi, "Choi matrix")
         dim_out_sq = choi.shape[0] // dim_in if choi.shape[0] % dim_in == 0 else 0
         if dim_out_sq < 1:
             raise ValidationError("Choi matrix dimension is not a multiple of the input dimension")
         kraus = kraus_from_choi(choi, dim_in, dim_out_sq)
-    mats = [np.asarray(k, dtype=complex) for k in kraus]
+    mats = [ops._complex(k, f"Kraus operator {j}") for j, k in enumerate(kraus)]
     if not mats:
         raise ValidationError("empty Kraus list")
+    for j, k in enumerate(mats):
+        if k.ndim != 2:
+            raise ValidationError(f"Kraus operator {j} must be a matrix, got shape {k.shape}")
     if len({k.shape[1] for k in mats}) != 1 or mats[0].shape[1] != dim_in:
         raise ValidationError(
             f"Kraus operators must have {dim_in} columns to match the input states"

@@ -161,8 +161,9 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
     keys its memo), and ensemble p adds sum_g mass_pg S[key_p, g].  At the
     full mask no factor averages: the group states are the letter states,
     one stack for every ensemble.  Group states are formed in chunks of
-    keys, masses and Shannon parts in chunks of ensembles (`config.chunks`),
-    and a row does not depend on the other ensembles of the stack.
+    keys, a stack of group states the item; masses and Shannon parts in
+    chunks of ensembles, a row of label weights the item (`config.chunks`).
+    A row does not depend on the other ensembles of the stack.
     """
     num = factors[0].shape[0]
     spaces = states.shape[:-2]
@@ -184,7 +185,7 @@ def entropy_tables(factors: Sequence[np.ndarray], states: np.ndarray) -> np.ndar
         group_h = [_group_entropies([i for i, a in enumerate(axes) if a & ~mask], factors,
                                     row_bytes, states, kept[mask], summed[mask], item)
                    for mask in range(1 << s)]
-    for rows in chunks(num, item):
+    for rows in chunks(num, 8 * int(np.prod(spaces))):
         w = functools.reduce(np.multiply, (f[rows] for f in factors))
         w = np.where(w >= ATOM_FLOOR, w, 0.0)
         for mask, by_key in enumerate(group_h):

@@ -70,6 +70,13 @@ def _numeric(values, what: str, kinds: str, numbers: str) -> np.ndarray:
     return a
 
 
+def _complex(values, what: str) -> np.ndarray:
+    """A caller's number, or array of numbers of any shape, as a complex array,
+    read by the `as_reals` rule widened to complex (`_numeric`); its shape and
+    finiteness are the caller's to check."""
+    return np.asarray(_numeric(values, what, "biufc", "numbers"), dtype=complex)
+
+
 def as_reals(values, what: str) -> np.ndarray:
     """A caller's number, or array of numbers of any shape, as a float array:
     ints, bools and numpy reals pass, but a string, None, a complex value or
@@ -127,7 +134,7 @@ def as_operator(a, name: str = "matrix") -> np.ndarray:
     widened to complex: ints, bools, reals and complex values pass, but a
     string, None, an object array or ragged nesting raises ValidationError
     naming `name`, as does a NaN or inf entry."""
-    a = np.asarray(_numeric(a, name, "biufc", "numbers"), dtype=complex)
+    a = _complex(a, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):

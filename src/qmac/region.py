@@ -66,6 +66,16 @@ class RateConstraintSet:
         as_nonnegative(list(self.bounds.values()), "bounds")
 
 
+def _computed_set(s: int, bounds: dict[int, float]) -> RateConstraintSet:
+    """A RateConstraintSet of bounds the region engine computed: one Python
+    float per nonempty subset mask of s senders, in mask order, each finite
+    and nonnegative, so the constructor's checks are not run again."""
+    cs = object.__new__(RateConstraintSet)
+    object.__setattr__(cs, "s", s)
+    object.__setattr__(cs, "bounds", bounds)
+    return cs
+
+
 def check_mixture_size(count: int) -> None:
     """Refuse a mixture of more than `config.DEFAULT_MAX_GRID_POINTS`
     components, the prior cap of a sweep."""
@@ -138,18 +148,27 @@ def constraint_set(ch: CqMacChannel, prior: Prior | None, *,
     `entropy.mutual_information` is their oracle.
 
     `table` is the prior's (2^s, 2) row of a `prior_tables` call with other
-    priors; `prior` is then not read and may be None.
+    priors, a float array; `prior` is then not read and may be None.  The
+    bounds are checked here, once: `entropy.clamp_mi` clamps each in mask
+    order, then a non-finite one is refused, and the set is built without
+    running `RateConstraintSet`'s checks on them again.
     """
+    s = ch.s
     if table is None:
         if prior is None:
             raise ValidationError("constraint_set needs a prior, or its table row as table=")
         (table,) = prior_tables(ch, [prior])
-    table, s = table.tolist(), ch.s
+    elif not (isinstance(table, np.ndarray) and table.dtype.kind == "f"
+              and table.shape == (1 << s, 2)):
+        raise ValidationError(f"table must be a float array of shape ({1 << s}, 2)")
+    table = table.tolist()
     bounds = {
         mask: ent.clamp_mi(ent.table_mi(table, mask, s), f"bound for mask {mask}")
         for mask in range(1, 1 << s)
     }
-    return RateConstraintSet(s, bounds)
+    if not all(map(math.isfinite, bounds.values())):
+        raise ValidationError("bounds has non-finite entries")
+    return _computed_set(s, bounds)
 
 
 def _check_perm(perm: Sequence[int], s: int) -> tuple[int, ...]:
@@ -282,7 +301,9 @@ def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec) -> RateConstraintSet
     """Weighted average of the component constraint sets (mixture outer bound):
     the bounds of time sharing over the component priors, for any number of
     components `MixtureSpec` accepts.  Components of weight 0 are skipped;
-    the others' tables come from one `prior_tables` call.
+    the others' tables come from one `prior_tables` call.  The weights are a
+    checked distribution and each `constraint_set` checked its bounds, so
+    the sums are finite and nonnegative and are not checked again.
     """
     bounds = {mask: 0.0 for mask in range(1, 1 << ch.s)}
     live = [(w, prior) for w, prior in mix.components if w != 0.0]
@@ -291,7 +312,7 @@ def mixture_constraints(ch: CqMacChannel, mix: MixtureSpec) -> RateConstraintSet
         cs = constraint_set(ch, prior, table=table)
         for mask in bounds:
             bounds[mask] += weight * cs.bounds[mask]
-    return RateConstraintSet(ch.s, bounds)
+    return _computed_set(ch.s, bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +381,10 @@ def boundary_sweep(ch: CqMacChannel, resolution: int) -> Sweep:
     diagonalizes each sender subset's group states once per composition
     tuple of the senders averaged out (729 states for three binary senders
     at resolution 6, against 9,261 taken prior by prior).  Each prior's
-    bounds come from its `constraint_set`, which also rejects a non-finite
-    table entry; its corners are read off the tables, chunk by chunk, by
-    `table_corners`, in chunks of as many priors as `config.CHUNK_BYTES`
-    holds s! x s corner rates.
+    bounds come from its `constraint_set`, where they are checked, once:
+    clamped, and refused when non-finite.  Its corners are read off the
+    tables, chunk by chunk, by `table_corners`, in chunks of as many priors
+    as `config.CHUNK_BYTES` holds s! x s corner rates.
     The convex hull of all corners plus the origin under-approximates the
     capacity region and grows monotonically under grid refinement.
     """

@@ -623,6 +623,31 @@ def grid_priors(alphabet_sizes, resolution) -> list:
     return [Prior(tuple(vs)) for vs in itertools.product(*per_sender)]
 
 
+def constraint_set_checked(ch, prior, table=None) -> region.RateConstraintSet:
+    """`qmac.region.constraint_set` in the form that read every bound back
+    through the public `RateConstraintSet` constructor and its checks."""
+    if table is None:
+        (table,) = region.prior_tables(ch, [prior])
+    table, s = table.tolist(), ch.s
+    bounds = {
+        mask: ent.clamp_mi(ent.table_mi(table, mask, s), f"bound for mask {mask}")
+        for mask in range(1, 1 << s)
+    }
+    return region.RateConstraintSet(s, bounds)
+
+
+def mixture_constraints_checked(ch, mix) -> region.RateConstraintSet:
+    """`qmac.region.mixture_constraints` on `constraint_set_checked`, the
+    weighted sums read back through the public constructor."""
+    bounds = {mask: 0.0 for mask in range(1, 1 << ch.s)}
+    for weight, prior in mix.components:
+        if weight != 0.0:
+            cs = constraint_set_checked(ch, prior)
+            for mask in bounds:
+                bounds[mask] += weight * cs.bounds[mask]
+    return region.RateConstraintSet(ch.s, bounds)
+
+
 def corner_table_loop(ch, prior, table=None) -> dict:
     """`qmac.region.corner_table` one decode order and one stage at a time:
     stage i decodes sender perm[i] with R = H(X_k) + H(X_A, Y) - H(X_A + k, Y),
@@ -672,12 +697,12 @@ def member_corners_loop(cs, tol) -> list:
 
 def sweep_loop(ch, resolution) -> list:
     """`qmac.region.boundary_sweep` one validated prior at a time: each grid
-    prior's bounds from `constraint_set` and its corners from `corners_loop`,
-    both off the prior's entropy table.  One
+    prior's bounds from `constraint_set_checked` and its corners from
+    `corners_loop`, both off the prior's entropy table.  One
     (prior id, prior, constraint set, ((perm, RatePoint), ...)) per prior."""
     priors = grid_priors(ch.sender_alphabets, resolution)
     return [
-        (idx, prior, region.constraint_set(ch, prior, table=table),
+        (idx, prior, constraint_set_checked(ch, prior, table),
          tuple(corners_loop(ch, prior, table)))
         for idx, (prior, table) in enumerate(zip(priors, region.prior_tables(ch, priors)))
     ]

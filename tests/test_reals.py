@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from qmac import coding
-from qmac.channel import Prior, channel_state, load_channel, make_ensemble, reduced_channel
+from qmac.channel import (Prior, channel_state, load_channel, make_ensemble, precompose_qq,
+                          reduced_channel)
 from qmac.checks import run_suites
 from qmac.coding import TenderInstrument, codebooks_from_seed, pgm_decoder, sizes_from_rates
 from qmac.entropy import check_subadditivity, fano_bound_check
@@ -272,6 +273,7 @@ OPERATOR_ENTRIES = {
     "pgm-decoder": ("PGM state 1", lambda a: pgm_decoder([(0, Z0), (1, a)])),
     "fano-y-povm": ("y_povm element 1", lambda a: fano_bound_check(
         two_atoms(), np.eye(2), [np.diag([0.5, 0.5]), a])),
+    "atom-state": ("atom (0,)", lambda a: make_ensemble((1,), 2, [((0,), 1.0, a)])),
 }
 # each bad operator; the string one would read as the identity if parsed
 NOT_OPERATORS = {
@@ -329,8 +331,44 @@ def test_every_number_form_of_an_operator_gives_the_same_bits(entry):
         out = enter(a)
         if entry == "pgm-decoder":
             return [(lab, m.tobytes()) for lab, m in out.elements]
+        if entry == "atom-state":
+            return out.atoms[0][2].tobytes()
         return np.asarray(out).tobytes()
 
     want = result(np.diag([0.5, 0.5]).astype(complex))
     for a in OPERATOR_FORMS:
         assert result(a) == want
+
+
+# --- Kraus operators: the operator rule, each a matrix of any shape ------------------
+
+def identity_channel(**operation):
+    return precompose_qq([[Z0, Z1]], **operation).states.tobytes()
+
+
+@pytest.mark.parametrize("case", NOT_OPERATORS)
+def test_a_bad_kraus_operator_is_refused_naming_it(case):
+    with pytest.raises(ValidationError, match="^Kraus operator 1 must hold numbers$"):
+        precompose_qq([[Z0, Z1]], kraus=[Z0, NOT_OPERATORS[case]])
+
+
+@pytest.mark.parametrize("kraus, message", [
+    ([[1, 0]], "Kraus operator 0 must be a matrix, got shape (2,)"),
+    ([IDENTITY, 1.0], "Kraus operator 1 must be a matrix, got shape ()"),
+    (IDENTITY, "Kraus operator 0 must be a matrix, got shape (2,)"),   # not in a list
+], ids=["1-d", "scalar", "bare"])
+def test_a_kraus_operator_that_is_not_a_matrix_is_refused(kraus, message):
+    # not IndexError: tuple index out of range
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        precompose_qq([[Z0, Z1]], kraus=kraus)
+
+
+def test_every_number_form_of_a_kraus_list_or_choi_matrix_gives_the_same_channel():
+    want = identity_channel(kraus=[IDENTITY])
+    for k in ([[1, 0], [0, 1]], [[True, False], [False, True]], np.eye(2, dtype=np.float32),
+              [[np.float64(1), np.complex64(0)], [np.array(0), 1 + 0j]]):
+        assert identity_channel(kraus=[k]) == want
+    choi = [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]   # of the identity map
+    assert identity_channel(choi=choi) == identity_channel(choi=np.array(choi, dtype=complex))
+    with pytest.raises(ValidationError, match="^Choi matrix must hold numbers$"):
+        identity_channel(choi=[["1", "0"], ["0", "1"]])

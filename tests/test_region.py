@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from qmac.region import (MixtureSpec, RateConstraintSet, RatePoint,
                          member_corners, mixture_constraints, prior_grid, prior_tables,
                          upper_boundary_2d)
 
-from oracles import (classical_bound, classical_corner, classical_joint, corner_table_loop,
-                     corners_loop, count_checked_states, dedup_points, entropy_tables_full,
-                     hull_member_2d, info_report, member_corners_loop, point_mass_prior,
+from oracles import (classical_bound, classical_corner, classical_joint, constraint_set_checked,
+                     corner_table_loop, corners_loop, count_checked_states, dedup_points,
+                     entropy_tables_full, grid_priors, hull_member_2d, info_report,
+                     member_corners_loop, mixture_constraints_checked, point_mass_prior,
                      random_diagonal_channel, signed, sweep_loop)
 
 TWO_STATE_CHI = 0.6008760366928562
@@ -74,6 +76,79 @@ def test_constraint_set_without_a_prior_or_a_table_names_both():
     # None is a prior only beside a table row; alone it is refused as such
     with pytest.raises(ValidationError, match="needs a prior, or its table row as table="):
         constraint_set(adder(), None)
+
+
+def same_set(got, want):
+    """Equal sets, bit for bit and in key order, of Python floats."""
+    assert type(got) is RateConstraintSet and got == want and got.s == want.s
+    assert [(mask, b.hex()) for mask, b in got.bounds.items()] == [
+        (mask, b.hex()) for mask, b in want.bounds.items()]
+    assert all(type(b) is float for b in got.bounds.values())
+
+
+def test_computed_sets_equal_publicly_constructed_ones():
+    # the engine builds its sets past the constructor's checks; each equals the
+    # set the constructor builds of its bounds, and the checked form's set
+    rng = np.random.default_rng(96)
+    for trial in range(30):
+        ch = random_channel(rng, max_senders=4, max_output_dim=5)
+        priors = [random_prior(rng, ch) for _ in range(3)]
+        for prior, table in zip(priors, prior_tables(ch, priors)):
+            cs = constraint_set(ch, prior)
+            same_set(cs, RateConstraintSet(cs.s, dict(cs.bounds)))
+            same_set(cs, constraint_set_checked(ch, prior))
+            same_set(constraint_set(ch, None, table=table), cs)
+        weights = rng.dirichlet(np.ones(3))
+        if trial % 3 == 0:   # a component of weight 0 is skipped
+            weights = np.array([0.0, weights[1], 1.0 - weights[1]])
+        mix = MixtureSpec(tuple(zip(weights.tolist(), priors)))
+        mixed = mixture_constraints(ch, mix)
+        same_set(mixed, RateConstraintSet(mixed.s, dict(mixed.bounds)))
+        same_set(mixed, mixture_constraints_checked(ch, mix))
+
+
+def uniform_row(ch):
+    return prior_tables(ch, [Prior.uniform(ch.sender_alphabets)])[0]
+
+
+def zero_row(ch):
+    return np.zeros((1 << ch.s, 2))
+
+
+@pytest.mark.parametrize("row, entries, message", [
+    (uniform_row, {(1, 0): np.nan}, "bounds has non-finite entries"),
+    (uniform_row, {(2, 1): np.inf}, "bounds has non-finite entries"),
+    (uniform_row, {(1, 0): -np.inf}, "bound for mask 1: mutual information -inf below -1e-9"),
+    (uniform_row, {(3, 1): np.inf}, "bound for mask 1: mutual information -inf below -1e-9"),
+    (zero_row, {(2, 0): -2e-9}, "bound for mask 2: mutual information -2e-09 below -1e-9"),
+    # every mask is clamped before a non-finite bound is refused
+    (zero_row, {(1, 0): np.nan, (3, 0): -2e-9},
+     "bound for mask 3: mutual information -2e-09 below -1e-9"),
+], ids=["nan", "inf", "-inf", "inf-subtracted", "below-clamp", "clamp-before-finite"])
+def test_a_bad_table_row_raises_the_message_of_the_checked_form(row, entries, message):
+    ch = load_channel("qubit-pure-mac")
+    table = row(ch).copy()
+    for entry, value in entries.items():
+        table[entry] = value
+    with pytest.raises(ValidationError) as want:
+        constraint_set_checked(ch, None, table)
+    assert str(want.value) == message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        constraint_set(ch, None, table=table)
+
+
+@pytest.mark.parametrize("row", [
+    lambda t: t.tolist(), lambda t: t[:3], lambda t: t.ravel(), lambda t: t.astype(complex),
+    lambda t: t.astype(int), lambda t: t.astype(object),
+], ids=["list", "(3, 2)", "flat", "complex", "int", "object"])
+def test_a_table_row_that_is_not_a_float_table_is_refused_naming_table(row):
+    # not AttributeError, IndexError or TypeError from deep in the bound loop
+    ch = load_channel("qubit-pure-mac")
+    with pytest.raises(ValidationError,
+                       match=f"^{re.escape('table must be a float array of shape (4, 2)')}$"):
+        constraint_set(ch, None, table=row(uniform_row(ch)))
+    table = uniform_row(ch).astype(np.float32)   # any float array of the shape passes
+    assert list(constraint_set(ch, None, table=table).bounds) == [1, 2, 3]
 
 
 # --- corners ---------------------------------------------------------------------
@@ -313,6 +388,22 @@ def test_memo_tables_equal_one_prior_tables_bit_for_bit():
             got[0][-1][1] = 99.0   # a fresh array: a caller cannot change the memo
         assert table_bytes(prior_tables(ch, priors)) == alone
         assert len(ch.table_memo) == len(priors)
+
+
+def test_rows_of_a_stack_of_several_shannon_chunks_equal_one_prior_rows(monkeypatch):
+    # the masses and Shannon parts are chunked by a row of label weights, 8
+    # bytes per letter tuple: 2,048 priors of qubit-pure-mac's 4 tuples a chunk
+    ch = load_channel("qubit-pure-mac")
+    priors = grid_priors(ch.sender_alphabets, 50)
+    passes = []
+    chunks = entropy.chunks
+    monkeypatch.setattr(entropy, "chunks", lambda count, item: passes.append(
+        (count, len(list(chunks(count, item))))) or chunks(count, item))
+    stack = prior_tables(ch, priors)
+    monkeypatch.undo()
+    assert len(priors) == 2601 and (2601, 2) in passes
+    solo = CqMacChannel(ch.sender_alphabets, ch.output_dim, ch.states)
+    assert table_bytes(stack) == [table_bytes(prior_tables(solo, [p]))[0] for p in priors]
 
 
 def test_prior_tables_are_a_fresh_array_of_the_memo_rows():
