@@ -400,6 +400,21 @@ def block_states(table: np.ndarray, letters: np.ndarray) -> np.ndarray:
     return ops.tensor_all(states[..., k, :, :] for k in range(letters.shape[-2]))
 
 
+def _letter_factors(table: np.ndarray) -> np.ndarray:
+    """Factor of each state of a letter table (..., d, d) of checked states,
+    shape (..., d, r).
+
+    A factor's columns are its state's eigenvectors times the roots of their
+    eigenvalues above SUPPORT_FLOOR, so factor times adjoint is the state; r
+    is the table's largest such rank, and lower-rank letters are padded with
+    zero columns.
+    """
+    w, v = ops.eig_hermitian(table, hermitian=True)   # ascending
+    on = w > ops.SUPPORT_FLOOR
+    rank = int(on.sum(axis=-1).max())
+    return (v * np.sqrt(np.where(on, w, 0.0))[..., None, :])[..., -rank:]
+
+
 @dataclass(frozen=True)
 class BlockChannel:
     """n-letter extension of a channel, evaluated lazily per word tuple.
@@ -431,17 +446,9 @@ class BlockChannel:
 
     @functools.cached_property
     def letter_factors(self) -> np.ndarray:
-        """Factor of each letter-tuple state, shape (a_1, ..., a_s, d, r).
-
-        A factor's columns are its state's eigenvectors times the roots of
-        their eigenvalues above SUPPORT_FLOOR, so factor times adjoint is the
-        state; r is the largest such rank, and lower-rank letters are padded
-        with zero columns.  Built once per block channel, on first use.
-        """
-        w, v = ops.eig_hermitian(self.base.states, hermitian=True)   # ascending
-        on = w > ops.SUPPORT_FLOOR
-        rank = int(on.sum(axis=-1).max())
-        factors = (v * np.sqrt(np.where(on, w, 0.0))[..., None, :])[..., -rank:]
+        """`_letter_factors` of the channel's table, shape (a_1, ..., a_s, d, r),
+        built once per block channel, on first use."""
+        factors = _letter_factors(self.base.states)
         factors.setflags(write=False)
         return factors
 
@@ -526,6 +533,8 @@ def precompose_qq(input_states: Sequence[Sequence[np.ndarray]],
     for j, k in enumerate(mats):
         if k.ndim != 2:
             raise ValidationError(f"Kraus operator {j} must be a matrix, got shape {k.shape}")
+        if not np.isfinite(k).all():   # a NaN would pass the completeness test below
+            raise ValidationError(f"Kraus operator {j} has non-finite entries")
     if len({k.shape[1] for k in mats}) != 1 or mats[0].shape[1] != dim_in:
         raise ValidationError(
             f"Kraus operators must have {dim_in} columns to match the input states"

@@ -13,7 +13,11 @@ The word states `average_error` evaluates run as factors instead: a word
 state is a Kronecker product of letter states, so it is F F† with r^n
 columns in F (one on a pure-state channel), and the chain is
 F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
-(`tests/oracles.average_error_loop`) within 1e-12.
+(`tests/oracles.average_error_loop`) within 1e-12.  A stage whose L
+candidates span fewer than d^n directions by their letter ranks (L r^n <
+d^n, r the largest rank in the stage's letter table) takes each PGM's
+inverse root from the Gram matrix of the candidates' factors, without
+forming their average (`pgm_decoder`); its elements and roots stay dense.
 
 Message tuples with the same words have the same values, so `average_error`
 runs each distinct word tuple once, as the tuple of the first messages with
@@ -39,7 +43,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import operators as ops
-from .channel import BlockChannel, CqMacChannel, Prior, block_states, reduced_channel
+from .channel import (BlockChannel, CqMacChannel, Prior, _letter_factors, block_states,
+                      reduced_channel)
 from .config import (DEFAULT_MAX_MESSAGES, TASK_OPERATORS, THREAD_BYTES, CapExceeded,
                      chunks, per_chunk)
 from .operators import (ValidationError, as_block_length, as_distribution, as_index,
@@ -291,7 +296,8 @@ def _average(rebuild: Callable[[np.ndarray], np.ndarray], w: np.ndarray) -> np.n
 
 
 def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
-                rebuild: Callable[[np.ndarray], np.ndarray] | None = None) -> Povm:
+                rebuild: Callable[[np.ndarray], np.ndarray] | None = None,
+                _factors: np.ndarray | None = None) -> Povm:
     """Square-root measurement of a family of k equally likely states.
 
     With S their average, each element is S^{-1/2} (rho_c / k) S^{-1/2} on
@@ -306,7 +312,11 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
     `rebuild(idx)` builds the stacked states of an index array.  Passing it
     says the states are built from checked ones (as the sequential decoder
     builds its candidates): `states` then holds only their labels, and
-    nothing is checked.
+    nothing is checked.  With it the sequential decoder passes `_factors`,
+    the (k, D, m) stack of factors F_c of its states (rho_c = F_c F_c†), for
+    a stage where k m < D: S^{-1/2}, and FAIL's projector on read, then come
+    from the Gram matrix of A = [F_c / sqrt(k)] (`ops._gram_power`), and
+    the PGM keeps A in place of building S again.
     """
     if not len(states):
         raise ValidationError("pretty-good measurement needs at least one state")
@@ -319,7 +329,11 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
             raise ValidationError("PGM states must share one dimension")
         rebuild = np.stack(mats).__getitem__
     k, w = len(labels), np.full(len(labels), 1.0 / len(labels))
-    inv_root, off = ops.pinv_sqrt(_average(rebuild, w), PGM_SUPPORT_RTOL, hermitian=True)
+    # A's columns: candidate c's factor columns times sqrt(w_c), c by c
+    a = (None if _factors is None else
+         (_factors * np.sqrt(w[0])).transpose(1, 0, 2).reshape(_factors.shape[1], -1))
+    inv_root, off = (ops.pinv_sqrt(_average(rebuild, w), PGM_SUPPORT_RTOL, hermitian=True)
+                     if a is None else ops._gram_power(a, -1.5, PGM_SUPPORT_RTOL))
 
     def form(idx: np.ndarray) -> list[np.ndarray]:
         """Elements of the sorted outcomes `idx`, where FAIL's, k, sorts last."""
@@ -327,7 +341,8 @@ def pgm_decoder(states: Sequence[tuple[Hashable, np.ndarray]], *,
         cand = idx[:len(idx) - fail]
         out = [*ops.hermitize(inv_root @ (rebuild(cand) * w[cand, None, None]) @ inv_root)]
         if fail:
-            proj = ops.support_projector(_average(rebuild, w), PGM_SUPPORT_RTOL, hermitian=True)
+            proj = (ops.support_projector(_average(rebuild, w), PGM_SUPPORT_RTOL, hermitian=True)
+                    if a is None else ops._gram_power(a, -1.0, PGM_SUPPORT_RTOL)[0])
             out.append(ops.hermitize(np.eye(len(inv_root)) - proj))
         return out
 
@@ -468,6 +483,14 @@ class SequentialDecoder:
             self._first.append(first[inverse.ravel()])
         # letter table for stage i: senders 0..i explicit, senders > i averaged
         self._stage_tables = [reduced_channel(ch, prior, range(i + 1)) for i in range(ch.s)]
+        # its letter factors where its L candidates, of rank at most r^n each,
+        # span fewer than d^n directions (L r^n < d^n): that stage's PGMs take
+        # their inverse root in Gram form (`pgm_decoder`), the others densely
+        dim, self._stage_factors = self.block.output_dim, []
+        for table, words in zip(self._stage_tables, self._words):
+            f = _letter_factors(table) if len(words) < dim else None
+            low = f is not None and len(words) * f.shape[-1] ** self.n < dim
+            self._stage_factors.append(f if low else None)
         self._cache: dict[tuple[int, tuple[tuple[int, ...], ...]], TenderInstrument] = {}
 
     def _stage_letters(self, stage: int, prefix_words) -> tuple[np.ndarray, np.ndarray]:
@@ -514,8 +537,10 @@ class SequentialDecoder:
         """The instrument of a cache key, built without reading or writing
         the cache, so that builds can run at once."""
         table, letters = self._stage_letters(*key)
+        factors = self._stage_factors[key[0]]
         povm = pgm_decoder(range(len(letters)),
-                           rebuild=lambda idx: block_states(table, letters[idx]))
+                           rebuild=lambda idx: block_states(table, letters[idx]),
+                           _factors=None if factors is None else block_states(factors, letters))
         return TenderInstrument.from_povm(povm)
 
 

@@ -305,8 +305,8 @@ def check_subadditivity(v1: Sequence[np.ndarray], v2: Sequence[np.ndarray], q) -
     if q.shape != (len(v1), len(v2)):
         raise ValidationError(f"q must have shape ({len(v1)}, {len(v2)}), got {q.shape}")
     q = as_distribution(q, "q").reshape(q.shape)
-    d1 = np.asarray(v1[0]).shape[0]
-    d2 = np.asarray(v2[0]).shape[0]
+    # each factor's dimension is that of its first state, read as a caller's operator
+    d1, d2 = (len(ops.as_operator(v[0], "atom (0,)")) for v in (v1, v2))
     e1 = make_ensemble((len(v1),), d1, (((a1,), q[a1].sum(), v1[a1]) for a1 in range(len(v1))))
     e2 = make_ensemble((len(v2),), d2, (((a2,), q[:, a2].sum(), v2[a2]) for a2 in range(len(v2))))
     # products of checked factors are states, so the joint ensemble is built as

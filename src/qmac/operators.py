@@ -292,6 +292,19 @@ def support_projector(a, support_rtol: float = 0.0, *, hermitian: bool = False) 
     return hermitize((v * on.astype(float)) @ v.conj().T)
 
 
+def _gram_power(f: np.ndarray, power: float, support_rtol: float) -> tuple[np.ndarray, int]:
+    """f G^power f† for a (D, m) factor f of S = f f†, the power taken on the support
+    (`_support`) of its Gram matrix G = f†f, and the null-space dimension of S.
+
+    S and G share their nonzero spectrum, so power -3/2 gives `pinv_sqrt(S)` and
+    power -1 `support_projector(S)` from an m x m eigensolve (Hausladen et al.
+    1996): with G = V L V†, it is B B† for B = f V L^{power/2}, PSD by construction.
+    """
+    w, v, on = _support(f.conj().T @ f, support_rtol, True)
+    b = f @ (v * np.where(on, np.where(on, w, 1.0) ** (power / 2), 0.0))
+    return hermitize(b @ b.conj().T), int(len(f) - np.count_nonzero(on))
+
+
 def entropy_bits(rho) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0 log 0 := 0."""
     return _entropy_bits(check_density(rho))

@@ -6,6 +6,7 @@ may pass as its float.  Caller operators are read by the same rule widened to
 complex (`operators.as_operator`), and every valid form gives the same bits."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ def test_mixture_weights_with_a_nested_weight_are_refused():
     # flattened, they would pair the wrong weight with each prior
     with pytest.raises(ValidationError, match="^mixture weights must be one number per"):
         MixtureSpec((([0.25, 0.25], UNIFORM), ([0.25, 0.25], UNIFORM)))
+
+
+@pytest.mark.parametrize("first, message", [
+    ([[1, 0], [0]], "atom (0,) must hold numbers"),
+    (5, "expected a square matrix, got shape ()"),
+], ids=["ragged", "scalar"])
+def test_subadditivity_reads_each_factors_first_state_as_an_operator(first, message):
+    # each factor's dimension is read from its first state by the operator
+    # rule: not numpy's bare ValueError (ragged) or an IndexError (scalar)
+    q = [[0.25, 0.25], [0.25, 0.25]]
+    for v1, v2 in (([first, Z1], [Z0, Z1]), ([Z0, Z1], [first, Z1])):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            check_subadditivity(v1, v2, q)
 
 
 def test_subadditivity_q_of_another_shape_is_refused_as_before():
@@ -361,6 +375,18 @@ def test_a_kraus_operator_that_is_not_a_matrix_is_refused(kraus, message):
     # not IndexError: tuple index out of range
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         precompose_qq([[Z0, Z1]], kraus=kraus)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))],
+                         ids=["nan", "inf", "nan-imaginary"])
+def test_a_non_finite_kraus_operator_is_refused_where_it_enters(bad):
+    # a NaN passed the completeness test (a NaN deviation is not above
+    # KRAUS_TOL), and an inf warned in the matmul, before the channel's table
+    # check refused the states it made; warnings are errors here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^Kraus operator 1 has non-finite entries$"):
+            precompose_qq([[Z0, Z1]], kraus=[Z0, [[0, 0], [0, bad]]])
 
 
 def test_every_number_form_of_a_kraus_list_or_choi_matrix_gives_the_same_channel():
