@@ -96,7 +96,13 @@ class Prior:
 
     @staticmethod
     def uniform(alphabet_sizes: Sequence[int]) -> "Prior":
-        return Prior(tuple(np.full(a, 1.0 / a) for a in alphabet_sizes))
+        """Uniform prior on each alphabet, its size read by `as_index`, from 1 to
+        DEFAULT_MAX_LETTER_TUPLES (the largest a channel table may have)."""
+        sizes = tuple(as_index(a, "alphabet_sizes") for a in alphabet_sizes)
+        if not all(1 <= a <= DEFAULT_MAX_LETTER_TUPLES for a in sizes):
+            raise ValidationError(f"alphabet sizes must be from 1 to "
+                                  f"{DEFAULT_MAX_LETTER_TUPLES}, got {sizes}")
+        return Prior(tuple(np.full(a, 1.0 / a) for a in sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -128,45 +134,52 @@ def _table_shape(sender_alphabets: Sequence[int],
     return alphabets, d
 
 
-def _complete_table(states: Mapping, alphabets: tuple[int, ...], d: int) -> np.ndarray | None:
-    """The (a_1, ..., a_s, d, d) array of a mapping whose keys are exactly
-    the letter tuples and whose entries are all d x d, else None."""
+def _read_table(states, alphabets: tuple[int, ...],
+                d: int) -> tuple[np.ndarray | None, list[str]]:
+    """The checked (a_1, ..., a_s, d, d) table of a mapping from letter tuples
+    to d x d states, or of an array of that shape, as a new array; or None
+    and every violation, one line each.
+
+    A mapping whose keys are exactly the letter tuples, or an array, is read
+    by one `operators._complex` and checked by one `operators.densities_pass`.
+    Only a table that fails either is read and checked entry by entry
+    (`_complex`, the shape, `check_density`), which writes the lines: per
+    letter tuple in sorted order, then the missing tuples.  So the messages
+    and their order do not depend on the stacked check.
+    """
     keys = list(np.ndindex(alphabets))
-    if len(states) != len(keys) or not all(x in states for x in keys):
-        return None
-    mats = [np.asarray(states[x], dtype=complex) for x in keys]
-    if any(m.shape != (d, d) for m in mats):
-        return None
-    return np.stack(mats).reshape(alphabets + (d, d))
-
-
-def _checked_table(states: Mapping, alphabets: tuple[int, ...],
-                   d: int) -> tuple[list[str], np.ndarray | None]:
-    """Every violation of a mapping's state table, each entry checked by
-    `check_density`, in letter-tuple order; with none, the table."""
-    expected = set(np.ndindex(alphabets))
+    if isinstance(states, Mapping):
+        states = {letter_tuple(key, "letter tuple"): mat for key, mat in states.items()}
+        try:   # with as many keys as tuples, a missing one reads as None and fails
+            table = ops._complex([states.get(x) for x in keys]
+                                 if len(states) == len(keys) else None, "state table")
+        except ValidationError:
+            table = None
+    else:   # a copy, so the caller cannot change it
+        table = np.array(ops._complex(states, "state table"), order="C")
+        if table.shape != alphabets + (d, d):
+            return None, [f"state table has shape {table.shape}, expected {alphabets + (d, d)}"]
+        table = table.reshape(-1, d, d)
+        states = dict(zip(keys, table))
+    if table is not None and table.shape[1:] == (d, d) and ops.densities_pass(table):
+        return table.reshape(alphabets + (d, d)), []
+    expected = set(keys)
     problems: list[str] = []
-    checked: dict[tuple[int, ...], np.ndarray] = {}
     for key in sorted(states):
-        if key not in expected:
-            problems.append(f"unexpected state for letter tuple {key}")
-            continue
-        mat = np.asarray(states[key], dtype=complex)
-        if mat.shape != (d, d):
-            problems.append(f"state {key}: shape {mat.shape}, expected ({d}, {d})")
-            continue
+        name = f"state {key}"
         try:
-            checked[key] = ops.check_density(mat, name=f"state {key}")
+            if key not in expected:
+                raise ValidationError(f"unexpected state for letter tuple {key}")
+            mat = ops._complex(states[key], name)
+            if mat.shape != (d, d):
+                raise ValidationError(f"{name}: shape {mat.shape}, expected ({d}, {d})")
+            ops.check_density(mat, name=name)
         except ValidationError as exc:
             problems.append(str(exc))
-    missing = expected - set(states)
-    problems += [f"missing state {key}" for key in sorted(missing)]
-    if problems:
-        return problems, None
-    table = np.empty(alphabets + (d, d), dtype=complex)  # complete: no larger than the input
-    for key, mat in checked.items():
-        table[key] = mat
-    return problems, table
+    problems += [f"missing state {key}" for key in keys if key not in states]
+    # no problem here: the stacked check disagreed by rounding, and the
+    # table read whole is complete and checked
+    return (None if problems else table.reshape(alphabets + (d, d))), problems
 
 
 @dataclass(frozen=True)
@@ -175,17 +188,12 @@ class CqMacChannel:
 
     The constructor is the one place a channel is checked.  `states` maps
     letter tuples to d x d matrices, or is an array (a_1, ..., a_s, d, d);
-    every violation (missing, unexpected or misshapen entries, non-Hermitian
-    or non-PSD states, traces away from 1) is collected into one
-    ValidationError, one line each, naming its letter tuple.  `states` is
-    then stored as one read-only complex array of that shape.
-
-    A complete, well-shaped table (an array of that shape, or a mapping
-    with exactly the expected keys) is stacked and checked at once by
-    `operators.densities_pass`.  Only when that fails, or the table is
-    incomplete, does the per-state `check_density` loop run; it alone
-    writes the messages, so they and their order do not depend on the
-    stacked check.
+    every violation (missing, unexpected, unreadable or misshapen entries,
+    non-Hermitian or non-PSD states, traces away from 1) is collected into
+    one ValidationError, one line each, naming its letter tuple.  `states`
+    is then stored as one read-only complex array of that shape.
+    `_read_table` reads and checks the table whole, and entry by entry only
+    for the messages.
 
     `table_memo` keeps the entropy tables `region.prior_tables` computed
     for this channel, one per prior.
@@ -198,21 +206,9 @@ class CqMacChannel:
 
     def __post_init__(self):
         alphabets, d = _table_shape(self.sender_alphabets, self.output_dim)
-        states = self.states
-        if isinstance(states, Mapping):
-            states = {letter_tuple(key, "letter tuple"): mat for key, mat in states.items()}
-            table = _complete_table(states, alphabets, d)
-        else:
-            states = np.asarray(states, dtype=complex)
-            if states.shape != alphabets + (d, d):
-                raise ValidationError(
-                    f"state table has shape {states.shape}, expected {alphabets + (d, d)}")
-            table = np.array(states, order="C")   # a copy, so the caller cannot change it
-            states = dict(zip(np.ndindex(alphabets), table.reshape(-1, d, d)))
-        if table is None or not ops.densities_pass(table.reshape(-1, d, d)):
-            problems, table = _checked_table(states, alphabets, d)
-            if problems:
-                raise ValidationError("\n".join(problems))
+        table, problems = _read_table(self.states, alphabets, d)
+        if problems:
+            raise ValidationError("\n".join(problems))
         table.setflags(write=False)
         object.__setattr__(self, "sender_alphabets", alphabets)
         object.__setattr__(self, "output_dim", d)
@@ -460,10 +456,7 @@ class BlockChannel:
         Given an integer array (..., s, n) of such word tuples instead, the
         stack (..., d^n, r^n) of their factors.
         """
-        try:
-            words = np.asarray(words, dtype=int)
-        except ValueError:   # ragged word lists
-            words = np.empty(0, dtype=int)
+        words = ops._numeric(words, "words", "biu", "integer letters")
         if words.shape[-2:] != (self.s, self.n):
             raise ValidationError(f"expected {self.s} words of {self.n} letters each")
         letters = words.swapaxes(-1, -2)   # (..., n, s): one letter tuple per position

@@ -13,10 +13,11 @@ The word states `average_error` evaluates run as factors instead: a word
 state is a Kronecker product of letter states, so it is F F† with r^n
 columns in F (one on a pure-state channel), and the chain is
 F -> sqrt(D) F.  The tests hold it to a dense one-tuple-at-a-time loop
-(`tests/oracles.average_error_loop`) within 1e-12.  A stage whose L
-candidates span fewer than d^n directions by their letter ranks (L r^n <
-d^n, r the largest rank in the stage's letter table) takes each PGM's
-inverse root from the Gram matrix of the candidates' factors, without
+(`tests/oracles.average_error_loop`) within 1e-12 on their shapes, n <= 6;
+pure letters at n = 7 reach 5e-10, the noise of rank-1 roots.  A stage
+whose L candidates span fewer than d^n directions by their letter ranks
+(L r^n < d^n, r the largest rank in the stage's letter table) takes each
+PGM's inverse root from the Gram matrix of the candidates' factors, without
 forming their average (`pgm_decoder`); its elements and roots stay dense.
 
 Message tuples with the same words have the same values, so `average_error`
@@ -505,8 +506,9 @@ class SequentialDecoder:
     def stage_states(self, stage: int,
                      prefix_words: Sequence[Sequence[int]]) -> list[tuple[int, np.ndarray]]:
         """Candidate state of each message of `stage`, given decoded prefix
-        words, built as chunked stacks of block_states (`_stage_letters`)."""
-        table, letters = self._stage_letters(stage, prefix_words)
+        words read as `stage_instrument` reads them (`_key`), built as chunked
+        stacks of block_states (`_stage_letters`)."""
+        table, letters = self._stage_letters(*self._key(stage, prefix_words))
         return list(enumerate(m for rows in chunks(len(letters), 16 * self.block.output_dim ** 2)
                               for m in block_states(table, letters[rows])))
 

@@ -58,11 +58,11 @@ class RateConstraintSet:
     bounds: dict[int, float]
 
     def __post_init__(self):
-        expected = set(range(1, 1 << self.s))
-        if set(self.bounds) != expected:
-            raise ValidationError(
-                f"bounds must cover every nonempty subset mask of {self.s} senders"
-            )
+        s = as_index(self.s, "s")
+        # 2^s - 1 masks have bit length s: a larger s is refused before 1 << s
+        if s != len(self.bounds).bit_length() or set(self.bounds) != set(range(1, 1 << s)):
+            raise ValidationError(f"bounds must cover every nonempty subset mask of {s} senders")
+        object.__setattr__(self, "s", s)
         as_nonnegative(list(self.bounds.values()), "bounds")
 
 
